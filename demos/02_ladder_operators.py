@@ -39,13 +39,13 @@ bad = verify_adjoint_pair(ops["D"], ops["D"], seq.table, 2, "negative control")
 print("self-pairing the raising operator fails, as it must:",
       sum(1 for c in bad if not c["pass"]), "nonzero defects")
 
-inter = verify_intertwinings(seq)
+inter = verify_intertwinings(seq, ops)
 print(f"intertwining checks: {len(inter)}, all pass: {all(c['pass'] for c in inter)}")
 
 # the bracket identities tie B_n, C_n, H_n and the eigenvalue matrices
 # together; two printed variants fail by one sign and are reported next to
 # the corrected forms
-brk = verify_bracket_identities(seq)
+brk = verify_bracket_identities(seq, ops)
 print(f"bracket checks: {len(brk)}, all pass: {all(c['pass'] for c in brk)}")
 flagged = [c for c in brk if c.get("displayed_form_pass") is False]
 print("corrected-vs-printed sign reports:", sorted({c['equation'] for c in flagged}))

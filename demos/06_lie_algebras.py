@@ -28,11 +28,11 @@ print("\nisomorphism: support {i>=2: a_i != 0} decides")
 p1, p2, p3 = parse_phi("x^3"), parse_phi("x^3+x"), parse_phi("x^3+x^2")
 print("  x^3 ~ x^3+x   :", iso_test(p1, p2))
 print("  x^3 ~ x^3+x^2 :", iso_test(p1, p3))
+psi1, psi2, psi3 = (structural_psi(generate_algebra(p)) for p in (p1, p2, p3))
 print("  same verdicts from the diagonal similarity classes:",
-      conformal_similar(structural_psi(p1), structural_psi(p2)),
-      conformal_similar(structural_psi(p1), structural_psi(p3)))
+      conformal_similar(psi1, psi2), conformal_similar(psi1, psi3))
 
-rep = structure_report(parse_phi("x^2+3x"))
+rep = structure_report(generate_algebra(parse_phi("x^2+3x")))
 print("\nphi = x^2+3x: dim", rep["dimension"], " ideal ad-spectrum",
       rep["ideal_ad_spectrum"], " three-dimensional class invariant",
       rep.get("l36_alpha"))
@@ -42,7 +42,7 @@ print("\ntruncations of the exponential series keep growing (no finite",
 print("  dims:", [generate_algebra(exp_series_truncated(t)).dim
                   for t in range(4, 9)])
 
-ext = extended_algebra_report(F(1, 2))
+ext = extended_algebra_report(generate_algebra(parse_phi("x"), nu=F(1, 2), extended=True))
 print("\nextended algebra with the second-order operator: dim",
       ext["dimension"])
 for c in ext["checks"]:

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import dual_hahn as dh
@@ -136,14 +134,8 @@ def cmd_verify(args) -> int:
     n_max = args.nmax
     checks: list[dict] = []
     notes: list[str] = []
-    jobs = []
-    if args.suite in ("operators", "laguerre", "all"):
-        seq = compute_monic_ops(spec, n_max)
-        jobs.append(("oracle", lambda: rp.suite_oracle(seq)))
-        if args.suite in ("operators", "all"):
-            jobs.append(("operators", lambda: rp.suite_operators(seq)))
-        if args.suite in ("laguerre", "all"):
-            jobs.append(("laguerre", lambda: rp.suite_laguerre(seq)))
+    resolutions: list[dict] = []
+    params = None
     if args.suite in ("dualhahn", "all"):
         params = _dualhahn_params(args, spec)
         if params is None:
@@ -151,24 +143,20 @@ def cmd_verify(args) -> int:
                 raise DomainError(
                     "dual Hahn suite needs --c/--d or a delta family with a = -1")
             notes.append("dualhahn suite skipped: weight is not a constrained family")
-        else:
-            jobs.append(("dualhahn",
-                         lambda p=params: rp.suite_dualhahn(p, min(n_max, 4))))
+    if args.suite in ("operators", "laguerre", "all"):
+        seq = compute_monic_ops(spec, n_max)
+        checks += rp.suite_oracle(seq)
+        if args.suite in ("operators", "all"):
+            checks += rp.suite_operators(seq)
+        if args.suite in ("laguerre", "all"):
+            checks += rp.suite_laguerre(seq)
+            if spec.N >= 2:
+                resolutions = rp.resolve_open_questions(seq)
+    if params is not None:
+        dh_seq = compute_monic_ops(dh.weight_spec(params), min(n_max, 4) + 1)
+        checks += rp.suite_dualhahn(params, dh_seq, lf.extract_xi(dh_seq))
     if args.suite == "all":
-        jobs.append(("lie", lambda: rp.suite_lie(spec.nu)))
-
-    threads = max(1, int(os.environ.get("MVOP_THREADS", "1")))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: job[1](), jobs))
-    else:
-        results = [job[1]() for job in jobs]
-    for (_, _), result in zip(jobs, results):
-        checks.extend(result)
-
-    resolutions = []
-    if args.suite in ("laguerre", "all") and spec.N >= 2:
-        resolutions = rp.resolve_open_questions(spec, min(n_max, 4))
+        checks += rp.suite_lie(spec.nu)
 
     ok = rp.all_pass(checks)
     payload = {
@@ -191,8 +179,7 @@ def cmd_lie(args) -> int:
         phi = la.exp_series_truncated(args.truncate)
     else:
         phi = parse_phi(args.phi)
-    nu = rat(args.nu)
-    alg = la.generate_algebra(phi, nu=nu if args.extended else None,
+    alg = la.generate_algebra(phi, nu=rat(args.nu) if args.extended else None,
                               extended=args.extended)
     structure = [[i, j, k, rat_str(v)]
                  for (i, j), vec in sorted(alg.structure.items())
@@ -213,7 +200,7 @@ def cmd_lie(args) -> int:
     }
     payload["center_dimension"] = len(alg.center())
     if phi.degree >= 2 and not args.extended:
-        rep = la.structure_report(phi)
+        rep = la.structure_report(alg)
         payload["structure_report"] = {
             "k": rep["k"],
             "I_phi": rep["I_phi"],
@@ -224,7 +211,7 @@ def cmd_lie(args) -> int:
             payload["structure_report"]["l36_alpha"] = rep["l36_alpha"]
         payload["derived_series_lengths"] = 2
     if args.extended:
-        ext = la.extended_algebra_report(nu)
+        ext = la.extended_algebra_report(alg)
         payload["extended_report"] = ext["checks"]
     ok = payload["checks"]["jacobi"] and payload["checks"]["antisymmetry"]
     if payload["checks"]["dim_matches_formula"] is False:
@@ -240,7 +227,7 @@ def cmd_dualhahn(args) -> int:
                                    rat(args.c), rat(args.d))
     seq = compute_monic_ops(dh.weight_spec(params), args.nmax + 1)
     xi = lf.extract_xi(seq)
-    checks = rp.suite_dualhahn(params, args.nmax)
+    checks = rp.suite_dualhahn(params, seq, xi)
     xi_records = []
     for row in xi.records():
         n, i, j = row["n"], row["i"], row["j"]
@@ -269,8 +256,39 @@ def cmd_dualhahn(args) -> int:
     return 0 if ok and all_equal else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _degree(text: str) -> int:
+    """The --nmax type: a polynomial degree, an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+# Flags whose value may start with '-' (such as --a -1,2), which argparse
+# would otherwise take for an option.
+_SIGNED_FLAGS = ("--a", "--delta", "--nu", "--c", "--d", "--phi")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite '--a -1,2' as '--a=-1,2' for the flags in _SIGNED_FLAGS."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and tok.startswith("-") \
+                and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvlaguerre",
         description="Exact matrix-valued Laguerre polynomial families and "
                     "identity verification")
@@ -283,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of N-1 subdiagonal entries, e.g. '-1,2'")
         p.add_argument("--delta", default=None,
                        help="comma list of N positive diagonal weights")
-        p.add_argument("--nmax", type=int, default=need_nmax)
+        p.add_argument("--nmax", type=_degree, default=need_nmax)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("compute-polys", help="emit the monic family as JSON")
@@ -316,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", default="1/2")
     p.add_argument("--c", default="1")
     p.add_argument("--d", default="1")
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--nmax", type=_degree, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_dualhahn)
     return parser
@@ -324,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except (DomainError, ValueError) as exc:

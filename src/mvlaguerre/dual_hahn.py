@@ -27,19 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import OPSeq
+from .engine import OPSeq, check
 from .laguerre_forms import XiTable, compute_R
 from .matrices import MatLaurent, MatPoly, MatQ, build_A, build_J, exp_nilpotent
 from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
 from .scalar import (DomainError, dual_hahn, dual_hahn_via_recurrence,
                      factorial, pochhammer, rat)
 from .weights import WeightSpec
-
-
-def _check(check_id, equation, ok, **extra):
-    out = {"check_id": check_id, "equation": equation, "pass": bool(ok)}
-    out.update(extra)
-    return out
 
 
 @dataclass(frozen=True)
@@ -131,8 +125,8 @@ def verify_gauge_ratio(params: DHParams, n: int, i: int) -> list[dict]:
     ratio_ok = all(
         eps[j] * (n + i - j) * (params.d * j + params.c) == eps[j + 1]
         for j in range(n + i))
-    return [_check(f"gauge ratio n={n},i={i}", "gauge-ratio",
-                   ok and ratio_ok)]
+    return [check(f"gauge ratio n={n},i={i}", "gauge-ratio",
+                  ok and ratio_ok)]
 
 
 def _ef_coeffs(params: DHParams, n: int, i: int, j: int):
@@ -171,8 +165,8 @@ def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
                 prev_t = qt.get(j - 1, Fraction(0))
                 if -e_j * qt[j] + ft * prev_t + qt[j + 1] != 0:
                     corr_ok = False
-            checks.append(_check(f"q three-term n={n},i={i}", "gauge-three-term",
-                                 corr_ok, displayed_form_pass=disp_ok))
+            checks.append(check(f"q three-term n={n},i={i}", "gauge-three-term",
+                                corr_ok, displayed_form_pass=disp_ok))
     return checks
 
 
@@ -233,9 +227,9 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
                 else:
                     disp_ok = False
             if tested:
-                checks.append(_check(f"dual Hahn closed form n={n},i={i}",
-                                     "dual-hahn-closed-form", corr_ok,
-                                     displayed_form_pass=disp_ok))
+                checks.append(check(f"dual Hahn closed form n={n},i={i}",
+                                    "dual-hahn-closed-form", corr_ok,
+                                    displayed_form_pass=disp_ok))
     cross = all(
         dual_hahn(k, lattice_node(params, i), params.gamma, n + i - params.N,
                   params.N - 1)
@@ -243,8 +237,8 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
                                     n + i - params.N, params.N - 1)
         for n in range(xi.n_max + 1) for i in range(1, params.N + 1)
         for k in range(params.N))
-    checks.append(_check("3F2 equals recurrence at used arguments",
-                         "dual-hahn-recurrence", cross))
+    checks.append(check("3F2 equals recurrence at used arguments",
+                        "dual-hahn-recurrence", cross))
     return checks
 
 
@@ -271,8 +265,8 @@ def verify_boundary_recursion(xi: XiTable, params: DHParams) -> list[dict]:
             if xi.get(n, i, j - 1) != disp * xi.get(n, i, j):
                 disp_ok = False
     if tested:
-        checks.append(_check("boundary recursion j=n+i", "dual-hahn-boundary-recursion",
-                             corr_ok, displayed_form_pass=disp_ok))
+        checks.append(check("boundary recursion j=n+i", "dual-hahn-boundary-recursion",
+                            corr_ok, displayed_form_pass=disp_ok))
     return checks
 
 
@@ -305,14 +299,14 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
         r0p = r.derivative()(0)
         lhs = (r0p - r0 * a) * c_mat
         d_n = (j * params.d - i * (params.d * (nn + 1) + params.c)) * n
-        checks.append(_check(f"derivative coupling n={n}", "derivative-coupling-at-zero",
-                             lhs == d_n * r0))
+        checks.append(check(f"derivative coupling n={n}", "derivative-coupling-at-zero",
+                            lhs == d_n * r0))
     disp_entry_ok = all(
         m_star[k - 1, k] == params.d * k * (nn - k) for k in range(1, nn))
     corr_entry_ok = all(
         m_star[k - 1, k] == -params.d * k * (nn - k) for k in range(1, nn))
-    checks.append(_check("conjugated-diagonal entry sign", "conjugated-coupling-entry",
-                         corr_entry_ok, displayed_form_pass=disp_entry_ok))
+    checks.append(check("conjugated-diagonal entry sign", "conjugated-coupling-entry",
+                        corr_entry_ok, displayed_form_pass=disp_entry_ok))
     return checks
 
 
@@ -364,28 +358,27 @@ def phi_psi(params: DHParams, alpha=None):
     psi = l0_star_inv * (ex_neg_t * inner_psi * ex_pos_t) * l0.transpose()
 
     checks = [
-        _check("deg Phi", "pearson-pair", phi.degree == (2 if nn >= 2 else 1)),
-        _check("deg Psi", "pearson-pair", psi.degree == 1),
+        check("deg Phi", "pearson-pair", phi.degree == (2 if nn >= 2 else 1)),
+        check("deg Psi", "pearson-pair", psi.degree == 1),
     ]
 
     body_nu = _weight_body(params, params.delta_nu, l0, a)
     body_nu1 = _weight_body(params, params.delta_nu1, l0, a).shift(1)
     w_nu = ScaledMat(params.nu, body_nu)
     w_nu1 = ScaledMat(params.nu, body_nu1)
-    checks.append(_check("W Phi = W(nu+1)", "pearson-pair",
-                         w_nu.rmul(phi).body == w_nu1.body))
-    checks.append(_check("W Psi = d/dx W(nu+1)", "pearson-pair",
-                         w_nu.rmul(psi).body == w_nu1.dx().body))
+    checks.append(check("W Phi = W(nu+1)", "pearson-pair",
+                        w_nu.rmul(phi).body == w_nu1.body))
+    checks.append(check("W Psi = d/dx W(nu+1)", "pearson-pair",
+                        w_nu.rmul(psi).body == w_nu1.dx().body))
 
     ex_pos = exp_nilpotent(a, +1)
     ex_neg = exp_nilpotent(a, -1)
     conj = ex_neg * (l0.inverse() * phi.transpose() * l0) * ex_pos
-    checks.append(_check("conjugated Phi* form", "pearson-conjugated-form",
-                         conj == MatPoly.monomial(1, djc)))
+    checks.append(check("conjugated Phi* form", "pearson-conjugated-form",
+                        conj == MatPoly.monomial(1, djc)))
 
     d2 = DiffOp([MatPoly.zero(nn), psi.transpose(), phi.transpose()])
-    checks.extend(verify_symmetry_conditions(
-        d2, ScaledMat(params.nu, _alpha_weight_body(params, l0, a)), "D2 vs W(alpha,nu)"))
+    checks.extend(verify_symmetry_conditions(d2, w_nu, "D2 vs W(alpha,nu)"))
     return phi, psi, checks
 
 
@@ -398,7 +391,3 @@ def _weight_body(params: DHParams, delta, l0: MatQ, a: MatQ) -> MatLaurent:
     )
     ex = exp_nilpotent(a, +1)
     return MatLaurent.from_poly(l0 * (ex * diag * ex.transpose()) * l0.transpose())
-
-
-def _alpha_weight_body(params: DHParams, l0: MatQ, a: MatQ) -> MatLaurent:
-    return _weight_body(params, params.delta_nu, l0, a)

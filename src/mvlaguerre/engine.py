@@ -12,6 +12,12 @@ from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, inner_product
 
 
+def check(check_id: str, equation: str, ok, **extra) -> dict:
+    """One verdict: {check_id, equation, pass, ...extra}.  Every suite in
+    the package builds its checks with this."""
+    return {"check_id": check_id, "equation": equation, "pass": bool(ok), **extra}
+
+
 class OPSeq:
     """Computed family P_0..P_{n_max} with squared norms and recurrence data.
 
@@ -104,14 +110,14 @@ def verify_three_term(seq: OPSeq) -> list[dict]:
         rhs = seq.P[k + 1] + MatPoly.const(seq.B[k]) * seq.P[k]
         if k >= 1:
             rhs = rhs + MatPoly.const(seq.C[k]) * seq.P[k - 1]
-        checks.append(_check(f"three-term n={k}", "three-term-recurrence",
-                             (lhs - rhs).is_zero()))
+        checks.append(check(f"three-term n={k}", "three-term-recurrence",
+                            (lhs - rhs).is_zero()))
     for k in range(1, seq.n_max + 1):
         ok = seq.C[k] == seq.H[k] * seq.H[k - 1].inverse()
-        checks.append(_check(f"C-ratio n={k}", "recurrence-coefficients", ok))
+        checks.append(check(f"C-ratio n={k}", "recurrence-coefficients", ok))
     for k in range(2, seq.n_max):
         ok = seq.Y[k] == seq.Y[k + 1] + seq.B[k] * seq.X[k] + seq.C[k]
-        checks.append(_check(f"Y-recursion n={k}", "second-coefficient-recursion", ok))
+        checks.append(check(f"Y-recursion n={k}", "second-coefficient-recursion", ok))
     return checks
 
 
@@ -122,13 +128,7 @@ def verify_orthogonality(seq: OPSeq) -> list[dict]:
     for i in range(seq.n_max + 1):
         for j in range(i):
             ok = seq.ip(seq.P[i], seq.P[j]).is_zero()
-            checks.append(_check(f"orthogonality n={i},m={j}", "orthogonality", ok))
-        checks.append(_check(f"H-posdef n={i}", "orthogonality",
-                             seq.H[i].is_positive_definite()))
+            checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ok))
+        checks.append(check(f"H-posdef n={i}", "orthogonality",
+                            seq.H[i].is_positive_definite()))
     return checks
-
-
-def _check(check_id: str, equation: str, ok: bool, **extra) -> dict:
-    out = {"check_id": check_id, "equation": equation, "pass": bool(ok)}
-    out.update(extra)
-    return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import OPSeq
+from .engine import OPSeq, check
 from .matrices import MatPoly, MatQ, build_K, build_K_inverse, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
@@ -27,12 +27,6 @@ from .scalar import factorial, laguerre_poly, pochhammer, rat_str
 
 class ClosedFormViolation(AssertionError):
     """An entry of R failed the Laguerre proportionality the theory forces."""
-
-
-def _check(check_id, equation, ok, **extra):
-    out = {"check_id": check_id, "equation": equation, "pass": bool(ok)}
-    out.update(extra)
-    return out
 
 
 def compute_R(seq: OPSeq, n: int) -> MatPoly:
@@ -52,10 +46,10 @@ def verify_K_properties(spec, n_max: int) -> list[dict]:
         k = build_K(n, nu, spec.a, N)
         lam = MatQ.diag([-(n + r) for r in range(1, N + 1)])
         gamma = A * (i_mat * (n + nu + 1) + J) - i_mat * n - J
-        checks.append(_check(f"K-conjugation n={n}", "triangularizer-conjugation",
-                             k * lam * k.inverse() == gamma))
-        checks.append(_check(f"K-unipotent n={n}", "triangularizer-unipotent",
-                             all(k[r, r] == 1 for r in range(N))))
+        checks.append(check(f"K-conjugation n={n}", "triangularizer-conjugation",
+                            k * lam * k.inverse() == gamma))
+        checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
+                            all(k[r, r] == 1 for r in range(N))))
         entry_ok = True
         for ii in range(1, N + 1):
             for jj in range(1, ii + 1):
@@ -65,9 +59,9 @@ def verify_K_properties(spec, n_max: int) -> list[dict]:
                 expected = prod * pochhammer(nu + jj + n + 1, ii - jj) / factorial(ii - jj)
                 if k[ii - 1, jj - 1] != expected:
                     entry_ok = False
-        checks.append(_check(f"K-closed-form n={n}", "triangularizer-entries", entry_ok))
-        checks.append(_check(f"K-inverse n={n}", "triangularizer-entries",
-                             build_K_inverse(n, nu, spec.a, N) == k.inverse()))
+        checks.append(check(f"K-closed-form n={n}", "triangularizer-entries", entry_ok))
+        checks.append(check(f"K-inverse n={n}", "triangularizer-entries",
+                            build_K_inverse(n, nu, spec.a, N) == k.inverse()))
     return checks
 
 
@@ -80,13 +74,13 @@ def verify_diagonalization(spec) -> list[dict]:
     x_i = MatPoly.x_identity(n)
     ladder_diag = DiffOp([-x_i, x_i])
     checks = [
-        _check("ladder diagonalization", "diagonalized-eigenproblem",
-               ladder_raising(spec).conjugate_exp(a) == ladder_diag),
-        _check("second-order diagonalization", "diagonalized-eigenproblem",
-               second_order(spec).conjugate_exp(a) == second_order_diagonalized(spec)),
-        _check("multiplication diagonalization", "diagonalized-eigenproblem",
-               casimir_mult(spec).conjugate_exp(a)
-               == right_mult(MatPoly.const(-spec.J))),
+        check("ladder diagonalization", "diagonalized-eigenproblem",
+              ladder_raising(spec).conjugate_exp(a) == ladder_diag),
+        check("second-order diagonalization", "diagonalized-eigenproblem",
+              second_order(spec).conjugate_exp(a) == second_order_diagonalized(spec)),
+        check("multiplication diagonalization", "diagonalized-eigenproblem",
+              casimir_mult(spec).conjugate_exp(a)
+              == right_mult(MatPoly.const(-spec.J))),
     ]
     return checks
 
@@ -100,8 +94,8 @@ def verify_R_eigen(seq: OPSeq) -> list[dict]:
     for n in range(seq.n_max + 1):
         r = compute_R(seq, n)
         lam = MatQ.diag([-(n + k) for k in range(1, spec.N + 1)])
-        checks.append(_check(f"R eigen-equation n={n}", "diagonalized-eigenproblem",
-                             dq.act(r) == MatPoly.const(lam) * r))
+        checks.append(check(f"R eigen-equation n={n}", "diagonalized-eigenproblem",
+                            dq.act(r) == MatPoly.const(lam) * r))
     return checks
 
 
@@ -182,17 +176,17 @@ def compute_GI(seq: OPSeq):
             i_n[r, c] == (r + 1 if r == c else 0)
             for r in range(N) for c in range(N) if c != r + 1
         )
-        checks.append(_check(f"I(n) bidiagonal n={n}", "coupling-structure", ok_struct))
+        checks.append(check(f"I(n) bidiagonal n={n}", "coupling-structure", ok_struct))
         ok_super = all(i_n[r, r + 1] == hjh[r, r + 1] for r in range(N - 1))
-        checks.append(_check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries", ok_super))
+        checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries", ok_super))
         if n >= 1:
             hth = seq.H[n] * (A.transpose() - i_mat) * seq.H[n - 1].inverse()
             g_n = kinvs[n] * hth * ks[n - 1]
             G.append(g_n)
             ok_diag = all(g_n[r, c] == 0 for r in range(N) for c in range(N) if r != c)
-            checks.append(_check(f"G(n) diagonal n={n}", "coupling-structure", ok_diag))
+            checks.append(check(f"G(n) diagonal n={n}", "coupling-structure", ok_diag))
             ok_eq = all(g_n[r, r] == hth[r, r] for r in range(N))
-            checks.append(_check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries", ok_eq))
+            checks.append(check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries", ok_eq))
     return G, I, checks
 
 
@@ -269,12 +263,12 @@ def verify_xi_tables(extracted: XiTable, recursed: XiTable) -> list[dict]:
             ok = False
             first_bad = k
             break
-    checks.append(_check("xi extraction equals recursion",
-                         "multiplier-recursions", ok,
-                         first_mismatch=str(first_bad) if first_bad else None))
+    checks.append(check("xi extraction equals recursion",
+                        "multiplier-recursions", ok,
+                        first_mismatch=str(first_bad) if first_bad else None))
     zero_ok = all(extracted.values.get((n, i, j)) is not None
                   for (n, i, j) in extracted.values if n + i - j >= 0)
-    checks.append(_check("xi zero pattern", "multiplier-zero-pattern", zero_ok))
+    checks.append(check("xi zero pattern", "multiplier-zero-pattern", zero_ok))
     return checks
 
 
@@ -297,13 +291,13 @@ def verify_displayed_xi_recursions(seq: OPSeq, xi: XiTable, G, I) -> list[dict]:
             disp_ok = False
         if xi.get(n, i, j) != -a[i - 2] * prev + tail:
             corr_ok = False
-    out.append(_check("interior recursion, corrected sign", "multiplier-interior-recursion", corr_ok,
-                      displayed_form_pass=disp_ok))
+    out.append(check("interior recursion, corrected sign", "multiplier-interior-recursion", corr_ok,
+                     displayed_form_pass=disp_ok))
     if seq.n_max >= 1:
         disp = all(xi.get(1, i, i + 1) == I[0][i - 1, i] for i in range(1, N))
         corr = all(xi.get(1, i, i + 1) == -I[0][i - 1, i] for i in range(1, N))
-        out.append(_check("boundary seed xi(1,i,i+1), corrected sign",
-                          "multiplier-boundary-seed", corr, displayed_form_pass=disp))
+        out.append(check("boundary seed xi(1,i,i+1), corrected sign",
+                         "multiplier-boundary-seed", corr, displayed_form_pass=disp))
     disp_ok, corr_ok, tested = True, True, False
     for n in range(1, seq.n_max):
         j = n + 1
@@ -320,8 +314,8 @@ def verify_displayed_xi_recursions(seq: OPSeq, xi: XiTable, G, I) -> list[dict]:
         if n1 * xi.get(n, 1, j) != n2 * xi.get(n - 1, 2, j):
             corr_ok = False
     if tested:
-        out.append(_check("i=1 boundary relation, derived coefficients",
-                          "multiplier-boundary-relation", corr_ok, displayed_form_pass=disp_ok))
+        out.append(check("i=1 boundary relation, derived coefficients",
+                         "multiplier-boundary-relation", corr_ok, displayed_form_pass=disp_ok))
     return out
 
 
@@ -351,7 +345,7 @@ def verify_H_recursion(seq: OPSeq) -> list[dict]:
     H = [seq.H[0], seq.H[1]]
     for n in range(2, seq.n_max + 1):
         nxt = h_recursion_next(H, seq.spec.A, seq.spec.J)
-        checks.append(_check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == seq.H[n]))
+        checks.append(check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == seq.H[n]))
         H.append(seq.H[n])
     return checks
 
@@ -392,17 +386,20 @@ def h1_from_h0(h0: MatQ, nu, a) -> MatQ:
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
+    """X(1) and H_1 rebuilt from H_0; a family without P_1 has nothing to
+    compare them with."""
     spec = seq.spec
-    checks = []
+    if seq.n_max < 1:
+        return []
     x1 = x1_from_h0(seq.H[0], spec.nu, spec.a)
-    checks.append(_check("X(1) from H_0", "norm-bootstrap", x1 == seq.X[1]))
     zero_ok = all(seq.X[1][i, j] == 0
                   for i in range(spec.N) for j in range(spec.N) if j > i + 1)
-    checks.append(_check("X(1) zero pattern", "norm-bootstrap", zero_ok))
-    if seq.n_max >= 1:
-        h1 = h1_from_h0(seq.H[0], spec.nu, spec.a)
-        checks.append(_check("H_1 from H_0", "norm-bootstrap", h1 == seq.H[1]))
-    return checks
+    h1 = h1_from_h0(seq.H[0], spec.nu, spec.a)
+    return [
+        check("X(1) from H_0", "norm-bootstrap", x1 == seq.X[1]),
+        check("X(1) zero pattern", "norm-bootstrap", zero_ok),
+        check("H_1 from H_0", "norm-bootstrap", h1 == seq.H[1]),
+    ]
 
 
 def verify_Q_relation(seq: OPSeq) -> list[dict]:
@@ -420,7 +417,7 @@ def verify_Q_relation(seq: OPSeq) -> list[dict]:
         if n >= 1:
             coupling = seq.H[n] * (A.transpose() - i) * seq.H[n - 1].inverse()
             rhs = rhs + MatPoly.const(coupling) * q[n - 1]
-        checks.append(_check(f"Q relation n={n}", "conjugated-derivative-relation", lhs == rhs))
+        checks.append(check(f"Q relation n={n}", "conjugated-derivative-relation", lhs == rhs))
     return checks
 
 
@@ -454,10 +451,10 @@ def verify_X_recursion(seq: OPSeq, G, I) -> list[dict]:
                 rhs = -((n + 1 + nu) if ii == jj else 0) - hjh[ii - 1, jj - 1]
                 if lhs != rhs:
                     corr_ok = False
-    checks.append(_check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
-                         corr_ok, displayed_form_pass=disp_ok))
+    checks.append(check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
+                        corr_ok, displayed_form_pass=disp_ok))
     gx_ok = all(G[n][r, r] == seq.X[n][r, r]
                 for n in range(1, seq.n_max + 1) for r in range(N))
-    checks.append(_check("G(n) diagonal equals X(n) diagonal",
-                         "coupling-diagonal-claim", gx_ok))
+    checks.append(check("G(n) diagonal equals X(n) diagonal",
+                        "coupling-diagonal-claim", gx_ok))
     return checks

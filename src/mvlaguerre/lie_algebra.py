@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .engine import check
 from .matrices import MatQ
 from .scalar import DomainError, RPoly, rat
 
@@ -343,34 +344,34 @@ def conformal_similar(psi1: MatQ, psi2: MatQ) -> bool:
     return all(v == 0 for v in s1) and all(v == 0 for v in s2)
 
 
-def structural_psi(phi: RPoly) -> MatQ:
+def structural_psi(alg: LieAlg) -> MatQ:
     """Canonical diagonal matrix of the almost-abelian part, computed from
     the closure itself: the eigenvalues of ad(-D) on the multiplication
     ideal (monomial exponents)."""
-    alg = generate_algebra(phi)
     exps = sorted({p - 3 for p in alg._pivots if p >= 4})
     return MatQ.diag(exps)
 
 
-def structure_report(phi: RPoly) -> dict:
-    """Structural facts for deg phi >= 2: central element, solvability of
-    the codimension-two part, the abelian ideal, canonical semidirect
-    brackets, and the three-dimensional invariant when applicable."""
+def structure_report(alg: LieAlg) -> dict:
+    """Structural facts for the closure of a phi with deg phi >= 2: central
+    element, solvability of the codimension-two part, the abelian ideal,
+    canonical semidirect brackets, and the three-dimensional invariant when
+    applicable."""
+    phi = alg.phi
     if phi.degree < 2:
         raise DomainError("structure theorem needs deg phi >= 2")
-    alg = generate_algebra(phi)
     bound = alg.bound
     checks = []
     k = weight_exponent_class(phi)
-    checks.append(_chk("dimension = k+2", "closure-dimension", alg.dim == dim_formula(phi)))
-    checks.append(_chk("antisymmetry", "lie axioms", alg.antisymmetry_holds()))
-    checks.append(_chk("jacobi", "lie axioms", alg.jacobi_holds()))
+    checks.append(check("dimension = k+2", "closure-dimension", alg.dim == dim_formula(phi)))
+    checks.append(check("antisymmetry", "lie axioms", alg.antisymmetry_holds()))
+    checks.append(check("jacobi", "lie axioms", alg.jacobi_holds()))
 
     z = OpElement(cD=1, cDd=1,
                   mult=2 * RPoly.x() - RPoly.x() * phi.derivative())
     z_central = all(
         bracket(z, OpElement.from_coords(v), phi).is_zero() for v in alg.basis)
-    checks.append(_chk("z central", "central-element", z_central))
+    checks.append(check("z central", "central-element", z_central))
 
     h_rows: list = []
     h_pivots: list = []
@@ -383,7 +384,7 @@ def structure_report(phi: RPoly) -> dict:
         xp = xp * RPoly.x()
     for g in h_gens:
         _rref_insert(h_rows, h_pivots, g.coords(bound))
-    checks.append(_chk("dim h = k", "solvable-structure", len(h_rows) == k))
+    checks.append(check("dim h = k", "solvable-structure", len(h_rows) == k))
 
     d1_rows: list = []
     d1_pivots: list = []
@@ -395,14 +396,14 @@ def structure_report(phi: RPoly) -> dict:
     second_zero = all(
         bracket(OpElement.from_coords(v1), OpElement.from_coords(v2), phi).is_zero()
         for v1 in d1_rows for v2 in d1_rows)
-    checks.append(_chk("derived series of h ends", "solvable-structure", second_zero))
+    checks.append(check("derived series of h ends", "solvable-structure", second_zero))
 
     ideal = [v for v in h_rows if v[0] == 0 and v[1] == 0 and v[2] == 0]
     ideal_abelian = all(
         bracket(OpElement.from_coords(v1), OpElement.from_coords(v2), phi).is_zero()
         for v1 in ideal for v2 in ideal)
-    checks.append(_chk("multiplication ideal abelian, dim k-1",
-                       "solvable-structure", ideal_abelian and len(ideal) == k - 1))
+    checks.append(check("multiplication ideal abelian, dim k-1",
+                        "solvable-structure", ideal_abelian and len(ideal) == k - 1))
 
     e_gen = OpElement(cD=-1)
     ok_e1 = bracket(e_gen, OpElement(mult=RPoly.x()), phi) == OpElement(mult=RPoly.x())
@@ -411,7 +412,7 @@ def structure_report(phi: RPoly) -> dict:
         bracket(e_gen, OpElement(mult=RPoly.monomial(j)), phi)
         == OpElement(mult=RPoly.monomial(j) * j)
         for j in support)
-    checks.append(_chk("canonical semidirect brackets", "semidirect-brackets", ok_e1 and ok_et))
+    checks.append(check("canonical semidirect brackets", "semidirect-brackets", ok_e1 and ok_et))
 
     out = {
         "dimension": alg.dim,
@@ -428,30 +429,25 @@ def structure_report(phi: RPoly) -> dict:
     return out
 
 
-def _chk(check_id, equation, ok, **extra):
-    out = {"check_id": check_id, "equation": equation, "pass": bool(ok)}
-    out.update(extra)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The five-dimensional extended algebra (phi = x)
 # ---------------------------------------------------------------------------
 
 
-def extended_algebra_report(nu) -> dict:
-    """Builds the span of {D, Ddag, D2nd, x, 1}, checks the full bracket
-    table, the two-dimensional center, the Chevalley triple inside the
-    derived algebra, Casimir ad-invariance, and the solvable subalgebra.
+def extended_algebra_report(alg: LieAlg) -> dict:
+    """For the span of {D, Ddag, D2nd, x, 1} (the extended closure of
+    phi = x), checks the full bracket table, the two-dimensional center,
+    the Chevalley triple inside the derived algebra, Casimir ad-invariance,
+    and the solvable subalgebra.
 
     The printed hatted-basis relations and the quadratic Casimir carry sign
     slips; the oracle-true forms are asserted and the printed ones reported.
     """
-    nu = rat(nu)
-    phi = RPoly.x()
-    alg = generate_algebra(phi, nu=nu, extended=True)
-    checks = [_chk("extended dimension 5", "extended-bracket-table", alg.dim == 5),
-              _chk("jacobi", "lie axioms", alg.jacobi_holds())]
+    if not alg.extended:
+        raise DomainError("extended report needs the extended closure")
+    phi, nu = alg.phi, rat(alg.nu)
+    checks = [check("extended dimension 5", "extended-bracket-table", alg.dim == 5),
+              check("jacobi", "lie axioms", alg.jacobi_holds())]
 
     def el(cD=0, cDd=0, cD2=0, mult=()):
         return OpElement(cD, cDd, cD2, RPoly(mult))
@@ -482,15 +478,15 @@ def extended_algebra_report(nu) -> dict:
         and br(x1, x5).is_zero() and br(x2, x5).is_zero()
         and br(x3, x5).is_zero() and br(x4, x5).is_zero()
     )
-    checks.append(_chk("bracket table of the five generators", "extended-bracket-table", table_ok))
+    checks.append(check("bracket table of the five generators", "extended-bracket-table", table_ok))
 
     coords = {i: alg.coordinates(v.coords(alg.bound)) for i, v in enumerate(xs)}
     center = _span(alg.center(), alg.dim)
     z1 = alg.coordinates(lin((1, x1), (1, x2), (-1, x4)).coords(alg.bound))
     z2 = coords[4]
     in_center = all(_in_span(center, z) for z in (z1, z2))
-    checks.append(_chk("center = span{x1+x2-x4, x5}, dim 2",
-                       "extended-structure", len(center) == 2 and in_center))
+    checks.append(check("center = span{x1+x2-x4, x5}, dim 2",
+                        "extended-structure", len(center) == 2 and in_center))
 
     a1 = x4
     a2 = lin((1, x1), (-1, x2))
@@ -499,24 +495,24 @@ def extended_algebra_report(nu) -> dict:
     h = lin((1, a1), (-1, a2))
     triple_ok = (br(h, e) == e.scale(2) and br(h, f) == f.scale(-2)
                  and br(e, f) == h)
-    checks.append(_chk("sl2 Chevalley triple (a1, a1-a2, a3)",
-                       "sl2-triple", triple_ok))
+    checks.append(check("sl2 Chevalley triple (a1, a1-a2, a3)",
+                        "sl2-triple", triple_ok))
     hat2 = lin((1, a1), (-1, a2))
     hat3 = a3.scale(-1)
     printed = (br(a1, hat2) == a1.scale(2) and br(a1, hat3) == hat2.scale(-1)
                and br(hat2, hat3) == hat3.scale(2))
     oracle_hatted = (br(hat2, a1) == a1.scale(2) and br(a1, hat3) == hat2.scale(-1)
                      and br(hat3, hat2) == hat3.scale(2))
-    checks.append(_chk("hatted-basis relations, oracle orientation",
-                       "sl2-triple", oracle_hatted,
-                       displayed_form_pass=printed))
+    checks.append(check("hatted-basis relations, oracle orientation",
+                        "sl2-triple", oracle_hatted,
+                        displayed_form_pass=printed))
 
     derived = _span([alg.bracket_coords(coords_i, coords_j)
                      for coords_i in coords.values() for coords_j in coords.values()],
                     alg.dim)
     da = [_as_alg_coords(alg, v) for v in (a1, a2, a3)]
-    checks.append(_chk("derived algebra is span{a1,a2,a3}", "extended-structure",
-                       len(derived) == 3 and all(_in_span(derived, v) for v in da)))
+    checks.append(check("derived algebra is span{a1,a2,a3}", "extended-structure",
+                        len(derived) == 3 and all(_in_span(derived, v) for v in da)))
 
     ce, ch, cf = (_as_alg_coords(alg, v) for v in (e, h, f))
     q_corr = _sym_outer(ch, ch, alg.dim)
@@ -527,9 +523,9 @@ def extended_algebra_report(nu) -> dict:
     q_disp = _mat_add(q_disp, _scale_mat(_sym_outer(ce, cf, alg.dim), -4))
     ell_disp = [Fraction(-2) * v for v in ch]
     disp_ok = _ad_invariant(alg, q_disp, ell_disp)
-    checks.append(_chk("quadratic Casimir ad-invariance", "quadratic-casimir",
-                       corr_ok, displayed_form_pass=disp_ok))
-    checks.append(_chk("linear Casimirs central", "linear-casimirs", in_center))
+    checks.append(check("quadratic Casimir ad-invariance", "quadratic-casimir",
+                        corr_ok, displayed_form_pass=disp_ok))
+    checks.append(check("linear Casimirs central", "linear-casimirs", in_center))
 
     e1, e2 = x2, x4
     e3 = lin((1, x1), (1, x2), (-1, x4))
@@ -542,8 +538,8 @@ def extended_algebra_report(nu) -> dict:
                 continue
             if not br(sub[ii], sub[jj]).is_zero():
                 sub_ok = False
-    checks.append(_chk("subalgebra <x1,x2,x4,x5> = g2 + C^2",
-                       "solvable-subalgebra", sub_ok))
+    checks.append(check("subalgebra <x1,x2,x4,x5> = g2 + C^2",
+                        "solvable-subalgebra", sub_ok))
 
     return {
         "dimension": alg.dim,

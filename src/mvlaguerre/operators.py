@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .engine import OPSeq
+from .engine import OPSeq, check
 from .matrices import MatLaurent, MatPoly, MatQ, commutator, exp_nilpotent
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, weight_polynomial_part
@@ -386,12 +386,6 @@ def make_named_operators(seq: OPSeq) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check(check_id, equation, ok, **extra):
-    out = {"check_id": check_id, "equation": equation, "pass": bool(ok)}
-    out.update(extra)
-    return out
-
-
 def _falling(a: int, j: int) -> int:
     out = 1
     for k in range(j):
@@ -428,15 +422,15 @@ def verify_adjoint_pair(d1: DiffOp, d2: DiffOp, table: MomentTable,
     for a in range(deg_bound + 1):
         for b in range(deg_bound + 1):
             defect = adjoint_defect(d1, d2, table, a, b)
-            checks.append(_check(f"adjoint {label} a={a},b={b}",
-                                 "adjoint-pairing", defect.is_zero()))
+            checks.append(check(f"adjoint {label} a={a},b={b}",
+                                "adjoint-pairing", defect.is_zero()))
     return checks
 
 
-def verify_intertwinings(seq: OPSeq) -> list[dict]:
+def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
     """P.D = M.P, P.Ddag = Mdag.P, P.D2 = Gamma.P, P.C = MC.P, and the
-    coefficient identities they force on X, B, H."""
-    ops = make_named_operators(seq)
+    coefficient identities they force on X, B, H.  `ops` is
+    make_named_operators(seq)."""
     spec = seq.spec
     A, J = spec.A, spec.J
     i = MatQ.identity(spec.N)
@@ -444,32 +438,32 @@ def verify_intertwinings(seq: OPSeq) -> list[dict]:
     for n in range(seq.n_max):
         lhs = ops["D"].act(seq.P[n])
         rhs = ops["M"].act(seq.P, n)
-        checks.append(_check(f"P.D=M.P n={n}", "ladder-intertwining", lhs == rhs))
+        checks.append(check(f"P.D=M.P n={n}", "ladder-intertwining", lhs == rhs))
     for n in range(seq.n_max + 1):
         lhs = ops["Ddag"].act(seq.P[n])
         rhs = ops["Mdag"].act(seq.P, n)
-        checks.append(_check(f"P.Ddag=Mdag.P n={n}", "ladder-intertwining", lhs == rhs))
+        checks.append(check(f"P.Ddag=Mdag.P n={n}", "ladder-intertwining", lhs == rhs))
     for n in range(seq.n_max + 1):
         lhs = ops["D2"].act(seq.P[n])
         gamma_n = ops["Gamma"].coeff(0, n)
-        checks.append(_check(f"P.D2=Gamma.P n={n}", "second-order-eigenvalue",
-                             lhs == MatPoly.const(gamma_n) * seq.P[n]))
+        checks.append(check(f"P.D2=Gamma.P n={n}", "second-order-eigenvalue",
+                            lhs == MatPoly.const(gamma_n) * seq.P[n]))
     for n in range(seq.n_max):
         lhs = ops["C"].act(seq.P[n])
         rhs = ops["MC"].act(seq.P, n)
-        checks.append(_check(f"P.C=MC.P n={n}", "symmetric-first-order", lhs == rhs))
+        checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order", lhs == rhs))
     for n in range(seq.n_max):
         lhs = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
         rhs = -(i * (n + 1 + spec.nu)) - seq.H[n] * J * seq.H[n].inverse()
-        checks.append(_check(f"fla A0n n={n}", "zero-shift-coefficient", lhs == rhs))
+        checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient", lhs == rhs))
     for n in range(1, seq.n_max + 1):
         lhs = seq.X[n] + commutator(J, seq.X[n])
         rhs = seq.H[n] * (A.transpose() - i) * seq.H[n - 1].inverse()
-        checks.append(_check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == rhs))
+        checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == rhs))
     return checks
 
 
-def verify_general_D_theorem(seq: OPSeq) -> list[dict]:
+def verify_general_D_theorem(seq: OPSeq, ops: dict) -> list[dict]:
     """Degree-one tail: the delta^{-1} coefficient of the operator matched to
     the raising ladder vanishes identically, and A_1(n) = A - 1."""
     spec = seq.spec
@@ -480,57 +474,53 @@ def verify_general_D_theorem(seq: OPSeq) -> list[dict]:
         a0 = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
         resid = (i * (n - 1)) * seq.X[n] + seq.Y[n] * (A - i) \
             - (A - i) * seq.Y[n + 1] - a0 * seq.X[n]
-        checks.append(_check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
-    ops = make_named_operators(seq)
+        checks.append(check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
     for n in range(seq.n_max):
-        checks.append(_check(f"A1(n)=A-1 n={n}", "ladder-difference-form",
-                             ops["M"].coeff(1, n) == A - i))
+        checks.append(check(f"A1(n)=A-1 n={n}", "ladder-difference-form",
+                            ops["M"].coeff(1, n) == A - i))
     return checks
 
 
-def verify_star_dagger(seq: OPSeq) -> list[dict]:
+def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
     """Structure of the * and dagger involutions on the window interior,
     plus self-adjointness of the recurrence operator L."""
-    ops = make_named_operators(seq)
     checks = []
     interior = range(1, seq.n_max)
     m = ops["M"]
-    checks.append(_check("dagger involution on M", "dagger-involution",
-                         m.dagger(seq.H).dagger(seq.H).agrees_with(m, interior)))
+    checks.append(check("dagger involution on M", "dagger-involution",
+                        m.dagger(seq.H).dagger(seq.H).agrees_with(m, interior)))
     l = ops["L"]
-    checks.append(_check("L self-adjoint", "dagger-involution",
-                         l.dagger(seq.H).agrees_with(l, interior)))
+    checks.append(check("L self-adjoint", "dagger-involution",
+                        l.dagger(seq.H).agrees_with(l, interior)))
     const = SeqOp.constant(0, seq.spec.A, seq.n_max)
     ok = const.star().agrees_with(
         SeqOp.constant(0, seq.spec.A.transpose(), seq.n_max), range(seq.n_max + 1))
-    checks.append(_check("(A delta^0)* = A^T delta^0", "star-involution", ok))
+    checks.append(check("(A delta^0)* = A^T delta^0", "star-involution", ok))
     mdag = ops["Mdag"]
-    checks.append(_check("Mdag = dagger(M)", "dagger-involution",
-                         m.dagger(seq.H).agrees_with(mdag, interior)))
+    checks.append(check("Mdag = dagger(M)", "dagger-involution",
+                        m.dagger(seq.H).agrees_with(mdag, interior)))
     return checks
 
 
-def verify_fourier_homomorphism(seq: OPSeq) -> list[dict]:
+def verify_fourier_homomorphism(seq: OPSeq, ops: dict) -> list[dict]:
     """(M L) . P = (P . D) . x on the window interior: the generalized
     Fourier map is multiplicative on the tested pair."""
-    ops = make_named_operators(seq)
     ml = ops["M"].compose(ops["L"])
     x_mult = right_mult(MatPoly.x_identity(seq.spec.N))
     checks = []
     for n in range(1, seq.n_max - 1):
         lhs = ml.act(seq.P, n)
         rhs = x_mult.act(ops["D"].act(seq.P[n]))
-        checks.append(_check(f"phi-map multiplicative n={n}",
-                             "fourier-map-multiplicative", lhs == rhs))
+        checks.append(check(f"phi-map multiplicative n={n}",
+                            "fourier-map-multiplicative", lhs == rhs))
     return checks
 
 
-def apply_L_poly(v: RPoly, seq: OPSeq) -> SeqOp:
-    """The difference operator v(L) by repeated composition; satisfies
-    v(L) . P = P v(x) on the window interior."""
-    ops = make_named_operators(seq)
-    l = ops["L"]
-    acc = SeqOp.constant(0, MatQ.identity(seq.spec.N) * v.coeff(0), seq.n_max)
+def apply_L_poly(v: RPoly, l: SeqOp) -> SeqOp:
+    """The difference operator v(L) by repeated composition from the
+    recurrence operator L; satisfies v(L) . P = P v(x) on the window
+    interior."""
+    acc = SeqOp.constant(0, MatQ.identity(l.N) * v.coeff(0), l.n_max)
     power = None
     for k in range(1, v.degree + 1):
         power = l if power is None else power.compose(l)
@@ -539,24 +529,24 @@ def apply_L_poly(v: RPoly, seq: OPSeq) -> SeqOp:
             scaled = SeqOp(
                 {j: [None if c is None else c * ck for c in col]
                  for j, col in power.table.items()},
-                seq.n_max, seq.spec.N)
+                l.n_max, l.N)
             acc = acc + scaled
     return acc
 
 
-def verify_L_poly(v: RPoly, seq: OPSeq) -> list[dict]:
-    vl = apply_L_poly(v, seq)
+def verify_L_poly(v: RPoly, seq: OPSeq, ops: dict) -> list[dict]:
+    vl = apply_L_poly(v, ops["L"])
     checks = []
     k = v.degree
     for n in range(k, seq.n_max - k + 1):
         lhs = vl.act(seq.P, n)
         rhs = seq.P[n] * MatPoly.from_scalar(v, seq.spec.N)
-        checks.append(_check(f"v(L).P = P v(x) n={n} deg={k}",
-                             "recurrence-operator-polynomial", lhs == rhs))
+        checks.append(check(f"v(L).P = P v(x) n={n} deg={k}",
+                            "recurrence-operator-polynomial", lhs == rhs))
     return checks
 
 
-def verify_bracket_identities(seq: OPSeq) -> list[dict]:
+def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
     """The seven delta-coefficient equations tying B, C, H, Gamma together,
     the two J-bracket closed forms, and the Casimir identity.
 
@@ -578,49 +568,48 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
     for n in range(seq.n_max - 1):
         lhs = seq.B[n] * (A - i) - (A - i) * seq.B[n + 1]
         rhs = i * 2 + hjh[n + 1] - hjh[n]
-        checks.append(_check(f"ML.1 n={n}", "bracket-raising-shift", lhs == rhs))
+        checks.append(check(f"ML.1 n={n}", "bracket-raising-shift", lhs == rhs))
     for n in range(1, seq.n_max):
         rhs = commutator(seq.B[n], J) + t[n] - t[n + 1]
-        checks.append(_check(f"MdL0 n={n}", "bracket-B-J", seq.B[n] == rhs))
+        checks.append(check(f"MdL0 n={n}", "bracket-B-J", seq.B[n] == rhs))
     for n in range(1, seq.n_max):
         corrected = commutator(seq.C[n], J) - seq.B[n] * t[n] + t[n] * seq.B[n - 1]
         displayed = commutator(seq.C[n], J) - seq.B[n] * t[n] - t[n] * seq.B[n - 1]
-        checks.append(_check(f"MdL-1 n={n}", "bracket-C-J", 2 * seq.C[n] == corrected,
-                             displayed_form_pass=bool(2 * seq.C[n] == displayed)))
+        checks.append(check(f"MdL-1 n={n}", "bracket-C-J", 2 * seq.C[n] == corrected,
+                            displayed_form_pass=bool(2 * seq.C[n] == displayed)))
     for n in range(1, seq.n_max):
         rhs = -commutator(J, hjh[n]) - t[n] * (A - i) + (A - i) * t[n + 1]
-        checks.append(_check(f"MMd0 n={n}", "bracket-B-from-norms", seq.B[n] == rhs))
+        checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", seq.B[n] == rhs))
     for n in range(1, seq.n_max + 1):
         lhs = gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
-        checks.append(_check(f"GamaL-1 n={n}", "bracket-eigen-C", lhs == t[n]))
+        checks.append(check(f"GamaL-1 n={n}", "bracket-eigen-C", lhs == t[n]))
     for n in range(seq.n_max + 1):
         lhs = commutator(gamma[n], hjh[n])
         rhs = i * n + gamma[n] + hjh[n]
-        checks.append(_check(f"GamaM0 n={n}", "bracket-eigen-J", lhs == rhs))
+        checks.append(check(f"GamaM0 n={n}", "bracket-eigen-J", lhs == rhs))
     for n in range(1, seq.n_max + 1):
         lhs = gamma[n] * t[n] - t[n] * gamma[n - 1]
-        checks.append(_check(f"GamaMdag-1 n={n}", "bracket-eigen-downshift", lhs == -t[n]))
+        checks.append(check(f"GamaMdag-1 n={n}", "bracket-eigen-downshift", lhs == -t[n]))
 
     for n in range(1, seq.n_max):
         gc = lambda k: gamma[k] * seq.C[k] - seq.C[k] * gamma[k - 1]
         rhs = seq.B[n] - gc(n) + gc(n + 1)
-        checks.append(_check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form",
-                             commutator(seq.B[n], J) == rhs))
+        checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form",
+                            commutator(seq.B[n], J) == rhs))
     for n in range(1, seq.n_max):
         gcn = gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
         corrected = 2 * seq.C[n] + seq.B[n] * gcn - gcn * seq.B[n - 1]
         displayed = 2 * seq.C[n] + seq.B[n] * gcn + gcn * seq.B[n - 1]
-        checks.append(_check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
-                             commutator(seq.C[n], J) == corrected,
-                             displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))
+        checks.append(check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
+                            commutator(seq.C[n], J) == corrected,
+                            displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))
 
-    ops = make_named_operators(seq)
     cas = ops["C"]
     for n in range(seq.n_max):
         lhs = ops["M"].act(seq.P, n) + ops["Mdag"].act(seq.P, n) \
             + ops["L"].act(seq.P, n) + MatPoly.const(i * (1 + nu)) * seq.P[n]
-        checks.append(_check(f"Casimir identity n={n}", "casimir-difference-identity",
-                             lhs == cas.act(seq.P[n])))
+        checks.append(check(f"Casimir identity n={n}", "casimir-difference-identity",
+                            lhs == cas.act(seq.P[n])))
     return checks
 
 
@@ -683,7 +672,7 @@ def verify_symmetry_conditions(d: DiffOp, w: ScaledMat, label: str) -> list[dict
     c2 = w.lmul(f2).dx().scale(2) - w.lmul(f1) - w.rmul(f1.transpose())
     c3 = w.lmul(f2).dx().dx() - w.lmul(f1).dx() + w.lmul(f0) - w.rmul(f0.transpose())
     return [
-        _check(f"symmetry-1 {label}", "weight-symmetry", c1.is_zero()),
-        _check(f"symmetry-2 {label}", "weight-symmetry", c2.is_zero()),
-        _check(f"symmetry-3 {label}", "weight-symmetry", c3.is_zero()),
+        check(f"symmetry-1 {label}", "weight-symmetry", c1.is_zero()),
+        check(f"symmetry-2 {label}", "weight-symmetry", c2.is_zero()),
+        check(f"symmetry-3 {label}", "weight-symmetry", c3.is_zero()),
     ]

@@ -15,9 +15,9 @@ from . import dual_hahn as dh
 from . import laguerre_forms as lf
 from . import lie_algebra as la
 from . import operators as ops
-from .engine import (OPSeq, compute_monic_ops, scalar_laguerre_monic,
+from .engine import (OPSeq, check, compute_monic_ops, scalar_laguerre_monic,
                      verify_orthogonality, verify_three_term)
-from .scalar import RPoly, rat_str
+from .scalar import RPoly, parse_phi, rat_str
 from .weights import (WeightSpec, h0_as_displayed, h0_index_corrected, moment,
                       moment_via_expansion)
 
@@ -57,9 +57,8 @@ def resolve_h0_pochhammer(spec: WeightSpec) -> dict:
     }
 
 
-def resolve_xi_seed(seq: OPSeq) -> dict:
+def resolve_xi_seed(seq: OPSeq, xi: lf.XiTable) -> dict:
     """xi(0,1,1): the structural value 1 versus the printed 1/(nu+2)."""
-    xi = lf.extract_xi(seq)
     v = xi.get(0, 1, 1)
     is_one = v == 1
     is_printed = v == Fraction(1) / (seq.spec.nu + 2)
@@ -74,11 +73,10 @@ def resolve_xi_seed(seq: OPSeq) -> dict:
     }
 
 
-def resolve_i1_boundary(seq: OPSeq) -> dict:
+def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
     versus the printed pair."""
-    xi = lf.extract_xi(seq)
     G, I, _ = lf.compute_GI(seq)
     rows = [c for c in lf.verify_displayed_xi_recursions(seq, xi, G, I)
             if c["check_id"].startswith("i=1 boundary")]
@@ -98,12 +96,17 @@ def resolve_i1_boundary(seq: OPSeq) -> dict:
     }
 
 
-def resolve_open_questions(spec: WeightSpec, n_max: int = 4) -> list[dict]:
-    seq = compute_monic_ops(spec, max(n_max, 3))
+def resolve_open_questions(seq: OPSeq) -> list[dict]:
+    """The three resolutions for the weight of `seq`.  The i = 1 boundary
+    relation first appears at n_max = 2, so a shorter family is recomputed
+    to degree 3."""
+    if seq.n_max < 2:
+        seq = compute_monic_ops(seq.spec, 3)
+    xi = lf.extract_xi(seq)
     return [
-        resolve_h0_pochhammer(spec),
-        resolve_xi_seed(seq),
-        resolve_i1_boundary(seq),
+        resolve_h0_pochhammer(seq.spec),
+        resolve_xi_seed(seq, xi),
+        resolve_i1_boundary(seq, xi),
     ]
 
 
@@ -139,16 +142,14 @@ def scalar_reduction_checks(seq: OPSeq) -> list[dict]:
     computed by the classical recurrence (an independent code path)."""
     alpha = seq.spec.nu + 1
     p_ref, b_ref, c_ref = scalar_laguerre_monic(alpha, seq.n_max)
-    checks = []
     ok_p = all(seq.P[n].entry(0, 0) == p_ref[n] for n in range(seq.n_max + 1))
-    checks.append({"check_id": "scalar reduction P", "equation": "scalar-reduction",
-                   "pass": ok_p})
     ok_b = all(seq.B[n][0, 0] == b_ref[n] for n in range(seq.n_max))
     ok_c = all(seq.C[n][0, 0] == c_ref[n] for n in range(1, seq.n_max + 1))
-    checks.append({"check_id": "scalar reduction B,C", "equation": "scalar-reduction",
-                   "pass": ok_b and ok_c})
-    checks.append({"check_id": "scalar reduction X(1)", "equation": "scalar-reduction",
-                   "pass": seq.X[1][0, 0] == -(seq.spec.nu + 2)})
+    checks = [check("scalar reduction P", "scalar-reduction", ok_p),
+              check("scalar reduction B,C", "scalar-reduction", ok_b and ok_c)]
+    if seq.n_max >= 1:
+        checks.append(check("scalar reduction X(1)", "scalar-reduction",
+                            seq.X[1][0, 0] == -(seq.spec.nu + 2)))
     return checks
 
 
@@ -163,12 +164,12 @@ def suite_operators(seq: OPSeq, deg_bound: int = 4) -> list[dict]:
                                       deg_bound, "Ax-J self")
     checks += ops.verify_adjoint_pair(named["D2"], named["D2"], seq.table,
                                       deg_bound, "second-order self")
-    checks += ops.verify_intertwinings(seq)
-    checks += ops.verify_general_D_theorem(seq)
-    checks += ops.verify_star_dagger(seq)
-    checks += ops.verify_fourier_homomorphism(seq)
-    checks += ops.verify_bracket_identities(seq)
-    checks += ops.verify_L_poly(RPoly((0, 0, 1)), seq)
+    checks += ops.verify_intertwinings(seq, named)
+    checks += ops.verify_general_D_theorem(seq, named)
+    checks += ops.verify_star_dagger(seq, named)
+    checks += ops.verify_fourier_homomorphism(seq, named)
+    checks += ops.verify_bracket_identities(seq, named)
+    checks += ops.verify_L_poly(RPoly((0, 0, 1)), seq, named)
     checks += ops.verify_symmetry_conditions(
         named["D2"], ops.weight_scaled(seq.spec), "second-order vs W")
     checks += ops.verify_symmetry_conditions(
@@ -193,13 +194,12 @@ def suite_laguerre(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def suite_dualhahn(params: dh.DHParams, n_max: int = 4) -> list[dict]:
-    checks = [{"check_id": "delta family conditions", "equation":
-               "pearson-compatibility",
-               "pass": not dh.check_conditions(params)}]
-    seq = compute_monic_ops(dh.weight_spec(params), n_max + 1)
-    xi = lf.extract_xi(seq)
-    for n in range(min(2, n_max) + 1):
+def suite_dualhahn(params: dh.DHParams, seq: OPSeq, xi: lf.XiTable) -> list[dict]:
+    """The dual Hahn checks of a constrained family, given its oracle family
+    `seq` (of dh.weight_spec(params)) and that family's xi table."""
+    checks = [check("delta family conditions", "pearson-compatibility",
+                    not dh.check_conditions(params))]
+    for n in range(min(2, seq.n_max - 1) + 1):
         for i in range(1, params.N + 1):
             checks += dh.verify_gauge_ratio(params, n, i)
     checks += dh.verify_q_recursions(xi, params)
@@ -215,44 +215,28 @@ LIE_FAMILY = ("x", "x^2", "x^3", "x^3+x^2", "x^4+x", "x^5", "x^5+x^3+1")
 
 
 def suite_lie(nu=Fraction(1, 2)) -> list[dict]:
-    from .scalar import parse_phi
-
+    algs = {expr: la.generate_algebra(parse_phi(expr)) for expr in LIE_FAMILY}
     checks = []
-    for expr in LIE_FAMILY:
-        phi = parse_phi(expr)
-        alg = la.generate_algebra(phi)
-        checks.append({
-            "check_id": f"closure dim phi={expr}", "equation": "closure-dimension",
-            "pass": alg.dim == la.dim_formula(phi),
-        })
-        checks.append({
-            "check_id": f"jacobi phi={expr}", "equation": "lie axioms",
-            "pass": alg.jacobi_holds() and alg.antisymmetry_holds(),
-        })
-    deg2 = [expr for expr in LIE_FAMILY if parse_phi(expr).degree >= 2]
+    for expr, alg in algs.items():
+        checks.append(check(f"closure dim phi={expr}", "closure-dimension",
+                            alg.dim == la.dim_formula(alg.phi)))
+        checks.append(check(f"jacobi phi={expr}", "lie axioms",
+                            alg.jacobi_holds() and alg.antisymmetry_holds()))
+    deg2 = [expr for expr, alg in algs.items() if alg.phi.degree >= 2]
+    psi = {expr: la.structural_psi(algs[expr]) for expr in deg2}
     for e1 in deg2:
         for e2 in deg2:
-            phi1, phi2 = parse_phi(e1), parse_phi(e2)
-            via_support = la.iso_test(phi1, phi2)
-            via_psi = la.conformal_similar(la.structural_psi(phi1),
-                                           la.structural_psi(phi2))
-            checks.append({
-                "check_id": f"iso agreement {e1} vs {e2}",
-                "equation": "isomorphism-classification",
-                "pass": via_support == via_psi,
-            })
+            via_support = la.iso_test(algs[e1].phi, algs[e2].phi)
+            via_psi = la.conformal_similar(psi[e1], psi[e2])
+            checks.append(check(f"iso agreement {e1} vs {e2}",
+                                "isomorphism-classification", via_support == via_psi))
     for expr in deg2:
-        rep = la.structure_report(parse_phi(expr))
-        checks.append({
-            "check_id": f"structure phi={expr}", "equation": "solvable-structure",
-            "pass": all_pass(rep["checks"]),
-        })
-    ext = la.extended_algebra_report(nu)
-    checks += ext["checks"]
+        rep = la.structure_report(algs[expr])
+        checks.append(check(f"structure phi={expr}", "solvable-structure",
+                            all_pass(rep["checks"])))
+    ext = la.generate_algebra(RPoly.x(), nu=nu, extended=True)
+    checks += la.extended_algebra_report(ext)["checks"]
     dims = [la.generate_algebra(la.exp_series_truncated(t)).dim for t in range(4, 9)]
-    checks.append({
-        "check_id": "truncated exp-series growth", "equation": "closure-dimension",
-        "pass": all(a < b for a, b in zip(dims, dims[1:])),
-        "dims": dims,
-    })
+    checks.append(check("truncated exp-series growth", "closure-dimension",
+                        all(a < b for a, b in zip(dims, dims[1:])), dims=dims))
     return checks

@@ -5,7 +5,7 @@ suite doubles as a human-readable report under `pytest -s`."""
 from fractions import Fraction as F
 
 from mvlaguerre import report as rp
-from mvlaguerre.dual_hahn import build_delta_family
+from mvlaguerre.dual_hahn import build_delta_family, weight_spec
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
 from mvlaguerre.scalar import factorial
@@ -96,7 +96,8 @@ def test_criterion_5_dual_hahn():
         for nu in (F(1, 2), F(1)):
             for c, d in ((F(0), F(1)), (F(1), F(1)), (F(2), F(1))):
                 params = build_delta_family(n_dim, nu, c, d)
-                total += _assert_all(rp.suite_dualhahn(params, 4))
+                seq = compute_monic_ops(weight_spec(params), 5)
+                total += _assert_all(rp.suite_dualhahn(params, seq, extract_xi(seq)))
     print(f"\nACCEPTANCE criterion-5 dual Hahn: PASS "
           f"({total} exact checks over 12 constrained families: closed form = "
           f"extraction for n+i-j>0, boundary recursion, gauge identities, "
@@ -113,7 +114,7 @@ def test_criterion_6_lie_algebras():
 
 def test_criterion_7_documented_discrepancies():
     spec = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
-    resolutions = rp.resolve_open_questions(spec, 4)
+    resolutions = rp.resolve_open_questions(compute_monic_ops(spec, 4))
     assert len(resolutions) == 3
     for r in resolutions:
         assert r["definitive"] is True
@@ -123,7 +124,7 @@ def test_criterion_7_documented_discrepancies():
     assert by_id["i1-boundary-N1N2"]["displayed_form_matches"] is False
     # a second weight must resolve identically
     spec_b = WeightSpec(3, F(5, 2), (F(-1), F(2)), (F(1), F(1), F(2)))
-    res_b = rp.resolve_open_questions(spec_b, 4)
+    res_b = rp.resolve_open_questions(compute_monic_ops(spec_b, 4))
     assert {r["id"]: r["resolution"] for r in res_b} == \
         {r["id"]: r["resolution"] for r in resolutions}
     print("\nACCEPTANCE criterion-7 documented discrepancies: PASS "

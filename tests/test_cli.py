@@ -1,7 +1,19 @@
 import csv
+import hashlib
 import json
+import sys
+from fractions import Fraction
 
+import pytest
+
+from mvlaguerre import engine
+from mvlaguerre import laguerre_forms as lf
+from mvlaguerre import lie_algebra as la
+from mvlaguerre import operators as ops
+from mvlaguerre import report as rp
 from mvlaguerre.cli import main
+from mvlaguerre.engine import compute_monic_ops
+from mvlaguerre.weights import WeightSpec
 
 
 def run(args, capsys):
@@ -103,12 +115,127 @@ def test_verify_dualhahn_requires_constrained_family():
     assert code == 2
 
 
-def test_threaded_fanout_matches_serial(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["verify", "--suite", "all", "--N", "2", "--nu", "1/2",
-            "--a", "-1", "--delta", "1,1", "--nmax", "3"]
-    monkeypatch.setenv("MVOP_THREADS", "1")
-    assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("MVOP_THREADS", "4")
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one command; argparse rejects its
+    input by raising SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# sha256 of stdout, recorded before the suites stopped rebuilding their
+# shared objects; any change to a verdict, a check id or the JSON layout
+# shows here.
+GOLDEN_STDOUT = {
+    "verify --suite all --N 2 --nmax 3":
+        "7ba48eed83411bdb7048b5d1a0202ca6d7bb24602bce451c8cac8b6f8dd1dc1b",
+    "verify --suite all --N 3 --c 2 --d 1 --nmax 3":
+        "633980d5b42fa039e8044efe128b3190175cf8d9b82498f8a87ab259490e7704",
+    "dualhahn --N 3 --c 0 --d 1 --nmax 3":
+        "9cbcb52194f8f607ebceaae812cedcd0998e4832055688127dad300df5212198",
+    "lie --phi x^3+x^2":
+        "e7cbcc2107814f2f82ca05bea41b91baef1105c83b77c70197cfea31e576f20f",
+    "lie --extended":
+        "518b5f54f82709107735a4690160350c4c856435ce94c3b5978c02353800bf07",
+    "lie --truncate 6":
+        "cdb4af69d0e90bdb9a31bfc583c682997b305f738ea69c594d537da9615dfa3b",
+    "xi --N 3 --nmax 4":
+        "3b2c34650f37eb1ed571ee5d14ac497aa7a7ab80ae7e563dc1849f6302367d2f",
+    "compute-polys --N 3 --a=-1,2 --nmax 3":
+        "7a4a806ce22e48ba4bd71e72ddd7a3166d101980e3f08bb564e1314daa97c1ba",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command, capsys):
+    code, out, _ = _run(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "laguerre", "--N", "2", "--nmax", "0"],
+    ["verify", "--suite", "all", "--N", "1", "--nmax", "0"],
+])
+def test_verify_at_nmax_0_gives_a_verdict(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["checks"] and payload["all_pass"] is True
+
+
+def test_negative_list_value_after_a_space(capsys):
+    spaced = _run(["compute-polys", "--N", "3", "--a", "-1,2", "--nmax", "2"], capsys)
+    joined = _run(["compute-polys", "--N", "3", "--a=-1,2", "--nmax", "2"], capsys)
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert json.loads(spaced[1])["spec"]["a"] == ["-1", "2"]
+
+
+SWEEP_COMMANDS = {
+    "compute-polys": ["compute-polys"],
+    "xi": ["xi"],
+    "verify operators": ["verify", "--suite", "operators"],
+    "verify laguerre": ["verify", "--suite", "laguerre"],
+    "dualhahn": ["dualhahn"],
+}
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SWEEP_COMMANDS))
+def test_small_parameter_sweep(name, n_dim, capsys):
+    """Every small input ends in a verdict or in exit 2 with one line on
+    stderr: never a traceback, never a pass with no check behind it."""
+    for n_max in (-1, 0, 1, 2):
+        argv = SWEEP_COMMANDS[name] + ["--N", str(n_dim), "--nmax", str(n_max)]
+        code, out, err = _run(argv, capsys)
+        assert code in (0, 2), (argv, code, err)
+        if n_max < 0 or code == 2:
+            assert code == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
+            continue
+        payload = json.loads(out)
+        if name.startswith("verify") or name == "dualhahn":
+            assert payload["checks"], argv
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace `module.name` by a counting wrapper in every package module
+    that holds it; returns the list the calls are appended to."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("mvlaguerre") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_suite_lie_builds_each_closure_once(monkeypatch):
+    calls = _count_calls(monkeypatch, la, "generate_algebra")
+    rp.suite_lie(Fraction(1, 2))
+    # 7 family members, the extended algebra and 5 series truncations
+    assert len(calls) == 13
+
+
+def test_suite_operators_builds_named_operators_once(monkeypatch):
+    seq = compute_monic_ops(WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)), 3)
+    calls = _count_calls(monkeypatch, ops, "make_named_operators")
+    rp.suite_operators(seq)
+    assert len(calls) == 1
+
+
+def test_dualhahn_computes_one_family_and_one_xi_table(monkeypatch, capsys):
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    xi = _count_calls(monkeypatch, lf, "extract_xi")
+    code, _, _ = _run(["dualhahn", "--N", "3", "--c", "0", "--d", "1", "--nmax", "2"],
+                      capsys)
+    assert code == 0
+    assert (len(oracle), len(xi)) == (1, 1)

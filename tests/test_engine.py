@@ -60,11 +60,11 @@ def test_scalar_reduction_matches_classical_recurrence():
 def test_apply_L_poly_identity_and_square():
     seq = compute_monic_ops(SPEC2, 6)
     ops = make_named_operators(seq)
-    vl = apply_L_poly(RPoly.x(), seq)
+    vl = apply_L_poly(RPoly.x(), ops["L"])
     interior = range(1, 5)
     assert vl.agrees_with(ops["L"], interior)
-    _ok(verify_L_poly(RPoly((0, 0, 1)), seq))
-    const = apply_L_poly(RPoly((F(7, 2),)), seq)
+    _ok(verify_L_poly(RPoly((0, 0, 1)), seq, ops))
+    const = apply_L_poly(RPoly((F(7, 2),)), ops["L"])
     assert const.act(seq.P, 2) == MatPoly.const(MatQ.identity(2) * F(7, 2)) * seq.P[2]
 
 

@@ -65,21 +65,21 @@ def test_central_element_for_family():
 
 @pytest.mark.parametrize("expr", ["x^2", "x^3", "x^3+x^2", "x^4+x", "x^5+x^3+1"])
 def test_structure_report(expr):
-    rep = structure_report(parse_phi(expr))
+    rep = structure_report(generate_algebra(parse_phi(expr)))
     _ok(rep["checks"])
 
 
 def test_structure_report_requires_degree_two():
     with pytest.raises(DomainError):
-        structure_report(RPoly.x())
+        structure_report(generate_algebra(RPoly.x()))
     with pytest.raises(DomainError):
         iso_test(RPoly.x(), parse_phi("x^2"))
 
 
 def test_L36_invariant():
-    rep = structure_report(parse_phi("x^2+3x"))
+    rep = structure_report(generate_algebra(parse_phi("x^2+3x")))
     assert rep["l36_alpha"] == "2/9"
-    rep5 = structure_report(parse_phi("x^5+x"))
+    rep5 = structure_report(generate_algebra(parse_phi("x^5+x")))
     assert rep5["l36_alpha"] == "5/36"
 
 
@@ -96,7 +96,7 @@ def test_iso_agrees_with_conformal_similarity():
         for e2 in exprs:
             p1, p2 = parse_phi(e1), parse_phi(e2)
             assert iso_test(p1, p2) == conformal_similar(
-                structural_psi(p1), structural_psi(p2))
+                structural_psi(generate_algebra(p1)), structural_psi(generate_algebra(p2)))
 
 
 def test_conformal_similarity_cases():
@@ -112,7 +112,7 @@ def test_degree_mismatch_never_isomorphic():
 
 
 def test_extended_algebra_report():
-    rep = extended_algebra_report(F(1, 2))
+    rep = extended_algebra_report(generate_algebra(RPoly.x(), nu=F(1, 2), extended=True))
     _ok(rep["checks"])
     hatted = next(c for c in rep["checks"] if "hatted" in c["check_id"])
     assert hatted["displayed_form_pass"] is False

@@ -48,23 +48,23 @@ def test_delta_shift_definition(seq):
 
 
 def test_intertwinings(seq):
-    _ok(verify_intertwinings(seq))
+    _ok(verify_intertwinings(seq, make_named_operators(seq)))
 
 
 def test_general_D_theorem(seq):
-    _ok(verify_general_D_theorem(seq))
+    _ok(verify_general_D_theorem(seq, make_named_operators(seq)))
 
 
 def test_star_dagger_structure(seq):
-    _ok(verify_star_dagger(seq))
+    _ok(verify_star_dagger(seq, make_named_operators(seq)))
 
 
 def test_fourier_map_multiplicative(seq):
-    _ok(verify_fourier_homomorphism(seq))
+    _ok(verify_fourier_homomorphism(seq, make_named_operators(seq)))
 
 
 def test_bracket_identities_and_displayed_variants(seq):
-    checks = verify_bracket_identities(seq)
+    checks = verify_bracket_identities(seq, make_named_operators(seq))
     _ok(checks)
     mdl = [c for c in checks if c["check_id"].startswith("MdL-1")]
     assert mdl and all(c["displayed_form_pass"] is False for c in mdl)
@@ -96,7 +96,7 @@ def test_intertwining_negative_control():
     spec = SPECS[0]
     broken = compute_monic_ops(spec, 4)
     broken.H[2] = broken.H[2] + MatQ.unit(spec.N, 0, 0)
-    checks = verify_intertwinings(broken)
+    checks = verify_intertwinings(broken, make_named_operators(broken))
     assert any(not c["pass"] for c in checks)
 
 
