@@ -264,7 +264,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _degree(text: str) -> int:
-    """The --nmax type: a polynomial degree, an integer >= 0."""
+    """The --nmax and --truncate type: a polynomial degree, an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="x")
     p.add_argument("--nu", default="1/2")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--truncate", type=int, default=None)
+    p.add_argument("--truncate", type=_degree, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_lie)
 

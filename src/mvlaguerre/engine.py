@@ -48,7 +48,10 @@ def compute_monic_ops(spec: WeightSpec, n_max: int, depth: int | None = None,
 
     P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m.  `projection_order`
     permutes the subtraction order (the result must not change; used by the
-    uniqueness test).
+    uniqueness test).  Since P_n is orthogonal to every lower degree,
+    H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
+    coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
+    first needs it.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
@@ -58,24 +61,32 @@ def compute_monic_ops(spec: WeightSpec, n_max: int, depth: int | None = None,
     n = spec.N
     P: list[MatPoly] = []
     H: list[MatQ] = []
+    H_inv: list[MatQ | None] = []
+
+    def inverse_of_H(m: int) -> MatQ:
+        if H_inv[m] is None:
+            try:
+                H_inv[m] = H[m].inverse()
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"singular H_{m}; parameters violate the weight invariants"
+                ) from exc
+        return H_inv[m]
+
     for deg in range(n_max + 1):
         xn = MatPoly.monomial(deg, MatQ.identity(n))
         p = xn
         order = list(range(deg)) if projection_order is None else projection_order(deg)
         for m in order:
-            coef = inner_product(xn, P[m], table)
-            try:
-                p = p - MatPoly.const(coef * H[m].inverse()) * P[m]
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"singular H_{m}; parameters violate the weight invariants"
-                ) from exc
+            coef = inner_product(xn, P[m], table) * inverse_of_H(m)
+            p = p - MatPoly.const(coef) * P[m]
         P.append(p)
-        H.append(inner_product(p, p, table))
+        H.append(inner_product(xn, p, table))
+        H_inv.append(None)
     X = [p.coeff(deg - 1) if deg >= 1 else MatQ.zero(n) for deg, p in enumerate(P)]
     Y = [p.coeff(deg - 2) if deg >= 2 else MatQ.zero(n) for deg, p in enumerate(P)]
     B = [X[k] - X[k + 1] for k in range(n_max)]
-    C = [None] + [H[k] * H[k - 1].inverse() for k in range(1, n_max + 1)]
+    C = [None] + [H[k] * inverse_of_H(k - 1) for k in range(1, n_max + 1)]
     return OPSeq(spec, n_max, table, P, H, X, Y, B, C)
 
 

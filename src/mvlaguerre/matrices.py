@@ -1,11 +1,21 @@
 """Dense exact matrix algebra over the rationals, matrix polynomials in x,
 matrix Laurent polynomials, and the structural matrices of the weight:
 the shift matrix A, the index matrix J, and the triangularizers K_n.
+
+A rational matrix is stored as an integer matrix over one shared positive
+denominator, in lowest terms, so that products and sums are integer
+arithmetic followed by a single gcd pass per result instead of one
+Fraction normalisation per entry operation.  Inverses and determinants use
+fraction-free (Bareiss) elimination on the integer matrix.  Entries are
+still read and written as `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .scalar import RPoly, factorial, rat
 
@@ -15,26 +25,62 @@ class SingularMatrixError(ArithmeticError):
 
 
 class MatQ:
-    """Square N x N matrix of Fractions.  Rows are stored as a tuple of
-    tuples; instances are immutable and hashable."""
+    """Square N x N rational matrix, immutable and hashable.
 
-    __slots__ = ("rows", "N")
+    Stored as one integer matrix `num` (a tuple of row tuples) over one
+    positive common denominator `d`, reduced so that
+    gcd(d, every entry of num) == 1.  That form is canonical: equal
+    matrices have equal (d, num), so equality and hashing compare it
+    directly.  Arithmetic runs on the integers with one gcd pass per
+    result; `rows` and `m[i, j]` build Fractions on demand.
+    """
+
+    __slots__ = ("num", "d", "N")
 
     def __init__(self, rows):
-        rows = tuple(tuple(rat(v) for v in r) for r in rows)
+        rows = [[rat(v) for v in r] for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("MatQ must be square and nonempty")
-        self.rows = rows
+        # Each Fraction is in lowest terms, so scaling to the lcm of the
+        # denominators leaves no common factor with it.
+        d = lcm(*(v.denominator for r in rows for v in r))
+        self.num = tuple(tuple(v.numerator * (d // v.denominator) for v in r) for r in rows)
+        self.d = d
         self.N = n
 
     @staticmethod
+    def _of(num: tuple, d: int) -> "MatQ":
+        """MatQ from a tuple of integer row tuples already in canonical form."""
+        m = MatQ.__new__(MatQ)
+        m.num = num
+        m.d = d
+        m.N = len(num)
+        return m
+
+    @staticmethod
+    def _canonical(num, d: int) -> "MatQ":
+        """MatQ num/d from integer rows and a nonzero denominator."""
+        if d < 0:
+            num, d = [[-v for v in r] for r in num], -d
+        g = gcd(d, *chain.from_iterable(num))
+        if g != 1:
+            num = [[v // g for v in r] for r in num]
+            d //= g
+        return MatQ._of(tuple(map(tuple, num)), d)
+
+    @property
+    def rows(self) -> tuple:
+        d = self.d
+        return tuple(tuple(Fraction(v, d) for v in r) for r in self.num)
+
+    @staticmethod
     def zero(n: int) -> "MatQ":
-        return MatQ([[0] * n for _ in range(n)])
+        return MatQ._of(((0,) * n,) * n, 1)
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return MatQ._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @staticmethod
     def diag(entries) -> "MatQ":
@@ -45,41 +91,68 @@ class MatQ:
     @staticmethod
     def unit(n: int, i: int, j: int) -> "MatQ":
         """Matrix unit E_{ij}, 0-based indices."""
-        return MatQ([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+        return MatQ._of(tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)), 1)
+
+    @staticmethod
+    def total(mats, n: int) -> "MatQ":
+        """Sum of a list of N x N matrices over one common denominator."""
+        if len(mats) == 1:
+            return mats[0]
+        d = lcm(*(m.d for m in mats))
+        acc = [0] * (n * n)
+        for m in mats:
+            entries = chain.from_iterable(m.num)
+            s = d // m.d
+            if s != 1:
+                entries = [v * s for v in entries]
+            acc = list(map(add, acc, entries))
+        return MatQ._canonical([acc[i:i + n] for i in range(0, n * n, n)], d)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.d)
 
     def __eq__(self, other):
         if not isinstance(other, MatQ):
             return NotImplemented
-        return self.rows == other.rows
+        return self.d == other.d and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.d, self.num))
+
+    def _scaled_to(self, other: "MatQ"):
+        """Numerators of self and other over their common denominator."""
+        self._check(other)
+        if self.d == other.d:
+            return self.num, other.num, self.d
+        d = lcm(self.d, other.d)
+        s, t = d // self.d, d // other.d
+        return ([[v * s for v in r] for r in self.num],
+                [[v * t for v in r] for r in other.num], d)
 
     def __add__(self, other: "MatQ") -> "MatQ":
-        self._check(other)
-        return MatQ([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        a, b, d = self._scaled_to(other)
+        return MatQ._canonical([list(map(add, ra, rb)) for ra, rb in zip(a, b)], d)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
-        self._check(other)
-        return MatQ([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        a, b, d = self._scaled_to(other)
+        return MatQ._canonical([list(map(sub, ra, rb)) for ra, rb in zip(a, b)], d)
 
     def __neg__(self) -> "MatQ":
-        return MatQ([[-a for a in r] for r in self.rows])
+        return MatQ._of(tuple(tuple(-v for v in r) for r in self.num), self.d)
 
     def __mul__(self, other):
         if isinstance(other, MatQ):
             self._check(other)
-            cols = list(zip(*other.rows))
-            return MatQ(
-                [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-            )
+            cols = list(zip(*other.num))
+            return MatQ._canonical(
+                [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+                self.d * other.d)
         if isinstance(other, (int, str, Fraction)):
             s = rat(other)
-            return MatQ([[a * s for a in r] for r in self.rows])
+            p = s.numerator
+            return MatQ._canonical([[v * p for v in r] for r in self.num],
+                                   self.d * s.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -92,55 +165,65 @@ class MatQ:
             raise ValueError("dimension mismatch")
 
     def transpose(self) -> "MatQ":
-        return MatQ(list(zip(*self.rows)))
+        return MatQ._of(tuple(zip(*self.num)), self.d)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(map(any, self.num))
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
 
     def inverse(self) -> "MatQ":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular."""
+        """Exact inverse by fraction-free Gauss-Jordan elimination on the
+        integer matrix (Bareiss): [num | I] becomes [D I | D num^{-1}], with
+        D = +-det(num) the last pivot, so the inverse of num/d is
+        d (D num^{-1}) / D.  Every division is exact.  Raises on singular."""
         n = self.N
-        aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i, r in enumerate(self.rows)]
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.num)]
+        prev = 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if aug[r][col]), None)
             if piv is None:
                 raise SingularMatrixError("matrix is singular")
             aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [v / p for v in aug[col]]
+            pivot_row = aug[col]
+            p = pivot_row[col]
             for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return MatQ([row[n:] for row in aug])
+                if r != col:
+                    row = aug[r]
+                    f = row[col]
+                    aug[r] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
+            prev = p
+        d = self.d
+        return MatQ._canonical([[v * d for v in r[n:]] for r in aug], prev)
 
     def det(self) -> Fraction:
+        """Exact determinant by fraction-free (Bareiss) elimination on the
+        integer matrix: det(num/d) = det(num) / d^N."""
         n = self.N
-        m = [list(r) for r in self.rows]
+        m = [list(r) for r in self.num]
         sign = 1
-        out = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        prev = 1
+        for col in range(n - 1):
+            piv = next((r for r in range(col, n) if m[r][col]), None)
             if piv is None:
                 return Fraction(0)
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
                 sign = -sign
-            out *= m[col][col]
-            inv = 1 / m[col][col]
+            top = m[col]
+            p = top[col]
             for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-        return sign * out
+                row = m[r]
+                f = row[col]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+            prev = p
+        return Fraction(sign * m[n - 1][n - 1], self.d ** n)
 
     def leading_minors(self):
         """Determinants of the leading principal submatrices, sizes 1..N."""
-        return [MatQ([r[: k + 1] for r in self.rows[: k + 1]]).det() for k in range(self.N)]
+        return [MatQ._canonical([r[: k + 1] for r in self.num[: k + 1]], self.d).det()
+                for k in range(self.N)]
 
     def is_positive_definite(self) -> bool:
         return self.is_symmetric() and all(d > 0 for d in self.leading_minors())
@@ -228,11 +311,11 @@ class MatPoly:
         if isinstance(other, MatPoly):
             if self.is_zero() or other.is_zero():
                 return MatPoly.zero(self.N)
-            out = [MatQ.zero(self.N) for _ in range(self.degree + other.degree + 1)]
+            terms = [[] for _ in range(self.degree + other.degree + 1)]
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return MatPoly(out, self.N)
+                    terms[i + j].append(a * b)
+            return MatPoly([MatQ.total(t, self.N) for t in terms], self.N)
         if isinstance(other, MatQ):
             return MatPoly([c * other for c in self.coeffs], self.N)
         if isinstance(other, (int, str, Fraction)):

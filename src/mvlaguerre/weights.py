@@ -152,17 +152,11 @@ class MomentTable:
 
 
 def inner_product(p: MatPoly, q: MatPoly, table: MomentTable) -> MatQ:
-    """<P, Q> = sum_{a,b} P_a m_{a+b} Q_b^T, exactly."""
+    """<P, Q> = sum_a P_a (sum_b m_{a+b} Q_b^T), exactly."""
     n = table.spec.N
-    out = MatQ.zero(n)
-    for a, pa in enumerate(p.coeffs):
-        if pa.is_zero():
-            continue
-        for b, qb in enumerate(q.coeffs):
-            if qb.is_zero():
-                continue
-            out = out + pa * table[a + b] * qb.transpose()
-    return out
+    qt = [(b, qb.transpose()) for b, qb in enumerate(q.coeffs) if not qb.is_zero()]
+    return MatQ.total([pa * MatQ.total([table[a + b] * qb for b, qb in qt], n)
+                       for a, pa in enumerate(p.coeffs) if not pa.is_zero()], n)
 
 
 def h0_as_displayed(spec: WeightSpec) -> MatQ:

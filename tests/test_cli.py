@@ -147,6 +147,14 @@ GOLDEN_STDOUT = {
         "3b2c34650f37eb1ed571ee5d14ac497aa7a7ab80ae7e563dc1849f6302367d2f",
     "compute-polys --N 3 --a=-1,2 --nmax 3":
         "7a4a806ce22e48ba4bd71e72ddd7a3166d101980e3f08bb564e1314daa97c1ba",
+    # messy rationals, recorded before MatQ moved to integer numerators over
+    # one shared denominator
+    "compute-polys --N 3 --nu=7/3 --a=5/2,-3/7 --delta=2/3,5,11/4 --nmax 8":
+        "0cb5f91f1816d5208e46ebe51c3c606626b99fda56fb45ed02bc67cfc4c737e0",
+    "xi --N 3 --nu=7/3 --a=5/2,-3/7 --delta=2/3,5,11/4 --nmax 6":
+        "e7061978752941cc5b136c45af9b6121f05cc357c3e095ba6981f7c3ef7193b8",
+    "verify --suite laguerre --N 4 --nu=5/7 --a=-8/5,9/7,-6/5 --delta=5/6,7/9,8/5,9/8 --nmax 4":
+        "9984acd427bd263a7c0ad54e6aee9c96b81534783fc3f293c83e6213ec5886ed",
 }
 
 
@@ -181,24 +189,36 @@ SWEEP_COMMANDS = {
     "xi": ["xi"],
     "verify operators": ["verify", "--suite", "operators"],
     "verify laguerre": ["verify", "--suite", "laguerre"],
+    "verify dualhahn": ["verify", "--suite", "dualhahn"],
+    "verify all": ["verify", "--suite", "all"],
     "dualhahn": ["dualhahn"],
 }
 
 
-@pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", sorted(SWEEP_COMMANDS))
+def _sweep_inputs(name, n_dim):
+    """(argv, degree) pairs of one sweep case; `lie` has no spec, so its
+    degree is the truncation order of the exp series."""
+    if name == "lie":
+        return [(["lie", "--truncate", str(t)], t) for t in (-1, 0, 1)]
+    return [(SWEEP_COMMANDS[name] + ["--N", str(n_dim), "--nmax", str(n_max)], n_max)
+            for n_max in (-1, 0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, n_dim", [
+    *[(name, n_dim) for name in sorted(SWEEP_COMMANDS) for n_dim in (1, 2, 3, 4)],
+    pytest.param("lie", None, id="lie"),
+])
 def test_small_parameter_sweep(name, n_dim, capsys):
     """Every small input ends in a verdict or in exit 2 with one line on
     stderr: never a traceback, never a pass with no check behind it."""
-    for n_max in (-1, 0, 1, 2):
-        argv = SWEEP_COMMANDS[name] + ["--N", str(n_dim), "--nmax", str(n_max)]
+    for argv, degree in _sweep_inputs(name, n_dim):
         code, out, err = _run(argv, capsys)
         assert code in (0, 2), (argv, code, err)
-        if n_max < 0 or code == 2:
+        if degree < 0 or code == 2:
             assert code == 2 and out == "" and len(err.strip().splitlines()) == 1, argv
             continue
         payload = json.loads(out)
-        if name.startswith("verify") or name == "dualhahn":
+        if name.startswith("verify") or name in ("dualhahn", "lie"):
             assert payload["checks"], argv
 
 

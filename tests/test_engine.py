@@ -4,10 +4,10 @@ import pytest
 
 from mvlaguerre.engine import (compute_monic_ops, scalar_laguerre_monic,
                                verify_orthogonality, verify_three_term)
-from mvlaguerre.matrices import MatPoly, MatQ
+from mvlaguerre.matrices import MatPoly, MatQ, SingularMatrixError
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
-from mvlaguerre.weights import WeightSpec
+from mvlaguerre.weights import WeightSpec, inner_product
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 
@@ -72,3 +72,40 @@ def test_singular_weight_reported():
     # delta must be positive; the constructor rejects it before H can go bad
     with pytest.raises(ValueError):
         WeightSpec(2, F(1), (F(1),), (F(0), F(1)))
+
+
+RATIONAL_SPECS = [
+    WeightSpec(1, F(7, 3), (), (F(11, 4),)),
+    WeightSpec(2, F(5, 8), (F(-9, 7),), (F(6, 5), F(7, 9))),
+    WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4))),
+    WeightSpec(4, F(5, 7), (F(-8, 5), F(9, 7), F(-6, 5)),
+               (F(5, 6), F(7, 9), F(8, 5), F(9, 8))),
+]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_norm_equals_full_self_product(spec):
+    # the oracle takes H_n = <x^n I, P_n>; orthogonality makes it <P_n, P_n>
+    seq = compute_monic_ops(spec, 5)
+    for n in range(6):
+        assert seq.H[n] == inner_product(seq.P[n], seq.P[n], seq.table)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_projection_order_does_not_change_the_family(spec):
+    seq = compute_monic_ops(spec, 4)
+    for order in (lambda d: list(range(d))[::-1],
+                  lambda d: list(range(1, d, 2)) + list(range(0, d, 2))):
+        other = compute_monic_ops(spec, 4, projection_order=order)
+        assert (other.P, other.H, other.C[1:]) == (seq.P, seq.H, seq.C[1:])
+
+
+def test_singular_norm_raises_when_first_needed():
+    # delta_1 = 0 slips past the constructor's checks here; the first row of
+    # every moment, and so of H_0, is then zero
+    spec = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
+    object.__setattr__(spec, "delta", (F(0), F(1)))
+    assert compute_monic_ops(spec, 0).H[0].det() == 0
+    with pytest.raises(SingularMatrixError,
+                       match=r"^singular H_0; parameters violate the weight invariants$"):
+        compute_monic_ops(spec, 1)

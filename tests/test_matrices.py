@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,107 @@ def test_inverse_roundtrip(m):
     else:
         assert m * m.inverse() == MatQ.identity(3)
         assert m.inverse() * m == MatQ.identity(3)
+
+
+# Cross-check of the integer-numerator kernel against plain Fraction
+# arithmetic: the triple loop and Gauss-Jordan elimination it replaced.
+
+BIG_PRIMES = (10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+entries = st.one_of(
+    st.just(F(0)),
+    small_rats,
+    st.builds(F, st.integers(-10**12, 10**12), st.sampled_from(BIG_PRIMES)),
+)
+
+
+def ref_mul(x, y):
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), F(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def ref_inverse(x):
+    """Gauss-Jordan over Fractions; None when x is singular."""
+    n = len(x)
+    aug = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(x)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def ref_det(x):
+    n = len(x)
+    m = [list(r) for r in x]
+    out = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            out = -out
+        out *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return out
+
+
+def assert_matches(m, expected):
+    """Entrywise equality with a list of Fraction rows, and the canonical
+    form: positive denominator with no factor common to every numerator."""
+    assert m.rows == tuple(map(tuple, expected))
+    assert [[m[i, j] for j in range(m.N)] for i in range(m.N)] == expected
+    assert m.d > 0 and gcd(m.d, *chain.from_iterable(m.num)) == 1
+    assert m == MatQ(expected) and hash(m) == hash(MatQ(expected))
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    x, y = draw(square), draw(square)
+    if n > 1 and draw(st.booleans()):
+        x[-1] = [v * draw(small_rats) for v in x[0]]   # a singular x
+    return x, y, draw(entries)
+
+
+@given(kernel_inputs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_fraction_reference(inputs):
+    x, y, s = inputs
+    n = len(x)
+    a, b = MatQ(x), MatQ(y)
+    assert_matches(a, x)
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(a + b, [[u + v for u, v in zip(r, t)] for r, t in zip(x, y)])
+    assert_matches(a - b, [[u - v for u, v in zip(r, t)] for r, t in zip(x, y)])
+    assert_matches(-a, [[-u for u in r] for r in x])
+    assert_matches(a * s, [[u * s for u in r] for r in x])
+    assert_matches(s * a, [[s * u for u in r] for r in x])
+    assert_matches(a.transpose(), [list(c) for c in zip(*x)])
+    assert a.is_zero() == all(u == 0 for r in x for u in r)
+    assert (a - a).is_zero() and (a * 0).is_zero()
+    assert a.det() == ref_det(x)
+    inv = ref_inverse(x)
+    if inv is None:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+    else:
+        assert_matches(a.inverse(), inv)
+    # equal values reached by different routes are equal and hash alike
+    for other in (a + MatQ.zero(n), (a * 3) * F(1, 3), a.transpose().transpose(),
+                  MatQ(a.rows)):
+        assert other == a and hash(other) == hash(a)
+    assert (a == b) == (x == y)
 
 
 def test_positive_definiteness_by_minors():
