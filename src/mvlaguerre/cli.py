@@ -149,9 +149,10 @@ def cmd_verify(args) -> int:
         if args.suite in ("operators", "all"):
             checks += rp.suite_operators(seq)
         if args.suite in ("laguerre", "all"):
-            checks += rp.suite_laguerre(seq)
+            tables: dict = {}
+            checks += rp.suite_laguerre(seq, tables)
             if spec.N >= 2:
-                resolutions = rp.resolve_open_questions(seq)
+                resolutions = rp.resolve_open_questions(seq, tables)
     if params is not None:
         dh_seq = compute_monic_ops(dh.weight_spec(params), min(n_max, 4) + 1)
         checks += rp.suite_dualhahn(params, dh_seq, lf.extract_xi(dh_seq))
@@ -175,11 +176,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    nu = rat(args.nu)
+    if nu <= 0:
+        raise DomainError("nu must be > 0")
     if args.truncate is not None:
         phi = la.exp_series_truncated(args.truncate)
     else:
         phi = parse_phi(args.phi)
-    alg = la.generate_algebra(phi, nu=rat(args.nu) if args.extended else None,
+    alg = la.generate_algebra(phi, nu=nu if args.extended else None,
                               extended=args.extended)
     structure = [[i, j, k, rat_str(v)]
                  for (i, j), vec in sorted(alg.structure.items())

@@ -17,6 +17,18 @@ plus, in the extended case (phi = x only),
 
     [D2nd, x] = -D + Ddag,
     [D, D2nd] = -D + D2nd - (1+nu),   [Ddag, D2nd] = Ddag - D2nd + (1+nu).
+
+On coordinates the first table reads: for e1 = (a1, b1, 0, p), e2 = (a2, b2,
+0, q), the bracket is the multiplication polynomial whose x^k coefficient is
+
+    (a1 b2 - a2 b1) w_k + k ((b1 - a1) q_k + (a2 - b2) p_k),
+    w_k = 2 [k = 1] - k^2 phi_k,
+
+since x phi' + x^2 phi'' has x^k coefficient k^2 phi_k and x p' has k p_k.
+
+The closure's last pass brackets every ordered pair of the final basis; those
+brackets are the structure constants, and the Lie axioms are checked on them
+directly.
 """
 
 from __future__ import annotations
@@ -87,14 +99,26 @@ class OpElement:
 
 def bracket(e1: OpElement, e2: OpElement, phi: RPoly,
             nu=None, extended: bool = False) -> OpElement:
-    """Lie bracket of two elements over exponent phi.  The extended table
-    (second-order generator) is only defined for phi = x and needs nu."""
-    x = RPoly.x()
-    w = 2 * x - x * phi.derivative() - x * x * phi.derivative().derivative()
-    mult = (e1.cD * e2.cDd - e2.cD * e1.cDd) * w
-    mult = mult + x * ((e1.cDd - e1.cD) * e2.mult.derivative()
-                       + (e2.cD - e2.cDd) * e1.mult.derivative())
-    out = OpElement(0, 0, 0, mult)
+    """Lie bracket of two elements over exponent phi, in the coefficient
+    form of the module docstring.  The extended table (second-order
+    generator) is only defined for phi = x and needs nu."""
+    a = e1.cD * e2.cDd - e2.cD * e1.cDd
+    b = e1.cDd - e1.cD
+    c = e2.cD - e2.cDd
+    ph = phi.coeffs if a else ()
+    q = e2.mult.coeffs if b else ()
+    p = e1.mult.coeffs if c else ()
+    mult = [0] * max(len(ph), len(q), len(p), 2 if a else 0)
+    if a:
+        mult[1] = 2 * a
+    for k in range(1, len(mult)):
+        if k < len(ph) and ph[k]:
+            mult[k] -= k * k * a * ph[k]
+        if k < len(q) and q[k]:
+            mult[k] += k * b * q[k]
+        if k < len(p) and p[k]:
+            mult[k] += k * c * p[k]
+    out = OpElement(0, 0, 0, RPoly(mult))
     if e1.cD2 != 0 or e2.cD2 != 0:
         if not extended:
             raise DomainError("second-order generator outside the extended algebra")
@@ -119,8 +143,10 @@ class LieAlg:
     """Finite-dimensional Lie algebra realized on coordinate vectors: an
     echelonized basis plus exact structure constants."""
 
-    def __init__(self, basis_vectors, labels, phi: RPoly, nu=None,
-                 extended: bool = False, bound: int = 1):
+    def __init__(self, basis_vectors, labels, phi: RPoly, structure: dict,
+                 nu=None, extended: bool = False, bound: int = 1):
+        """`structure[(i, j)]` holds the coordinates of the bracket of basis
+        elements i and j, for every ordered pair."""
         self.basis = [tuple(v) for v in basis_vectors]
         self.labels = list(labels)
         self.phi = phi
@@ -129,31 +155,15 @@ class LieAlg:
         self.bound = bound
         self.dim = len(self.basis)
         self._pivots = [_pivot(v) for v in self.basis]
-        self.structure = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                br = self._bracket_vec(self.basis[i], self.basis[j])
-                self.structure[(i, j)] = self.coordinates(br)
-
-    def _bracket_vec(self, v1, v2):
-        e = bracket(OpElement.from_coords(v1), OpElement.from_coords(v2),
-                    self.phi, self.nu, self.extended)
-        return e.coords(self.bound)
+        self.structure = structure
 
     def coordinates(self, v) -> tuple:
         """Coefficients of v in the echelon basis; raises if v is outside
         the span (non-closure)."""
-        coeffs = []
-        v = list(v)
-        for row, p in zip(self.basis, self._pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != 0:
-                for k in range(len(v)):
-                    v[k] -= c * row[k]
-        if any(x != 0 for x in v):
+        coeffs = _coordinates(self.basis, self._pivots, v)
+        if coeffs is None:
             raise DomainError("vector outside the algebra span (closure failure)")
-        return tuple(coeffs)
+        return coeffs
 
     def bracket_coords(self, a, b) -> tuple:
         """Bracket of two coordinate tuples (in basis coordinates)."""
@@ -169,19 +179,21 @@ class LieAlg:
         return tuple(out)
 
     def jacobi_holds(self) -> bool:
+        """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on every triple of basis
+        elements, contracted from the structure constants:
+        sum over the cyclic turns of sum_m s[(b,c)][m] s[(a,m)][t]."""
         dim = self.dim
-        units = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(dim))
-                 for i in range(dim)]
+        sparse = {ij: [(m, v) for m, v in enumerate(vec) if v != 0]
+                  for ij, vec in self.structure.items()}
         for i in range(dim):
             for j in range(i + 1, dim):
                 for k in range(j + 1, dim):
-                    total = [Fraction(0)] * dim
+                    total = [0] * dim
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_coords(units[b], units[c])
-                        outer = self.bracket_coords(units[a], inner)
-                        for t in range(dim):
-                            total[t] += outer[t]
-                    if any(v != 0 for v in total):
+                        for m, inner in sparse[(b, c)]:
+                            for t, outer in sparse[(a, m)]:
+                                total[t] += inner * outer
+                    if any(total):
                         return False
         return True
 
@@ -212,6 +224,17 @@ def _pivot(v):
         if x != 0:
             return k
     raise ValueError("zero vector in basis")
+
+
+def _coordinates(rows, pivots, v):
+    """Coefficients of v on reduced echelon rows, which are its entries at
+    their pivots, or None when v is outside their span."""
+    coeffs = tuple(v[p] for p in pivots)
+    rest = list(v)
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            rest = [x - c * y if y else x for x, y in zip(rest, row)]
+    return None if any(rest) else coeffs
 
 
 def _rref_insert(rows, pivots, v):
@@ -270,18 +293,22 @@ def generate_algebra(phi: RPoly, nu=None, extended: bool = False) -> LieAlg:
     for g in generator_elements(phi, extended):
         _rref_insert(rows, pivots, g.coords(bound))
     while True:
+        # Bracket every ordered pair of the basis.  A pass that adds nothing
+        # leaves the basis final, and its brackets are the structure.
+        elems = [OpElement.from_coords(v) for v in rows]
+        structure = {}
         grew = False
-        current = [list(r) for r in rows]
-        for v1 in current:
-            for v2 in current:
-                e = bracket(OpElement.from_coords(v1), OpElement.from_coords(v2),
-                            phi, nu, extended)
-                if not e.is_zero():
-                    grew |= _rref_insert(rows, pivots, e.coords(bound))
+        for i, e1 in enumerate(elems):
+            for j, e2 in enumerate(elems):
+                v = bracket(e1, e2, phi, nu, extended).coords(bound)
+                coeffs = None if grew else _coordinates(rows, pivots, v)
+                if coeffs is None:
+                    grew |= _rref_insert(rows, pivots, v)
+                structure[(i, j)] = coeffs
         if not grew:
             break
     labels = [_label(p) for p in pivots]
-    return LieAlg(rows, labels, phi, nu, extended, bound)
+    return LieAlg(rows, labels, phi, structure, nu, extended, bound)
 
 
 def _label(pivot: int) -> str:

@@ -73,11 +73,10 @@ def resolve_xi_seed(seq: OPSeq, xi: lf.XiTable) -> dict:
     }
 
 
-def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable) -> dict:
+def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable, G, I) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
     versus the printed pair."""
-    G, I, _ = lf.compute_GI(seq)
     rows = [c for c in lf.verify_displayed_xi_recursions(seq, xi, G, I)
             if c["check_id"].startswith("i=1 boundary")]
     if not rows:
@@ -96,17 +95,21 @@ def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable) -> dict:
     }
 
 
-def resolve_open_questions(seq: OPSeq) -> list[dict]:
-    """The three resolutions for the weight of `seq`.  The i = 1 boundary
-    relation first appears at n_max = 2, so a shorter family is recomputed
-    to degree 3."""
+def resolve_open_questions(seq: OPSeq, tables: dict | None = None) -> list[dict]:
+    """The three resolutions for the weight of `seq`.  `tables` is what
+    `suite_laguerre(seq, tables)` stored (the xi table and G, I), reused
+    instead of rebuilt.  The i = 1 boundary relation first appears at
+    n_max = 2, so a shorter family is recomputed to degree 3."""
     if seq.n_max < 2:
-        seq = compute_monic_ops(seq.spec, 3)
-    xi = lf.extract_xi(seq)
+        seq, tables = compute_monic_ops(seq.spec, 3), None
+    if not tables:
+        G, I, _ = lf.compute_GI(seq)
+        tables = {"xi": lf.extract_xi(seq), "G": G, "I": I}
+    xi = tables["xi"]
     return [
         resolve_h0_pochhammer(seq.spec),
         resolve_xi_seed(seq, xi),
-        resolve_i1_boundary(seq, xi),
+        resolve_i1_boundary(seq, xi, tables["G"], tables["I"]),
     ]
 
 
@@ -177,13 +180,18 @@ def suite_operators(seq: OPSeq, deg_bound: int = 4) -> list[dict]:
     return checks
 
 
-def suite_laguerre(seq: OPSeq) -> list[dict]:
+def suite_laguerre(seq: OPSeq, tables: dict | None = None) -> list[dict]:
+    """The Laguerre-form checks of `seq`.  When a dict `tables` is given, the
+    xi table and G, I built here are stored in it under "xi", "G" and "I",
+    for `resolve_open_questions`."""
     checks = lf.verify_K_properties(seq.spec, seq.n_max)
     checks += lf.verify_diagonalization(seq.spec)
     checks += lf.verify_R_eigen(seq)
     xi = lf.extract_xi(seq)
     G, I, gi_checks = lf.compute_GI(seq)
     checks += gi_checks
+    if tables is not None:
+        tables.update(xi=xi, G=G, I=I)
     xi_rec = lf.xi_by_recursion(seq, G, I)
     checks += lf.verify_xi_tables(xi, xi_rec)
     checks += lf.verify_displayed_xi_recursions(seq, xi, G, I)

@@ -17,12 +17,16 @@ class DomainError(ValueError):
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to Fraction; a string with
+    a zero denominator raises DomainError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, Fraction or 'p/q'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
@@ -255,7 +259,7 @@ def parse_phi(text: str) -> RPoly:
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
             raise DomainError(f"cannot parse polynomial near {s[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = rat(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if m.group("var"):
             power = int(m.group("pow")) if m.group("pow") else 1
         else:

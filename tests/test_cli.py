@@ -165,6 +165,25 @@ def test_golden_stdout(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+@pytest.mark.parametrize("command", [
+    "lie --phi 1/0x",
+    "lie --phi 1/0",
+    "lie --extended --nu 1/0",
+    "lie --extended --nu 0",
+    "lie --extended --nu -1",
+    "compute-polys --N 2 --nu 1/0 --nmax 2",
+    "compute-polys --N 2 --a=1/0 --nmax 2",
+    "compute-polys --N 2 --delta=1,0/0 --nmax 2",
+    "dualhahn --N 3 --c 1/0 --d 1",
+])
+def test_bad_rational_or_nu_exits_2(command, capsys):
+    """A zero denominator or a nu <= 0 is an argument error: exit 2 with one
+    line on stderr, not a traceback and not a verdict."""
+    code, out, err = _run(command.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "laguerre", "--N", "2", "--nmax", "0"],
     ["verify", "--suite", "all", "--N", "1", "--nmax", "0"],
@@ -259,3 +278,14 @@ def test_dualhahn_computes_one_family_and_one_xi_table(monkeypatch, capsys):
                       capsys)
     assert code == 0
     assert (len(oracle), len(xi)) == (1, 1)
+
+
+def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    xi = _count_calls(monkeypatch, lf, "extract_xi")
+    gi = _count_calls(monkeypatch, lf, "compute_GI")
+    code, out, _ = _run(["verify", "--suite", "laguerre", "--N", "2", "--nmax", "3"],
+                        capsys)
+    assert code == 0
+    assert len(json.loads(out)["open_question_resolutions"]) == 3
+    assert (len(oracle), len(xi), len(gi)) == (1, 1, 1)
