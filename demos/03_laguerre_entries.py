@@ -11,21 +11,21 @@ driven by two coupling matrices; both routes must agree entry by entry.
 from fractions import Fraction as F
 
 from mvlaguerre import WeightSpec, compute_monic_ops
-from mvlaguerre.laguerre_forms import (compute_GI, compute_R, extract_xi,
-                                       verify_xi_tables, xi_by_recursion)
+from mvlaguerre.laguerre_forms import (compute_GI, extract_xi, verify_xi_tables,
+                                       xi_by_recursion)
 from mvlaguerre.scalar import laguerre_poly
 
 spec = WeightSpec(N=3, nu=F(1, 2), a=(F(1), F(-2)), delta=(F(1), F(1, 2), F(3)))
 seq = compute_monic_ops(spec, n_max=5)
 
-r2 = compute_R(seq, 2)
+r2 = seq.R[2]
 print("entry (3,1) of R(x,2):", r2.entry(2, 0).coeffs)
 xi = extract_xi(seq)
 print("equals xi(2,3,1) * L_4^(nu+1):",
       r2.entry(2, 0) == xi.get(2, 3, 1) * laguerre_poly(spec.nu + 1, 4))
 
 print("\nzero pattern: entries with n+i-j < 0 vanish identically")
-print("R(x,0) entry (1,3):", r2 is not None and compute_R(seq, 0).entry(0, 2).coeffs)
+print("R(x,0) entry (1,3):", seq.R[0].entry(0, 2).coeffs)
 
 print("\nfirst multipliers:")
 for (n, i, j) in [(0, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]:

@@ -326,10 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_xi)
 
     p = sub.add_parser("lie", help="closure and structure of the operator Lie algebra")
-    p.add_argument("--phi", default="x")
+    phi = p.add_mutually_exclusive_group()
+    phi.add_argument("--phi", default="x")
+    phi.add_argument("--truncate", type=_degree, default=None)
     p.add_argument("--nu", default="1/2")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--truncate", type=_degree, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_lie)
 

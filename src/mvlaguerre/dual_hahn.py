@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .laguerre_forms import XiTable, compute_R
-from .matrices import MatLaurent, MatPoly, MatQ, build_A, build_J, exp_nilpotent
+from .laguerre_forms import XiTable
+from .matrices import MatLaurent, MatPoly, MatQ, build_A, build_J, build_K, exp_nilpotent
 from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
-from .scalar import (DomainError, dual_hahn, dual_hahn_via_recurrence,
-                     factorial, pochhammer, rat)
+from .scalar import DomainError, dual_hahn, dual_hahn_via_recurrence, pochhammer, rat
 from .weights import WeightSpec
 
 
@@ -293,8 +292,7 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
     i = MatQ.identity(nn)
     c_mat, m_star = derivative_coupling_matrices(params)
     checks = []
-    for n in range(seq.n_max + 1):
-        r = compute_R(seq, n)
+    for n, r in enumerate(seq.R):
         r0 = r(0)
         r0p = r.derivative()(0)
         lhs = (r0p - r0 * a) * c_mat
@@ -315,19 +313,7 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_matrix_at_zero(params: DHParams, alpha) -> MatQ:
-    """Unipotent lower triangular matrix with (m,n) entry
-    (alpha+n+1)_{m-n} / (m-n)! (unit mu)."""
-    alpha = rat(alpha)
-    nn = params.N
-    rows = [[Fraction(0)] * nn for _ in range(nn)]
-    for m in range(1, nn + 1):
-        for n in range(1, m + 1):
-            rows[m - 1][n - 1] = pochhammer(alpha + n + 1, m - n) / factorial(m - n)
-    return MatQ(rows)
-
-
-def phi_psi(params: DHParams, alpha=None):
+def phi_psi(params: DHParams):
     """The degree-2 and degree-1 matrix polynomials carrying the weight from
     level nu to nu+1, built through the nilpotent-exponential conjugations.
 
@@ -335,12 +321,11 @@ def phi_psi(params: DHParams, alpha=None):
     W Phi = W^{+} and W Psi = (W^{+})' as exact Laurent statements, the
     degrees, and the conjugated closed form x(dJ+c)."""
     nn = params.N
-    if alpha is None:
-        alpha = params.nu
     a = build_A([-1] * (nn - 1), nn)
     j = build_J(nn)
     i = MatQ.identity(nn)
-    l0 = laguerre_matrix_at_zero(params, alpha)
+    # unipotent lower triangular, (m,n) entry (nu+n+1)_{m-n} / (m-n)!
+    l0 = build_K(0, params.nu, (1,) * (nn - 1), nn)
     l0_star_inv = l0.transpose().inverse()
     djc = j * params.d + i * params.c
     ex_pos_t = exp_nilpotent(a, +1).transpose()   # e^{x A^T}

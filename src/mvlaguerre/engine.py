@@ -1,13 +1,16 @@
 """Monic matrix-valued orthogonal polynomials by block Gram-Schmidt on the
 moment table.  This is the oracle every closed form in the package is
 checked against: orthogonalization uses nothing but the inner product.
+The family it returns, `OPSeq`, also owns the matrices derived from it:
+H_n^{-1}, K_n, K_n^{-1} and R(x,n), each built at most once, on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .matrices import MatPoly, MatQ, SingularMatrixError
+from .matrices import MatPoly, MatQ, SingularMatrixError, build_K, exp_nilpotent
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, inner_product
 
@@ -18,32 +21,76 @@ def check(check_id: str, equation: str, ok, **extra) -> dict:
     return {"check_id": check_id, "equation": equation, "pass": bool(ok), **extra}
 
 
-class OPSeq:
-    """Computed family P_0..P_{n_max} with squared norms and recurrence data.
+def _inverse_of_H(H, inverses: dict, m: int) -> MatQ:
+    """H_m^{-1}, memoized in `inverses`; a singular H_m raises when its
+    inverse is first needed."""
+    if m not in inverses:
+        try:
+            inverses[m] = H[m].inverse()
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"singular H_{m}; parameters violate the weight invariants"
+            ) from exc
+    return inverses[m]
 
-    H[n] is the Gamma-normalized squared norm, X[n] the one-but-leading
-    coefficient (X[0] = 0), Y[n] the second-but-leading (Y[0] = Y[1] = 0).
-    B[n] is defined for n <= n_max-1, C[n] for 1 <= n <= n_max.
+
+class OPSeq:
+    """Computed family P_0..P_{n_max} and the matrices derived from it.
+
+    From Gram-Schmidt, stored as tuples so nothing derived can go stale:
+    P[n] the monic polynomials and H[n] their Gamma-normalized squared
+    norms.  Read off them at construction: X[n] the one-but-leading
+    coefficient (X[0] = 0), Y[n] the second-but-leading (Y[0] = Y[1] = 0),
+    B[n] = X[n] - X[n+1] for n <= n_max-1 and C[n] = H[n] H[n-1]^{-1} for
+    1 <= n <= n_max (C[0] is None).
+
+    Computed on first use and kept, at most once per family:
+    h_inv(n) = H_n^{-1} (the oracle hands over those it used); K[n] and
+    K_inv[n], the triangularizer K_n = exp(A(n+nu+1+J)) and its inverse for
+    n = 0..n_max; R[n] = K_n^{-1} P_n e^{xA}.  K, K_inv and R are closed
+    forms: they never enter Gram-Schmidt.  Two threads racing on first use
+    compute the same exact value, so a family is safe to share.
     """
 
-    def __init__(self, spec: WeightSpec, n_max: int, table: MomentTable,
-                 P, H, X, Y, B, C):
+    def __init__(self, spec: WeightSpec, table: MomentTable, P, H,
+                 h_inv: dict | None = None):
         self.spec = spec
-        self.n_max = n_max
         self.table = table
-        self.P = P
-        self.H = H
-        self.X = X
-        self.Y = Y
-        self.B = B
-        self.C = C
+        self.P = tuple(P)
+        self.H = tuple(H)
+        self.n_max = n_max = len(self.P) - 1
+        self._h_inv = dict(h_inv or {})
+        zero = MatQ.zero(spec.N)
+        self.X = tuple(p.coeff(deg - 1) if deg >= 1 else zero for deg, p in enumerate(self.P))
+        self.Y = tuple(p.coeff(deg - 2) if deg >= 2 else zero for deg, p in enumerate(self.P))
+        self.B = tuple(self.X[k] - self.X[k + 1] for k in range(n_max))
+        self.C = (None,) + tuple(self.H[k] * self.h_inv(k - 1) for k in range(1, n_max + 1))
 
     def ip(self, p: MatPoly, q: MatPoly) -> MatQ:
         return inner_product(p, q, self.table)
 
+    def h_inv(self, n: int) -> MatQ:
+        return _inverse_of_H(self.H, self._h_inv, n)
 
-def compute_monic_ops(spec: WeightSpec, n_max: int, depth: int | None = None,
-                      projection_order=None) -> OPSeq:
+    @cached_property
+    def K(self) -> tuple:
+        spec = self.spec
+        return tuple(build_K(n, spec.nu, spec.a, spec.N) for n in range(self.n_max + 1))
+
+    @cached_property
+    def K_inv(self) -> tuple:
+        # A is linear in a, so K_n^{-1} = exp(-A(n+nu+1+J)) is K_n at -a.
+        spec = self.spec
+        neg_a = tuple(-v for v in spec.a)
+        return tuple(build_K(n, spec.nu, neg_a, spec.N) for n in range(self.n_max + 1))
+
+    @cached_property
+    def R(self) -> tuple:
+        ex = exp_nilpotent(self.spec.A, +1)
+        return tuple(kinv * (p * ex) for kinv, p in zip(self.K_inv, self.P))
+
+
+def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
     P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m.  `projection_order`
@@ -51,43 +98,25 @@ def compute_monic_ops(spec: WeightSpec, n_max: int, depth: int | None = None,
     uniqueness test).  Since P_n is orthogonal to every lower degree,
     H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
     coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
-    first needs it.
+    first needs it, and handed to the family.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
-    if depth is None:
-        depth = 2 * n_max + 2
-    table = MomentTable(spec, depth)
+    table = MomentTable(spec, 2 * n_max + 2)
     n = spec.N
     P: list[MatPoly] = []
     H: list[MatQ] = []
-    H_inv: list[MatQ | None] = []
-
-    def inverse_of_H(m: int) -> MatQ:
-        if H_inv[m] is None:
-            try:
-                H_inv[m] = H[m].inverse()
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"singular H_{m}; parameters violate the weight invariants"
-                ) from exc
-        return H_inv[m]
-
+    inverses: dict = {}
     for deg in range(n_max + 1):
         xn = MatPoly.monomial(deg, MatQ.identity(n))
         p = xn
         order = list(range(deg)) if projection_order is None else projection_order(deg)
         for m in order:
-            coef = inner_product(xn, P[m], table) * inverse_of_H(m)
+            coef = inner_product(xn, P[m], table) * _inverse_of_H(H, inverses, m)
             p = p - MatPoly.const(coef) * P[m]
         P.append(p)
         H.append(inner_product(xn, p, table))
-        H_inv.append(None)
-    X = [p.coeff(deg - 1) if deg >= 1 else MatQ.zero(n) for deg, p in enumerate(P)]
-    Y = [p.coeff(deg - 2) if deg >= 2 else MatQ.zero(n) for deg, p in enumerate(P)]
-    B = [X[k] - X[k + 1] for k in range(n_max)]
-    C = [None] + [H[k] * inverse_of_H(k - 1) for k in range(1, n_max + 1)]
-    return OPSeq(spec, n_max, table, P, H, X, Y, B, C)
+    return OPSeq(spec, table, P, H, inverses)
 
 
 def scalar_laguerre_monic(alpha, n_max: int):

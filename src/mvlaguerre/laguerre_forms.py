@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, build_K, build_K_inverse, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import factorial, laguerre_poly, pochhammer, rat_str
@@ -29,25 +29,22 @@ class ClosedFormViolation(AssertionError):
     """An entry of R failed the Laguerre proportionality the theory forces."""
 
 
-def compute_R(seq: OPSeq, n: int) -> MatPoly:
+def verify_K_properties(seq: OPSeq) -> list[dict]:
+    """K_n Lambda_n K_n^{-1} = Gamma_n exactly, unit diagonal, the
+    closed-form entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)!, and the
+    closed-form K_n^{-1} against a fresh inverse of K_n."""
     spec = seq.spec
-    kinv = build_K_inverse(n, spec.nu, spec.a, spec.N)
-    return kinv * (seq.P[n] * exp_nilpotent(spec.A, +1))
-
-
-def verify_K_properties(spec, n_max: int) -> list[dict]:
-    """K_n Lambda_n K_n^{-1} = Gamma_n exactly, unit diagonal, and the
-    closed-form entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)!."""
     checks = []
     N, nu = spec.N, spec.nu
     A, J = spec.A, spec.J
     i_mat = MatQ.identity(N)
-    for n in range(n_max + 1):
-        k = build_K(n, nu, spec.a, N)
+    for n in range(seq.n_max + 1):
+        k = seq.K[n]
+        k_inv = k.inverse()  # fresh, to check the closed form seq.K_inv[n]
         lam = MatQ.diag([-(n + r) for r in range(1, N + 1)])
         gamma = A * (i_mat * (n + nu + 1) + J) - i_mat * n - J
         checks.append(check(f"K-conjugation n={n}", "triangularizer-conjugation",
-                            k * lam * k.inverse() == gamma))
+                            k * lam * k_inv == gamma))
         checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
                             all(k[r, r] == 1 for r in range(N))))
         entry_ok = True
@@ -61,7 +58,7 @@ def verify_K_properties(spec, n_max: int) -> list[dict]:
                     entry_ok = False
         checks.append(check(f"K-closed-form n={n}", "triangularizer-entries", entry_ok))
         checks.append(check(f"K-inverse n={n}", "triangularizer-entries",
-                            build_K_inverse(n, nu, spec.a, N) == k.inverse()))
+                            seq.K_inv[n] == k_inv))
     return checks
 
 
@@ -91,8 +88,7 @@ def verify_R_eigen(seq: OPSeq) -> list[dict]:
     spec = seq.spec
     dq = second_order_diagonalized(spec)
     checks = []
-    for n in range(seq.n_max + 1):
-        r = compute_R(seq, n)
+    for n, r in enumerate(seq.R):
         lam = MatQ.diag([-(n + k) for k in range(1, spec.N + 1)])
         checks.append(check(f"R eigen-equation n={n}", "diagonalized-eigenproblem",
                             dq.act(r) == MatPoly.const(lam) * r))
@@ -129,8 +125,7 @@ def extract_xi(seq: OPSeq) -> XiTable:
     value at zero); off-pattern entries must vanish identically."""
     spec = seq.spec
     table = XiTable(spec.N, seq.n_max)
-    for n in range(seq.n_max + 1):
-        r = compute_R(seq, n)
+    for n, r in enumerate(seq.R):
         for i in range(1, spec.N + 1):
             for j in range(1, spec.N + 1):
                 p = r.entry(i - 1, j - 1)
@@ -160,17 +155,15 @@ def compute_GI(seq: OPSeq):
     (I)_{ii} = i; the two identities relating their nontrivial entries back
     to H_n itself."""
     spec = seq.spec
-    N, nu = spec.N, spec.nu
+    N = spec.N
     A, J = spec.A, spec.J
     i_mat = MatQ.identity(N)
-    ks = [build_K(n, nu, spec.a, N) for n in range(seq.n_max + 1)]
-    kinvs = [build_K_inverse(n, nu, spec.a, N) for n in range(seq.n_max + 1)]
     G = [None]
     I = []
     checks = []
     for n in range(seq.n_max + 1):
-        hjh = seq.H[n] * J * seq.H[n].inverse()
-        i_n = kinvs[n] * hjh * ks[n]
+        hjh = seq.H[n] * J * seq.h_inv(n)
+        i_n = seq.K_inv[n] * hjh * seq.K[n]
         I.append(i_n)
         ok_struct = all(
             i_n[r, c] == (r + 1 if r == c else 0)
@@ -180,8 +173,8 @@ def compute_GI(seq: OPSeq):
         ok_super = all(i_n[r, r + 1] == hjh[r, r + 1] for r in range(N - 1))
         checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries", ok_super))
         if n >= 1:
-            hth = seq.H[n] * (A.transpose() - i_mat) * seq.H[n - 1].inverse()
-            g_n = kinvs[n] * hth * ks[n - 1]
+            hth = seq.H[n] * (A.transpose() - i_mat) * seq.h_inv(n - 1)
+            g_n = seq.K_inv[n] * hth * seq.K[n - 1]
             G.append(g_n)
             ok_diag = all(g_n[r, c] == 0 for r in range(N) for c in range(N) if r != c)
             checks.append(check(f"G(n) diagonal n={n}", "coupling-structure", ok_diag))
@@ -213,7 +206,7 @@ def xi_by_recursion(seq: OPSeq, G, I) -> XiTable:
     N, nu = spec.N, spec.nu
     a = spec.a
     table = XiTable(N, seq.n_max)
-    kinv0 = build_K_inverse(0, nu, a, N)
+    kinv0 = seq.K_inv[0]
     for i in range(1, N + 1):
         for j in range(1, i + 1):
             v = kinv0[i - 1, j - 1] * factorial(i - j) / pochhammer(nu + j + 1, i - j)
@@ -415,7 +408,7 @@ def verify_Q_relation(seq: OPSeq) -> list[dict]:
         lhs = -(q[n] * J)
         rhs = q[n].derivative().scale_x(1) - MatPoly.const(i * n + J) * q[n]
         if n >= 1:
-            coupling = seq.H[n] * (A.transpose() - i) * seq.H[n - 1].inverse()
+            coupling = seq.H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
             rhs = rhs + MatPoly.const(coupling) * q[n - 1]
         checks.append(check(f"Q relation n={n}", "conjugated-derivative-relation", lhs == rhs))
     return checks
@@ -432,7 +425,7 @@ def verify_X_recursion(seq: OPSeq, G, I) -> list[dict]:
     checks = []
     corr_ok, disp_ok = True, True
     for n in range(1, seq.n_max):
-        hjh = seq.H[n] * spec.J * seq.H[n].inverse()
+        hjh = seq.H[n] * spec.J * seq.h_inv(n)
         for jj in range(1, N + 1):
             xa = seq.X[n][0, jj] * a[jj - 1] if jj < N else Fraction(0)
             lhs_corr = (n if jj == 1 else 0) + xa - seq.X[n][0, jj - 1] + seq.X[n + 1][0, jj - 1]

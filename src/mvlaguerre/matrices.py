@@ -487,13 +487,3 @@ def build_K(n: int, nu, a, N: int) -> MatQ:
     J = build_J(N)
     B = A * (MatQ.identity(N) * (n + nu + 1) + J)
     return matexp_nilpotent(B)
-
-
-def build_K_inverse(n: int, nu, a, N: int) -> MatQ:
-    """Exact inverse of build_K: exp(-A (n + nu + 1 + J)); carries the
-    alternating signs (-1)^{i-j}."""
-    nu = rat(nu)
-    A = build_A(a, N)
-    J = build_J(N)
-    B = A * (MatQ.identity(N) * (n + nu + 1) + J)
-    return matexp_nilpotent(-B)

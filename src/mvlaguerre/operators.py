@@ -215,10 +215,9 @@ class SeqOp:
             table[-j] = new
         return SeqOp(table, self.n_max, self.N)
 
-    def dagger(self, h: list) -> "SeqOp":
-        """M^dagger = H(n) M^* H(n)^{-1} with H the squared-norm sequence."""
+    def dagger(self, seq: OPSeq) -> "SeqOp":
+        """M^dagger = H(n) M^* H(n)^{-1} with H the squared norms of `seq`."""
         star = self.star()
-        hinv = [m.inverse() for m in h]
         table = {}
         for j, col in star.table.items():
             new = []
@@ -228,7 +227,7 @@ class SeqOp:
                 if c is None or not (0 <= tgt <= self.n_max):
                     new.append(None)
                 else:
-                    new.append(h[n] * c * hinv[tgt])
+                    new.append(seq.H[n] * c * seq.h_inv(tgt))
             table[j] = new
         return SeqOp(table, self.n_max, self.N)
 
@@ -336,14 +335,14 @@ def make_named_operators(seq: OPSeq) -> dict:
     def m0(j, k):
         if j == 1:
             return A - i
-        return -(i * (k + 1 + nu)) - seq.H[k] * J * seq.H[k].inverse()
+        return -(i * (k + 1 + nu)) - seq.H[k] * J * seq.h_inv(k)
 
     def mdag0(j, k):
         if j == 0:
             return -(i * (k + nu + 1)) - J
         if k == 0:
             return None
-        return seq.H[k] * (A.transpose() - i) * seq.H[k - 1].inverse()
+        return seq.H[k] * (A.transpose() - i) * seq.h_inv(k - 1)
 
     def l0(j, k):
         if j == 1:
@@ -454,11 +453,11 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
         checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order", lhs == rhs))
     for n in range(seq.n_max):
         lhs = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
-        rhs = -(i * (n + 1 + spec.nu)) - seq.H[n] * J * seq.H[n].inverse()
+        rhs = -(i * (n + 1 + spec.nu)) - seq.H[n] * J * seq.h_inv(n)
         checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient", lhs == rhs))
     for n in range(1, seq.n_max + 1):
         lhs = seq.X[n] + commutator(J, seq.X[n])
-        rhs = seq.H[n] * (A.transpose() - i) * seq.H[n - 1].inverse()
+        rhs = seq.H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
         checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == rhs))
     return checks
 
@@ -488,17 +487,17 @@ def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
     interior = range(1, seq.n_max)
     m = ops["M"]
     checks.append(check("dagger involution on M", "dagger-involution",
-                        m.dagger(seq.H).dagger(seq.H).agrees_with(m, interior)))
+                        m.dagger(seq).dagger(seq).agrees_with(m, interior)))
     l = ops["L"]
     checks.append(check("L self-adjoint", "dagger-involution",
-                        l.dagger(seq.H).agrees_with(l, interior)))
+                        l.dagger(seq).agrees_with(l, interior)))
     const = SeqOp.constant(0, seq.spec.A, seq.n_max)
     ok = const.star().agrees_with(
         SeqOp.constant(0, seq.spec.A.transpose(), seq.n_max), range(seq.n_max + 1))
     checks.append(check("(A delta^0)* = A^T delta^0", "star-involution", ok))
     mdag = ops["Mdag"]
     checks.append(check("Mdag = dagger(M)", "dagger-involution",
-                        m.dagger(seq.H).agrees_with(mdag, interior)))
+                        m.dagger(seq).agrees_with(mdag, interior)))
     return checks
 
 
@@ -560,9 +559,9 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
     nu = spec.nu
     checks = []
     H = seq.H
-    Hinv = [h.inverse() for h in H]
-    hjh = [H[n] * J * Hinv[n] for n in range(seq.n_max + 1)]
-    t = [None] + [H[n] * (A.transpose() - i) * Hinv[n - 1] for n in range(1, seq.n_max + 1)]
+    hjh = [H[n] * J * seq.h_inv(n) for n in range(seq.n_max + 1)]
+    t = [None] + [H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
+                  for n in range(1, seq.n_max + 1)]
     gamma = [A * (i * (n + nu + 1) + J) - i * n - J for n in range(seq.n_max + 2)]
 
     for n in range(seq.n_max - 1):

@@ -156,10 +156,10 @@ def scalar_reduction_checks(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def suite_operators(seq: OPSeq, deg_bound: int = 4) -> list[dict]:
+def suite_operators(seq: OPSeq) -> list[dict]:
     named = ops.make_named_operators(seq)
     # the adjoint kernels reach moment index a + b + 1
-    deg_bound = min(deg_bound, (seq.table.depth - 1) // 2)
+    deg_bound = min(4, (seq.table.depth - 1) // 2)
     checks = []
     checks += ops.verify_adjoint_pair(named["D"], named["Ddag"], seq.table,
                                       deg_bound, "ladder pair")
@@ -184,7 +184,7 @@ def suite_laguerre(seq: OPSeq, tables: dict | None = None) -> list[dict]:
     """The Laguerre-form checks of `seq`.  When a dict `tables` is given, the
     xi table and G, I built here are stored in it under "xi", "G" and "I",
     for `resolve_open_questions`."""
-    checks = lf.verify_K_properties(seq.spec, seq.n_max)
+    checks = lf.verify_K_properties(seq)
     checks += lf.verify_diagonalization(seq.spec)
     checks += lf.verify_R_eigen(seq)
     xi = lf.extract_xi(seq)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .matrices import MatPoly, MatQ, build_A, build_J, exp_nilpotent
 from .scalar import RPoly, factorial, pochhammer, rat
@@ -51,11 +52,12 @@ class WeightSpec:
         if any(v <= 0 for v in self.delta):
             raise ValueError("delta_k must be positive")
 
-    @property
+    # built once per spec (cached_property bypasses the frozen __setattr__)
+    @cached_property
     def A(self) -> MatQ:
         return build_A(self.a, self.N)
 
-    @property
+    @cached_property
     def J(self) -> MatQ:
         return build_J(self.N)
 

@@ -73,7 +73,7 @@ def test_criterion_3_operator_suite():
     total = 0
     for spec in OPERATOR_SPECS:
         seq = compute_monic_ops(spec, 6)
-        total += _assert_all(rp.suite_operators(seq, deg_bound=4))
+        total += _assert_all(rp.suite_operators(seq))
     print(f"\nACCEPTANCE criterion-3 operator suite: PASS "
           f"({total} exact checks: adjointness deg<=4, intertwinings n<=5, "
           f"coefficient formulas, seven bracket equations, [B,J]/[C,J], Casimir)")

@@ -12,7 +12,9 @@ from mvlaguerre import lie_algebra as la
 from mvlaguerre import operators as ops
 from mvlaguerre import report as rp
 from mvlaguerre.cli import main
+from mvlaguerre import matrices
 from mvlaguerre.engine import compute_monic_ops
+from mvlaguerre.matrices import MatPoly, MatQ, build_K
 from mvlaguerre.weights import WeightSpec
 
 
@@ -184,6 +186,18 @@ def test_bad_rational_or_nu_exits_2(command, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    "lie --phi x^2 --truncate 3",
+    "lie --truncate 3 --phi x^2",
+])
+def test_lie_rejects_phi_with_truncate(command, capsys):
+    """--phi and --truncate both choose phi; given together, argparse rejects
+    them with one line instead of silently using the truncated series."""
+    code, out, err = _run(command.split(), capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "laguerre", "--N", "2", "--nmax", "0"],
     ["verify", "--suite", "all", "--N", "1", "--nmax", "0"],
@@ -289,3 +303,51 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
     assert code == 0
     assert len(json.loads(out)["open_question_resolutions"]) == 3
     assert (len(oracle), len(xi), len(gi)) == (1, 1, 1)
+
+
+def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
+    """suite_operators, suite_laguerre and extract_xi on one family build
+    each K_n, each K_n^{-1} and each R(x,n) = K_n^{-1} P_n e^{xA} once, and
+    invert an H_n only in the family's memo (at most once each) or where a
+    fresh inverse is the check itself."""
+    F = Fraction
+    spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
+    seq = compute_monic_ops(spec, 3)
+    degrees = range(seq.n_max + 1)
+    ks = [build_K(n, spec.nu, spec.a, spec.N) for n in degrees]
+    kind = {**{k: ("K", n) for n, k in enumerate(ks)},
+            **{k.inverse(): ("K_inv", n) for n, k in enumerate(ks)}}
+    norm = {h: n for n, h in enumerate(seq.H)}
+    built, inverted = [], []
+
+    # K_n and K_n^{-1} are nilpotent exponentials; R(x,n) is the one product
+    # of K_n^{-1} with a matrix polynomial
+    exp, rmul, inverse = matrices.matexp_nilpotent, MatPoly.__rmul__, MatQ.inverse
+
+    def counting_exp(a):
+        out = exp(a)
+        built.append(kind[out])
+        return out
+
+    def counting_rmul(self, other):
+        if isinstance(other, MatQ) and kind.get(other, ("",))[0] == "K_inv":
+            built.append(("R", kind[other][1]))
+        return rmul(self, other)
+
+    def counting_inverse(self):
+        if self in norm:
+            inverted.append((sys._getframe(1).f_code.co_name, norm[self]))
+        return inverse(self)
+
+    monkeypatch.setattr(matrices, "matexp_nilpotent", counting_exp)
+    monkeypatch.setattr(MatPoly, "__rmul__", counting_rmul)
+    monkeypatch.setattr(MatQ, "inverse", counting_inverse)
+    rp.suite_operators(seq)
+    rp.suite_laguerre(seq)
+    lf.extract_xi(seq)
+    for name in ("K", "K_inv", "R"):
+        assert sorted(n for what, n in built if what == name) == list(degrees), name
+    memo = [n for caller, n in inverted if caller == "_inverse_of_H"]
+    assert len(memo) == len(set(memo))
+    assert {caller for caller, _ in inverted} <= {
+        "_inverse_of_H", "h_recursion_next", "x1_from_h0"}

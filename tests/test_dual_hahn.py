@@ -110,11 +110,10 @@ def test_derivative_coupling_negative_control():
     seq = compute_monic_ops(weight_spec(params), 3)
     c_mat, m_star = derivative_coupling_matrices(params)
     wrong = c_mat - m_star * 2  # flips the transposed-conjugate term
-    from mvlaguerre.laguerre_forms import compute_R
     from mvlaguerre.matrices import MatQ, build_J
 
     n = 1
-    r = compute_R(seq, n)
+    r = seq.R[n]
     lhs = (r.derivative()(0) - r(0) * seq.spec.A) * wrong
     i = MatQ.identity(2)
     d_n = (build_J(2) * params.d - i * (params.d * 3 + params.c)) * n

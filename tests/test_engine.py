@@ -1,10 +1,14 @@
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+from mvlaguerre.dual_hahn import build_delta_family, weight_spec
 from mvlaguerre.engine import (compute_monic_ops, scalar_laguerre_monic,
                                verify_orthogonality, verify_three_term)
-from mvlaguerre.matrices import MatPoly, MatQ, SingularMatrixError
+from mvlaguerre.matrices import (MatPoly, MatQ, SingularMatrixError, exp_nilpotent,
+                                 matexp_nilpotent)
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
 from mvlaguerre.weights import WeightSpec, inner_product
@@ -109,3 +113,62 @@ def test_singular_norm_raises_when_first_needed():
     with pytest.raises(SingularMatrixError,
                        match=r"^singular H_0; parameters violate the weight invariants$"):
         compute_monic_ops(spec, 1)
+
+
+# the four rational specs and one dual Hahn family (c = 2, d = 1)
+SHARED_SPECS = RATIONAL_SPECS + [weight_spec(build_delta_family(3, F(1, 2), 2, 1))]
+
+
+@pytest.mark.parametrize("spec", SHARED_SPECS,
+                         ids=[f"N={s.N}" for s in RATIONAL_SPECS] + ["dual-Hahn"])
+def test_shared_matrices_match_the_slow_paths(spec):
+    """The family's H_n^{-1}, K_n^{-1} and R(x,n) against the per-call
+    computations they replaced: a fresh inverse, and R as exp(-B) times
+    P_n e^{xA} with B = A(n+nu+1+J)."""
+    seq = compute_monic_ops(spec, 4)
+    i = MatQ.identity(spec.N)
+    for n in range(5):
+        assert seq.h_inv(n) == seq.H[n].inverse()
+        assert seq.K_inv[n] == seq.K[n].inverse()
+        b = spec.A * (i * (n + spec.nu + 1) + spec.J)
+        assert seq.R[n] == matexp_nilpotent(-b) * (seq.P[n] * exp_nilpotent(spec.A, +1))
+
+
+def test_family_is_immutable():
+    seq = compute_monic_ops(SPEC2, 2)
+    with pytest.raises(TypeError):
+        seq.P[1] = seq.P[0]
+    with pytest.raises(TypeError):
+        seq.H[1] = seq.H[0]
+
+
+def test_threads_racing_on_first_use_see_the_serial_values():
+    """A shared family builds its derived matrices without a lock; threads
+    racing on their first use may each compute them, and must all see the
+    values a serial run computes.  Five fresh families, four threads each."""
+    spec = RATIONAL_SPECS[2]
+
+    def derived(seq):
+        return seq.R, seq.K, seq.K_inv, tuple(seq.h_inv(n) for n in range(5))
+
+    serial = derived(compute_monic_ops(spec, 4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            seq, seen = compute_monic_ops(spec, 4), []
+            start = threading.Barrier(4, timeout=60)
+
+            def worker():
+                start.wait()
+                seen.append(derived(seq))
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvlaguerre.engine import compute_monic_ops
+from mvlaguerre.engine import OPSeq, compute_monic_ops
 from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
-                                       compute_R, extract_xi,
+                                       extract_xi,
                                        h_recursion_next, h1_from_h0,
                                        verify_H_recursion, verify_K_properties,
                                        verify_Q_relation, verify_R_eigen,
@@ -35,13 +35,13 @@ def seq(request):
 
 
 def test_K_properties(seq):
-    _ok(verify_K_properties(seq.spec, 5))
+    _ok(verify_K_properties(seq))
 
 
 @pytest.mark.parametrize("nu", [F(1, 2), F(1), F(5, 2)])
 def test_K_properties_wide_grid(nu):
     spec = WeightSpec(4, nu, (F(1), F(-1, 2), F(3)), (F(1), F(1), F(2), F(1, 3)))
-    _ok(verify_K_properties(spec, 8))
+    _ok(verify_K_properties(compute_monic_ops(spec, 8)))
 
 
 def test_R_eigen_equation(seq):
@@ -83,7 +83,7 @@ def test_R_at_zero_corollary(seq):
     xi = extract_xi(seq)
     nu = seq.spec.nu
     for n in range(seq.n_max + 1):
-        r0 = compute_R(seq, n)(0)
+        r0 = seq.R[n](0)
         for i in range(1, seq.spec.N + 1):
             for j in range(1, seq.spec.N + 1):
                 deg = n + i - j
@@ -105,7 +105,7 @@ def test_scalar_xi_is_signed_factorial():
     for n in range(7):
         assert xi.get(n, 1, 1) == F(-1) ** n * factorial(n)
         # R coincides with P itself in the scalar case
-        assert compute_R(seq, n) == seq.P[n]
+        assert seq.R[n] == seq.P[n]
 
 
 def test_GI_structure_and_frozen_values(seq):
@@ -117,7 +117,9 @@ def test_extraction_rejects_corrupted_family():
     from mvlaguerre.matrices import MatPoly
 
     seq = compute_monic_ops(SPEC2, 3)
-    seq.P[2] = seq.P[2] + MatPoly.const(MatQ.unit(2, 0, 0))
+    P = list(seq.P)
+    P[2] = P[2] + MatPoly.const(MatQ.unit(2, 0, 0))
+    seq = OPSeq(seq.spec, seq.table, P, seq.H)
     with pytest.raises(ClosedFormViolation):
         extract_xi(seq)
 
@@ -187,7 +189,9 @@ def test_Q_relation(seq):
 
 def test_Q_relation_negative_control():
     seq = compute_monic_ops(SPEC2, 3)
-    seq.H[1] = seq.H[1] + MatQ.unit(2, 0, 0)  # corrupt a norm
+    H = list(seq.H)
+    H[1] = H[1] + MatQ.unit(2, 0, 0)  # corrupt a norm
+    seq = OPSeq(seq.spec, seq.table, seq.P, H)
     checks = verify_Q_relation(seq)
     assert any(not c["pass"] for c in checks)
 

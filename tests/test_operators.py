@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvlaguerre.engine import compute_monic_ops
+from mvlaguerre.engine import OPSeq, compute_monic_ops
 from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.operators import (DiffOp, SeqOp, WindowError,
                                   diagonal_weight_scaled, make_named_operators,
@@ -94,8 +94,10 @@ def test_symmetry_conditions(seq):
 
 def test_intertwining_negative_control():
     spec = SPECS[0]
-    broken = compute_monic_ops(spec, 4)
-    broken.H[2] = broken.H[2] + MatQ.unit(spec.N, 0, 0)
+    seq = compute_monic_ops(spec, 4)
+    H = list(seq.H)
+    H[2] = H[2] + MatQ.unit(spec.N, 0, 0)
+    broken = OPSeq(spec, seq.table, seq.P, H)
     checks = verify_intertwinings(broken, make_named_operators(broken))
     assert any(not c["pass"] for c in checks)
 
@@ -126,7 +128,7 @@ def test_diffop_compose_matches_sequential_action():
 def test_dagger_is_matrix_conjugated_star(seq):
     ops = make_named_operators(seq)
     m = ops["M"]
-    dag = m.dagger(seq.H)
+    dag = m.dagger(seq)
     for n in range(1, seq.n_max):
         lhs = dag.coeff(-1, n)
         rhs = seq.H[n] * m.coeff(1, n - 1).transpose() * seq.H[n - 1].inverse()
