@@ -31,13 +31,13 @@ print("\nfirst multipliers:")
 for (n, i, j) in [(0, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1)]:
     print(f"  xi({n},{i},{j}) = {xi.get(n, i, j)}")
 
-G, I, checks = compute_GI(seq)
+checks = compute_GI(seq)
 print("\ncoupling matrices: G(n) diagonal, I(n) upper bidiagonal with",
       "(I)_ii = i;", all(c["pass"] for c in checks), "structure checks pass")
-print("G(1) diagonal:", [str(G[1][k, k]) for k in range(3)])
-print("I(1) superdiagonal:", [str(I[1][k, k + 1]) for k in range(2)])
+print("G(1) diagonal:", [str(seq.G[1][k, k]) for k in range(3)])
+print("I(1) superdiagonal:", [str(seq.I[1][k, k + 1]) for k in range(2)])
 
-rec = xi_by_recursion(seq, G, I)
+rec = xi_by_recursion(seq)
 agreement = verify_xi_tables(xi, rec)
 print("\nrecursion rebuilds the whole table exactly:",
       all(c["pass"] for c in agreement),

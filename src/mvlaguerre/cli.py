@@ -98,8 +98,7 @@ def cmd_xi(args) -> int:
     spec = _spec_from_args(args)
     seq = compute_monic_ops(spec, args.nmax)
     xi = lf.extract_xi(seq)
-    G, I, _ = lf.compute_GI(seq)
-    rec = lf.xi_by_recursion(seq, G, I)
+    rec = lf.xi_by_recursion(seq)
     records = []
     for row in xi.records():
         key = (row["n"], row["i"], row["j"])
@@ -149,13 +148,12 @@ def cmd_verify(args) -> int:
         if args.suite in ("operators", "all"):
             checks += rp.suite_operators(seq)
         if args.suite in ("laguerre", "all"):
-            tables: dict = {}
-            checks += rp.suite_laguerre(seq, tables)
+            checks += rp.suite_laguerre(seq)
             if spec.N >= 2:
-                resolutions = rp.resolve_open_questions(seq, tables)
+                resolutions = rp.resolve_open_questions(seq)
     if params is not None:
         dh_seq = compute_monic_ops(dh.weight_spec(params), min(n_max, 4) + 1)
-        checks += rp.suite_dualhahn(params, dh_seq, lf.extract_xi(dh_seq))
+        checks += rp.suite_dualhahn(params, dh_seq)
     if args.suite == "all":
         checks += rp.suite_lie(spec.nu)
 
@@ -231,7 +229,7 @@ def cmd_dualhahn(args) -> int:
                                    rat(args.c), rat(args.d))
     seq = compute_monic_ops(dh.weight_spec(params), args.nmax + 1)
     xi = lf.extract_xi(seq)
-    checks = rp.suite_dualhahn(params, seq, xi)
+    checks = rp.suite_dualhahn(params, seq)
     xi_records = []
     for row in xi.records():
         n, i, j = row["n"], row["i"], row["j"]

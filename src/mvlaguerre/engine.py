@@ -1,8 +1,9 @@
 """Monic matrix-valued orthogonal polynomials by block Gram-Schmidt on the
 moment table.  This is the oracle every closed form in the package is
 checked against: orthogonalization uses nothing but the inner product.
-The family it returns, `OPSeq`, also owns the matrices derived from it:
-H_n^{-1}, K_n, K_n^{-1} and R(x,n), each built at most once, on first use.
+The family it returns, `OPSeq`, also owns every per-degree object derived
+from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
+R(x,n), G(n), I(n) and the xi table), each built at most once, on first use.
 """
 
 from __future__ import annotations
@@ -44,12 +45,20 @@ class OPSeq:
     B[n] = X[n] - X[n+1] for n <= n_max-1 and C[n] = H[n] H[n-1]^{-1} for
     1 <= n <= n_max (C[0] is None).
 
-    Computed on first use and kept, at most once per family:
-    h_inv(n) = H_n^{-1} (the oracle hands over those it used); K[n] and
-    K_inv[n], the triangularizer K_n = exp(A(n+nu+1+J)) and its inverse for
-    n = 0..n_max; R[n] = K_n^{-1} P_n e^{xA}.  K, K_inv and R are closed
-    forms: they never enter Gram-Schmidt.  Two threads racing on first use
-    compute the same exact value, so a family is safe to share.
+    Computed on first use and kept, at most once per family, as tuples over
+    n = 0..n_max:
+    h_inv(n) = H_n^{-1} (the oracle hands over those it used);
+    HJH[n] = H_n J H_n^{-1};
+    T[n] = H_n (A^T - 1) H_{n-1}^{-1}, the down-shift coupling (T[0] is None);
+    Gamma[n] = A(n+nu+1+J) - n - J, the second-order eigenvalue;
+    K[n] and K_inv[n], the triangularizer K_n = exp(A(n+nu+1+J)) of Gamma_n
+    and its inverse;
+    R[n] = K_n^{-1} P_n e^{xA};
+    G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
+    xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
+    Everything from Gamma on is a closed form and never enters Gram-Schmidt.
+    Two threads racing on first use compute the same exact value, so a
+    family is safe to share.
     """
 
     def __init__(self, spec: WeightSpec, table: MomentTable, P, H,
@@ -73,6 +82,23 @@ class OPSeq:
         return _inverse_of_H(self.H, self._h_inv, n)
 
     @cached_property
+    def HJH(self) -> tuple:
+        J = self.spec.J
+        return tuple(h * J * self.h_inv(n) for n, h in enumerate(self.H))
+
+    @cached_property
+    def T(self) -> tuple:
+        at1 = self.spec.A.transpose() - MatQ.identity(self.spec.N)
+        return (None,) + tuple(h * at1 * self.h_inv(n) for n, h in enumerate(self.H[1:]))
+
+    @cached_property
+    def Gamma(self) -> tuple:
+        spec = self.spec
+        A, J, i = spec.A, spec.J, MatQ.identity(spec.N)
+        return tuple(A * (i * (n + spec.nu + 1) + J) - i * n - J
+                     for n in range(self.n_max + 1))
+
+    @cached_property
     def K(self) -> tuple:
         spec = self.spec
         return tuple(build_K(n, spec.nu, spec.a, spec.N) for n in range(self.n_max + 1))
@@ -88,6 +114,21 @@ class OPSeq:
     def R(self) -> tuple:
         ex = exp_nilpotent(self.spec.A, +1)
         return tuple(kinv * (p * ex) for kinv, p in zip(self.K_inv, self.P))
+
+    @cached_property
+    def G(self) -> tuple:
+        return (None,) + tuple(kinv * t * k for kinv, t, k in
+                               zip(self.K_inv[1:], self.T[1:], self.K))
+
+    @cached_property
+    def I(self) -> tuple:
+        return tuple(kinv * hjh * k for kinv, hjh, k in zip(self.K_inv, self.HJH, self.K))
+
+    @cached_property
+    def xi(self):
+        from .laguerre_forms import read_xi  # it builds on this module
+
+        return read_xi(self)
 
 
 def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OPSeq:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, build_A, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import factorial, laguerre_poly, pochhammer, rat_str
@@ -36,15 +36,12 @@ def verify_K_properties(seq: OPSeq) -> list[dict]:
     spec = seq.spec
     checks = []
     N, nu = spec.N, spec.nu
-    A, J = spec.A, spec.J
-    i_mat = MatQ.identity(N)
     for n in range(seq.n_max + 1):
         k = seq.K[n]
         k_inv = k.inverse()  # fresh, to check the closed form seq.K_inv[n]
         lam = MatQ.diag([-(n + r) for r in range(1, N + 1)])
-        gamma = A * (i_mat * (n + nu + 1) + J) - i_mat * n - J
         checks.append(check(f"K-conjugation n={n}", "triangularizer-conjugation",
-                            k * lam * k_inv == gamma))
+                            k * lam * k_inv == seq.Gamma[n]))
         checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
                             all(k[r, r] == 1 for r in range(N))))
         entry_ok = True
@@ -102,11 +99,6 @@ class XiTable:
         self.N = n_dim
         self.n_max = n_max
         self.values: dict = {}
-        self.provenance: dict = {}
-
-    def set(self, n, i, j, v, how):
-        self.values[(n, i, j)] = v
-        self.provenance[(n, i, j)] = how
 
     def get(self, n, i, j) -> Fraction:
         if n + i - j < 0:
@@ -115,16 +107,24 @@ class XiTable:
 
     def records(self):
         for (n, i, j) in sorted(self.values):
-            yield {"n": n, "i": i, "j": j, "xi": rat_str(self.values[(n, i, j)]),
-                   "provenance": self.provenance[(n, i, j)]}
+            yield {"n": n, "i": i, "j": j, "xi": rat_str(self.values[(n, i, j)])}
 
 
 def extract_xi(seq: OPSeq) -> XiTable:
+    """The xi table of the family, read off the oracle once (`read_xi`) and
+    kept by `seq`."""
+    return seq.xi
+
+
+def read_xi(seq: OPSeq) -> XiTable:
     """Read xi off the oracle: every R entry must be an exact multiple of
     its Laguerre polynomial (full-polynomial proportionality, not just the
-    value at zero); off-pattern entries must vanish identically."""
+    value at zero); off-pattern entries must vanish identically.  Each
+    L_deg^(nu+j) the pattern reaches is built once, up front."""
     spec = seq.spec
     table = XiTable(spec.N, seq.n_max)
+    laguerre = {(j, deg): laguerre_poly(spec.nu + j, deg) for j in range(1, spec.N + 1)
+                for deg in range(seq.n_max + spec.N - j + 1)}
     for n, r in enumerate(seq.R):
         for i in range(1, spec.N + 1):
             for j in range(1, spec.N + 1):
@@ -135,36 +135,27 @@ def extract_xi(seq: OPSeq) -> XiTable:
                         raise ClosedFormViolation(
                             f"R({n})[{i},{j}] nonzero below the degree pattern")
                     continue
-                lag = laguerre_poly(spec.nu + j, deg)
+                lag = laguerre[j, deg]
                 if p.is_zero():
-                    table.set(n, i, j, Fraction(0), "extracted")
+                    table.values[n, i, j] = Fraction(0)
                     continue
                 ratio = p.coeff(p.degree) / lag.coeff(p.degree) if p.degree == deg else None
                 if ratio is None or ratio * lag != p:
                     raise ClosedFormViolation(
                         f"R({n})[{i},{j}] is not a multiple of L_{deg}^(nu+{j})")
-                table.set(n, i, j, ratio, "extracted")
+                table.values[n, i, j] = ratio
     return table
 
 
-def compute_GI(seq: OPSeq):
-    """G(n) = K_n^{-1} H_n (A^T - 1) H_{n-1}^{-1} K_{n-1} (n >= 1) and
-    I(n) = K_n^{-1} H_n J H_n^{-1} K_n; returns (G list, I list, checks).
-
-    Structural facts verified exactly: G diagonal; I bidiagonal upper with
-    (I)_{ii} = i; the two identities relating their nontrivial entries back
-    to H_n itself."""
-    spec = seq.spec
-    N = spec.N
-    A, J = spec.A, spec.J
-    i_mat = MatQ.identity(N)
-    G = [None]
-    I = []
+def compute_GI(seq: OPSeq) -> list[dict]:
+    """Structure of the coupling matrices G(n) = K_n^{-1} T_n K_{n-1}
+    (n >= 1) and I(n) = K_n^{-1} H_n J H_n^{-1} K_n of `seq`, verified
+    exactly: G diagonal; I bidiagonal upper with (I)_{ii} = i; the two
+    identities relating their nontrivial entries back to H_n itself."""
+    N = seq.spec.N
     checks = []
     for n in range(seq.n_max + 1):
-        hjh = seq.H[n] * J * seq.h_inv(n)
-        i_n = seq.K_inv[n] * hjh * seq.K[n]
-        I.append(i_n)
+        hjh, i_n = seq.HJH[n], seq.I[n]
         ok_struct = all(
             i_n[r, c] == (r + 1 if r == c else 0)
             for r in range(N) for c in range(N) if c != r + 1
@@ -173,17 +164,15 @@ def compute_GI(seq: OPSeq):
         ok_super = all(i_n[r, r + 1] == hjh[r, r + 1] for r in range(N - 1))
         checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries", ok_super))
         if n >= 1:
-            hth = seq.H[n] * (A.transpose() - i_mat) * seq.h_inv(n - 1)
-            g_n = seq.K_inv[n] * hth * seq.K[n - 1]
-            G.append(g_n)
+            hth, g_n = seq.T[n], seq.G[n]
             ok_diag = all(g_n[r, c] == 0 for r in range(N) for c in range(N) if r != c)
             checks.append(check(f"G(n) diagonal n={n}", "coupling-structure", ok_diag))
             ok_eq = all(g_n[r, r] == hth[r, r] for r in range(N))
             checks.append(check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries", ok_eq))
-    return G, I, checks
+    return checks
 
 
-def xi_by_recursion(seq: OPSeq, G, I) -> XiTable:
+def xi_by_recursion(seq: OPSeq) -> XiTable:
     """Rebuild the xi table from seeds and two-term recursions only; no
     polynomial extraction involved.
 
@@ -205,15 +194,15 @@ def xi_by_recursion(seq: OPSeq, G, I) -> XiTable:
     spec = seq.spec
     N, nu = spec.N, spec.nu
     a = spec.a
+    G, I = seq.G, seq.I
     table = XiTable(N, seq.n_max)
-    kinv0 = seq.K_inv[0]
     for i in range(1, N + 1):
         for j in range(1, i + 1):
-            v = kinv0[i - 1, j - 1] * factorial(i - j) / pochhammer(nu + j + 1, i - j)
-            table.set(0, i, j, v, "recursed")
+            v = seq.K_inv[0][i - 1, j - 1] * factorial(i - j) / pochhammer(nu + j + 1, i - j)
+            table.values[0, i, j] = v
     if seq.n_max >= 1:
         for i in range(1, N):
-            table.set(1, i, i + 1, -I[0][i - 1, i], "recursed")
+            table.values[1, i, i + 1] = -I[0][i - 1, i]
     # boundary antidiagonals: for column j, entries (n, i) with n = j - i
     for j in range(1, N + 1):
         for i in range(j - 1, 0, -1):
@@ -229,7 +218,7 @@ def xi_by_recursion(seq: OPSeq, G, I) -> XiTable:
             v = lead * table.get(m, ii, j)
             if ii < N:
                 v += cross * table.get(m - 1, ii + 1, j)
-            table.set(n, i, j, v / a[i - 1], "recursed")
+            table.values[n, i, j] = v / a[i - 1]
     for n in range(1, seq.n_max + 1):
         for i in range(1, N + 1):
             for j in range(1, N + 1):
@@ -240,7 +229,7 @@ def xi_by_recursion(seq: OPSeq, G, I) -> XiTable:
                 else:
                     v = -a[i - 2] * table.get(n, i - 1, j) \
                         + G[n][i - 1, i - 1] / (n + nu + i) * table.get(n - 1, i, j)
-                table.set(n, i, j, v, "recursed")
+                table.values[n, i, j] = v
     return table
 
 
@@ -265,13 +254,14 @@ def verify_xi_tables(extracted: XiTable, recursed: XiTable) -> list[dict]:
     return checks
 
 
-def verify_displayed_xi_recursions(seq: OPSeq, xi: XiTable, G, I) -> list[dict]:
-    """Status of the printed variants against the oracle table: the interior
-    a-term sign, the n=1 boundary sign, and the printed N1/N2 coefficients of
-    the i=1 boundary relation.  These are reports, not gates; the package's
+def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
+    """Status of the printed variants against the oracle table seq.xi: the
+    interior a-term sign, the n=1 boundary sign, and the printed N1/N2
+    coefficients of the i=1 boundary relation.  These are reports, not gates; the package's
     own recursion (the corrected one) is gated by verify_xi_tables."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
+    xi, G, I = seq.xi, seq.G, seq.I
     out = []
     disp_ok, corr_ok = True, True
     for (n, i, j) in sorted(xi.values):
@@ -315,20 +305,23 @@ def verify_displayed_xi_recursions(seq: OPSeq, xi: XiTable, G, I) -> list[dict]:
 def h_recursion_next(H: list, A: MatQ, J: MatQ) -> MatQ:
     """H_{n+2} from (H_{n-1},) H_n, H_{n+1} through the delta-coefficient
     identities; the H_{n-1} term drops when producing H_2 because the
-    sequence vanishes at negative indices."""
+    sequence vanishes at negative indices.  Each matrix is inverted afresh,
+    once per call: the inverses are part of the check."""
     i = MatQ.identity(A.N)
     am1 = A - i
     at1 = A.transpose() - i
+    am1_inv = am1.inverse()
     n = len(H) - 2  # producing index n+2
     hn, hn1 = H[n], H[n + 1]
-    hjh_n = hn * J * hn.inverse()
+    hn_inv = hn.inverse()
+    hjh_n = hn * J * hn_inv
     hjh_n1 = hn1 * J * hn1.inverse()
-    bn = -commutator(J, hjh_n) + am1 * hn1 * at1 * hn.inverse()
+    bn = -commutator(J, hjh_n) + am1 * hn1 * at1 * hn_inv
     if n >= 1:
         bn = bn - hn * at1 * H[n - 1].inverse() * am1
     inner = (bn * am1 - i * 2 - hjh_n1 + hjh_n
-             + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * hn.inverse()) * am1)
-    return am1.inverse() * am1.inverse() * inner * hn1 * at1.inverse()
+             + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * hn_inv) * am1)
+    return am1_inv * am1_inv * inner * hn1 * at1.inverse()
 
 
 def verify_H_recursion(seq: OPSeq) -> list[dict]:
@@ -370,8 +363,6 @@ def x1_from_h0(h0: MatQ, nu, a) -> MatQ:
 def h1_from_h0(h0: MatQ, nu, a) -> MatQ:
     """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}."""
     N = h0.N
-    from .matrices import build_A
-
     x1 = x1_from_h0(h0, nu, a)
     J = MatQ.diag(range(1, N + 1))
     at1 = build_A(a, N).transpose() - MatQ.identity(N)
@@ -399,22 +390,21 @@ def verify_Q_relation(seq: OPSeq) -> list[dict]:
     """-Q(x,n) J = x Q'(x,n) - (n+J) Q(x,n) + H_n (A-1)^* H_{n-1}^{-1}
     Q(x,n-1), with the last term absent at n = 0."""
     spec = seq.spec
-    A, J = spec.A, spec.J
+    J = spec.J
     i = MatQ.identity(spec.N)
-    ex = exp_nilpotent(A, +1)
+    ex = exp_nilpotent(spec.A, +1)
     checks = []
     q = [seq.P[n] * ex for n in range(seq.n_max + 1)]
     for n in range(seq.n_max + 1):
         lhs = -(q[n] * J)
         rhs = q[n].derivative().scale_x(1) - MatPoly.const(i * n + J) * q[n]
         if n >= 1:
-            coupling = seq.H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
-            rhs = rhs + MatPoly.const(coupling) * q[n - 1]
+            rhs = rhs + MatPoly.const(seq.T[n]) * q[n - 1]
         checks.append(check(f"Q relation n={n}", "conjugated-derivative-relation", lhs == rhs))
     return checks
 
 
-def verify_X_recursion(seq: OPSeq, G, I) -> list[dict]:
+def verify_X_recursion(seq: OPSeq) -> list[dict]:
     """Entrywise consequences of the zeroth-coefficient identity: row 1 and
     rows i >= 2, plus the G(n)_{ii} = X(n)_{ii} diagonal claim.
 
@@ -422,10 +412,11 @@ def verify_X_recursion(seq: OPSeq, G, I) -> list[dict]:
     I(n); its status is reported against the oracle."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
+    G, I = seq.G, seq.I
     checks = []
     corr_ok, disp_ok = True, True
     for n in range(1, seq.n_max):
-        hjh = seq.H[n] * spec.J * seq.h_inv(n)
+        hjh = seq.HJH[n]
         for jj in range(1, N + 1):
             xa = seq.X[n][0, jj] * a[jj - 1] if jj < N else Fraction(0)
             lhs_corr = (n if jj == 1 else 0) + xa - seq.X[n][0, jj - 1] + seq.X[n + 1][0, jj - 1]

@@ -335,14 +335,12 @@ def make_named_operators(seq: OPSeq) -> dict:
     def m0(j, k):
         if j == 1:
             return A - i
-        return -(i * (k + 1 + nu)) - seq.H[k] * J * seq.h_inv(k)
+        return -(i * (k + 1 + nu)) - seq.HJH[k]
 
     def mdag0(j, k):
         if j == 0:
             return -(i * (k + nu + 1)) - J
-        if k == 0:
-            return None
-        return seq.H[k] * (A.transpose() - i) * seq.h_inv(k - 1)
+        return seq.T[k]
 
     def l0(j, k):
         if j == 1:
@@ -350,9 +348,6 @@ def make_named_operators(seq: OPSeq) -> dict:
         if j == 0:
             return seq.B[k] if k < n_max else None
         return seq.C[k] if k >= 1 else None
-
-    def gamma0(j, k):
-        return A * (i * (k + nu + 1) + J) - i * k - J
 
     def mc0(j, k):
         if j == 1:
@@ -375,7 +370,7 @@ def make_named_operators(seq: OPSeq) -> dict:
         "M": SeqOp.from_fn([0, 1], m0, n_max, n),
         "Mdag": SeqOp.from_fn([-1, 0], mdag0, n_max, n),
         "L": SeqOp.from_fn([-1, 0, 1], l0, n_max, n),
-        "Gamma": SeqOp.from_fn([0], gamma0, n_max, n),
+        "Gamma": SeqOp({0: seq.Gamma}, n_max, n),
         "MC": SeqOp.from_fn([-1, 0, 1], mc0, n_max, n),
     }
 
@@ -453,12 +448,11 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
         checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order", lhs == rhs))
     for n in range(seq.n_max):
         lhs = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
-        rhs = -(i * (n + 1 + spec.nu)) - seq.H[n] * J * seq.h_inv(n)
+        rhs = -(i * (n + 1 + spec.nu)) - seq.HJH[n]
         checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient", lhs == rhs))
     for n in range(1, seq.n_max + 1):
         lhs = seq.X[n] + commutator(J, seq.X[n])
-        rhs = seq.H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
-        checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == rhs))
+        checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == seq.T[n]))
     return checks
 
 
@@ -486,8 +480,9 @@ def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
     checks = []
     interior = range(1, seq.n_max)
     m = ops["M"]
+    m_dag = m.dagger(seq)
     checks.append(check("dagger involution on M", "dagger-involution",
-                        m.dagger(seq).dagger(seq).agrees_with(m, interior)))
+                        m_dag.dagger(seq).agrees_with(m, interior)))
     l = ops["L"]
     checks.append(check("L self-adjoint", "dagger-involution",
                         l.dagger(seq).agrees_with(l, interior)))
@@ -497,7 +492,7 @@ def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
     checks.append(check("(A delta^0)* = A^T delta^0", "star-involution", ok))
     mdag = ops["Mdag"]
     checks.append(check("Mdag = dagger(M)", "dagger-involution",
-                        m.dagger(seq).agrees_with(mdag, interior)))
+                        m_dag.agrees_with(mdag, interior)))
     return checks
 
 
@@ -558,11 +553,10 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
     i = MatQ.identity(spec.N)
     nu = spec.nu
     checks = []
-    H = seq.H
-    hjh = [H[n] * J * seq.h_inv(n) for n in range(seq.n_max + 1)]
-    t = [None] + [H[n] * (A.transpose() - i) * seq.h_inv(n - 1)
-                  for n in range(1, seq.n_max + 1)]
-    gamma = [A * (i * (n + nu + 1) + J) - i * n - J for n in range(seq.n_max + 2)]
+    hjh, t, gamma = seq.HJH, seq.T, seq.Gamma
+    # [Gamma, C]_n = Gamma_n C_n - C_n Gamma_{n-1}, read by three identities
+    gc = [None] + [gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
+                   for n in range(1, seq.n_max + 1)]
 
     for n in range(seq.n_max - 1):
         lhs = seq.B[n] * (A - i) - (A - i) * seq.B[n + 1]
@@ -580,8 +574,7 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
         rhs = -commutator(J, hjh[n]) - t[n] * (A - i) + (A - i) * t[n + 1]
         checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", seq.B[n] == rhs))
     for n in range(1, seq.n_max + 1):
-        lhs = gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
-        checks.append(check(f"GamaL-1 n={n}", "bracket-eigen-C", lhs == t[n]))
+        checks.append(check(f"GamaL-1 n={n}", "bracket-eigen-C", gc[n] == t[n]))
     for n in range(seq.n_max + 1):
         lhs = commutator(gamma[n], hjh[n])
         rhs = i * n + gamma[n] + hjh[n]
@@ -591,14 +584,12 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
         checks.append(check(f"GamaMdag-1 n={n}", "bracket-eigen-downshift", lhs == -t[n]))
 
     for n in range(1, seq.n_max):
-        gc = lambda k: gamma[k] * seq.C[k] - seq.C[k] * gamma[k - 1]
-        rhs = seq.B[n] - gc(n) + gc(n + 1)
+        rhs = seq.B[n] - gc[n] + gc[n + 1]
         checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form",
                             commutator(seq.B[n], J) == rhs))
     for n in range(1, seq.n_max):
-        gcn = gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
-        corrected = 2 * seq.C[n] + seq.B[n] * gcn - gcn * seq.B[n - 1]
-        displayed = 2 * seq.C[n] + seq.B[n] * gcn + gcn * seq.B[n - 1]
+        corrected = 2 * seq.C[n] + seq.B[n] * gc[n] - gc[n] * seq.B[n - 1]
+        displayed = 2 * seq.C[n] + seq.B[n] * gc[n] + gc[n] * seq.B[n - 1]
         checks.append(check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
                             commutator(seq.C[n], J) == corrected,
                             displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))

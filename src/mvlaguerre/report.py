@@ -57,9 +57,9 @@ def resolve_h0_pochhammer(spec: WeightSpec) -> dict:
     }
 
 
-def resolve_xi_seed(seq: OPSeq, xi: lf.XiTable) -> dict:
+def resolve_xi_seed(seq: OPSeq) -> dict:
     """xi(0,1,1): the structural value 1 versus the printed 1/(nu+2)."""
-    v = xi.get(0, 1, 1)
+    v = seq.xi.get(0, 1, 1)
     is_one = v == 1
     is_printed = v == Fraction(1) / (seq.spec.nu + 2)
     if is_one == is_printed:
@@ -73,11 +73,11 @@ def resolve_xi_seed(seq: OPSeq, xi: lf.XiTable) -> dict:
     }
 
 
-def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable, G, I) -> dict:
+def resolve_i1_boundary(seq: OPSeq) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
     versus the printed pair."""
-    rows = [c for c in lf.verify_displayed_xi_recursions(seq, xi, G, I)
+    rows = [c for c in lf.verify_displayed_xi_recursions(seq)
             if c["check_id"].startswith("i=1 boundary")]
     if not rows:
         raise AmbiguousResolutionError("i=1 boundary relation was not exercised")
@@ -95,21 +95,16 @@ def resolve_i1_boundary(seq: OPSeq, xi: lf.XiTable, G, I) -> dict:
     }
 
 
-def resolve_open_questions(seq: OPSeq, tables: dict | None = None) -> list[dict]:
-    """The three resolutions for the weight of `seq`.  `tables` is what
-    `suite_laguerre(seq, tables)` stored (the xi table and G, I), reused
-    instead of rebuilt.  The i = 1 boundary relation first appears at
-    n_max = 2, so a shorter family is recomputed to degree 3."""
+def resolve_open_questions(seq: OPSeq) -> list[dict]:
+    """The three resolutions for the weight of `seq`, read off the xi table
+    and G, I the family keeps.  The i = 1 boundary relation first appears
+    at n_max = 2, so a shorter family is recomputed to degree 3."""
     if seq.n_max < 2:
-        seq, tables = compute_monic_ops(seq.spec, 3), None
-    if not tables:
-        G, I, _ = lf.compute_GI(seq)
-        tables = {"xi": lf.extract_xi(seq), "G": G, "I": I}
-    xi = tables["xi"]
+        seq = compute_monic_ops(seq.spec, 3)
     return [
         resolve_h0_pochhammer(seq.spec),
-        resolve_xi_seed(seq, xi),
-        resolve_i1_boundary(seq, xi, tables["G"], tables["I"]),
+        resolve_xi_seed(seq),
+        resolve_i1_boundary(seq),
     ]
 
 
@@ -180,31 +175,26 @@ def suite_operators(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def suite_laguerre(seq: OPSeq, tables: dict | None = None) -> list[dict]:
-    """The Laguerre-form checks of `seq`.  When a dict `tables` is given, the
-    xi table and G, I built here are stored in it under "xi", "G" and "I",
-    for `resolve_open_questions`."""
+def suite_laguerre(seq: OPSeq) -> list[dict]:
+    """The Laguerre-form checks of `seq`."""
     checks = lf.verify_K_properties(seq)
     checks += lf.verify_diagonalization(seq.spec)
     checks += lf.verify_R_eigen(seq)
     xi = lf.extract_xi(seq)
-    G, I, gi_checks = lf.compute_GI(seq)
-    checks += gi_checks
-    if tables is not None:
-        tables.update(xi=xi, G=G, I=I)
-    xi_rec = lf.xi_by_recursion(seq, G, I)
-    checks += lf.verify_xi_tables(xi, xi_rec)
-    checks += lf.verify_displayed_xi_recursions(seq, xi, G, I)
+    checks += lf.compute_GI(seq)
+    checks += lf.verify_xi_tables(xi, lf.xi_by_recursion(seq))
+    checks += lf.verify_displayed_xi_recursions(seq)
     checks += lf.verify_H_recursion(seq)
     checks += lf.verify_X1_bootstrap(seq)
     checks += lf.verify_Q_relation(seq)
-    checks += lf.verify_X_recursion(seq, G, I)
+    checks += lf.verify_X_recursion(seq)
     return checks
 
 
-def suite_dualhahn(params: dh.DHParams, seq: OPSeq, xi: lf.XiTable) -> list[dict]:
+def suite_dualhahn(params: dh.DHParams, seq: OPSeq) -> list[dict]:
     """The dual Hahn checks of a constrained family, given its oracle family
-    `seq` (of dh.weight_spec(params)) and that family's xi table."""
+    `seq` (of dh.weight_spec(params))."""
+    xi = seq.xi
     checks = [check("delta family conditions", "pearson-compatibility",
                     not dh.check_conditions(params))]
     for n in range(min(2, seq.n_max - 1) + 1):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .matrices import MatPoly, MatQ, build_A, build_J, exp_nilpotent
-from .scalar import RPoly, factorial, pochhammer, rat
+from .scalar import DomainError, RPoly, pochhammer, rat
 
 
 class UnsupportedWeightError(ValueError):
@@ -75,33 +75,43 @@ class WeightSpec:
         }
 
 
-def _exp_coeff(spec: WeightSpec, i: int, r: int) -> Fraction:
-    """c_{i,r} = prod_{k=r}^{i-1} a_k / (i-r)!, 1-based i >= r."""
-    out = Fraction(1, factorial(i - r))
-    for k in range(r, i):
-        out *= spec.a[k - 1]
+def _moment_sums(spec: WeightSpec, offsets) -> list[MatQ]:
+    """For each s in `offsets` the symmetric matrix with 1-based entries
+
+        sum_{r<=min(i,j)} delta_r c_{i,r} c_{j,r} (nu+1)_{s+i+j-r},
+
+    c_{i,r} = prod_{k=r}^{i-1} a_k / (i-r)!.  The c table and the prefix
+    list (nu+1)_0, (nu+1)_1, ... are built once for all offsets; every
+    offset must be >= -1, so that no index is negative."""
+    if not spec.phi_is_x():
+        raise UnsupportedWeightError("moments require phi(x) = x")
+    offsets = list(offsets)
+    n = spec.N
+    c = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for r in range(1, n + 1):
+        c[r][r] = Fraction(1)
+        for i in range(r + 1, n + 1):
+            c[i][r] = c[i - 1][r] * spec.a[i - 2] / (i - r)
+    rising = [Fraction(1)]
+    for k in range(max(offsets) + 2 * n - 1):
+        rising.append(rising[-1] * (spec.nu + 1 + k))
+    out = []
+    for s in offsets:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                v = sum((spec.delta[r - 1] * c[i][r] * c[j][r] * rising[s + i + j - r]
+                         for r in range(1, j + 1)), Fraction(0))
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        out.append(MatQ(rows))
     return out
 
 
 def moment(spec: WeightSpec, s: int) -> MatQ:
     """Normalized moment m_s = integral of x^s W(x) dx / Gamma(nu+1)."""
-    if not spec.phi_is_x():
-        raise UnsupportedWeightError("moments require phi(x) = x")
-    n = spec.N
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            v = Fraction(0)
-            for r in range(1, j + 1):
-                v += (
-                    spec.delta[r - 1]
-                    * _exp_coeff(spec, i, r)
-                    * _exp_coeff(spec, j, r)
-                    * pochhammer(spec.nu + 1, s + i + j - r)
-                )
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = v
-    return MatQ(rows)
+    if s < 0:
+        raise DomainError("moment index s must be >= 0")
+    return _moment_sums(spec, [s])[0]
 
 
 def moment_via_expansion(spec: WeightSpec, s: int) -> MatQ:
@@ -145,7 +155,7 @@ class MomentTable:
     def __init__(self, spec: WeightSpec, depth: int):
         self.spec = spec
         self.depth = depth
-        self.moments = [moment(spec, s) for s in range(depth + 1)]
+        self.moments = _moment_sums(spec, range(depth + 1))
 
     def __getitem__(self, s: int) -> MatQ:
         if s > self.depth:
@@ -163,41 +173,15 @@ def inner_product(p: MatPoly, q: MatPoly, table: MomentTable) -> MatQ:
 
 def h0_as_displayed(spec: WeightSpec) -> MatQ:
     """H_0 / Gamma(nu+1) evaluated with the Pochhammer index (nu)_{i+j-r}
-    exactly as commonly quoted, for the index-discrepancy
-    probe.  Dividing the printed Gamma(nu)-normalized value by Gamma(nu+1)
-    turns (nu)_m Gamma(nu) into (nu)_m / nu."""
-    n = spec.N
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = Fraction(0)
-            for r in range(1, min(i, j) + 1):
-                v += (
-                    spec.delta[r - 1]
-                    * _exp_coeff(spec, i, r)
-                    * _exp_coeff(spec, j, r)
-                    * pochhammer(spec.nu, i + j - r)
-                    / spec.nu
-                )
-            rows[i - 1][j - 1] = v
-    return MatQ(rows)
+    exactly as commonly quoted, for the index-discrepancy probe.  Dividing
+    the printed Gamma(nu)-normalized value by Gamma(nu+1) turns
+    (nu)_m Gamma(nu) into (nu)_m / nu = (nu+1)_{m-1}: the moment sum at
+    offset s = -1."""
+    return _moment_sums(spec, [-1])[0]
 
 
 def h0_index_corrected(spec: WeightSpec) -> MatQ:
     """Same formula with the index raised by one, (nu)_{i+j-r+1}; this is the
-    variant the direct integral produces."""
-    n = spec.N
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = Fraction(0)
-            for r in range(1, min(i, j) + 1):
-                v += (
-                    spec.delta[r - 1]
-                    * _exp_coeff(spec, i, r)
-                    * _exp_coeff(spec, j, r)
-                    * pochhammer(spec.nu, i + j - r + 1)
-                    / spec.nu
-                )
-            rows[i - 1][j - 1] = v
-    return MatQ(rows)
+    variant the direct integral produces.  (nu)_{m+1} / nu = (nu+1)_m, so
+    it is the moment sum at offset s = 0."""
+    return _moment_sums(spec, [0])[0]

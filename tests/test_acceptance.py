@@ -97,7 +97,7 @@ def test_criterion_5_dual_hahn():
             for c, d in ((F(0), F(1)), (F(1), F(1)), (F(2), F(1))):
                 params = build_delta_family(n_dim, nu, c, d)
                 seq = compute_monic_ops(weight_spec(params), 5)
-                total += _assert_all(rp.suite_dualhahn(params, seq, extract_xi(seq)))
+                total += _assert_all(rp.suite_dualhahn(params, seq))
     print(f"\nACCEPTANCE criterion-5 dual Hahn: PASS "
           f"({total} exact checks over 12 constrained families: closed form = "
           f"extraction for n+i-j>0, boundary recursion, gauge identities, "

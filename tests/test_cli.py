@@ -351,3 +351,72 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     assert len(memo) == len(set(memo))
     assert {caller for caller, _ in inverted} <= {
         "_inverse_of_H", "h_recursion_next", "x1_from_h0"}
+
+
+def _owner(frame):
+    """The first function above `frame` that is not a comprehension."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
+    """suite_operators, suite_laguerre, resolve_open_questions and extract_xi
+    on one family build H_n J H_n^{-1}, T_n = H_n (A^T-1) H_{n-1}^{-1},
+    Gamma_n, G(n) and I(n) once per n, all inside the family, read the
+    xi table off the oracle once, and build each Laguerre polynomial once."""
+    F = Fraction
+    spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
+    seq = compute_monic_ops(spec, 3)
+    i = MatQ.identity(spec.N)
+    at1 = spec.A.transpose() - i
+    norm = {h: n for n, h in enumerate(seq.H)}
+    eigen = {i * (n + spec.nu + 1) + spec.J: n for n in range(seq.n_max + 1)}
+    # the operands of each build, found before counting starts
+    hjh = {h * spec.J * h.inverse(): n for h, n in norm.items()}
+    t = {seq.H[n] * at1 * seq.H[n - 1].inverse(): n for n in range(1, seq.n_max + 1)}
+    k_inv = {k.inverse(): n for n, k in enumerate(
+        build_K(n, spec.nu, spec.a, spec.N) for n in range(seq.n_max + 1))}
+    built = []
+    mul = MatQ.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, MatQ):
+            what = None
+            if self in norm and other == spec.J:
+                what = ("HJH", norm[self])
+            elif self in norm and other == at1:
+                what = ("T", norm[self])
+            elif self == spec.A and other in eigen:
+                what = ("Gamma", eigen[other])
+            elif self in k_inv and other in t:
+                what = ("G", t[other])
+            elif self in k_inv and other in hjh:
+                what = ("I", hjh[other])
+            if what:
+                built.append((_owner(sys._getframe(1)), *what))
+        return mul(self, other)
+
+    monkeypatch.setattr(MatQ, "__mul__", counting_mul)
+    reads = _count_calls(monkeypatch, lf, "read_xi")
+    laguerre = _count_calls(monkeypatch, lf, "laguerre_poly")
+    rp.suite_operators(seq)
+    rp.suite_laguerre(seq)
+    rp.resolve_open_questions(seq)
+    assert lf.extract_xi(seq) is lf.extract_xi(seq)
+    monkeypatch.undo()
+
+    degrees = list(range(seq.n_max + 1))
+    for name, ns in (("HJH", degrees), ("T", degrees[1:]), ("Gamma", degrees),
+                     ("G", degrees[1:]), ("I", degrees)):
+        assert sorted(n for owner, what, n in built if what == name and owner == name) \
+            == ns, name
+    # outside the family, such products are formed only where they are the
+    # check: the standalone norm recursions, the generic dagger
+    # H(n) M^* H(n)^{-1} (checked against the family's M-dagger), and K_n
+    allowed = {"HJH": {"h_recursion_next", "x1_from_h0"},
+               "T": {"h_recursion_next", "dagger"}, "Gamma": {"build_K"}}
+    for owner, what, _ in built:
+        assert owner == what or owner in allowed.get(what, ()), (owner, what)
+    assert len(reads) == 1
+    assert len(laguerre) == len(set(laguerre)) > 0

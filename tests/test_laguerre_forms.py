@@ -109,7 +109,7 @@ def test_scalar_xi_is_signed_factorial():
 
 
 def test_GI_structure_and_frozen_values(seq):
-    G, I, checks = compute_GI(seq)
+    checks = compute_GI(seq)
     _ok(checks)
 
 
@@ -126,24 +126,21 @@ def test_extraction_rejects_corrupted_family():
 
 def test_GI_frozen_example():
     seq = compute_monic_ops(SPEC2, 2)
-    G, I, checks = compute_GI(seq)
+    checks = compute_GI(seq)
     _ok(checks)
-    assert G[1] == MatQ([["-3/2", 0], [0, -6]])
-    assert I[0] == MatQ([[1, "1/2"], [0, 2]])
+    assert seq.G[1] == MatQ([["-3/2", 0], [0, -6]])
+    assert seq.I[0] == MatQ([[1, "1/2"], [0, 2]])
 
 
 def test_xi_recursion_equals_extraction(seq):
     xi = extract_xi(seq)
-    G, I, _ = compute_GI(seq)
-    rec = xi_by_recursion(seq, G, I)
+    rec = xi_by_recursion(seq)
     _ok(verify_xi_tables(xi, rec))
     assert set(rec.values) == set(xi.values)
 
 
 def test_displayed_recursion_variants_fail(seq):
-    xi = extract_xi(seq)
-    G, I, _ = compute_GI(seq)
-    checks = verify_displayed_xi_recursions(seq, xi, G, I)
+    checks = verify_displayed_xi_recursions(seq)
     _ok(checks)
     for c in checks:
         assert c["displayed_form_pass"] is False
@@ -197,10 +194,24 @@ def test_Q_relation_negative_control():
 
 
 def test_X_recursion_and_diagonal_claim(seq):
-    G, I, _ = compute_GI(seq)
-    checks = verify_X_recursion(seq, G, I)
+    checks = verify_X_recursion(seq)
     _ok(checks)
     row = next(c for c in checks if "derived form" in c["check_id"])
     assert row["displayed_form_pass"] is False
     diag = next(c for c in checks if "diagonal equals" in c["check_id"])
     assert diag["pass"]
+
+
+def test_corrupted_norm_fails_the_coupling_checks():
+    """A family built with one corrupted H_n derives its HJH, T, G and I
+    from that H_n; the coupling structure, the X recursion and the bracket
+    identities each catch it."""
+    from mvlaguerre.operators import make_named_operators, verify_bracket_identities
+
+    seq = compute_monic_ops(SPECS[2], 4)
+    H = list(seq.H)
+    H[2] = H[2] + MatQ.unit(3, 1, 1)
+    bad = OPSeq(seq.spec, seq.table, seq.P, H)
+    for checks in (compute_GI(bad), verify_X_recursion(bad),
+                   verify_bracket_identities(bad, make_named_operators(bad))):
+        assert any(not c["pass"] for c in checks)

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlaguerre.matrices import MatPoly, MatQ
-from mvlaguerre.scalar import RPoly
+from mvlaguerre.scalar import RPoly, factorial, pochhammer
 from mvlaguerre.weights import (MomentTable, UnsupportedWeightError,
                                 WeightSpec, h0_as_displayed,
                                 h0_index_corrected, inner_product, moment,
@@ -103,3 +105,65 @@ def test_h0_pochhammer_index_probe(spec):
     oracle = moment_via_expansion(spec, 0)
     assert h0_index_corrected(spec) == oracle
     assert h0_as_displayed(spec) != oracle
+
+
+# The three moment sums as separate loops, exactly as they were written
+# before they shared one helper: the reference the helper must reproduce.
+
+def _old_exp_coeff(spec, i, r):
+    out = F(1, factorial(i - r))
+    for k in range(r, i):
+        out *= spec.a[k - 1]
+    return out
+
+
+def _old_entry(spec, i, j, term):
+    v = F(0)
+    for r in range(1, min(i, j) + 1):
+        v += (spec.delta[r - 1] * _old_exp_coeff(spec, i, r)
+              * _old_exp_coeff(spec, j, r) * term(i, j, r))
+    return v
+
+
+def _old_moment(spec, s):
+    n = spec.N
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            v = _old_entry(spec, i, j, lambda i, j, r: pochhammer(spec.nu + 1, s + i + j - r))
+            rows[i - 1][j - 1] = v
+            rows[j - 1][i - 1] = v
+    return MatQ(rows)
+
+
+def _old_h0(spec, raise_index):
+    n = spec.N
+    return MatQ([[_old_entry(spec, i, j, lambda i, j, r:
+                             pochhammer(spec.nu, i + j - r + raise_index) / spec.nu)
+                  for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+_rats = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=9)
+_pos = _rats.filter(lambda v: v > 0)
+
+
+@st.composite
+def rational_specs(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(_rats.filter(lambda v: v != 0), min_size=n - 1, max_size=n - 1))
+    delta = draw(st.lists(_pos, min_size=n, max_size=n))
+    return WeightSpec(n, draw(_pos), tuple(a), tuple(delta))
+
+
+@given(rational_specs(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_moment_sums_equal_the_separate_loops(spec, s):
+    assert moment(spec, s) == _old_moment(spec, s)
+    assert MomentTable(spec, s)[s] == _old_moment(spec, s)
+    assert h0_as_displayed(spec) == _old_h0(spec, 0)
+    assert h0_index_corrected(spec) == _old_h0(spec, 1)
+
+
+def test_moment_rejects_a_negative_index():
+    with pytest.raises(ValueError):
+        moment(SPEC2, -1)
