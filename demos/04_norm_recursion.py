@@ -17,18 +17,18 @@ from mvlaguerre.laguerre_forms import (h1_from_h0, h_recursion_next,
 spec = WeightSpec(N=2, nu=F(1), a=(F(1),), delta=(F(1), F(1)))
 seq = compute_monic_ops(spec, n_max=6)
 
-x1 = x1_from_h0(seq.H[0], spec.nu, spec.a)
+x1 = x1_from_h0(spec, seq.H[0])
 print("X(1) rebuilt from H_0:", [[str(v) for v in r] for r in x1.rows])
 print("matches the oracle:", x1 == seq.X[1])
 
-h1 = h1_from_h0(seq.H[0], spec.nu, spec.a)
+h1 = h1_from_h0(spec, seq.H[0])
 print("\nH_1 rebuilt from H_0:", [[str(v) for v in r] for r in h1.rows])
 print("matches the oracle:", h1 == seq.H[1])
 
 print("\nclimbing the recursion H_{n+2} <- (H_{n-1}), H_n, H_{n+1}:")
 chain = [seq.H[0], seq.H[1]]
 for n in range(2, 7):
-    nxt = h_recursion_next(chain, spec.A, spec.J)
+    nxt = h_recursion_next(spec, chain)
     print(f"  H_{n} exact match:", nxt == seq.H[n])
     chain.append(seq.H[n])
 

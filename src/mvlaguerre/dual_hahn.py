@@ -24,15 +24,15 @@ The printed variant's status is reported next to every corrected check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .engine import OPSeq, check
 from .laguerre_forms import XiTable
-from .matrices import MatLaurent, MatPoly, MatQ, build_A, build_J, build_K, exp_nilpotent
+from .matrices import MatLaurent, MatPoly, MatQ, build_K, exp_nilpotent
 from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
 from .scalar import DomainError, dual_hahn, dual_hahn_via_recurrence, pochhammer, rat
-from .weights import WeightSpec
+from .weights import WeightSpec, weight_polynomial_part
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,8 @@ def verify_boundary_recursion(xi: XiTable, params: DHParams) -> list[dict]:
 def derivative_coupling_matrices(params: DHParams):
     """C = (dJ+c)(nu+J+1) + ((Delta_nu)^{-1} A Delta_{nu+1})^T and the
     n-scaling D_n = n (d(J-N-1) - c), all exact."""
-    nn = params.N
-    a = build_A([-1] * (nn - 1), nn)
-    j = build_J(nn)
-    i = MatQ.identity(nn)
+    spec = weight_spec(params)
+    a, j, i = spec.A, spec.J, MatQ.identity(params.N)
     dinv = MatQ.diag([1 / v for v in params.delta_nu])
     d1 = MatQ.diag(params.delta_nu1)
     m_star = (dinv * a * d1).transpose()
@@ -287,9 +285,7 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
     """(R'(0,n) - R(0,n) A) C = n (d(J-N-1)-c) R(0,n) exactly for every n;
     also reports the printed sign of the transposed-conjugate entry."""
     nn = params.N
-    a = seq.spec.A
-    j = build_J(nn)
-    i = MatQ.identity(nn)
+    a, j, i = seq.spec.A, seq.spec.J, MatQ.identity(nn)
     c_mat, m_star = derivative_coupling_matrices(params)
     checks = []
     for n, r in enumerate(seq.R):
@@ -321,19 +317,19 @@ def phi_psi(params: DHParams):
     W Phi = W^{+} and W Psi = (W^{+})' as exact Laurent statements, the
     degrees, and the conjugated closed form x(dJ+c)."""
     nn = params.N
-    a = build_A([-1] * (nn - 1), nn)
-    j = build_J(nn)
-    i = MatQ.identity(nn)
-    # unipotent lower triangular, (m,n) entry (nu+n+1)_{m-n} / (m-n)!
-    l0 = build_K(0, params.nu, (1,) * (nn - 1), nn)
-    l0_star_inv = l0.transpose().inverse()
+    spec = weight_spec(params)
+    a, j, i = spec.A, spec.J, MatQ.identity(nn)
+    # l0 = K_0^{-1} of this weight: unipotent lower triangular, (m,n) entry
+    # (nu+n+1)_{m-n} / (m-n)!; its inverse is K_0
+    l0 = build_K(0, params.nu, -a)
+    l0_inv = build_K(0, params.nu, a)
+    l0_star_inv = l0_inv.transpose()
     djc = j * params.d + i * params.c
-    ex_pos_t = exp_nilpotent(a, +1).transpose()   # e^{x A^T}
-    ex_neg_t = exp_nilpotent(a, -1).transpose()   # e^{-x A^T}
-
-    dinv = MatQ.diag([1 / v for v in params.delta_nu])
-    d1 = MatQ.diag(params.delta_nu1)
-    m_const = dinv * a * d1
+    ex_pos = exp_nilpotent(a, +1)   # e^{xA}
+    ex_neg = exp_nilpotent(a, -1)   # e^{-xA}
+    ex_pos_t, ex_neg_t = ex_pos.transpose(), ex_neg.transpose()
+    _, m_star = derivative_coupling_matrices(params)
+    m_const = m_star.transpose()   # Delta_nu^{-1} A Delta_{nu+1}
 
     inner_phi = MatPoly.monomial(1, djc)
     phi = l0_star_inv * (ex_neg_t * inner_phi * ex_pos_t) * l0.transpose()
@@ -347,8 +343,9 @@ def phi_psi(params: DHParams):
         check("deg Psi", "pearson-pair", psi.degree == 1),
     ]
 
-    body_nu = _weight_body(params, params.delta_nu, l0, a)
-    body_nu1 = _weight_body(params, params.delta_nu1, l0, a).shift(1)
+    spec_nu1 = replace(spec, nu=spec.nu + 1, delta=params.delta_nu1)
+    body_nu = _weight_body(spec, l0)
+    body_nu1 = _weight_body(spec_nu1, l0).shift(1)
     w_nu = ScaledMat(params.nu, body_nu)
     w_nu1 = ScaledMat(params.nu, body_nu1)
     checks.append(check("W Phi = W(nu+1)", "pearson-pair",
@@ -356,9 +353,7 @@ def phi_psi(params: DHParams):
     checks.append(check("W Psi = d/dx W(nu+1)", "pearson-pair",
                         w_nu.rmul(psi).body == w_nu1.dx().body))
 
-    ex_pos = exp_nilpotent(a, +1)
-    ex_neg = exp_nilpotent(a, -1)
-    conj = ex_neg * (l0.inverse() * phi.transpose() * l0) * ex_pos
+    conj = ex_neg * (l0_inv * phi.transpose() * l0) * ex_pos
     checks.append(check("conjugated Phi* form", "pearson-conjugated-form",
                         conj == MatPoly.monomial(1, djc)))
 
@@ -367,12 +362,7 @@ def phi_psi(params: DHParams):
     return phi, psi, checks
 
 
-def _weight_body(params: DHParams, delta, l0: MatQ, a: MatQ) -> MatLaurent:
-    nn = params.N
-    diag = MatPoly(
-        [MatQ.zero(nn)]
-        + [MatQ.diag([delta[k] if k == m else 0 for k in range(nn)]) for m in range(nn)],
-        nn,
-    )
-    ex = exp_nilpotent(a, +1)
-    return MatLaurent.from_poly(l0 * (ex * diag * ex.transpose()) * l0.transpose())
+def _weight_body(spec: WeightSpec, l0: MatQ) -> MatLaurent:
+    """l0 G l0^T, with G = e^{xA} diag(delta_k x^k) e^{xA^T} the polynomial
+    part of the weight of `spec`."""
+    return MatLaurent.from_poly(l0 * weight_polynomial_part(spec) * l0.transpose())

@@ -101,14 +101,14 @@ class OPSeq:
     @cached_property
     def K(self) -> tuple:
         spec = self.spec
-        return tuple(build_K(n, spec.nu, spec.a, spec.N) for n in range(self.n_max + 1))
+        return tuple(build_K(n, spec.nu, spec.A) for n in range(self.n_max + 1))
 
     @cached_property
     def K_inv(self) -> tuple:
-        # A is linear in a, so K_n^{-1} = exp(-A(n+nu+1+J)) is K_n at -a.
+        # K_n^{-1} = exp(-A(n+nu+1+J)) is K_n at -A
         spec = self.spec
-        neg_a = tuple(-v for v in spec.a)
-        return tuple(build_K(n, spec.nu, neg_a, spec.N) for n in range(self.n_max + 1))
+        neg_A = -spec.A
+        return tuple(build_K(n, spec.nu, neg_A) for n in range(self.n_max + 1))
 
     @cached_property
     def R(self) -> tuple:

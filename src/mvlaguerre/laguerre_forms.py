@@ -19,10 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, build_A, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import factorial, laguerre_poly, pochhammer, rat_str
+from .weights import WeightSpec
 
 
 class ClosedFormViolation(AssertionError):
@@ -302,11 +303,13 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     return out
 
 
-def h_recursion_next(H: list, A: MatQ, J: MatQ) -> MatQ:
+def h_recursion_next(spec: WeightSpec, H: list) -> MatQ:
     """H_{n+2} from (H_{n-1},) H_n, H_{n+1} through the delta-coefficient
-    identities; the H_{n-1} term drops when producing H_2 because the
-    sequence vanishes at negative indices.  Each matrix is inverted afresh,
-    once per call: the inverses are part of the check."""
+    identities, with A and J read off `spec`; the H_{n-1} term drops when
+    producing H_2 because the sequence vanishes at negative indices.  Each
+    H_m is inverted afresh, once per call: the inverses are part of the
+    check.  A - 1 and A^T - 1 are inverted once per call too."""
+    A, J = spec.A, spec.J
     i = MatQ.identity(A.N)
     am1 = A - i
     at1 = A.transpose() - i
@@ -330,20 +333,18 @@ def verify_H_recursion(seq: OPSeq) -> list[dict]:
         return checks
     H = [seq.H[0], seq.H[1]]
     for n in range(2, seq.n_max + 1):
-        nxt = h_recursion_next(H, seq.spec.A, seq.spec.J)
+        nxt = h_recursion_next(seq.spec, H)
         checks.append(check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == seq.H[n]))
         H.append(seq.H[n])
     return checks
 
 
-def x1_from_h0(h0: MatQ, nu, a) -> MatQ:
+def x1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
     """Bootstrap X(1) from H_0 alone: zero pattern above the superdiagonal,
     superdiagonal X(1)_{i,i+1} = -(H_0 J H_0^{-1})_{i,i+1} (oracle-fixed
     sign), and the entrywise recursions filling each row right to left."""
-    N = h0.N
-    nu = Fraction(nu)
-    J = MatQ.diag(range(1, N + 1))
-    hjh = h0 * J * h0.inverse()
+    N, nu, a = spec.N, spec.nu, spec.a
+    hjh = h0 * spec.J * h0.inverse()
     x = [[Fraction(0)] * N for _ in range(N)]
     for i in range(1, N):
         x[i - 1][i] = -hjh[i - 1, i]
@@ -360,13 +361,11 @@ def x1_from_h0(h0: MatQ, nu, a) -> MatQ:
     return MatQ(x)
 
 
-def h1_from_h0(h0: MatQ, nu, a) -> MatQ:
+def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
     """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}."""
-    N = h0.N
-    x1 = x1_from_h0(h0, nu, a)
-    J = MatQ.diag(range(1, N + 1))
-    at1 = build_A(a, N).transpose() - MatQ.identity(N)
-    return (x1 + commutator(J, x1)) * h0 * at1.inverse()
+    x1 = x1_from_h0(spec, h0)
+    at1 = spec.A.transpose() - MatQ.identity(spec.N)
+    return (x1 + commutator(spec.J, x1)) * h0 * at1.inverse()
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
@@ -375,10 +374,10 @@ def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
     spec = seq.spec
     if seq.n_max < 1:
         return []
-    x1 = x1_from_h0(seq.H[0], spec.nu, spec.a)
+    x1 = x1_from_h0(spec, seq.H[0])
     zero_ok = all(seq.X[1][i, j] == 0
                   for i in range(spec.N) for j in range(spec.N) if j > i + 1)
-    h1 = h1_from_h0(seq.H[0], spec.nu, spec.a)
+    h1 = h1_from_h0(spec, seq.H[0])
     return [
         check("X(1) from H_0", "norm-bootstrap", x1 == seq.X[1]),
         check("X(1) zero pattern", "norm-bootstrap", zero_ok),

@@ -400,26 +400,14 @@ def structure_report(alg: LieAlg) -> dict:
         bracket(z, OpElement.from_coords(v), phi).is_zero() for v in alg.basis)
     checks.append(check("z central", "central-element", z_central))
 
-    h_rows: list = []
-    h_pivots: list = []
-    h_gens = [OpElement(cD=1), OpElement(mult=RPoly.x())]
-    deriv = phi
-    xp = RPoly.x()
-    for j in range(1, phi.degree + 1):
-        deriv = deriv.derivative()
-        h_gens.append(OpElement(mult=xp * deriv))
-        xp = xp * RPoly.x()
-    for g in h_gens:
-        _rref_insert(h_rows, h_pivots, g.coords(bound))
+    # h is spanned by every generator but 1 and Ddag: D, x, x^j phi^(j)
+    _one, d, _ddag, *mults = generator_elements(phi)
+    h_rows, _ = _span(g.coords(bound) for g in [d, *mults])
     checks.append(check("dim h = k", "solvable-structure", len(h_rows) == k))
 
-    d1_rows: list = []
-    d1_pivots: list = []
-    for v1 in h_rows:
-        for v2 in h_rows:
-            e = bracket(OpElement.from_coords(v1), OpElement.from_coords(v2), phi)
-            if not e.is_zero():
-                _rref_insert(d1_rows, d1_pivots, e.coords(bound))
+    d1_rows, _ = _span(
+        bracket(OpElement.from_coords(v1), OpElement.from_coords(v2), phi).coords(bound)
+        for v1 in h_rows for v2 in h_rows)
     second_zero = all(
         bracket(OpElement.from_coords(v1), OpElement.from_coords(v2), phi).is_zero()
         for v1 in d1_rows for v2 in d1_rows)
@@ -508,10 +496,10 @@ def extended_algebra_report(alg: LieAlg) -> dict:
     checks.append(check("bracket table of the five generators", "extended-bracket-table", table_ok))
 
     coords = {i: alg.coordinates(v.coords(alg.bound)) for i, v in enumerate(xs)}
-    center = _span(alg.center(), alg.dim)
+    center, center_pivots = _span(alg.center())
     z1 = alg.coordinates(lin((1, x1), (1, x2), (-1, x4)).coords(alg.bound))
     z2 = coords[4]
-    in_center = all(_in_span(center, z) for z in (z1, z2))
+    in_center = all(_coordinates(center, center_pivots, z) is not None for z in (z1, z2))
     checks.append(check("center = span{x1+x2-x4, x5}, dim 2",
                         "extended-structure", len(center) == 2 and in_center))
 
@@ -534,12 +522,14 @@ def extended_algebra_report(alg: LieAlg) -> dict:
                         "sl2-triple", oracle_hatted,
                         displayed_form_pass=printed))
 
-    derived = _span([alg.bracket_coords(coords_i, coords_j)
-                     for coords_i in coords.values() for coords_j in coords.values()],
-                    alg.dim)
+    derived, derived_pivots = _span(alg.bracket_coords(coords_i, coords_j)
+                                    for coords_i in coords.values()
+                                    for coords_j in coords.values())
     da = [_as_alg_coords(alg, v) for v in (a1, a2, a3)]
     checks.append(check("derived algebra is span{a1,a2,a3}", "extended-structure",
-                        len(derived) == 3 and all(_in_span(derived, v) for v in da)))
+                        len(derived) == 3 and all(
+                            _coordinates(derived, derived_pivots, v) is not None
+                            for v in da)))
 
     ce, ch, cf = (_as_alg_coords(alg, v) for v in (e, h, f))
     q_corr = _sym_outer(ch, ch, alg.dim)
@@ -609,52 +599,26 @@ def _ad_invariant(alg: LieAlg, q, ell) -> bool:
     return True
 
 
-def _span(vectors, length):
+def _span(vectors):
+    """Reduced echelon rows of the span of `vectors` and their pivots."""
     rows: list = []
     pivots: list = []
     for v in vectors:
-        if any(x != 0 for x in v):
-            _rref_insert(rows, pivots, v)
-    return rows
-
-
-def _in_span(rows, v):
-    v = [rat(x) for x in v]
-    for row in rows:
-        p = _pivot(row)
-        if v[p] != 0:
-            c = v[p]
-            for k in range(len(v)):
-                v[k] -= c * row[k]
-    return all(x == 0 for x in v)
+        _rref_insert(rows, pivots, v)
+    return rows, pivots
 
 
 def _null_space(rows, unknowns):
-    """Exact null space of the row system; returns basis vectors."""
-    m = [list(map(rat, r)) for r in rows if any(x != 0 for x in r)]
-    pivots = []
-    r = 0
-    for col in range(unknowns):
-        piv = next((k for k in range(r, len(m)) if m[k][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][col] != 0:
-                c = m[k][col]
-                m[k] = [a - c * b for a, b in zip(m[k], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(unknowns) if c not in pivots]
+    """Exact null space of the row system; returns basis vectors, one per
+    free column of the reduced rows."""
+    reduced, pivots = _span(rows)
     basis = []
-    for fc in free:
+    for fc in range(unknowns):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * unknowns
         v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -m[row_idx][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis

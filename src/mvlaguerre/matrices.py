@@ -475,15 +475,13 @@ def exp_nilpotent(a: MatQ, sign: int = 1) -> MatPoly:
     return MatPoly(coeffs, a.N)
 
 
-def build_K(n: int, nu, a, N: int) -> MatQ:
-    """Unipotent lower triangular K_n whose columns are the eigenvectors of
-    A(n + nu + 1 + J) - (n + J); equals exp(A (n + nu + 1 + J)).
+def build_K(n: int, nu, A: MatQ) -> MatQ:
+    """Unipotent lower triangular K_n = exp(A (n + nu + 1 + J)) for a
+    strictly lower bidiagonal A; its columns are the eigenvectors of
+    A(n + nu + 1 + J) - (n + J).  At -A it returns K_n^{-1}.
 
     Entrywise, (K_n)_{i,j} = (prod_{k=j..i-1} a_k) (n+nu+j+1)_{i-j} / (i-j)!
-    in 1-based indices.
+    in 1-based indices, with a_k = A[k+1, k].
     """
-    nu = rat(nu)
-    A = build_A(a, N)
-    J = build_J(N)
-    B = A * (MatQ.identity(N) * (n + nu + 1) + J)
+    B = A * (MatQ.identity(A.N) * (n + rat(nu) + 1) + build_J(A.N))
     return matexp_nilpotent(B)

@@ -17,7 +17,7 @@ import math
 from .engine import OPSeq, check
 from .matrices import MatLaurent, MatPoly, MatQ, commutator, exp_nilpotent
 from .scalar import RPoly, rat
-from .weights import MomentTable, WeightSpec, weight_polynomial_part
+from .weights import MomentTable, WeightSpec, diagonal_part, weight_polynomial_part
 
 
 class WindowError(IndexError):
@@ -647,10 +647,7 @@ def weight_scaled(spec: WeightSpec) -> ScaledMat:
 
 
 def diagonal_weight_scaled(spec: WeightSpec) -> ScaledMat:
-    n = spec.N
-    terms = {k + 1: MatQ.diag([spec.delta[k] if m == k else 0 for m in range(n)])
-             for k in range(n)}
-    return ScaledMat(spec.nu, MatLaurent(terms, n))
+    return ScaledMat(spec.nu, MatLaurent.from_poly(diagonal_part(spec)))
 
 
 def verify_symmetry_conditions(d: DiffOp, w: ScaledMat, label: str) -> list[dict]:

@@ -156,17 +156,18 @@ class RPoly:
 def laguerre_poly(alpha, n: int) -> RPoly:
     """Generalized Laguerre polynomial L_n^(alpha) as an exact RPoly.
 
-    Coefficient of x^k is (-1)^k (alpha+k+1)_{n-k} / ((n-k)! k!); the value
-    at 0 is (alpha+1)_n / n!.
+    Coefficient of x^k is c_k = (-1)^k (alpha+k+1)_{n-k} / ((n-k)! k!); the
+    value at 0 is (alpha+1)_n / n!.  Built downward from c_n = (-1)^n / n!
+    by c_k = -c_{k+1} (k+1) (alpha+k+1) / (n-k), which divides by nothing
+    that depends on alpha, so negative integer alpha stays exact.
     """
     if n < 0:
         raise DomainError("laguerre_poly needs n >= 0")
     alpha = rat(alpha)
-    coeffs = []
-    for k in range(n + 1):
-        c = pochhammer(alpha + k + 1, n - k) / (factorial(n - k) * factorial(k))
-        coeffs.append(c if k % 2 == 0 else -c)
-    return RPoly(coeffs)
+    coeffs = [Fraction((-1) ** n, factorial(n))]
+    for k in range(n - 1, -1, -1):
+        coeffs.append(-coeffs[-1] * (k + 1) * (alpha + k + 1) / (n - k))
+    return RPoly(coeffs[::-1])
 
 
 def laguerre_derivative(alpha, n: int) -> RPoly:

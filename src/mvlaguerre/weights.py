@@ -138,15 +138,19 @@ def moment_via_expansion(spec: WeightSpec, s: int) -> MatQ:
 def weight_polynomial_part(spec: WeightSpec) -> MatPoly:
     """The matrix polynomial G(x) with W(x) = e^{-x} x^nu G(x):
     G = e^{xA} diag(delta_k x^k) e^{xA^T}."""
-    n = spec.N
     left = exp_nilpotent(spec.A, +1)
-    diag = MatPoly(
+    return left * diagonal_part(spec) * left.transpose()
+
+
+def diagonal_part(spec: WeightSpec) -> MatPoly:
+    """The diagonal factor sum_k delta_k x^k E_kk (1-based k) of the weight
+    body, written coefficient by coefficient."""
+    n = spec.N
+    return MatPoly(
         [MatQ.zero(n)]
         + [MatQ.diag([spec.delta[k] if k == m else 0 for k in range(n)]) for m in range(n)],
         n,
     )
-    # diag above is sum_k delta_k x^{k+1} E_kk written coefficient by coefficient
-    return left * diag * left.transpose()
 
 
 class MomentTable:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvlaguerre import dual_hahn as dh
 from mvlaguerre import engine
 from mvlaguerre import laguerre_forms as lf
 from mvlaguerre import lie_algebra as la
@@ -93,7 +94,8 @@ def test_xi_csv_export(tmp_path):
     code = main(["xi", "--N", "2", "--nu", "1", "--a", "1", "--delta", "1,1",
                  "--nmax", "2", "--csv", str(csv_path), "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(csv_path.open()))
+    with csv_path.open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["n", "i", "j", "xi"]
     table = {(int(r[0]), int(r[1]), int(r[2])): r[3] for r in rows[1:]}
     assert table[(1, 2, 1)] == "2"
@@ -314,7 +316,7 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
     degrees = range(seq.n_max + 1)
-    ks = [build_K(n, spec.nu, spec.a, spec.N) for n in degrees]
+    ks = [build_K(n, spec.nu, spec.A) for n in degrees]
     kind = {**{k: ("K", n) for n, k in enumerate(ks)},
             **{k.inverse(): ("K_inv", n) for n, k in enumerate(ks)}}
     norm = {h: n for n, h in enumerate(seq.H)}
@@ -360,6 +362,33 @@ def _owner(frame):
     return frame.f_code.co_name
 
 
+def test_build_A_runs_only_inside_the_spec(monkeypatch):
+    """A is built from the a_k only by WeightSpec.A: K_n, the norm
+    recursions, the dual Hahn coupling and the Pearson pair read it off the
+    spec instead of rebuilding it."""
+    original = matrices.build_A
+    callers = []
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], _owner(frame)))
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("mvlaguerre") and getattr(mod, "build_A", None) is original:
+            monkeypatch.setattr(mod, "build_A", recording)
+    F = Fraction
+    spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
+    seq = compute_monic_ops(spec, 3)
+    rp.suite_operators(seq)
+    rp.suite_laguerre(seq)
+    rp.resolve_open_questions(seq)
+    params = dh.build_delta_family(3, F(1, 2), 2, 1)
+    rp.suite_dualhahn(params, compute_monic_ops(dh.weight_spec(params), 3))
+    dh.phi_psi(params)
+    assert callers and set(callers) == {("mvlaguerre.weights", "A")}
+
+
 def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     """suite_operators, suite_laguerre, resolve_open_questions and extract_xi
     on one family build H_n J H_n^{-1}, T_n = H_n (A^T-1) H_{n-1}^{-1},
@@ -376,7 +405,7 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     hjh = {h * spec.J * h.inverse(): n for h, n in norm.items()}
     t = {seq.H[n] * at1 * seq.H[n - 1].inverse(): n for n in range(1, seq.n_max + 1)}
     k_inv = {k.inverse(): n for n, k in enumerate(
-        build_K(n, spec.nu, spec.a, spec.N) for n in range(seq.n_max + 1))}
+        build_K(n, spec.nu, spec.A) for n in range(seq.n_max + 1))}
     built = []
     mul = MatQ.__mul__
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        verify_displayed_xi_recursions,
                                        verify_xi_tables, x1_from_h0,
                                        xi_by_recursion)
-from mvlaguerre.matrices import MatQ, build_J
+from mvlaguerre.matrices import MatQ
 from mvlaguerre.scalar import factorial
 from mvlaguerre.weights import WeightSpec
 
@@ -153,8 +154,8 @@ def test_H_recursion_reproduces_oracle(seq):
 def test_H_recursion_negative_control():
     seq = compute_monic_ops(SPEC2, 3)
     h = [seq.H[0], seq.H[1]]
-    wrong_j = build_J(2) + MatQ.unit(2, 1, 1)
-    assert h_recursion_next(h, seq.spec.A, wrong_j) != seq.H[2]
+    wrong_a = replace(seq.spec, a=(seq.spec.a[0] + 1,))
+    assert h_recursion_next(wrong_a, h) != seq.H[2]
 
 
 def test_scalar_H_ratio():
@@ -172,12 +173,12 @@ def test_X1_bootstrap(seq):
 
 def test_X1_frozen_and_scalar():
     seq = compute_monic_ops(SPEC2, 2)
-    x1 = x1_from_h0(seq.H[0], F(1), seq.spec.a)
+    x1 = x1_from_h0(seq.spec, seq.H[0])
     assert x1 == MatQ([["-3/2", "-1/2"], [6, -6]])
-    assert h1_from_h0(seq.H[0], F(1), seq.spec.a) == seq.H[1]
+    assert h1_from_h0(seq.spec, seq.H[0]) == seq.H[1]
     nu = F(1, 2)
     h0 = MatQ([[nu + 1]])
-    assert x1_from_h0(h0, nu, ()) == MatQ([[-(nu + 2)]])
+    assert x1_from_h0(WeightSpec(1, nu, (), (1,)), h0) == MatQ([[-(nu + 2)]])
 
 
 def test_Q_relation(seq):

@@ -285,3 +285,51 @@ def test_lie_alg_takes_the_last_closure_pass(monkeypatch):
     last = [(e1.coords(alg.bound), e2.coords(alg.bound))
             for e1, e2, *_ in calls[-alg.dim ** 2:]]
     assert last == [(u, v) for u in alg.basis for v in alg.basis]
+
+
+def _rank(rows, columns):
+    """Rank by plain fraction elimination, independent of the package."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(columns):
+        piv = next((k for k in range(rank, len(m)) if m[k][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for k in range(rank + 1, len(m)):
+            c = m[k][col] / m[rank][col]
+            m[k] = [a - c * b for a, b in zip(m[k], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _row_systems(draw):
+    """(columns, rows) with up to 6 columns; the rows are integer
+    combinations of a few random rational rows, so that rank deficiency
+    and zero rows are common."""
+    columns = draw(st.integers(1, 6))
+    entry = st.fractions(-5, 5, max_denominator=4)
+    gens = draw(st.lists(st.lists(entry, min_size=columns, max_size=columns),
+                         min_size=1, max_size=4))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                    max_size=len(gens)), max_size=7))
+    rows = [[sum((c * g[t] for c, g in zip(combo, gens)), F(0)) for t in range(columns)]
+            for combo in combos]
+    return columns, rows
+
+
+@given(_row_systems())
+@settings(max_examples=200)
+def test_null_space_and_span_on_random_rational_rows(system):
+    columns, rows = system
+    rank = _rank(rows, columns)
+    null = la._null_space(rows, columns)
+    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for vec in null for row in rows)
+    assert len(null) == columns - rank
+    assert _rank(null, columns) == len(null)
+    reduced, pivots = la._span(rows)
+    assert len(reduced) == rank and pivots == sorted(pivots)
+    assert all(la._coordinates(reduced, pivots, row) is not None for row in rows)
+    # a nonzero vector orthogonal to every row lies outside their span
+    assert all(la._coordinates(reduced, pivots, vec) is None for vec in null)

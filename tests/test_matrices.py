@@ -174,24 +174,24 @@ def test_exp_nilpotent_identities():
 @settings(max_examples=10)
 def test_build_K_conjugates_to_diagonal(n):
     nu, a, N = F(5, 2), (F(2), F(-1, 2), F(3)), 4
-    k = build_K(n, nu, a, N)
     A, J = build_A(a, N), build_J(N)
+    k = build_K(n, nu, A)
     i = MatQ.identity(N)
     gamma = A * (i * (n + nu + 1) + J) - i * n - J
     lam = MatQ.diag([-(n + r) for r in range(1, N + 1)])
     assert k * lam * k.inverse() == gamma
     assert all(k[r, r] == 1 for r in range(N))
-    # K_n^{-1} = exp(-A(n+nu+1+J)) is build_K at -a
-    assert build_K(n, nu, tuple(-v for v in a), N) == k.inverse()
+    # K_n^{-1} = exp(-A(n+nu+1+J)) is build_K at -A
+    assert build_K(n, nu, -A) == k.inverse()
 
 
 def test_build_K_subdiagonal_entry():
     # the conjugation property forces +a_1 (n+nu+2); the printed closed form
     # carries (-1)^{i-j}, which describes the inverse matrix instead
     n, nu, a = 3, F(1, 2), (F(7),)
-    k = build_K(n, nu, a, 2)
+    k = build_K(n, nu, build_A(a, 2))
     assert k[1, 0] == a[0] * (n + nu + 2)
-    assert build_K(n, nu, (-a[0],), 2)[1, 0] == -a[0] * (n + nu + 2)
+    assert build_K(n, nu, build_A((-a[0],), 2))[1, 0] == -a[0] * (n + nu + 2)
 
 
 def test_matexp_nilpotent_matches_poly_at_one():

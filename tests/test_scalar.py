@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mvlaguerre.scalar import (DomainError, RPoly, dual_hahn,
@@ -39,6 +40,35 @@ def test_laguerre_small_cases():
     assert laguerre_poly(0, 1) == RPoly((1, -1))
     # brute-force series at alpha = 0, n = 2: 1 - 2x + x^2/2
     assert laguerre_poly(0, 2) == RPoly((1, -2, F(1, 2)))
+
+
+def _laguerre_by_pochhammer(alpha, n):
+    """L_n^(alpha) coefficient by coefficient:
+    (-1)^k (alpha+k+1)_{n-k} / ((n-k)! k!) at x^k."""
+    coeffs = []
+    for k in range(n + 1):
+        rising = F(1)
+        for t in range(n - k):
+            rising *= alpha + k + 1 + t
+        coeffs.append((-1) ** k * rising / (factorial(n - k) * factorial(k)))
+    return RPoly(coeffs)
+
+
+@given(st.one_of(st.sampled_from([F(-1), F(-2), F(-5)]),
+                 st.fractions(-12, 12, max_denominator=7)),
+       st.integers(0, 12))
+@example(F(-1), 0)
+@example(F(-1), 4)
+@example(F(-2), 1)
+@example(F(-2), 2)
+@example(F(-2), 9)
+@example(F(-5), 3)
+@example(F(-5), 5)
+@example(F(-5), 11)
+def test_laguerre_poly_matches_the_pochhammer_formula(alpha, n):
+    # at a negative integer alpha = -m with m <= n, the coefficients of
+    # x^0..x^{m-1} vanish; the recurrence must reproduce those zeros exactly
+    assert laguerre_poly(alpha, n) == _laguerre_by_pochhammer(alpha, n)
 
 
 @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(7, 3)])
