@@ -16,15 +16,14 @@ from fractions import Fraction as F
 
 from mvlaguerre import compute_monic_ops
 from mvlaguerre.dual_hahn import (build_delta_family, verify_derivative_coupling,
-                                  weight_spec, xi_dual_hahn,
-                                  xi_dual_hahn_displayed)
+                                  xi_dual_hahn, xi_dual_hahn_displayed)
 from mvlaguerre.laguerre_forms import extract_xi
 from mvlaguerre.scalar import dual_hahn, lambda_lattice
 
 params = build_delta_family(n_dim=3, nu=F(1, 2), c=F(2), d=F(1))
 print("constructed family:", params.to_dict())
 
-seq = compute_monic_ops(weight_spec(params), 5)
+seq = compute_monic_ops(params.spec, 5)
 xi = extract_xi(seq)
 
 n, i = 2, 3

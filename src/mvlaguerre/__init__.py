@@ -11,12 +11,11 @@ equality.
 """
 
 from .engine import OPSeq, compute_monic_ops
-from .matrices import MatLaurent, MatPoly, MatQ
+from .matrices import MatPoly, MatQ
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, inner_product
 
 __all__ = [
-    "MatLaurent",
     "MatPoly",
     "MatQ",
     "MomentTable",

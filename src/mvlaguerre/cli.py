@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
             if spec.N >= 2:
                 resolutions = rp.resolve_open_questions(seq)
     if params is not None:
-        dh_seq = compute_monic_ops(dh.weight_spec(params), min(n_max, 4) + 1)
+        dh_seq = compute_monic_ops(params.spec, min(n_max, 4) + 1)
         checks += rp.suite_dualhahn(params, dh_seq)
     if args.suite == "all":
         checks += rp.suite_lie(spec.nu)
@@ -227,7 +227,7 @@ def cmd_lie(args) -> int:
 def cmd_dualhahn(args) -> int:
     params = dh.build_delta_family(args.N, rat(args.nu),
                                    rat(args.c), rat(args.d))
-    seq = compute_monic_ops(dh.weight_spec(params), args.nmax + 1)
+    seq = compute_monic_ops(params.spec, args.nmax + 1)
     xi = lf.extract_xi(seq)
     checks = rp.suite_dualhahn(params, seq)
     xi_records = []

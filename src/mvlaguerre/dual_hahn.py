@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .engine import OPSeq, check
 from .laguerre_forms import XiTable
-from .matrices import MatLaurent, MatPoly, MatQ, build_K, exp_nilpotent
+from .matrices import MatPoly, MatQ, build_K, exp_nilpotent
 from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
 from .scalar import DomainError, dual_hahn, dual_hahn_via_recurrence, pochhammer, rat
 from .weights import WeightSpec, weight_polynomial_part
@@ -47,6 +48,12 @@ class DHParams:
     @property
     def gamma(self) -> Fraction:
         return self.c / self.d
+
+    # built once per family (cached_property bypasses the frozen __setattr__)
+    @cached_property
+    def spec(self) -> WeightSpec:
+        """The weight whose multipliers the dual Hahn forms describe: a_k = -1."""
+        return WeightSpec(self.N, self.nu, (-1,) * (self.N - 1), self.delta_nu)
 
     def to_dict(self) -> dict:
         from .scalar import rat_str
@@ -96,12 +103,6 @@ def check_conditions(params: DHParams) -> list[str]:
         if lhs != rhs:
             errs.append(f"mu-ratio condition fails at k={k}")
     return errs
-
-
-def weight_spec(params: DHParams) -> WeightSpec:
-    """The weight whose multipliers the dual Hahn forms describe: a_k = -1."""
-    return WeightSpec(params.N, params.nu, tuple([-1] * (params.N - 1)),
-                      params.delta_nu)
 
 
 def epsilon_seq(n: int, i: int, params: DHParams, j_max: int) -> list:
@@ -272,7 +273,7 @@ def verify_boundary_recursion(xi: XiTable, params: DHParams) -> list[dict]:
 def derivative_coupling_matrices(params: DHParams):
     """C = (dJ+c)(nu+J+1) + ((Delta_nu)^{-1} A Delta_{nu+1})^T and the
     n-scaling D_n = n (d(J-N-1) - c), all exact."""
-    spec = weight_spec(params)
+    spec = params.spec
     a, j, i = spec.A, spec.J, MatQ.identity(params.N)
     dinv = MatQ.diag([1 / v for v in params.delta_nu])
     d1 = MatQ.diag(params.delta_nu1)
@@ -314,10 +315,11 @@ def phi_psi(params: DHParams):
     level nu to nu+1, built through the nilpotent-exponential conjugations.
 
     Returns (Phi, Psi, checks): the checks confirm the defining identities
-    W Phi = W^{+} and W Psi = (W^{+})' as exact Laurent statements, the
-    degrees, and the conjugated closed form x(dJ+c)."""
+    W Phi = W^{+} and W Psi = (W^{+})' as exact identities between matrix
+    polynomials, the degrees, and the conjugated closed form x(dJ+c).  Both
+    levels are written in the basis of l0 = K_0^{-1} at level nu."""
     nn = params.N
-    spec = weight_spec(params)
+    spec = params.spec
     a, j, i = spec.A, spec.J, MatQ.identity(nn)
     # l0 = K_0^{-1} of this weight: unipotent lower triangular, (m,n) entry
     # (nu+n+1)_{m-n} / (m-n)!; its inverse is K_0
@@ -344,14 +346,12 @@ def phi_psi(params: DHParams):
     ]
 
     spec_nu1 = replace(spec, nu=spec.nu + 1, delta=params.delta_nu1)
-    body_nu = _weight_body(spec, l0)
-    body_nu1 = _weight_body(spec_nu1, l0).shift(1)
-    w_nu = ScaledMat(params.nu, body_nu)
-    w_nu1 = ScaledMat(params.nu, body_nu1)
+    w_nu = ScaledMat(spec.nu, l0 * weight_polynomial_part(spec) * l0.transpose())
+    w_nu1 = ScaledMat(spec_nu1.nu, l0 * weight_polynomial_part(spec_nu1) * l0.transpose())
     checks.append(check("W Phi = W(nu+1)", "pearson-pair",
-                        w_nu.rmul(phi).body == w_nu1.body))
+                        (w_nu.rmul(phi) - w_nu1).is_zero()))
     checks.append(check("W Psi = d/dx W(nu+1)", "pearson-pair",
-                        w_nu.rmul(psi).body == w_nu1.dx().body))
+                        (w_nu.rmul(psi) - w_nu1.dx()).is_zero()))
 
     conj = ex_neg * (l0_inv * phi.transpose() * l0) * ex_pos
     checks.append(check("conjugated Phi* form", "pearson-conjugated-form",
@@ -361,8 +361,3 @@ def phi_psi(params: DHParams):
     checks.extend(verify_symmetry_conditions(d2, w_nu, "D2 vs W(alpha,nu)"))
     return phi, psi, checks
 
-
-def _weight_body(spec: WeightSpec, l0: MatQ) -> MatLaurent:
-    """l0 G l0^T, with G = e^{xA} diag(delta_k x^k) e^{xA^T} the polynomial
-    part of the weight of `spec`."""
-    return MatLaurent.from_poly(l0 * weight_polynomial_part(spec) * l0.transpose())

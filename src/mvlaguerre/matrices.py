@@ -1,6 +1,6 @@
 """Dense exact matrix algebra over the rationals, matrix polynomials in x,
-matrix Laurent polynomials, and the structural matrices of the weight:
-the shift matrix A, the index matrix J, and the triangularizers K_n.
+and the structural matrices of the weight: the shift matrix A, the index
+matrix J, and the triangularizers K_n.
 
 A rational matrix is stored as an integer matrix over one shared positive
 denominator, in lowest terms, so that products and sums are integer
@@ -312,9 +312,13 @@ class MatPoly:
             if self.is_zero() or other.is_zero():
                 return MatPoly.zero(self.N)
             terms = [[] for _ in range(self.degree + other.degree + 1)]
+            # bodies brought to a lower power of x carry zero low-order
+            # coefficients; a list with no terms totals to zero
+            right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
             for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    terms[i + j].append(a * b)
+                if not a.is_zero():
+                    for j, b in right:
+                        terms[i + j].append(a * b)
             return MatPoly([MatQ.total(t, self.N) for t in terms], self.N)
         if isinstance(other, MatQ):
             return MatPoly([c * other for c in self.coeffs], self.N)
@@ -352,77 +356,6 @@ class MatPoly:
 
     def __repr__(self):
         return f"MatPoly(deg={self.degree}, N={self.N})"
-
-
-class MatLaurent:
-    """Matrix Laurent polynomial: finitely many MatQ coefficients keyed by
-    integer powers of x (negative powers allowed)."""
-
-    __slots__ = ("terms", "N")
-
-    def __init__(self, terms, n: int):
-        clean = {}
-        for k, m in dict(terms).items():
-            if not m.is_zero():
-                clean[int(k)] = m
-        self.terms = clean
-        self.N = n
-
-    @staticmethod
-    def from_poly(p: MatPoly) -> "MatLaurent":
-        return MatLaurent({k: c for k, c in enumerate(p.coeffs)}, p.N)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, k: int) -> MatQ:
-        return self.terms.get(k, MatQ.zero(self.N))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatLaurent):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __add__(self, other: "MatLaurent") -> "MatLaurent":
-        keys = set(self.terms) | set(other.terms)
-        return MatLaurent({k: self.coeff(k) + other.coeff(k) for k in keys}, self.N)
-
-    def __sub__(self, other: "MatLaurent") -> "MatLaurent":
-        keys = set(self.terms) | set(other.terms)
-        return MatLaurent({k: self.coeff(k) - other.coeff(k) for k in keys}, self.N)
-
-    def __neg__(self) -> "MatLaurent":
-        return MatLaurent({k: -m for k, m in self.terms.items()}, self.N)
-
-    def __mul__(self, other):
-        if isinstance(other, MatLaurent):
-            out = {}
-            for i, a in self.terms.items():
-                for j, b in other.terms.items():
-                    k = i + j
-                    out[k] = out.get(k, MatQ.zero(self.N)) + a * b
-            return MatLaurent(out, self.N)
-        if isinstance(other, MatQ):
-            return MatLaurent({k: m * other for k, m in self.terms.items()}, self.N)
-        s = rat(other)
-        return MatLaurent({k: m * s for k, m in self.terms.items()}, self.N)
-
-    def __rmul__(self, other):
-        if isinstance(other, MatQ):
-            return MatLaurent({k: other * m for k, m in self.terms.items()}, self.N)
-        s = rat(other)
-        return MatLaurent({k: m * s for k, m in self.terms.items()}, self.N)
-
-    def shift(self, k: int) -> "MatLaurent":
-        """Multiply by x^k (k may be negative)."""
-        return MatLaurent({e + k: m for e, m in self.terms.items()}, self.N)
-
-    def derivative(self) -> "MatLaurent":
-        return MatLaurent({k - 1: m * k for k, m in self.terms.items() if k != 0}, self.N)
-
-    def __repr__(self):
-        ks = sorted(self.terms)
-        return f"MatLaurent(powers={ks}, N={self.N})"
 
 
 def build_J(n: int) -> MatQ:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .engine import OPSeq, check
-from .matrices import MatLaurent, MatPoly, MatQ, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, diagonal_part, weight_polynomial_part
 
@@ -194,14 +194,6 @@ class SeqOp:
                     col.append(a + b)
             table[j] = col
         return SeqOp(table, self.n_max, self.N)
-
-    def __neg__(self) -> "SeqOp":
-        return SeqOp(
-            {j: [None if c is None else -c for c in col] for j, col in self.table.items()},
-            self.n_max, self.N)
-
-    def __sub__(self, other: "SeqOp") -> "SeqOp":
-        return self + (-other)
 
     def star(self) -> "SeqOp":
         """(sum A_j(n) delta^j)^* = sum A_j(n-j)^T delta^{-j}."""
@@ -609,51 +601,65 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
 
 
 class ScaledMat:
-    """e^{-x} x^nu times a matrix Laurent polynomial; closed under d/dx and
-    under one-sided multiplication by matrix polynomials, which is what the
-    symmetry equations need."""
+    """x^s e^{-x} B(x) for a rational power s and a matrix polynomial B;
+    closed under d/dx and under one-sided multiplication by matrix
+    polynomials, which is what the symmetry equations need.  It is zero
+    exactly when B is, so every identity between such terms is an exact
+    identity between matrix polynomials."""
 
-    __slots__ = ("nu", "body")
+    __slots__ = ("s", "body")
 
-    def __init__(self, nu, body: MatLaurent):
-        self.nu = rat(nu)
+    def __init__(self, s, body: MatPoly):
+        self.s = rat(s)
         self.body = body
 
     def dx(self) -> "ScaledMat":
+        """d/dx (x^s e^{-x} B) = x^{s-1} e^{-x} (s B + x (B' - B))."""
         b = self.body
-        return ScaledMat(self.nu, b.derivative() + b.shift(-1) * self.nu - b)
+        return ScaledMat(self.s - 1, b * self.s + (b.derivative() - b).scale_x(1))
 
     def lmul(self, f: MatPoly) -> "ScaledMat":
-        return ScaledMat(self.nu, MatLaurent.from_poly(f) * self.body)
+        return ScaledMat(self.s, f * self.body)
 
     def rmul(self, f: MatPoly) -> "ScaledMat":
-        return ScaledMat(self.nu, self.body * MatLaurent.from_poly(f))
+        return ScaledMat(self.s, self.body * f)
 
-    def __sub__(self, other: "ScaledMat") -> "ScaledMat":
-        return ScaledMat(self.nu, self.body - other.body)
+    def _aligned(self, other: "ScaledMat"):
+        """Both bodies over the lower of the two powers of x."""
+        gap = self.s - other.s
+        if gap.denominator != 1:
+            raise ValueError(f"powers x^{self.s} and x^{other.s} differ by a non-integer")
+        if gap >= 0:
+            return other.s, self.body.scale_x(int(gap)), other.body
+        return self.s, self.body, other.body.scale_x(int(-gap))
 
     def __add__(self, other: "ScaledMat") -> "ScaledMat":
-        return ScaledMat(self.nu, self.body + other.body)
+        s, a, b = self._aligned(other)
+        return ScaledMat(s, a + b)
+
+    def __sub__(self, other: "ScaledMat") -> "ScaledMat":
+        s, a, b = self._aligned(other)
+        return ScaledMat(s, a - b)
 
     def scale(self, c) -> "ScaledMat":
-        return ScaledMat(self.nu, self.body * rat(c))
+        return ScaledMat(self.s, self.body * rat(c))
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
 
 def weight_scaled(spec: WeightSpec) -> ScaledMat:
-    return ScaledMat(spec.nu, MatLaurent.from_poly(weight_polynomial_part(spec)))
+    return ScaledMat(spec.nu, weight_polynomial_part(spec))
 
 
 def diagonal_weight_scaled(spec: WeightSpec) -> ScaledMat:
-    return ScaledMat(spec.nu, MatLaurent.from_poly(diagonal_part(spec)))
+    return ScaledMat(spec.nu, diagonal_part(spec))
 
 
 def verify_symmetry_conditions(d: DiffOp, w: ScaledMat, label: str) -> list[dict]:
     """The three algebraic symmetry equations for a second-order operator
-    against a weight, as exact Laurent identities.  Boundary conditions are
-    assumptions carried by nu > 0, not checks."""
+    against a weight, as exact identities between matrix polynomials.
+    Boundary conditions are assumptions carried by nu > 0, not checks."""
     f0, f1, f2 = d.coeff(0), d.coeff(1), d.coeff(2)
     c1 = w.lmul(f2) - w.rmul(f2.transpose())
     c2 = w.lmul(f2).dx().scale(2) - w.lmul(f1) - w.rmul(f1.transpose())

@@ -193,7 +193,7 @@ def suite_laguerre(seq: OPSeq) -> list[dict]:
 
 def suite_dualhahn(params: dh.DHParams, seq: OPSeq) -> list[dict]:
     """The dual Hahn checks of a constrained family, given its oracle family
-    `seq` (of dh.weight_spec(params))."""
+    `seq` (of params.spec)."""
     xi = seq.xi
     checks = [check("delta family conditions", "pearson-compatibility",
                     not dh.check_conditions(params))]

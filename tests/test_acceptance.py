@@ -3,9 +3,10 @@ rational equality (zero residual).  Each test prints a PASS line so the
 suite doubles as a human-readable report under `pytest -s`."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 from mvlaguerre import report as rp
-from mvlaguerre.dual_hahn import build_delta_family, weight_spec
+from mvlaguerre.dual_hahn import build_delta_family
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
 from mvlaguerre.scalar import factorial
@@ -96,7 +97,7 @@ def test_criterion_5_dual_hahn():
         for nu in (F(1, 2), F(1)):
             for c, d in ((F(0), F(1)), (F(1), F(1)), (F(2), F(1))):
                 params = build_delta_family(n_dim, nu, c, d)
-                seq = compute_monic_ops(weight_spec(params), 5)
+                seq = compute_monic_ops(params.spec, 5)
                 total += _assert_all(rp.suite_dualhahn(params, seq))
     print(f"\nACCEPTANCE criterion-5 dual Hahn: PASS "
           f"({total} exact checks over 12 constrained families: closed form = "
@@ -130,3 +131,14 @@ def test_criterion_7_documented_discrepancies():
     print("\nACCEPTANCE criterion-7 documented discrepancies: PASS "
           "(H0 Pochhammer index -> (nu)_{i+j-r+1}; xi(0,1,1) -> 1; "
           "i=1 boundary coefficients -> derived form; all definitive)")
+
+
+def test_readme_library_quick_start_runs():
+    """The README's library quick start runs as printed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```", start)]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["seq"].n_max == 5

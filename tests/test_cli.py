@@ -13,7 +13,7 @@ from mvlaguerre import lie_algebra as la
 from mvlaguerre import operators as ops
 from mvlaguerre import report as rp
 from mvlaguerre.cli import main
-from mvlaguerre import matrices
+from mvlaguerre import matrices, weights
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.matrices import MatPoly, MatQ, build_K
 from mvlaguerre.weights import WeightSpec
@@ -384,9 +384,32 @@ def test_build_A_runs_only_inside_the_spec(monkeypatch):
     rp.suite_laguerre(seq)
     rp.resolve_open_questions(seq)
     params = dh.build_delta_family(3, F(1, 2), 2, 1)
-    rp.suite_dualhahn(params, compute_monic_ops(dh.weight_spec(params), 3))
+    rp.suite_dualhahn(params, compute_monic_ops(params.spec, 3))
     dh.phi_psi(params)
     assert callers and set(callers) == {("mvlaguerre.weights", "A")}
+
+
+def test_suite_dualhahn_builds_one_spec_per_level(monkeypatch):
+    """suite_dualhahn reads the weight at level nu off params.spec, which
+    the family's oracle already used, and builds one WeightSpec more, for
+    level nu+1: A is built once per level."""
+    params = dh.build_delta_family(3, Fraction(1, 2), 2, 1)
+    seq = compute_monic_ops(params.spec, 3)
+    counts = {"WeightSpec": 0, "build_A": 0}
+    post_init, build_a = WeightSpec.__post_init__, weights.build_A
+
+    def counting_post_init(self):
+        counts["WeightSpec"] += 1
+        post_init(self)
+
+    def counting_build_a(*args, **kwargs):
+        counts["build_A"] += 1
+        return build_a(*args, **kwargs)
+
+    monkeypatch.setattr(WeightSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(weights, "build_A", counting_build_a)
+    rp.suite_dualhahn(params, seq)
+    assert counts == {"WeightSpec": 1, "build_A": 2}
 
 
 def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):

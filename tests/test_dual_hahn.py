@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from mvlaguerre import dual_hahn as dh
 from mvlaguerre.dual_hahn import (DHParams, build_delta_family,
                                   check_conditions, epsilon_seq,
                                   derivative_coupling_matrices, phi_psi,
                                   verify_boundary_recursion,
                                   verify_dual_hahn_closed_form,
                                   verify_gauge_ratio, verify_derivative_coupling,
-                                  verify_q_recursions, weight_spec,
+                                  verify_q_recursions,
                                   xi_dual_hahn, xi_dual_hahn_displayed)
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
@@ -34,7 +35,7 @@ def _ok(checks):
 def family(request):
     n_dim, nu, c, d = GRID[request.param]
     params = build_delta_family(n_dim, nu, c, d)
-    seq = compute_monic_ops(weight_spec(params), 5)
+    seq = compute_monic_ops(params.spec, 5)
     return params, seq, extract_xi(seq)
 
 
@@ -82,7 +83,7 @@ def test_closed_form_equals_extraction(family):
 
 def test_displayed_closed_form_has_a_witness():
     params = build_delta_family(2, F(1), F(1), F(1))
-    seq = compute_monic_ops(weight_spec(params), 3)
+    seq = compute_monic_ops(params.spec, 3)
     xi = extract_xi(seq)
     assert xi.get(1, 2, 1) == -2
     assert xi_dual_hahn(1, 2, 1, params, xi.get(1, 2, 1)) == -2
@@ -107,7 +108,7 @@ def test_derivative_coupling(family):
 
 def test_derivative_coupling_negative_control():
     params = build_delta_family(2, F(1), F(1), F(1))
-    seq = compute_monic_ops(weight_spec(params), 3)
+    seq = compute_monic_ops(params.spec, 3)
     c_mat, m_star = derivative_coupling_matrices(params)
     wrong = c_mat - m_star * 2  # flips the transposed-conjugate term
     from mvlaguerre.matrices import MatQ, build_J
@@ -132,4 +133,22 @@ def test_phi_psi_negative_control():
     bad = DHParams(3, F(1), F(1), F(1), good.delta_nu,
                    (good.delta_nu1[0], good.delta_nu1[1], good.delta_nu1[2] * 2))
     _, _, checks = phi_psi(bad)
-    assert any(not c["pass"] for c in checks)
+    # a wrong level nu+1 leaves Phi, Psi and D2 intact
+    assert {c["check_id"] for c in checks if not c["pass"]} \
+        == {"W Phi = W(nu+1)", "W Psi = d/dx W(nu+1)"}
+
+
+def test_pearson_psi_identity_fails_alone(monkeypatch):
+    """A wrong coupling term changes Psi but not Phi: W Phi = W(nu+1) still
+    holds and W Psi = d/dx W(nu+1) fails."""
+    coupling = dh.derivative_coupling_matrices
+
+    def doubled_coupling(params):
+        c_mat, m_star = coupling(params)
+        return c_mat, m_star * 2
+
+    monkeypatch.setattr(dh, "derivative_coupling_matrices", doubled_coupling)
+    _, _, checks = phi_psi(build_delta_family(3, F(1), F(1), F(1)))
+    failed = {c["check_id"] for c in checks if not c["pass"]}
+    assert "W Psi = d/dx W(nu+1)" in failed
+    assert "W Phi = W(nu+1)" not in failed

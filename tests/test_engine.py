@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvlaguerre.dual_hahn import build_delta_family, weight_spec
+from mvlaguerre.dual_hahn import build_delta_family
 from mvlaguerre.engine import (compute_monic_ops, scalar_laguerre_monic,
                                verify_orthogonality, verify_three_term)
 from mvlaguerre.matrices import (MatPoly, MatQ, SingularMatrixError, exp_nilpotent,
@@ -116,7 +116,7 @@ def test_singular_norm_raises_when_first_needed():
 
 
 # the four rational specs and one dual Hahn family (c = 2, d = 1)
-SHARED_SPECS = RATIONAL_SPECS + [weight_spec(build_delta_family(3, F(1, 2), 2, 1))]
+SHARED_SPECS = RATIONAL_SPECS + [build_delta_family(3, F(1, 2), 2, 1).spec]
 
 
 @pytest.mark.parametrize("spec", SHARED_SPECS,

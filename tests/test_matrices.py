@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlaguerre.matrices import (MatLaurent, MatPoly, MatQ,
+from mvlaguerre.matrices import (MatPoly, MatQ,
                                  SingularMatrixError, build_A, build_J,
                                  build_K, commutator,
                                  exp_nilpotent, matexp_nilpotent)
@@ -221,11 +221,3 @@ def test_matpoly_transpose_involution_and_eval():
     assert p(F(1, 2)) == MatQ([[1, F(5, 2)], [F(5, 2), 4]])
     assert p.entry(0, 1) .coeffs == (2, 1)
 
-
-def test_matlaurent_roundtrip():
-    p = MatPoly([MatQ([[1]]), MatQ([[2]])], 1)
-    l = MatLaurent.from_poly(p)
-    assert l.shift(-1).coeff(-1) == MatQ([[1]])
-    assert l.derivative() == MatLaurent({0: MatQ([[2]])}, 1)
-    assert (l - l).is_zero()
-    assert (l * l).coeff(2) == MatQ([[4]])

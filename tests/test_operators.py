@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops
 from mvlaguerre.matrices import MatPoly, MatQ
-from mvlaguerre.operators import (DiffOp, SeqOp, WindowError,
+from mvlaguerre.operators import (DiffOp, ScaledMat, SeqOp, WindowError,
                                   diagonal_weight_scaled, make_named_operators,
                                   right_mult, verify_adjoint_pair,
                                   verify_bracket_identities,
@@ -115,6 +117,22 @@ def test_symmetry_negative_control():
     assert any(not c["pass"] for c in checks)
 
 
+@pytest.mark.parametrize("k, unit, failing", [
+    (2, (0, 1), {"symmetry-1", "symmetry-2", "symmetry-3"}),   # W F2 != F2^T W
+    (1, (0, 0), {"symmetry-2", "symmetry-3"}),
+    (0, (0, 1), {"symmetry-3"}),                               # W F0 != F0^T W
+], ids=["F2", "F1", "F0"])
+def test_each_symmetry_equation_can_fail(k, unit, failing):
+    """A constant added to one coefficient of D2 breaks exactly the
+    symmetry equations that coefficient enters."""
+    seq = compute_monic_ops(SPECS[2], 2)
+    d = make_named_operators(seq)["D2"]
+    coeffs = [d.coeff(i) for i in range(3)]
+    coeffs[k] = coeffs[k] + MatPoly.const(MatQ.unit(seq.spec.N, *unit))
+    checks = verify_symmetry_conditions(DiffOp(coeffs), weight_scaled(seq.spec), "W")
+    assert {c["check_id"] for c in checks if not c["pass"]} == {f"{n} W" for n in failing}
+
+
 def test_diffop_compose_matches_sequential_action():
     spec = SPECS[2]
     seq = compute_monic_ops(spec, 3)
@@ -135,11 +153,70 @@ def test_dagger_is_matrix_conjugated_star(seq):
         assert lhs == rhs
 
 
-def test_scaled_mat_derivative():
-    spec = SPECS[0]
-    t = diagonal_weight_scaled(spec)
-    # d/dx(e^{-x} x^nu B) has body B' + nu B/x - B
-    body = t.dx().body
-    b = t.body
-    expected = b.derivative() + b.shift(-1) * spec.nu - b
-    assert body == expected
+# A test-local reference for x^s e^{-x} B(x): the map from each power p of x
+# to the coefficient of x^p e^{-x}, zero coefficients dropped.
+def _laurent(w: ScaledMat) -> dict:
+    return {w.s + k: c for k, c in enumerate(w.body.coeffs) if not c.is_zero()}
+
+
+def _ref_sum(*parts) -> dict:
+    out = {}
+    for u in parts:
+        for p, c in u.items():
+            out[p] = out[p] + c if p in out else c
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def _ref_dx(u: dict) -> dict:
+    # d/dx (x^p e^{-x}) = p x^{p-1} e^{-x} - x^p e^{-x}
+    return _ref_sum({p - 1: c * p for p, c in u.items()}, {p: -c for p, c in u.items()})
+
+
+def _ref_mul(f: MatPoly, u: dict, left: bool) -> dict:
+    return _ref_sum(*({p + i: fi * c if left else c * fi} for i, fi in enumerate(f.coeffs)
+                      for p, c in u.items()))
+
+
+powers = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+bodies = st.lists(st.lists(st.lists(small_rats, min_size=2, max_size=2),
+                           min_size=2, max_size=2).map(MatQ),
+                  max_size=3).map(lambda cs: MatPoly(cs, 2))
+
+
+@given(powers, bodies)
+@settings(max_examples=60, deadline=None)
+def test_scaled_mat_derivative(s, b):
+    w = ScaledMat(s, b)
+    assert _laurent(w.dx()) == _ref_dx(_laurent(w))
+    assert _laurent(w.dx().dx()) == _ref_dx(_ref_dx(_laurent(w)))
+
+
+@given(powers, st.integers(-3, 3), bodies, bodies, bodies)
+@settings(max_examples=60, deadline=None)
+def test_scaled_mat_products_and_mixed_power_sums(s, gap, b1, b2, f):
+    u, v = ScaledMat(s, b1), ScaledMat(s + gap, b2)
+    lu, lv = _laurent(u), _laurent(v)
+    neg_v = {p: -c for p, c in lv.items()}
+    assert _laurent(u + v) == _ref_sum(lu, lv)
+    assert _laurent(u - v) == _ref_sum(lu, neg_v)
+    assert (u - v).s == min(u.s, v.s)
+    assert _laurent(u.lmul(f)) == _ref_mul(f, lu, left=True)
+    assert _laurent(u.rmul(f)) == _ref_mul(f, lu, left=False)
+    # the aligned body carries zero low-order coefficients into the products
+    diff = _ref_sum(lu, neg_v)
+    assert _laurent((u - v).lmul(f)) == _ref_mul(f, diff, left=True)
+    assert _laurent((u - v).rmul(f)) == _ref_mul(f, diff, left=False)
+    assert _laurent(u.scale(F(-2, 3))) == {p: c * F(-2, 3) for p, c in lu.items()}
+    assert (u - u).is_zero() and (u + v - v - u).is_zero()
+    assert (u - v).is_zero() == (lu == lv)
+
+
+@given(powers, powers.filter(lambda g: g.denominator != 1), bodies, bodies)
+@settings(max_examples=30, deadline=None)
+def test_scaled_mat_sum_rejects_a_non_integer_power_gap(s, gap, b1, b2):
+    u, v = ScaledMat(s, b1), ScaledMat(s + gap, b2)
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        v - u
