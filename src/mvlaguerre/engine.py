@@ -3,7 +3,8 @@ moment table.  This is the oracle every closed form in the package is
 checked against: orthogonalization uses nothing but the inner product.
 The family it returns, `OPSeq`, also owns every per-degree object derived
 from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
-R(x,n), G(n), I(n) and the xi table), each built at most once, on first use.
+Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
+first use.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class OPSeq:
     Gamma[n] = A(n+nu+1+J) - n - J, the second-order eigenvalue;
     K[n] and K_inv[n], the triangularizer K_n = exp(A(n+nu+1+J)) of Gamma_n
     and its inverse;
-    R[n] = K_n^{-1} P_n e^{xA};
+    Q[n] = P_n e^{xA} and R[n] = K_n^{-1} Q[n];
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
     xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
@@ -88,7 +89,7 @@ class OPSeq:
 
     @cached_property
     def T(self) -> tuple:
-        at1 = self.spec.A.transpose() - MatQ.identity(self.spec.N)
+        at1 = self.spec.at1
         return (None,) + tuple(h * at1 * self.h_inv(n) for n, h in enumerate(self.H[1:]))
 
     @cached_property
@@ -111,9 +112,13 @@ class OPSeq:
         return tuple(build_K(n, spec.nu, neg_A) for n in range(self.n_max + 1))
 
     @cached_property
-    def R(self) -> tuple:
+    def Q(self) -> tuple:
         ex = exp_nilpotent(self.spec.A, +1)
-        return tuple(kinv * (p * ex) for kinv, p in zip(self.K_inv, self.P))
+        return tuple(p * ex for p in self.P)
+
+    @cached_property
+    def R(self) -> tuple:
+        return tuple(kinv * q for kinv, q in zip(self.K_inv, self.Q))
 
     @cached_property
     def G(self) -> tuple:
@@ -134,29 +139,30 @@ class OPSeq:
 def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
-    P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m.  `projection_order`
-    permutes the subtraction order (the result must not change; used by the
-    uniqueness test).  Since P_n is orthogonal to every lower degree,
-    H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
-    coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
-    first needs it, and handed to the family.
+    P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one sum per
+    coefficient.  `projection_order` permutes the terms (the result must
+    not change; used by the uniqueness test).  Since P_n is orthogonal to
+    every lower degree, H_n = <P_n, P_n> = <x^n I, P_n>, which costs one
+    product per coefficient of P_n.  Each H_m^{-1} is computed once, when
+    degree m+1 first needs it, and handed to the family.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
     table = MomentTable(spec, 2 * n_max + 2)
-    n = spec.N
+    n, i = spec.N, MatQ.identity(spec.N)
     P: list[MatPoly] = []
     H: list[MatQ] = []
     inverses: dict = {}
     for deg in range(n_max + 1):
-        xn = MatPoly.monomial(deg, MatQ.identity(n))
-        p = xn
+        xn = MatPoly.monomial(deg, i)
+        terms = [[] for _ in range(deg)]
         order = list(range(deg)) if projection_order is None else projection_order(deg)
         for m in order:
             coef = inner_product(xn, P[m], table) * _inverse_of_H(H, inverses, m)
-            p = p - MatPoly.const(coef) * P[m]
-        P.append(p)
-        H.append(inner_product(xn, p, table))
+            for k, c in enumerate(P[m].coeffs):
+                terms[k].append(coef * c)
+        P.append(MatPoly([-MatQ.total(t, n) for t in terms] + [i], n))
+        H.append(inner_product(xn, P[-1], table))
     return OPSeq(spec, table, P, H, inverses)
 
 
@@ -202,14 +208,27 @@ def verify_three_term(seq: OPSeq) -> list[dict]:
     return checks
 
 
+def gram_lower_rows(seq: OPSeq):
+    """Yield, for i = 0..n_max, the list of <P_i, P_j> over j < i: the exact
+    sum of seq.ip regrouped as sum_b L_i[b] P_{j,b}^T, with the moment row
+    L_i[b] = sum_a P_{i,a} m_{a+b} built once per i.  O(n^3) block products
+    for the triangle instead of O(n^4)."""
+    n, table = seq.spec.N, seq.table
+    transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
+    for i, p in enumerate(seq.P):
+        row = [MatQ.total([pa * table[a + b] for a, pa in enumerate(p.coeffs)], n)
+               for b in range(i)]
+        yield [MatQ.total([lb * pt for lb, pt in zip(row, transposed[j])], n)
+               for j in range(i)]
+
+
 def verify_orthogonality(seq: OPSeq) -> list[dict]:
-    """<P_n, P_m> = delta_nm H_n exactly, plus positive definiteness of
-    every H_n by leading minors."""
+    """<P_n, P_m> = delta_nm H_n exactly, every pair m < n computed by
+    `gram_lower_rows`, plus positive definiteness of every H_n by minors."""
     checks = []
-    for i in range(seq.n_max + 1):
-        for j in range(i):
-            ok = seq.ip(seq.P[i], seq.P[j]).is_zero()
-            checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ok))
+    for i, products in enumerate(gram_lower_rows(seq)):
+        for j, ip in enumerate(products):
+            checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ip.is_zero()))
         checks.append(check(f"H-posdef n={i}", "orthogonality",
                             seq.H[i].is_positive_definite()))
     return checks

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import factorial, laguerre_poly, pochhammer, rat_str
@@ -305,15 +305,13 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
 
 def h_recursion_next(spec: WeightSpec, H: list) -> MatQ:
     """H_{n+2} from (H_{n-1},) H_n, H_{n+1} through the delta-coefficient
-    identities, with A and J read off `spec`; the H_{n-1} term drops when
-    producing H_2 because the sequence vanishes at negative indices.  Each
-    H_m is inverted afresh, once per call: the inverses are part of the
-    check.  A - 1 and A^T - 1 are inverted once per call too."""
-    A, J = spec.A, spec.J
+    identities, with A, J, A^T - 1 and the inverses of A - 1 and A^T - 1
+    read off `spec`; the H_{n-1} term drops when producing H_2 because the
+    sequence vanishes at negative indices.  Each H_m is inverted afresh,
+    once per call: the inverses are part of the check."""
+    A, J, at1, am1_inv = spec.A, spec.J, spec.at1, spec.am1_inv
     i = MatQ.identity(A.N)
     am1 = A - i
-    at1 = A.transpose() - i
-    am1_inv = am1.inverse()
     n = len(H) - 2  # producing index n+2
     hn, hn1 = H[n], H[n + 1]
     hn_inv = hn.inverse()
@@ -324,7 +322,7 @@ def h_recursion_next(spec: WeightSpec, H: list) -> MatQ:
         bn = bn - hn * at1 * H[n - 1].inverse() * am1
     inner = (bn * am1 - i * 2 - hjh_n1 + hjh_n
              + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * hn_inv) * am1)
-    return am1_inv * am1_inv * inner * hn1 * at1.inverse()
+    return am1_inv * am1_inv * inner * hn1 * spec.at1_inv
 
 
 def verify_H_recursion(seq: OPSeq) -> list[dict]:
@@ -364,8 +362,7 @@ def x1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
 def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
     """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}."""
     x1 = x1_from_h0(spec, h0)
-    at1 = spec.A.transpose() - MatQ.identity(spec.N)
-    return (x1 + commutator(spec.J, x1)) * h0 * at1.inverse()
+    return (x1 + commutator(spec.J, x1)) * h0 * spec.at1_inv
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
@@ -388,12 +385,10 @@ def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
 def verify_Q_relation(seq: OPSeq) -> list[dict]:
     """-Q(x,n) J = x Q'(x,n) - (n+J) Q(x,n) + H_n (A-1)^* H_{n-1}^{-1}
     Q(x,n-1), with the last term absent at n = 0."""
-    spec = seq.spec
-    J = spec.J
-    i = MatQ.identity(spec.N)
-    ex = exp_nilpotent(spec.A, +1)
+    J = seq.spec.J
+    i = MatQ.identity(seq.spec.N)
     checks = []
-    q = [seq.P[n] * ex for n in range(seq.n_max + 1)]
+    q = seq.Q
     for n in range(seq.n_max + 1):
         lhs = -(q[n] * J)
         rhs = q[n].derivative().scale_x(1) - MatPoly.const(i * n + J) * q[n]

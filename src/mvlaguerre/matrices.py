@@ -13,6 +13,7 @@ still read and written as `fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -79,8 +80,12 @@ class MatQ:
         return MatQ._of(((0,) * n,) * n, 1)
 
     @staticmethod
+    @cache  # one shared immutable I per size
     def identity(n: int) -> "MatQ":
         return MatQ._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+
+    def is_identity(self) -> bool:
+        return self.d == 1 and self.num == MatQ.identity(self.N).num
 
     @staticmethod
     def diag(entries) -> "MatQ":
@@ -144,6 +149,11 @@ class MatQ:
     def __mul__(self, other):
         if isinstance(other, MatQ):
             self._check(other)
+            # read off the canonical form: a product with I is the other factor
+            if other.is_identity():
+                return self
+            if self.is_identity():
+                return other
             cols = list(zip(*other.num))
             return MatQ._canonical(
                 [[sum(map(mul, row, col)) for col in cols] for row in self.num],

@@ -61,6 +61,19 @@ class WeightSpec:
     def J(self) -> MatQ:
         return build_J(self.N)
 
+    # A^T - 1 and the inverses of A - 1 and A^T - 1, for the norm recursions
+    @cached_property
+    def at1(self) -> MatQ:
+        return self.A.transpose() - MatQ.identity(self.N)
+
+    @cached_property
+    def am1_inv(self) -> MatQ:
+        return (self.A - MatQ.identity(self.N)).inverse()
+
+    @cached_property
+    def at1_inv(self) -> MatQ:
+        return self.at1.inverse()
+
     def phi_is_x(self) -> bool:
         return self.phi == RPoly.x()
 
@@ -95,14 +108,16 @@ def _moment_sums(spec: WeightSpec, offsets) -> list[MatQ]:
     rising = [Fraction(1)]
     for k in range(max(offsets) + 2 * n - 1):
         rising.append(rising[-1] * (spec.nu + 1 + k))
+    # delta_r c_{i,r} c_{j,r} and the index i+j-r do not depend on s
+    terms = {(i, j): [(spec.delta[r - 1] * c[i][r] * c[j][r], i + j - r)
+                      for r in range(1, j + 1)]
+             for i in range(1, n + 1) for j in range(1, i + 1)}
     out = []
     for s in offsets:
         rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                v = sum((spec.delta[r - 1] * c[i][r] * c[j][r] * rising[s + i + j - r]
-                         for r in range(1, j + 1)), Fraction(0))
-                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        for (i, j), ij_terms in terms.items():
+            v = sum((k * rising[s + e] for k, e in ij_terms), Fraction(0))
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
         out.append(MatQ(rows))
     return out
 

@@ -472,3 +472,51 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
         assert owner == what or owner in allowed.get(what, ()), (owner, what)
     assert len(reads) == 1
     assert len(laguerre) == len(set(laguerre)) > 0
+
+
+def test_suite_oracle_makes_cubically_many_block_products(monkeypatch):
+    """suite_oracle of an N=2, n_max=10 family makes no more block products
+    than its checks need.  The moment row of P_i costs i(i+1) and its
+    products with P_0..P_{i-1} another i(i+1)/2, so orthogonality takes
+    n(n+1)(n+2)/2 up to n = n_max (a full inner product per pair took 2365
+    here); the three-term, C-ratio and Y-recursion checks take
+    3n(n-1)/2 + 4n - 2."""
+    F = Fraction
+    seq = compute_monic_ops(WeightSpec(2, F(5, 8), (F(-9, 7),), (F(6, 5), F(7, 9))), 10)
+    calls = []
+    mul = MatQ.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(MatQ, "__mul__", counting_mul)
+    checks = rp.suite_oracle(seq)
+    monkeypatch.undo()
+    assert rp.all_pass(checks)
+    n = seq.n_max
+    assert len(calls) <= n * (n + 1) * (n + 2) // 2 + 3 * n * (n - 1) // 2 + 4 * n - 2
+
+
+def test_spec_inverts_A_minus_1_and_its_transpose_once(monkeypatch):
+    """suite_laguerre of an N=3 family reads A^T - 1 and the inverses of
+    A - 1 and A^T - 1 off the spec: each is inverted once, however many
+    norm recursions run."""
+    F = Fraction
+    spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
+    seq = compute_monic_ops(spec, 5)
+    i = MatQ.identity(spec.N)
+    shifts = {spec.A - i: "A-1", spec.A.transpose() - i: "A^T-1"}
+    inverted = []
+    inverse = MatQ.inverse
+
+    def counting_inverse(self):
+        if self in shifts:
+            inverted.append(shifts[self])
+        return inverse(self)
+
+    monkeypatch.setattr(MatQ, "inverse", counting_inverse)
+    assert rp.all_pass(rp.suite_laguerre(seq))
+    monkeypatch.undo()
+    assert sorted(inverted) == ["A-1", "A^T-1"]
+    assert spec.am1_inv * (spec.A - i) == i and spec.at1_inv * spec.at1 == i

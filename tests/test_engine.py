@@ -3,15 +3,18 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlaguerre.dual_hahn import build_delta_family
-from mvlaguerre.engine import (compute_monic_ops, scalar_laguerre_monic,
-                               verify_orthogonality, verify_three_term)
+from mvlaguerre.engine import (OPSeq, compute_monic_ops, gram_lower_rows,
+                               scalar_laguerre_monic, verify_orthogonality,
+                               verify_three_term)
 from mvlaguerre.matrices import (MatPoly, MatQ, SingularMatrixError, exp_nilpotent,
                                  matexp_nilpotent)
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
-from mvlaguerre.weights import WeightSpec, inner_product
+from mvlaguerre.weights import MomentTable, WeightSpec, inner_product
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 
@@ -117,21 +120,23 @@ def test_singular_norm_raises_when_first_needed():
 
 # the four rational specs and one dual Hahn family (c = 2, d = 1)
 SHARED_SPECS = RATIONAL_SPECS + [build_delta_family(3, F(1, 2), 2, 1).spec]
+SHARED_IDS = [f"N={s.N}" for s in RATIONAL_SPECS] + ["dual-Hahn"]
 
 
-@pytest.mark.parametrize("spec", SHARED_SPECS,
-                         ids=[f"N={s.N}" for s in RATIONAL_SPECS] + ["dual-Hahn"])
+@pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
 def test_shared_matrices_match_the_slow_paths(spec):
-    """The family's H_n^{-1}, K_n^{-1} and R(x,n) against the per-call
-    computations they replaced: a fresh inverse, and R as exp(-B) times
-    P_n e^{xA} with B = A(n+nu+1+J)."""
+    """The family's H_n^{-1}, K_n^{-1}, Q(x,n) and R(x,n) against the
+    per-call computations they replaced: a fresh inverse, Q as P_n e^{xA},
+    and R as exp(-B) times P_n e^{xA} with B = A(n+nu+1+J)."""
     seq = compute_monic_ops(spec, 4)
     i = MatQ.identity(spec.N)
     for n in range(5):
         assert seq.h_inv(n) == seq.H[n].inverse()
         assert seq.K_inv[n] == seq.K[n].inverse()
+        q = seq.P[n] * exp_nilpotent(spec.A, +1)
+        assert seq.Q[n] == q
         b = spec.A * (i * (n + spec.nu + 1) + spec.J)
-        assert seq.R[n] == matexp_nilpotent(-b) * (seq.P[n] * exp_nilpotent(spec.A, +1))
+        assert seq.R[n] == matexp_nilpotent(-b) * q
 
 
 def test_family_is_immutable():
@@ -172,3 +177,98 @@ def test_threads_racing_on_first_use_see_the_serial_values():
             assert seen == [serial] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def _skewed(seq):
+    """The family with A + J added to every coefficient below the leading
+    I: still of degree n at n, but not orthogonal, and with nonsymmetric
+    coefficients for N >= 2."""
+    shift = seq.spec.A + seq.spec.J
+    P = [MatPoly([c + shift for c in p.coeffs[:-1]] + [p.coeffs[-1]], p.N) for p in seq.P]
+    return OPSeq(seq.spec, seq.table, P, seq.H)
+
+
+def _assert_gram_rows_are_inner_products(seq):
+    for family in (seq, _skewed(seq)):
+        expected = [[family.ip(family.P[i], family.P[j]) for j in range(i)]
+                    for i in range(family.n_max + 1)]
+        assert list(gram_lower_rows(family)) == expected
+
+
+@pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
+def test_gram_rows_equal_the_inner_product(spec):
+    """The regrouped sum sum_b L_i[b] P_{j,b}^T against seq.ip(P_i, P_j),
+    on the oracle family (all zero) and on a skewed family (mostly not)."""
+    seq = compute_monic_ops(spec, 5)
+    _assert_gram_rows_are_inner_products(seq)
+    assert any(not v.is_zero() for row in gram_lower_rows(_skewed(seq)) for v in row)
+
+
+positive_rats = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+nonzero_rats = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def weight_specs(draw, max_dim=3):
+    n = draw(st.integers(1, max_dim))
+    return WeightSpec(n, draw(positive_rats),
+                      tuple(draw(st.lists(nonzero_rats, min_size=n - 1, max_size=n - 1))),
+                      tuple(draw(st.lists(positive_rats, min_size=n, max_size=n))))
+
+
+@given(weight_specs(), st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_gram_rows_equal_the_inner_product_on_random_specs(spec, n_max):
+    _assert_gram_rows_are_inner_products(compute_monic_ops(spec, n_max))
+
+
+@pytest.mark.parametrize("i, k", [(1, 0), (3, 0), (3, 1), (4, 3)])
+def test_orthogonality_fails_exactly_at_a_perturbed_coefficient(i, k):
+    """Adding eps E_11 x^k (k < i) to P_i changes <P_i, P_j> by
+    eps E_11 <x^k I, P_j>, which vanishes for k < j by orthogonality, and
+    <P_l, P_i> for l > i by <P_l, x^k I> eps E_11^T = 0.  So exactly the
+    checks n=i,m=j with j <= k fail: for the constant coefficient only
+    m=0, for the one-but-leading every m < i."""
+    seq = compute_monic_ops(RATIONAL_SPECS[2], 5)
+    eps = MatQ.unit(3, 0, 0) * F(1, 1000)
+    P = list(seq.P)
+    P[i] = P[i] + MatPoly.monomial(k, eps)
+    checks = verify_orthogonality(OPSeq(seq.spec, seq.table, P, seq.H))
+    failed = {c["check_id"] for c in checks if not c["pass"]}
+    assert failed == {f"orthogonality n={i},m={j}" for j in range(k + 1)}
+
+
+def _subtract_chain(spec, n_max, projection_order=None):
+    """Gram-Schmidt as one MatPoly subtraction per projection term, with a
+    fresh H_m^{-1} per use: the loop the oracle's one-sum-per-coefficient
+    form replaced."""
+    table = MomentTable(spec, 2 * n_max + 2)
+    P, H = [], []
+    for deg in range(n_max + 1):
+        xn = MatPoly.monomial(deg, MatQ.identity(spec.N))
+        p = xn
+        order = list(range(deg)) if projection_order is None else projection_order(deg)
+        for m in order:
+            coef = inner_product(xn, P[m], table) * H[m].inverse()
+            p = p - MatPoly.const(coef) * P[m]
+        P.append(p)
+        H.append(inner_product(xn, p, table))
+    return tuple(P), tuple(H)
+
+
+ORDERS = {"natural": None, "reversed": lambda d: list(range(d))[::-1],
+          "odd-even": lambda d: list(range(1, d, 2)) + list(range(0, d, 2))}
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+@pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
+def test_gram_schmidt_equals_the_subtraction_chain(spec, order):
+    seq = compute_monic_ops(spec, 5, projection_order=ORDERS[order])
+    assert (seq.P, seq.H) == _subtract_chain(spec, 5, ORDERS[order])
+
+
+@given(weight_specs(), st.integers(0, 4), st.sampled_from(list(ORDERS)))
+@settings(max_examples=25, deadline=None)
+def test_gram_schmidt_equals_the_subtraction_chain_on_random_specs(spec, n_max, order):
+    seq = compute_monic_ops(spec, n_max, projection_order=ORDERS[order])
+    assert (seq.P, seq.H) == _subtract_chain(spec, n_max, ORDERS[order])

@@ -3,7 +3,7 @@ from itertools import chain
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.matrices import (MatPoly, MatQ,
@@ -139,6 +139,25 @@ def test_kernel_matches_fraction_reference(inputs):
                   MatQ(a.rows)):
         assert other == a and hash(other) == hash(a)
     assert (a == b) == (x == y)
+
+
+@given(kernel_inputs())
+@example(([[F(1), F(0)], [F(0), F(1)]], [[F(0)] * 2] * 2, F(0)))
+@settings(max_examples=60, deadline=None)
+def test_products_with_the_identity_and_its_neighbours(inputs):
+    """A product with I is the other factor, as an object; a product with a
+    matrix next to I (2I, I/2, -I, I plus a matrix unit) is computed."""
+    x, _, _ = inputs
+    n = len(x)
+    a, i = MatQ(x), MatQ.identity(n)
+    assert MatQ(i.rows).is_identity() and not MatQ.zero(n).is_identity()
+    assert a * i is a and (i * a is a or a.is_identity())
+    assert_matches(i * a, x)
+    for near in (i * 2, i * F(1, 2), -i, i + MatQ.unit(n, n - 1, 0)):
+        assert not near.is_identity()
+        rows = [list(r) for r in near.rows]
+        assert_matches(a * near, ref_mul(x, rows))
+        assert_matches(near * a, ref_mul(rows, x))
 
 
 def test_positive_definiteness_by_minors():
