@@ -4,7 +4,9 @@ checked against: orthogonalization uses nothing but the inner product.
 The family it returns, `OPSeq`, also owns every per-degree object derived
 from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
 Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
-first use.
+first use.  Every sum of block products here (the projections, the inner
+products, the moment rows) is fused into one `MatQ.dot` with a single gcd
+pass; the canonical form is unique, so regrouping a sum this way is exact.
 """
 
 from __future__ import annotations
@@ -139,12 +141,12 @@ class OPSeq:
 def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
-    P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one sum per
-    coefficient.  `projection_order` permutes the terms (the result must
-    not change; used by the uniqueness test).  Since P_n is orthogonal to
-    every lower degree, H_n = <P_n, P_n> = <x^n I, P_n>, which costs one
-    product per coefficient of P_n.  Each H_m^{-1} is computed once, when
-    degree m+1 first needs it, and handed to the family.
+    P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one fused sum
+    (MatQ.dot) per coefficient.  `projection_order` permutes the terms (the
+    result must not change; used by the uniqueness test).  Since P_n is
+    orthogonal to every lower degree, H_n = <P_n, P_n> = <x^n I, P_n>, which
+    costs one product per coefficient of P_n.  Each H_m^{-1} is computed
+    once, when degree m+1 first needs it, and handed to the family.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
@@ -160,8 +162,8 @@ def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OP
         for m in order:
             coef = inner_product(xn, P[m], table) * _inverse_of_H(H, inverses, m)
             for k, c in enumerate(P[m].coeffs):
-                terms[k].append(coef * c)
-        P.append(MatPoly([-MatQ.total(t, n) for t in terms] + [i], n))
+                terms[k].append((coef, c))
+        P.append(MatPoly([-MatQ.dot(t, n) for t in terms] + [i], n))
         H.append(inner_product(xn, P[-1], table))
     return OPSeq(spec, table, P, H, inverses)
 
@@ -212,14 +214,13 @@ def gram_lower_rows(seq: OPSeq):
     """Yield, for i = 0..n_max, the list of <P_i, P_j> over j < i: the exact
     sum of seq.ip regrouped as sum_b L_i[b] P_{j,b}^T, with the moment row
     L_i[b] = sum_a P_{i,a} m_{a+b} built once per i.  O(n^3) block products
-    for the triangle instead of O(n^4)."""
+    for the triangle instead of O(n^4); each sum is one MatQ.dot."""
     n, table = seq.spec.N, seq.table
     transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
     for i, p in enumerate(seq.P):
-        row = [MatQ.total([pa * table[a + b] for a, pa in enumerate(p.coeffs)], n)
+        row = [MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
                for b in range(i)]
-        yield [MatQ.total([lb * pt for lb, pt in zip(row, transposed[j])], n)
-               for j in range(i)]
+        yield [MatQ.dot(list(zip(row, transposed[j])), n) for j in range(i)]
 
 
 def verify_orthogonality(seq: OPSeq) -> list[dict]:

@@ -5,8 +5,11 @@ matrix J, and the triangularizers K_n.
 A rational matrix is stored as an integer matrix over one shared positive
 denominator, in lowest terms, so that products and sums are integer
 arithmetic followed by a single gcd pass per result instead of one
-Fraction normalisation per entry operation.  Inverses and determinants use
-fraction-free (Bareiss) elimination on the integer matrix.  Entries are
+Fraction normalisation per entry operation.  A sum of block products goes
+through `MatQ.dot` (and a sum of matrix-polynomial products through
+`MatPoly.dot`), which accumulates the integer numerators of every term and
+makes one gcd pass per result, not one per term.  Inverses and determinants
+use fraction-free (Bareiss) elimination on the integer matrix.  Entries are
 still read and written as `fractions.Fraction`.
 """
 
@@ -33,7 +36,8 @@ class MatQ:
     gcd(d, every entry of num) == 1.  That form is canonical: equal
     matrices have equal (d, num), so equality and hashing compare it
     directly.  Arithmetic runs on the integers with one gcd pass per
-    result; `rows` and `m[i, j]` build Fractions on demand.
+    result; a sum of products is one result (`MatQ.dot`).  `rows` and
+    `m[i, j]` build Fractions on demand.
     """
 
     __slots__ = ("num", "d", "N")
@@ -99,19 +103,37 @@ class MatQ:
         return MatQ._of(tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)), 1)
 
     @staticmethod
-    def total(mats, n: int) -> "MatQ":
-        """Sum of a list of N x N matrices over one common denominator."""
-        if len(mats) == 1:
-            return mats[0]
-        d = lcm(*(m.d for m in mats))
-        acc = [0] * (n * n)
-        for m in mats:
-            entries = chain.from_iterable(m.num)
-            s = d // m.d
-            if s != 1:
-                entries = [v * s for v in entries]
-            acc = list(map(add, acc, entries))
-        return MatQ._canonical([acc[i:i + n] for i in range(0, n * n, n)], d)
+    def dot(pairs: list, n: int) -> "MatQ":
+        """Sum of a * b over the (a, b) pairs of N x N matrices, fused: the
+        integer numerators of every product are accumulated over the lcm of
+        the products' denominators, with one gcd pass for the whole sum.  A
+        pair with an identity factor adds the other factor's numerators.  A
+        single pair is the product a * b; no pairs give the zero matrix."""
+        if len(pairs) == 1:
+            a, b = pairs[0]
+            return a * b
+        if not pairs:
+            return MatQ.zero(n)
+        d = lcm(*(a.d * b.d for a, b in pairs))
+        # the non-identity products form one block row times one block
+        # column: row i of every scaled a, then column j of every b
+        rows, cols, plain = [[] for _ in range(n)], [[] for _ in range(n)], []
+        for a, b in pairs:
+            if a.N != n or b.N != n:
+                raise ValueError("dimension mismatch")
+            s = d // (a.d * b.d)
+            one = a if b.is_identity() else b if a.is_identity() else None
+            if one is not None:
+                plain.append((one.num, s))
+                continue
+            for r, ar in zip(rows, a.num):
+                r.extend(ar if s == 1 else [v * s for v in ar])
+            for c, bc in zip(cols, zip(*b.num)):
+                c.extend(bc)
+        acc = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+        for num, s in plain:
+            acc = [[u + v * s for u, v in zip(ra, rb)] for ra, rb in zip(acc, num)]
+        return MatQ._canonical(acc, d)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -285,6 +307,20 @@ class MatPoly:
     def from_scalar(p: RPoly, n: int) -> "MatPoly":
         return MatPoly([MatQ.identity(n) * c for c in p.coeffs], n)
 
+    @staticmethod
+    def dot(pairs: list, n: int) -> "MatPoly":
+        """Sum of p * q over the (p, q) pairs of matrix polynomials, with one
+        MatQ.dot per power of x.  Zero coefficients (the low-order ones of a
+        body brought to a lower power of x) make no pair."""
+        terms = [[] for _ in range(max((p.degree + q.degree + 1 for p, q in pairs), default=0))]
+        for p, q in pairs:
+            right = [(j, b) for j, b in enumerate(q.coeffs) if not b.is_zero()]
+            for i, a in enumerate(p.coeffs):
+                if not a.is_zero():
+                    for j, b in right:
+                        terms[i + j].append((a, b))
+        return MatPoly([MatQ.dot(t, n) for t in terms], n)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -319,17 +355,7 @@ class MatPoly:
 
     def __mul__(self, other):
         if isinstance(other, MatPoly):
-            if self.is_zero() or other.is_zero():
-                return MatPoly.zero(self.N)
-            terms = [[] for _ in range(self.degree + other.degree + 1)]
-            # bodies brought to a lower power of x carry zero low-order
-            # coefficients; a list with no terms totals to zero
-            right = [(j, b) for j, b in enumerate(other.coeffs) if not b.is_zero()]
-            for i, a in enumerate(self.coeffs):
-                if not a.is_zero():
-                    for j, b in right:
-                        terms[i + j].append(a * b)
-            return MatPoly([MatQ.total(t, self.N) for t in terms], self.N)
+            return MatPoly.dot([(self, other)], self.N)
         if isinstance(other, MatQ):
             return MatPoly([c * other for c in self.coeffs], self.N)
         if isinstance(other, (int, str, Fraction)):

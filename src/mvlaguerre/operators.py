@@ -50,13 +50,11 @@ class DiffOp:
         return MatPoly.zero(self.N)
 
     def act(self, q: MatPoly) -> MatPoly:
-        out = MatPoly.zero(self.N)
-        dq = q
-        for j, fj in enumerate(self.F):
-            if j > 0:
-                dq = dq.derivative()
-            out = out + dq * fj
-        return out
+        """sum_j (d^j q) F_j, summed power by power with one MatQ.dot each."""
+        derivatives = [q]
+        for _ in self.F[1:]:
+            derivatives.append(derivatives[-1].derivative())
+        return MatPoly.dot(list(zip(derivatives, self.F)), self.N)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         m = max(len(self.F), len(other.F))
@@ -76,18 +74,17 @@ class DiffOp:
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator with Q . (self compose other) = (Q . self) . other."""
-        out = {}
+        pairs = [[] for _ in range(len(self.F) + len(other.F) - 1)]
         for j, fj in enumerate(self.F):
             for k, gk in enumerate(other.F):
                 dfj = fj
                 for m in range(k, -1, -1):
                     # dfj holds the (k-m)-th derivative of F_j at this point
-                    term = dfj * gk * math.comb(k, m)
-                    out[j + m] = out.get(j + m, MatPoly.zero(self.N)) + term
+                    c = math.comb(k, m)
+                    pairs[j + m].append((dfj if c == 1 else dfj * c, gk))
                     if m > 0:
                         dfj = dfj.derivative()
-        top = max(out) if out else 0
-        return DiffOp([out.get(i, MatPoly.zero(self.N)) for i in range(top + 1)], self.N)
+        return DiffOp([MatPoly.dot(t, self.N) for t in pairs], self.N)
 
     def bracket(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -102,12 +99,8 @@ class DiffOp:
             neg_a_pow.append(neg_a_pow[-1] * (-a))
         out = []
         for m in range(len(self.F)):
-            inner = MatPoly.zero(self.N)
-            for j in range(m, len(self.F)):
-                p = j - m
-                if p >= len(neg_a_pow):
-                    continue
-                inner = inner + math.comb(j, m) * (neg_a_pow[p] * self.F[j])
+            inner = MatPoly.dot([(MatPoly.const(neg_a_pow[j - m] * math.comb(j, m)), self.F[j])
+                                 for j in range(m, min(len(self.F), m + a.N))], self.N)
             out.append(left * inner * right)
         return DiffOp(out, self.N)
 
@@ -161,7 +154,7 @@ class SeqOp:
         """(M . P)(n) for a sequence given as a list of MatPoly (or MatQ)."""
         if not (0 <= n <= self.n_max):
             raise WindowError(f"n={n} outside window 0..{self.n_max}")
-        out = None
+        pairs = []
         for j in self.shifts():
             k = n + j
             if k < 0:
@@ -171,11 +164,10 @@ class SeqOp:
             c = self.table[j][n]
             if c is None:
                 raise WindowError(f"coefficient at shift {j}, n={n} is undefined")
-            term = c * values[k] if isinstance(values[k], MatQ) else MatPoly.const(c) * values[k]
-            out = term if out is None else out + term
-        if out is None:
-            out = MatQ.zero(self.N) if values and isinstance(values[0], MatQ) else MatPoly.zero(self.N)
-        return out
+            pairs.append((c, values[k]))
+        if values and isinstance(values[0], MatQ):
+            return MatQ.dot(pairs, self.N)
+        return MatPoly.dot([(MatPoly.const(c), v) for c, v in pairs], self.N)
 
     def __add__(self, other: "SeqOp") -> "SeqOp":
         shifts = set(self.table) | set(other.table)
@@ -226,25 +218,23 @@ class SeqOp:
     def compose(self, other: "SeqOp") -> "SeqOp":
         """(self other) . P = self . (other . P); sequence values at negative
         indices vanish, so terms reaching below the window drop exactly."""
-        table = {}
-        for i, col_a in self.table.items():
-            for j, col_b in other.table.items():
-                k = i + j
-                if k not in table:
-                    table[k] = [MatQ.zero(self.N) for _ in range(self.n_max + 1)]
+        pairs = {i + j: [[] for _ in range(self.n_max + 1)]
+                 for i in self.table for j in other.table}
         for n in range(self.n_max + 1):
             for i, col_a in self.table.items():
                 mid = n + i
                 if mid < 0:
                     continue
                 for j, col_b in other.table.items():
-                    k = i + j
-                    if table[k][n] is None:
+                    col = pairs[i + j]
+                    if col[n] is None:
                         continue
                     if mid > self.n_max or col_a[n] is None or col_b[mid] is None:
-                        table[k][n] = None
+                        col[n] = None
                         continue
-                    table[k][n] = table[k][n] + col_a[n] * col_b[mid]
+                    col[n].append((col_a[n], col_b[mid]))
+        table = {k: [None if t is None else MatQ.dot(t, self.N) for t in col]
+                 for k, col in pairs.items()}
         return SeqOp(table, self.n_max, self.N)
 
     def agrees_with(self, other: "SeqOp", n_range) -> bool:
@@ -383,22 +373,17 @@ def adjoint_defect(d1: DiffOp, d2: DiffOp, table: MomentTable, a: int, b: int) -
     """Kernel S1(a,b) - S2(a,b): since <x^a E_uv . D1, x^b E_st> equals
     E_uv S1 E_ts and likewise for the right side, entrywise equality of the
     kernels covers every matrix-unit pair at degrees (a, b)."""
-    n = d1.N
-    s1 = MatQ.zero(n)
-    for j in range(len(d1.F)):
+    pairs = []
+    for j, fj in enumerate(d1.F):
         fall = _falling(a, j)
-        if fall == 0:
-            continue
-        for c, fc in enumerate(d1.F[j].coeffs):
-            s1 = s1 + fall * (fc * table[a + b - j + c])
-    s2 = MatQ.zero(n)
-    for j in range(len(d2.F)):
+        if fall:
+            pairs += [(fc, table[a + b - j + c] * fall) for c, fc in enumerate(fj.coeffs)]
+    for j, gj in enumerate(d2.F):
         fall = _falling(b, j)
-        if fall == 0:
-            continue
-        for c, gc in enumerate(d2.F[j].coeffs):
-            s2 = s2 + fall * (table[a + b - j + c] * gc.transpose())
-    return s1 - s2
+        if fall:
+            pairs += [(table[a + b - j + c] * -fall, gc.transpose())
+                      for c, gc in enumerate(gj.coeffs)]
+    return MatQ.dot(pairs, d1.N)
 
 
 def verify_adjoint_pair(d1: DiffOp, d2: DiffOp, table: MomentTable,

@@ -183,11 +183,12 @@ class MomentTable:
 
 
 def inner_product(p: MatPoly, q: MatPoly, table: MomentTable) -> MatQ:
-    """<P, Q> = sum_a P_a (sum_b m_{a+b} Q_b^T), exactly."""
+    """<P, Q> = sum_a P_a (sum_b m_{a+b} Q_b^T), exactly.  Both sums are
+    fused (MatQ.dot, one gcd pass each); regrouping them is exact."""
     n = table.spec.N
     qt = [(b, qb.transpose()) for b, qb in enumerate(q.coeffs) if not qb.is_zero()]
-    return MatQ.total([pa * MatQ.total([table[a + b] * qb for b, qb in qt], n)
-                       for a, pa in enumerate(p.coeffs) if not pa.is_zero()], n)
+    return MatQ.dot([(pa, MatQ.dot([(table[a + b], qb) for b, qb in qt], n))
+                     for a, pa in enumerate(p.coeffs) if not pa.is_zero()], n)
 
 
 def h0_as_displayed(spec: WeightSpec) -> MatQ:

@@ -478,19 +478,27 @@ def test_suite_oracle_makes_cubically_many_block_products(monkeypatch):
     """suite_oracle of an N=2, n_max=10 family makes no more block products
     than its checks need.  The moment row of P_i costs i(i+1) and its
     products with P_0..P_{i-1} another i(i+1)/2, so orthogonality takes
-    n(n+1)(n+2)/2 up to n = n_max (a full inner product per pair took 2365
+    n(n+1)(n+2)/2 up to n = n_max (a full inner product per pair counts 2493
     here); the three-term, C-ratio and Y-recursion checks take
-    3n(n-1)/2 + 4n - 2."""
+    3n(n-1)/2 + 4n - 2.  A block product is a call of MatQ.__mul__ or a
+    pair with no identity factor in a fused MatQ.dot of two or more pairs
+    (a single pair is handed to MatQ.__mul__ and counted there)."""
     F = Fraction
     seq = compute_monic_ops(WeightSpec(2, F(5, 8), (F(-9, 7),), (F(6, 5), F(7, 9))), 10)
     calls = []
-    mul = MatQ.__mul__
+    mul, dot = MatQ.__mul__, MatQ.dot
 
     def counting_mul(self, other):
         calls.append(None)
         return mul(self, other)
 
+    def counting_dot(pairs, n):
+        if len(pairs) > 1:
+            calls.extend(None for a, b in pairs if not (a.is_identity() or b.is_identity()))
+        return dot(pairs, n)
+
     monkeypatch.setattr(MatQ, "__mul__", counting_mul)
+    monkeypatch.setattr(MatQ, "dot", staticmethod(counting_dot))
     checks = rp.suite_oracle(seq)
     monkeypatch.undo()
     assert rp.all_pass(checks)

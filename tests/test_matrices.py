@@ -160,6 +160,138 @@ def test_products_with_the_identity_and_its_neighbours(inputs):
         assert_matches(near * a, ref_mul(rows, x))
 
 
+# MatQ.dot against a test-local sum of Fraction products.  A factor is a
+# random matrix (big-prime, negative-signed and zero entries among them), the
+# identity, one of its neighbours (2I, I/2, -I, I + E_N1) or zero.
+
+FACTOR_KINDS = ("random", "random", "I", "2I", "I/2", "-I", "I+E", "0")
+
+
+def kind_rows(n, kind):
+    scale = {"I": 1, "2I": 2, "I/2": F(1, 2), "-I": -1, "I+E": 1, "0": 0}[kind]
+    rows = [[F(scale) if i == j else F(0) for j in range(n)] for i in range(n)]
+    if kind == "I+E":
+        rows[n - 1][0] += 1
+    return rows
+
+
+def ref_add(x, y):
+    return [[u + v for u, v in zip(r, t)] for r, t in zip(x, y)]
+
+
+def ref_dot(pairs, n):
+    out = [[F(0)] * n for _ in range(n)]
+    for x, y in pairs:
+        out = ref_add(out, ref_mul(x, y))
+    return out
+
+
+@st.composite
+def dot_inputs(draw):
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(entries, st.builds(F, st.integers(-20, 20), st.integers(-9, -1)))
+
+    def factor():
+        kind = draw(st.sampled_from(FACTOR_KINDS))
+        if kind == "random":
+            return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        return kind_rows(n, kind)
+
+    return n, [(factor(), factor()) for _ in range(draw(st.integers(0, 5)))]
+
+
+@given(dot_inputs())
+@example((2, []))
+@example((2, [([[F(1, 3), F(2)], [F(0), F(-5, 7)]], kind_rows(2, "I"))]))
+@example((2, [(kind_rows(2, "I"), [[F(1, 3), F(1)], [F(2), F(5, 7)]]),
+              ([[F(1, 2), F(-1)], [F(0), F(3)]], kind_rows(2, "I")),
+              ([[F(1, 2), F(0)], [F(0), F(1)]], [[F(1), F(1)], [F(0), F(1)]]),
+              ([[F(1, 3), F(0)], [F(0), F(1)]], [[F(1), F(1)], [F(0), F(1)]])]))
+@example((2, [(kind_rows(2, "I/2"), kind_rows(2, "2I")), (kind_rows(2, "0"), kind_rows(2, "-I"))]))
+@settings(max_examples=200, deadline=None)
+def test_dot_matches_a_sum_of_fraction_products(inputs):
+    """MatQ.dot is the exact sum of the products, in canonical form; one pair
+    is the product itself (so a * I is a) and no pairs are the zero matrix."""
+    n, pairs = inputs
+    mats = [(MatQ(x), MatQ(y)) for x, y in pairs]
+    out = MatQ.dot(mats, n)
+    assert_matches(out, ref_dot(pairs, n))
+    if len(mats) == 1 and mats[0][1].is_identity():
+        assert out is mats[0][0]
+
+
+def test_dot_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError):
+        MatQ.dot([(MatQ.identity(2), MatQ.identity(2)), (MatQ.identity(3), MatQ.identity(3))], 2)
+
+
+# MatPoly products against a test-local schoolbook product of Fraction
+# coefficient lists; leading zero coefficients are the bodies scale_x makes.
+
+def ref_poly_mul(p, q, n):
+    out = [[[F(0)] * n for _ in range(n)] for _ in range(len(p) + len(q) - 1)]
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = ref_add(out[i + j], ref_mul(x, y))
+    while out and not any(map(any, out[-1])):
+        out.pop()
+    return out
+
+
+def matpoly(coeffs, n):
+    return MatPoly([MatQ(c) for c in coeffs], n)
+
+
+def assert_poly_matches(poly, expected):
+    assert len(poly.coeffs) == len(expected)
+    for c, rows in zip(poly.coeffs, expected):
+        assert_matches(c, rows)
+
+
+@st.composite
+def poly_coeffs(draw, n):
+    """Fraction coefficient lists of degree 0..4, some shifted up by scale_x."""
+    kinds = st.sampled_from(("random", "random", "random", "I", "-I", "0"))
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    coeffs = [draw(square) if k == "random" else kind_rows(n, k)
+              for k in draw(st.lists(kinds, min_size=1, max_size=5))]
+    return [kind_rows(n, "0")] * draw(st.integers(0, 2)) + coeffs
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(poly_coeffs(n)), draw(poly_coeffs(n))
+
+
+@given(poly_pairs())
+@settings(max_examples=120, deadline=None)
+def test_matpoly_product_matches_the_schoolbook_product(inputs):
+    n, p, q = inputs
+    assert_poly_matches(matpoly(p, n) * matpoly(q, n), ref_poly_mul(p, q, n))
+    assert_poly_matches(matpoly(p, n).scale_x(2) * matpoly(q, n),
+                        ref_poly_mul([kind_rows(n, "0")] * 2 + p, q, n))
+
+
+def test_matpoly_product_makes_one_gcd_pass_per_coefficient(monkeypatch):
+    """Each coefficient of a product is one fused sum: one canonical-form
+    pass, however many block products it adds up."""
+    p = MatPoly([MatQ([[F(k + 1, 3), F(-2, k + 5)], [F(k, 7), F(5, k + 2)]]) for k in range(4)], 2)
+    q = MatPoly([MatQ([[F(3, k + 2), F(1, 4)], [F(-k - 1, 5), F(k + 2, 3)]]) for k in range(3)], 2)
+    passes = []
+    canonical = MatQ._canonical
+
+    def counting(num, d):
+        passes.append(None)
+        return canonical(num, d)
+
+    monkeypatch.setattr(MatQ, "_canonical", staticmethod(counting))
+    out = p * q
+    monkeypatch.undo()
+    assert len(out.coeffs) == 6
+    assert len(passes) == 6
+
+
 def test_positive_definiteness_by_minors():
     assert MatQ([[2, 6], [6, 30]]).is_positive_definite()
     assert not MatQ([[1, 3], [3, 1]]).is_positive_definite()

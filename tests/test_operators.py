@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops
@@ -220,3 +220,60 @@ def test_scaled_mat_sum_rejects_a_non_integer_power_gap(s, gap, b1, b2):
         u + v
     with pytest.raises(ValueError):
         v - u
+
+
+# DiffOp.act against a test-local schoolbook sum_j (d^j q) F_j over Fraction
+# coefficient lists; q may carry zero low-order coefficients (scale_x bodies).
+
+def _zero_rows(n):
+    return [[F(0)] * n for _ in range(n)]
+
+
+def _ref_poly_mul(p, q, n):
+    out = [_zero_rows(n) for _ in range(len(p) + len(q) - 1)]
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = [[u + sum((x[r][k] * y[k][c] for k in range(n)), F(0))
+                           for c, u in enumerate(row)] for r, row in enumerate(out[i + j])]
+    return out
+
+
+def _ref_act(q, fs, n):
+    total, dq = [], q
+    for j, f in enumerate(fs):
+        if j:
+            dq = [[[v * k for v in r] for r in c] for k, c in enumerate(dq)][1:]
+        for k, c in enumerate(_ref_poly_mul(dq, f, n) if dq and f else []):
+            if k == len(total):
+                total.append(_zero_rows(n))
+            total[k] = [[u + v for u, v in zip(a, b)] for a, b in zip(total[k], c)]
+    while total and not any(map(any, total[-1])):
+        total.pop()
+    return total
+
+
+@st.composite
+def act_inputs(draw):
+    n = draw(st.integers(1, 3))
+    cell = st.one_of(st.just(F(0)), small_rats)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    def poly(max_degree):
+        return ([_zero_rows(n)] * draw(st.integers(0, 2))
+                + draw(st.lists(square, min_size=1, max_size=max_degree + 1)))
+
+    return n, poly(4), [poly(3) for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(act_inputs())
+@example((1, [[[F(0)]], [[F(0)]], [[F(1)]]], [[[[F(2)]]], [[[F(0)]], [[F(1)]]], [[[F(1, 3)]]]]))
+@settings(max_examples=120, deadline=None)
+def test_diffop_act_matches_the_schoolbook_sum(inputs):
+    n, q, fs = inputs
+
+    def poly(coeffs):
+        return MatPoly([MatQ(c) for c in coeffs], n)
+
+    out = DiffOp([poly(f) for f in fs], n).act(poly(q))
+    assert [[list(r) for r in c.rows] for c in out.coeffs] == _ref_act(q, fs, n)
+    assert all(c == MatQ(c.rows) for c in out.coeffs)
