@@ -19,7 +19,7 @@ from . import dual_hahn as dh
 from . import laguerre_forms as lf
 from . import lie_algebra as la
 from . import report as rp
-from .engine import compute_monic_ops
+from .engine import OPSeq, compute_monic_ops
 from .matrices import MatPoly, MatQ
 from .scalar import DomainError, parse_phi, rat, rat_str
 from .weights import WeightSpec
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
     notes: list[str] = []
     resolutions: list[dict] = []
-    params = None
+    params = seq = None
     if args.suite in ("dualhahn", "all"):
         params = _dualhahn_params(args, spec)
         if params is None:
@@ -152,7 +152,17 @@ def cmd_verify(args) -> int:
             if spec.N >= 2:
                 resolutions = rp.resolve_open_questions(seq)
     if params is not None:
-        dh_seq = compute_monic_ops(params.spec, min(n_max, 4) + 1)
+        k = min(n_max, 4) + 1
+        if seq is not None and params.spec == spec and n_max >= k:
+            # the verified family already holds degrees 0..k and the inverses
+            # of H_0..H_{k-1}: at n_max == k it is the family itself, with its
+            # K, R and xi table; the dual Hahn suite never reads the moment
+            # table, so its depth does not matter
+            dh_seq = seq if n_max == k else OPSeq(
+                spec, seq.table, seq.P[:k + 1], seq.H[:k + 1],
+                {n: seq.h_inv(n) for n in range(k)})
+        else:
+            dh_seq = compute_monic_ops(params.spec, k)
         checks += rp.suite_dualhahn(params, dh_seq)
     if args.suite == "all":
         checks += rp.suite_lie(spec.nu)

@@ -180,7 +180,13 @@ class MatQ:
             return MatQ._canonical(
                 [[sum(map(mul, row, col)) for col in cols] for row in self.num],
                 self.d * other.d)
-        if isinstance(other, (int, str, Fraction)):
+        if isinstance(other, int):
+            # gcd(d, numerators) = 1, so gcd(d, k * numerators) = gcd(d, k),
+            # and d/g is coprime to k/g and to the numerators
+            g = gcd(self.d, other)
+            k = other // g
+            return MatQ._of(tuple(tuple(v * k for v in r) for r in self.num), self.d // g)
+        if isinstance(other, (str, Fraction)):
             s = rat(other)
             p = s.numerator
             return MatQ._canonical([[v * p for v in r] for r in self.num],
@@ -189,7 +195,7 @@ class MatQ:
 
     def __rmul__(self, other):
         if isinstance(other, (int, str, Fraction)):
-            return self * rat(other)
+            return self * other
         return NotImplemented
 
     def _check(self, other: "MatQ"):

@@ -170,13 +170,6 @@ def laguerre_poly(alpha, n: int) -> RPoly:
     return RPoly(coeffs[::-1])
 
 
-def laguerre_derivative(alpha, n: int) -> RPoly:
-    """d/dx L_n^(alpha) in closed form, -L_{n-1}^(alpha+1); zero for n = 0."""
-    if n == 0:
-        return RPoly.zero()
-    return -laguerre_poly(rat(alpha) + 1, n - 1)
-
-
 def lambda_lattice(x, gamma, delta) -> Fraction:
     """Quadratic lattice lambda(x) = x(x + gamma + delta + 1)."""
     x, gamma, delta = rat(x), rat(gamma), rat(delta)

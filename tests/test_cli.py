@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import shlex
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +161,22 @@ GOLDEN_STDOUT = {
         "e7061978752941cc5b136c45af9b6121f05cc357c3e095ba6981f7c3ef7193b8",
     "verify --suite laguerre --N 4 --nu=5/7 --a=-8/5,9/7,-6/5 --delta=5/6,7/9,8/5,9/8 --nmax 4":
         "9984acd427bd263a7c0ad54e6aee9c96b81534783fc3f293c83e6213ec5886ed",
+    # recorded before Lie elements became coordinate tuples and before the
+    # dual Hahn suite of verify --suite all reused the verified family
+    "lie --phi x":
+        "7049068e82817d9298a76c2af026917ab5cb4382589852319acffba2e3e11ac8",
+    "lie --phi x^2+3x":
+        "7681721397f1fc75c2a978737c8bdee47a2e76aeb336d5ad50cc5dd648707f22",
+    "lie --phi x^5+x^3+1":
+        "d85915253565f21ad195167605d007ff5d9136c897b48f87b62bc4f87a76777b",
+    "lie --truncate 8":
+        "f5f5527d86efbdaab2724bc3321233c7071476192eac5a538ca50fe42e4669ce",
+    "lie --extended --nu 7/3":
+        "e24f1db758e77d24b876e2b125e0c3603139eee22ed79b7f32d4ab6a7e5d457a",
+    "verify --suite all --N 2 --nmax 5":
+        "0abe57b9d8464b15efa1bc63058d0be6a7f5e8627e560d09d19d4731695ac4dc",
+    "verify --suite all --N 2 --nmax 7":
+        "b9162bbe8c71f3fd1f7f8e5ba767c267b5017be36d95f2ad89e1be6072dffb97",
 }
 
 
@@ -167,6 +185,25 @@ def test_golden_stdout(command, capsys):
     code, out, _ = _run(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def _readme_commands():
+    """The lines of README's "Command line" block, split as a shell would."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=shlex.join)
+def test_readme_command_line_examples_pass(argv, tmp_path, capsys):
+    assert argv[0] == "mvlaguerre"
+    argv = argv[1:]
+    if "--csv" in argv:
+        at = argv.index("--csv") + 1
+        argv[at] = str(tmp_path / argv[at])
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schema"] == 1
 
 
 @pytest.mark.parametrize("command", [
@@ -305,6 +342,33 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
     assert code == 0
     assert len(json.loads(out)["open_question_resolutions"]) == 3
     assert (len(oracle), len(xi), len(gi)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("nmax,degrees,xi_degrees",
+                         [(4, [4, 5], [4, 5]), (5, [5], [5]), (7, [7], [7, 5])])
+def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
+        nmax, degrees, xi_degrees, monkeypatch, capsys):
+    """The unit weights of N = 2 are the dual Hahn family (c, d) = (0, 1),
+    whose suite needs degrees up to min(n_max, 4) + 1: from n_max = 5 on,
+    the verified family holds them and the oracle runs once.  At n_max = 5
+    the suite gets that family itself, so its xi table is read once; above,
+    it gets the first six degrees with the H inverses the oracle made."""
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    xi = _count_calls(monkeypatch, lf, "read_xi")
+    verified, dual_hahn = [], []
+    suite_oracle, suite_dualhahn = rp.suite_oracle, rp.suite_dualhahn
+    monkeypatch.setattr(rp, "suite_oracle",
+                        lambda seq: verified.append(seq) or suite_oracle(seq))
+    monkeypatch.setattr(rp, "suite_dualhahn",
+                        lambda params, seq: dual_hahn.append(seq) or suite_dualhahn(params, seq))
+    code, _, _ = _run(["verify", "--suite", "all", "--N", "2", "--nmax", str(nmax)], capsys)
+    assert code == 0
+    assert [n for _, n, *_ in oracle] == degrees
+    assert [seq.n_max for seq, *_ in xi] == xi_degrees
+    (seq,), (dh_seq,) = verified, dual_hahn
+    assert (dh_seq is seq) == (nmax == 5)
+    if nmax > 5:
+        assert all(dh_seq.h_inv(n) is seq.h_inv(n) for n in range(5))
 
 
 def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):

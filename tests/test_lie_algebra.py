@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre import lie_algebra as la
-from mvlaguerre.lie_algebra import (OpElement, bracket, conformal_similar,
+from mvlaguerre.lie_algebra import (bracket, conformal_similar,
                                     dim_formula, exp_series_truncated,
                                     extended_algebra_report, generate_algebra,
                                     iso_test, monomial_support,
@@ -40,31 +40,46 @@ def test_closure_dimension_matches_formula(expr, expected):
     assert alg.antisymmetry_holds()
 
 
+def el(bound, cD=0, cDd=0, cD2=0, mult=RPoly.zero()):
+    """The coordinate tuple of cD D + cDd Ddag + cD2 D2nd + mult(x) with
+    multiplier coefficients x^0..x^bound."""
+    assert mult.degree <= bound
+    return (cD, cDd, cD2) + tuple(mult.coeff(k) for k in range(bound + 1))
+
+
 def test_bracket_generator_table():
     x = RPoly.x()
-    d = OpElement(cD=1)
-    ddag = OpElement(cDd=1)
-    xm = OpElement(mult=RPoly.monomial(3))
+    d = el(3, cD=1)
+    ddag = el(3, cDd=1)
+    xm = el(3, mult=RPoly.monomial(3))
     # multiplication elements commute
-    assert bracket(OpElement(mult=x), xm, parse_phi("x^3")).is_zero()
+    assert not any(bracket(el(3, mult=x), xm, parse_phi("x^3")))
     # [D, x^m] = -m x^m, [Ddag, x^m] = m x^m
-    assert bracket(d, xm, parse_phi("x^3")) == OpElement(mult=RPoly.monomial(3) * -3)
-    assert bracket(ddag, xm, parse_phi("x^3")) == OpElement(mult=RPoly.monomial(3) * 3)
+    assert bracket(d, xm, parse_phi("x^3")) == el(3, mult=RPoly.monomial(3) * -3)
+    assert bracket(ddag, xm, parse_phi("x^3")) == el(3, mult=RPoly.monomial(3) * 3)
     # phi = x: [D, Ddag] = x
-    assert bracket(d, ddag, RPoly.x()) == OpElement(mult=x)
+    assert bracket(el(1, cD=1), el(1, cDd=1), RPoly.x()) == el(1, mult=x)
     # general phi: [D, Ddag] = -x^2 phi'' + (2 - phi') x
     phi = parse_phi("x^3")
     expect = RPoly((0, 2)) - x * phi.derivative() - x * x * phi.derivative().derivative()
-    assert bracket(d, ddag, phi) == OpElement(mult=expect)
+    assert bracket(d, ddag, phi) == el(3, mult=expect)
+    # the result has the length of the operands
+    assert len(bracket(el(5, cD=1), el(5, cDd=1), phi)) == 9
+
+
+def test_bracket_rejects_mismatched_or_short_elements():
+    with pytest.raises(ValueError):
+        bracket(el(3, cD=1), el(4, cDd=1), parse_phi("x^3"))
+    with pytest.raises(ValueError):
+        bracket(el(2, cD=1), el(2, cDd=1), parse_phi("x^3"))
 
 
 def test_central_element_for_family():
     for expr in ("x^2", "x^3", "x^4+x"):
         phi = parse_phi(expr)
         alg = generate_algebra(phi)
-        z = OpElement(cD=1, cDd=1, mult=2 * RPoly.x() - RPoly.x() * phi.derivative())
-        assert all(bracket(z, OpElement.from_coords(v), phi).is_zero()
-                   for v in alg.basis)
+        z = el(alg.bound, cD=1, cDd=1, mult=2 * RPoly.x() - RPoly.x() * phi.derivative())
+        assert all(not any(bracket(z, v, phi)) for v in alg.basis)
 
 
 @pytest.mark.parametrize("expr", ["x^2", "x^3", "x^3+x^2", "x^4+x", "x^5+x^3+1"])
@@ -124,12 +139,45 @@ def test_extended_algebra_report():
     assert casimir["displayed_form_pass"] is False
 
 
+def test_casimir_ad_invariance_parts_fail_on_their_own():
+    """The corrected quadratic Casimir Q = h o h + 4 e o f of the extended
+    report passes with the zero linear part; a non-central linear part
+    (h itself) fails it, and so does Q + E_00 with the zero linear part."""
+    alg = CLOSURES["extended"]()
+    nu, x = alg.nu, RPoly.x()
+    x1, x2, x3, x4, x5 = (el(1, cD=1, mult=x), el(1, cDd=1, mult=x), el(1, cD2=1),
+                          el(1, mult=x), el(1, mult=RPoly.one()))
+    e = x4
+    h = tuple(s - a + b for s, a, b in zip(x4, x1, x2))
+    f = tuple(a - c - s + (1 + nu) * t for a, c, s, t in zip(x1, x3, x4, x5))
+    ce, ch, cf = (alg.coordinates(v) for v in (e, h, f))
+    dim = alg.dim
+    q = MatQ([[ch[i] * ch[j] + 2 * (ce[i] * cf[j] + cf[i] * ce[j]) for j in range(dim)]
+              for i in range(dim)])
+    zero = (0,) * dim
+    assert la._ad_invariant(alg, q, zero)
+    assert not la._ad_invariant(alg, q, ch)
+    assert not la._ad_invariant(alg, q + MatQ.unit(dim, 0, 0), zero)
+
+
 def test_extended_requires_phi_x():
     with pytest.raises(DomainError):
-        bracket(OpElement(cD2=1), OpElement(cD=1), parse_phi("x^2"),
+        bracket(el(2, cD2=1), el(2, cD=1), parse_phi("x^2"),
                 nu=F(1), extended=True)
     with pytest.raises(DomainError):
-        bracket(OpElement(cD2=1), OpElement(cD=1), RPoly.x(), extended=True)
+        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x(), extended=True)
+
+
+def test_extended_table_rejects_what_it_does_not_cover():
+    """The second-order generator outside the extended algebra, and a
+    multiplier of degree above 1 next to it."""
+    with pytest.raises(DomainError):
+        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x(), nu=F(1))
+    with pytest.raises(DomainError):
+        bracket(el(2, cD2=1), el(2, mult=RPoly.monomial(2)), RPoly.x(),
+                nu=F(1), extended=True)
+    assert bracket(el(2, cD=1), el(2, mult=RPoly.monomial(2)), RPoly.x(),
+                   nu=F(1), extended=True) == el(2, mult=RPoly.monomial(2, -2))
 
 
 def test_truncated_series_growth():
@@ -143,23 +191,23 @@ def test_truncated_series_growth():
 # unit-vector Jacobi test they replaced.
 
 def ref_bracket(e1, e2, phi, nu=None, extended=False):
-    """The bracket as a product of RPoly temporaries x, phi', phi'', x p'."""
+    """The bracket as a product of RPoly temporaries x, phi', phi'', x p',
+    on coordinate tuples whose multiplier slices it reads as RPolys."""
+    (a1, b1, c1), p = e1[:3], RPoly(e1[3:])
+    (a2, b2, c2), q = e2[:3], RPoly(e2[3:])
     x = RPoly.x()
     w = 2 * x - x * phi.derivative() - x * x * phi.derivative().derivative()
-    mult = (e1.cD * e2.cDd - e2.cD * e1.cDd) * w
-    mult = mult + x * ((e1.cDd - e1.cD) * e2.mult.derivative()
-                       + (e2.cD - e2.cDd) * e1.mult.derivative())
-    out = OpElement(0, 0, 0, mult)
-    if e1.cD2 != 0 or e2.cD2 != 0:
+    mult = (a1 * b2 - a2 * b1) * w
+    mult = mult + x * ((b1 - a1) * q.derivative() + (a2 - b2) * p.derivative())
+    ops = [0, 0, 0]
+    if c1 != 0 or c2 != 0:
         assert extended and phi == RPoly.x()
-        s = e1.cD * e2.cD2 - e2.cD * e1.cD2
-        t = e1.cDd * e2.cD2 - e2.cDd * e1.cD2
-        u = e1.cD2 * e2.mult.coeff(1) - e2.cD2 * e1.mult.coeff(1)
-        out.cD += -s - u
-        out.cDd += t + u
-        out.cD2 += s - t
-        out.mult = out.mult + RPoly(((t - s) * (1 + F(nu)),))
-    return out
+        s = a1 * c2 - a2 * c1
+        t = b1 * c2 - b2 * c1
+        u = c1 * q.coeff(1) - c2 * p.coeff(1)
+        ops = [-s - u, t + u, s - t]
+        mult = mult + RPoly(((t - s) * (1 + F(nu)),))
+    return el(len(e1) - 4, *ops, mult=mult)
 
 
 def ref_jacobi(alg):
@@ -181,15 +229,25 @@ def ref_jacobi(alg):
 
 rats = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5,
                                              max_denominator=7))
-polys = st.lists(rats, max_size=9).map(RPoly)
-elements = st.builds(OpElement, rats, rats, st.just(0), polys)
-extended_elements = st.builds(OpElement, rats, rats, rats,
-                              st.lists(rats, max_size=2).map(RPoly))
+# an extended element: cD, cDd, cD2 and a multiplier of degree <= 1
+extended_elements = st.tuples(*[rats] * 5)
 
 
-@given(st.lists(rats, min_size=1, max_size=9).map(RPoly), elements, elements)
+@st.composite
+def _phi_and_two_elements(draw):
+    """phi of degree <= 8 and two elements (cD2 = 0) whose multipliers
+    have degree <= 8, all over the coordinate bound max(1, deg phi, deg p,
+    deg q) of the drawn polynomials."""
+    phi = RPoly(draw(st.lists(rats, min_size=1, max_size=9)))
+    p, q = (RPoly(draw(st.lists(rats, max_size=9))) for _ in range(2))
+    bound = max(1, phi.degree, p.degree, q.degree)
+    return phi, el(bound, draw(rats), draw(rats), mult=p), el(bound, draw(rats), draw(rats), mult=q)
+
+
+@given(_phi_and_two_elements())
 @settings(max_examples=200, deadline=None)
-def test_bracket_matches_rpoly_formula(phi, e1, e2):
+def test_bracket_matches_rpoly_formula(drawn):
+    phi, e1, e2 = drawn
     assert bracket(e1, e2, phi) == ref_bracket(e1, e2, phi)
 
 
@@ -213,12 +271,11 @@ CLOSURES = {
 @pytest.mark.parametrize("name", list(CLOSURES))
 def test_structure_constants_are_fresh_brackets_of_the_basis(name):
     alg = CLOSURES[name]()
-    elems = [OpElement.from_coords(v) for v in alg.basis]
     pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
     assert sorted(alg.structure) == pairs
     for i, j in pairs:
-        fresh = ref_bracket(elems[i], elems[j], alg.phi, alg.nu, alg.extended)
-        assert alg.structure[(i, j)] == alg.coordinates(fresh.coords(alg.bound))
+        fresh = ref_bracket(alg.basis[i], alg.basis[j], alg.phi, alg.nu, alg.extended)
+        assert alg.structure[(i, j)] == alg.coordinates(fresh)
     assert alg.jacobi_holds() and ref_jacobi(alg)
 
 
@@ -282,8 +339,7 @@ def test_lie_alg_takes_the_last_closure_pass(monkeypatch):
     monkeypatch.setattr(la.LieAlg, "__init__", watched_init)
     alg = generate_algebra(parse_phi("x^5+x^3+1"))
     assert during_init == [0]
-    last = [(e1.coords(alg.bound), e2.coords(alg.bound))
-            for e1, e2, *_ in calls[-alg.dim ** 2:]]
+    last = [(u, v) for u, v, *_ in calls[-alg.dim ** 2:]]
     assert last == [(u, v) for u in alg.basis for v in alg.basis]
 
 

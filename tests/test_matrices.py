@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +139,45 @@ def test_kernel_matches_fraction_reference(inputs):
                   MatQ(a.rows)):
         assert other == a and hash(other) == hash(a)
     assert (a == b) == (x == y)
+
+
+def ref_canonical(rows):
+    """(d, num) of Fraction rows: the lcm of the denominators and the
+    numerators over it."""
+    d = lcm(*(v.denominator for r in rows for v in r))
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in r) for r in rows)
+
+
+@st.composite
+def matrix_and_integer(draw):
+    """Rows and an integer k: zero, small of either sign, a multiple of the
+    rows' common denominator d, or a signed multiple of a divisor of d."""
+    n = draw(st.integers(1, 4))
+    x = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    d = ref_canonical(x)[0]
+    k = draw(st.one_of(
+        st.just(0),
+        st.integers(-50, 50),
+        st.integers(-6, 6).map(lambda t: t * d),
+        st.tuples(st.integers(-9, 9), st.integers(1, 12)).map(
+            lambda tm: tm[0] * (d // gcd(d, tm[1]))),
+    ))
+    return x, k
+
+
+@given(matrix_and_integer())
+@example(([[F(1, 6), F(5, 6)], [F(0), F(1, 2)]], 4))
+@example(([[F(1, 6), F(5, 6)], [F(0), F(1, 2)]], -9))
+@example(([[F(1, 6), F(5, 6)], [F(0), F(1, 2)]], 0))
+@example(([[F(1, 6), F(5, 6)], [F(0), F(1, 2)]], -6))
+@settings(max_examples=150, deadline=None)
+def test_integer_scalar_product_is_the_canonical_fraction_product(inputs):
+    x, k = inputs
+    m = MatQ(x)
+    expected = ref_canonical([[v * k for v in r] for r in x])
+    for product in (m * k, k * m):
+        assert (product.d, product.num) == expected
+        assert product == m * F(k)
 
 
 @given(kernel_inputs())
