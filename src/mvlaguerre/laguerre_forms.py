@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator
+from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import factorial, laguerre_poly, pochhammer, rat_str
@@ -61,23 +61,23 @@ def verify_K_properties(seq: OPSeq) -> list[dict]:
 
 
 def verify_diagonalization(spec) -> list[dict]:
-    """Conjugating the named operators by e^{xA} collapses them to their
-    diagonal forms: the ladder to d_x x - x, the second-order operator to
-    d_x^2 x + d_x(1+nu-x+J) - J, and the multiplication Ax - J to -J."""
-    a = spec.A
-    n = spec.N
-    x_i = MatPoly.x_identity(n)
-    ladder_diag = DiffOp([-x_i, x_i])
-    checks = [
+    """Conjugating the named operators by e^{xA}, as the compositions
+    e^{-xA} D e^{xA}, collapses them to their diagonal forms: the ladder to
+    d_x x - x, the second-order operator to d_x^2 x + d_x(1+nu-x+J) - J,
+    and the multiplication Ax - J to -J."""
+    left = right_mult(exp_nilpotent(spec.A, -1))
+    right = right_mult(exp_nilpotent(spec.A, +1))
+    x_i = MatPoly.x_identity(spec.N)
+    return [
         check("ladder diagonalization", "diagonalized-eigenproblem",
-              ladder_raising(spec).conjugate_exp(a) == ladder_diag),
+              left.compose(ladder_raising(spec)).compose(right) == DiffOp([-x_i, x_i])),
         check("second-order diagonalization", "diagonalized-eigenproblem",
-              second_order(spec).conjugate_exp(a) == second_order_diagonalized(spec)),
+              left.compose(second_order(spec)).compose(right)
+              == second_order_diagonalized(spec)),
         check("multiplication diagonalization", "diagonalized-eigenproblem",
-              casimir_mult(spec).conjugate_exp(a)
+              left.compose(casimir_mult(spec)).compose(right)
               == right_mult(MatPoly.const(-spec.J))),
     ]
-    return checks
 
 
 def verify_R_eigen(seq: OPSeq) -> list[dict]:
@@ -399,40 +399,22 @@ def verify_Q_relation(seq: OPSeq) -> list[dict]:
 
 
 def verify_X_recursion(seq: OPSeq) -> list[dict]:
-    """Entrywise consequences of the zeroth-coefficient identity: row 1 and
-    rows i >= 2, plus the G(n)_{ii} = X(n)_{ii} diagonal claim.
+    """The zeroth-coefficient identity as the matrix identity
+    n + X_n A - A X_{n+1} - X_n + X_{n+1} = -(n+1+nu) - H_n J H_n^{-1}
+    for 1 <= n < n_max, whose rows are the X recursions, plus the
+    G(n)_{ii} = X(n)_{ii} diagonal claim.
 
     The printed item (a) drops the X(n+1) term and swaps H_n J H_n^{-1} for
-    I(n); its status is reported against the oracle."""
+    I(n) in row 1; its status is reported against the oracle."""
     spec = seq.spec
-    nu, a, N = spec.nu, spec.a, spec.N
-    G, I = seq.G, seq.I
-    checks = []
-    corr_ok, disp_ok = True, True
-    for n in range(1, seq.n_max):
-        hjh = seq.HJH[n]
-        for jj in range(1, N + 1):
-            xa = seq.X[n][0, jj] * a[jj - 1] if jj < N else Fraction(0)
-            lhs_corr = (n if jj == 1 else 0) + xa - seq.X[n][0, jj - 1] + seq.X[n + 1][0, jj - 1]
-            rhs_corr = -((n + 1 + nu) if jj == 1 else 0) - hjh[0, jj - 1]
-            if lhs_corr != rhs_corr:
-                corr_ok = False
-            lhs_disp = (n if jj == 1 else 0) + xa - seq.X[n][0, jj - 1]
-            rhs_disp = -((n + 1 + nu) if jj == 1 else 0) - I[n][0, jj - 1]
-            if lhs_disp != rhs_disp:
-                disp_ok = False
-        for ii in range(2, N + 1):
-            for jj in range(1, N + 1):
-                xa = seq.X[n][ii - 1, jj] * a[jj - 1] if jj < N else Fraction(0)
-                lhs = (n if ii == jj else 0) + xa - a[ii - 2] * seq.X[n + 1][ii - 2, jj - 1] \
-                    - seq.X[n][ii - 1, jj - 1] + seq.X[n + 1][ii - 1, jj - 1]
-                rhs = -((n + 1 + nu) if ii == jj else 0) - hjh[ii - 1, jj - 1]
-                if lhs != rhs:
-                    corr_ok = False
-    checks.append(check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
-                        corr_ok, displayed_form_pass=disp_ok))
-    gx_ok = all(G[n][r, r] == seq.X[n][r, r]
+    A, N, X = spec.A, spec.N, seq.X
+    i = MatQ.identity(N)
+    corr_ok = all(i * n + X[n] * A - A * X[n + 1] - X[n] + X[n + 1]
+                  == -(i * (n + 1 + spec.nu)) - seq.HJH[n] for n in range(1, seq.n_max))
+    disp_ok = all(not any((i * n + X[n] * A - X[n] + i * (n + 1 + spec.nu) + seq.I[n]).rows[0])
+                  for n in range(1, seq.n_max))
+    gx_ok = all(seq.G[n][r, r] == X[n][r, r]
                 for n in range(1, seq.n_max + 1) for r in range(N))
-    checks.append(check("G(n) diagonal equals X(n) diagonal",
-                        "coupling-diagonal-claim", gx_ok))
-    return checks
+    return [check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
+                  corr_ok, displayed_form_pass=disp_ok),
+            check("G(n) diagonal equals X(n) diagonal", "coupling-diagonal-claim", gx_ok)]

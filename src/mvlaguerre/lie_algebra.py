@@ -37,11 +37,12 @@ directly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .engine import check
 from .matrices import MatQ
-from .scalar import DomainError, RPoly, pochhammer, rat
+from .scalar import DomainError, RPoly, rat
 
 
 def exp_series_truncated(order: int) -> RPoly:
@@ -236,12 +237,12 @@ def _rref_insert(rows, pivots, v):
 def generator_elements(phi: RPoly, extended: bool = False) -> list[tuple]:
     """1, D, Ddag, x, x phi', x^2 phi'', ..., plus the second-order
     generator in the extended case.  The x^k coefficient of x^j phi^(j) is
-    (k-j+1)_j phi_k."""
+    (k-j+1)_j phi_k = k!/(k-j)! phi_k, zero for k < j."""
     bound = max(1, phi.degree)
     gens = [_el(bound, mult=(1,)), _el(bound, cD=1), _el(bound, cDd=1),
             _el(bound, mult=(0, 1))]
     for j in range(1, phi.degree + 1):
-        gens.append(_el(bound, mult=[pochhammer(k - j + 1, j) * phi.coeff(k)
+        gens.append(_el(bound, mult=[math.perm(k, j) * phi.coeff(k)
                                      for k in range(bound + 1)]))
     if extended:
         gens.append(_el(bound, cD2=1))

@@ -8,6 +8,11 @@ right.  Composition follows the right action: Q . (D1 D2) = ((Q . D1) . D2).
 A difference operator M = sum_j A_j(n) delta^j acts on a sequence by
 (M . P)(n) = sum_j A_j(n) P(n+j), with sequences vanishing at negative
 indices.  Coefficient tables are stored pointwise over a finite window.
+
+Operators combine by composition and sums: conjugation by e^{xA} is
+e^{-xA} D e^{xA}, and the dagger is H M^* H^{-1}.  A difference coefficient
+at shift j with n + j < 0 multiplies a vanishing sequence value, and a
+composition leaves it an exact zero.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec, diagonal_part, weight_polynomial_part
 
@@ -89,21 +94,6 @@ class DiffOp:
     def bracket(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
 
-    def conjugate_exp(self, a: MatQ) -> "DiffOp":
-        """exp(-xA) . self . exp(xA): the operator D' with
-        Q . D' = ((Q e^{-xA}) . self) e^{xA}, exact for nilpotent A."""
-        left = exp_nilpotent(a, -1)
-        right = exp_nilpotent(a, +1)
-        neg_a_pow = [MatQ.identity(a.N)]
-        for _ in range(a.N - 1):
-            neg_a_pow.append(neg_a_pow[-1] * (-a))
-        out = []
-        for m in range(len(self.F)):
-            inner = MatPoly.dot([(MatPoly.const(neg_a_pow[j - m] * math.comb(j, m)), self.F[j])
-                                 for j in range(m, min(len(self.F), m + a.N))], self.N)
-            out.append(left * inner * right)
-        return DiffOp(out, self.N)
-
     def __repr__(self):
         return f"DiffOp(order={self.order}, N={self.N})"
 
@@ -117,9 +107,10 @@ class SeqOp:
     """Difference operator over the window n = 0..n_max.
 
     `table` maps shift j to a list over n of MatQ coefficients (None where
-    the coefficient is undefined, e.g. it would involve H_{-1}).  Acting on a
-    sequence treats negative sequence indices as zero, so an undefined
-    coefficient is only an error if its sequence argument is inside range.
+    the coefficient is undefined, e.g. it would involve H_{-1}; a zero where
+    n + j < 0 after a composition).  Acting on a sequence treats negative
+    sequence indices as zero, so an undefined coefficient is only an error
+    if its sequence argument is inside range.
     """
 
     __slots__ = ("table", "n_max", "N")
@@ -151,7 +142,7 @@ class SeqOp:
         return self.table[j][n]
 
     def act(self, values, n: int):
-        """(M . P)(n) for a sequence given as a list of MatPoly (or MatQ)."""
+        """(M . P)(n) for a sequence given as a list of MatPoly."""
         if not (0 <= n <= self.n_max):
             raise WindowError(f"n={n} outside window 0..{self.n_max}")
         pairs = []
@@ -164,28 +155,15 @@ class SeqOp:
             c = self.table[j][n]
             if c is None:
                 raise WindowError(f"coefficient at shift {j}, n={n} is undefined")
-            pairs.append((c, values[k]))
-        if values and isinstance(values[0], MatQ):
-            return MatQ.dot(pairs, self.N)
-        return MatPoly.dot([(MatPoly.const(c), v) for c, v in pairs], self.N)
+            pairs.append((MatPoly.const(c), values[k]))
+        return MatPoly.dot(pairs, self.N)
 
     def __add__(self, other: "SeqOp") -> "SeqOp":
-        shifts = set(self.table) | set(other.table)
-        table = {}
-        for j in shifts:
-            col = []
-            for n in range(self.n_max + 1):
-                a, b = self.coeff(j, n), other.coeff(j, n)
-                if j not in self.table:
-                    col.append(b)
-                elif j not in other.table:
-                    col.append(a)
-                elif a is None or b is None:
-                    col.append(None)
-                else:
-                    col.append(a + b)
-            table[j] = col
-        return SeqOp(table, self.n_max, self.N)
+        """Zero-padded, shift by shift; None on either side stays None."""
+        zero = [MatQ.zero(self.N)] * (self.n_max + 1)
+        return SeqOp({j: [None if a is None or b is None else a + b
+                          for a, b in zip(self.table.get(j, zero), other.table.get(j, zero))]
+                      for j in set(self.table) | set(other.table)}, self.n_max, self.N)
 
     def star(self) -> "SeqOp":
         """(sum A_j(n) delta^j)^* = sum A_j(n-j)^T delta^{-j}."""
@@ -200,20 +178,12 @@ class SeqOp:
         return SeqOp(table, self.n_max, self.N)
 
     def dagger(self, seq: OPSeq) -> "SeqOp":
-        """M^dagger = H(n) M^* H(n)^{-1} with H the squared norms of `seq`."""
-        star = self.star()
-        table = {}
-        for j, col in star.table.items():
-            new = []
-            for n in range(self.n_max + 1):
-                c = col[n]
-                tgt = n + j
-                if c is None or not (0 <= tgt <= self.n_max):
-                    new.append(None)
-                else:
-                    new.append(seq.H[n] * c * seq.h_inv(tgt))
-            table[j] = new
-        return SeqOp(table, self.n_max, self.N)
+        """M^dagger = H(n) M^* H(n)^{-1}, composed over the window from the
+        squared norms of `seq`.  Entries with n + j < 0 are exact zeros: act
+        and agrees_with skip them, and star never reads them."""
+        h = SeqOp({0: seq.H[:self.n_max + 1]}, self.n_max, self.N)
+        h_inv = SeqOp({0: [seq.h_inv(n) for n in range(self.n_max + 1)]}, self.n_max, self.N)
+        return h.compose(self.star()).compose(h_inv)
 
     def compose(self, other: "SeqOp") -> "SeqOp":
         """(self other) . P = self . (other . P); sequence values at negative
@@ -362,24 +332,17 @@ def make_named_operators(seq: OPSeq) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _falling(a: int, j: int) -> int:
-    out = 1
-    for k in range(j):
-        out *= a - k
-    return out
-
-
 def adjoint_defect(d1: DiffOp, d2: DiffOp, table: MomentTable, a: int, b: int) -> MatQ:
     """Kernel S1(a,b) - S2(a,b): since <x^a E_uv . D1, x^b E_st> equals
     E_uv S1 E_ts and likewise for the right side, entrywise equality of the
     kernels covers every matrix-unit pair at degrees (a, b)."""
     pairs = []
     for j, fj in enumerate(d1.F):
-        fall = _falling(a, j)
+        fall = math.perm(a, j)
         if fall:
             pairs += [(fc, table[a + b - j + c] * fall) for c, fc in enumerate(fj.coeffs)]
     for j, gj in enumerate(d2.F):
-        fall = _falling(b, j)
+        fall = math.perm(b, j)
         if fall:
             pairs += [(table[a + b - j + c] * -fall, gc.transpose())
                       for c, gc in enumerate(gj.coeffs)]

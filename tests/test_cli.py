@@ -177,6 +177,11 @@ GOLDEN_STDOUT = {
         "0abe57b9d8464b15efa1bc63058d0be6a7f5e8627e560d09d19d4731695ac4dc",
     "verify --suite all --N 2 --nmax 7":
         "b9162bbe8c71f3fd1f7f8e5ba767c267b5017be36d95f2ad89e1be6072dffb97",
+    # recorded before conjugation by e^{xA} and the dagger became compositions
+    "verify --suite operators --N 3 --nu=7/3 --a=5/2,-3/7 --delta=2/3,5,11/4 --nmax 6":
+        "9360e0174f0da75016e99bfde5dc4f89e9ee0cb9d9942d2d727887e8ca7130d4",
+    "verify --suite all --N 3 --c 1/2 --d 3 --nmax 6":
+        "3fb395aa01ec8c60dcfb88b8b74232b76dc82ae4effeea6e57497e4d3cd0a3e3",
 }
 
 
@@ -420,8 +425,9 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
 
 
 def _owner(frame):
-    """The first function above `frame` that is not a comprehension."""
-    while frame.f_code.co_name.startswith("<"):
+    """The first function above `frame` that is not a comprehension, a fused
+    sum (`dot`) or a composition of operators (`compose`)."""
+    while frame.f_code.co_name.startswith("<") or frame.f_code.co_name in ("dot", "compose"):
         frame = frame.f_back
     return frame.f_code.co_name
 

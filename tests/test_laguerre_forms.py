@@ -216,3 +216,42 @@ def test_corrupted_norm_fails_the_coupling_checks():
     for checks in (compute_GI(bad), verify_X_recursion(bad),
                    verify_bracket_identities(bad, make_named_operators(bad))):
         assert any(not c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("ladder_raising", "ladder diagonalization"),
+    ("second_order_diagonalized", "second-order diagonalization"),
+    ("casimir_mult", "multiplication diagonalization"),
+])
+def test_each_diagonalization_can_fail(monkeypatch, name, failing):
+    """Right multiplication by E_22 added to one side of one conjugation
+    identity fails that identity alone."""
+    import mvlaguerre.laguerre_forms as lf
+    from mvlaguerre.matrices import MatPoly
+    from mvlaguerre.operators import right_mult
+
+    build = getattr(lf, name)
+    monkeypatch.setattr(lf, name, lambda spec: build(spec) + right_mult(
+        MatPoly.const(MatQ.unit(spec.N, 1, 1))))
+    checks = lf.verify_diagonalization(SPECS[2])
+    assert [c["check_id"] for c in checks if not c["pass"]] == [failing]
+
+
+def test_X_recursion_fails_on_a_perturbed_norm():
+    seq = compute_monic_ops(SPECS[2], 4)
+    H = list(seq.H)
+    H[2] = H[2] + MatQ.unit(3, 0, 0)
+    checks = verify_X_recursion(OPSeq(seq.spec, seq.table, seq.P, H))
+    assert "X recursion rows, derived form" in {c["check_id"] for c in checks if not c["pass"]}
+
+
+def test_X_recursion_displayed_form_reads_row_1_only():
+    """With I(n) chosen so that row 1 of the printed item (a) holds and the
+    last row does not, its report reads True."""
+    seq = compute_monic_ops(SPECS[2], 4)
+    spec = seq.spec
+    i = MatQ.identity(spec.N)
+    seq.I = [-(i * n + x * spec.A - x + i * (n + 1 + spec.nu)) + MatQ.unit(spec.N, 2, 0)
+             for n, x in enumerate(seq.X)]
+    row = next(c for c in verify_X_recursion(seq) if "derived form" in c["check_id"])
+    assert row["pass"] and row["displayed_form_pass"] is True

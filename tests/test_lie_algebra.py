@@ -180,6 +180,21 @@ def test_extended_table_rejects_what_it_does_not_cover():
                    nu=F(1), extended=True) == el(2, mult=RPoly.monomial(2, -2))
 
 
+@pytest.mark.parametrize("expr", sorted(FAMILY) + ["x^8-3x^6+x", "x^4+2x^3+1/3"])
+def test_generators_are_1_D_Ddag_x_and_the_derivative_multipliers(expr):
+    """After 1, D, Ddag and x come the multipliers x^j phi^(j), j = 1..deg phi,
+    each with its factorial factor, then the second-order generator."""
+    phi = parse_phi(expr)
+    b = max(1, phi.degree)
+    expected = [el(b, mult=RPoly.one()), el(b, cD=1), el(b, cDd=1), el(b, mult=RPoly.x())]
+    deriv = phi
+    for j in range(1, phi.degree + 1):
+        deriv = deriv.derivative()
+        expected.append(el(b, mult=RPoly.monomial(j) * deriv))
+    assert la.generator_elements(phi) == expected
+    assert la.generator_elements(phi, extended=True) == expected + [el(b, cD2=1)]
+
+
 def test_truncated_series_growth():
     dims = [generate_algebra(exp_series_truncated(t)).dim for t in range(4, 9)]
     assert dims == [7, 8, 9, 10, 11]

@@ -5,15 +5,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops
-from mvlaguerre.matrices import MatPoly, MatQ
+from mvlaguerre.matrices import MatPoly, MatQ, exp_nilpotent
 from mvlaguerre.operators import (DiffOp, ScaledMat, SeqOp, WindowError,
-                                  diagonal_weight_scaled, make_named_operators,
-                                  right_mult, verify_adjoint_pair,
+                                  casimir_mult, diagonal_weight_scaled,
+                                  ladder_lowering, ladder_raising,
+                                  make_named_operators, right_mult,
+                                  second_order, second_order_diagonalized,
+                                  verify_adjoint_pair,
                                   verify_bracket_identities,
                                   verify_fourier_homomorphism,
                                   verify_general_D_theorem,
-                                  verify_intertwinings, verify_star_dagger,
+                                  verify_intertwinings, verify_L_poly,
+                                  verify_star_dagger,
                                   verify_symmetry_conditions, weight_scaled)
+from mvlaguerre.scalar import RPoly
 from mvlaguerre.weights import WeightSpec
 
 SPECS = [
@@ -153,6 +158,34 @@ def test_dagger_is_matrix_conjugated_star(seq):
         assert lhs == rhs
 
 
+def test_dagger_is_zero_below_the_window(seq):
+    """A dagger coefficient whose target n + j is negative multiplies a
+    vanishing sequence value; the composition leaves it an exact zero."""
+    ops = make_named_operators(seq)
+    zero = MatQ.zero(seq.spec.N)
+    for name in ("M", "L", "MC"):
+        dag = ops[name].dagger(seq)
+        below = [(j, n) for j in dag.shifts() for n in range(-j)]
+        assert below and all(dag.coeff(j, n) == zero for j, n in below), name
+
+
+def test_seqop_sum_is_zero_padded_and_keeps_undefined_coefficients(seq):
+    ops = make_named_operators(seq)
+    m, l = ops["M"], ops["L"]
+    total = m + l
+    zero = MatQ.zero(seq.spec.N)
+    assert total.shifts() == [-1, 0, 1]
+    for j in total.shifts():
+        for n in range(seq.n_max + 1):
+            a = m.coeff(j, n) if j in m.table else zero
+            b = l.coeff(j, n)
+            assert total.coeff(j, n) == (None if a is None or b is None else a + b)
+    # L's undefined C_0 and B_{n_max} survive; M has no shift -1
+    assert total.coeff(-1, 0) is None and total.coeff(0, seq.n_max) is None
+    for n in range(1, seq.n_max):
+        assert total.act(seq.P, n) == m.act(seq.P, n) + l.act(seq.P, n)
+
+
 # A test-local reference for x^s e^{-x} B(x): the map from each power p of x
 # to the coefficient of x^p e^{-x}, zero coefficients dropped.
 def _laurent(w: ScaledMat) -> dict:
@@ -277,3 +310,67 @@ def test_diffop_act_matches_the_schoolbook_sum(inputs):
     out = DiffOp([poly(f) for f in fs], n).act(poly(q))
     assert [[list(r) for r in c.rows] for c in out.coeffs] == _ref_act(q, fs, n)
     assert all(c == MatQ(c.rows) for c in out.coeffs)
+
+
+# Negative controls of the dagger checks and of the checks that read L: E_11
+# added to one coefficient at an interior n.
+
+def _bump(op: SeqOp, j: int, n: int) -> SeqOp:
+    col = list(op.table[j])
+    col[n] = col[n] + MatQ.unit(op.N, 0, 0)
+    return SeqOp({**op.table, j: col}, op.n_max, op.N)
+
+
+@pytest.mark.parametrize("name, j, failing", [
+    ("Mdag", -1, ["Mdag = dagger(M)"]),
+    ("L", 0, ["L self-adjoint"]),
+])
+def test_each_dagger_check_can_fail(name, j, failing):
+    seq = compute_monic_ops(SPECS[2], 6)
+    ops = make_named_operators(seq)
+    ops[name] = _bump(ops[name], j, 3)
+    checks = verify_star_dagger(seq, ops)
+    assert [c["check_id"] for c in checks if not c["pass"]] == failing
+
+
+def test_checks_reading_L_fail_on_a_perturbed_coefficient():
+    """L's shift-0 coefficient enters (M L)(n) at n and n - 1, and L^2(n)
+    at n - 1, n and n + 1."""
+    seq = compute_monic_ops(SPECS[2], 6)
+    ops = make_named_operators(seq)
+    ops["L"] = _bump(ops["L"], 0, 3)
+    fourier = verify_fourier_homomorphism(seq, ops)
+    assert [c["check_id"] for c in fourier if not c["pass"]] \
+        == [f"phi-map multiplicative n={n}" for n in (2, 3)]
+    square = verify_L_poly(RPoly((0, 0, 1)), seq, ops)
+    assert [c["check_id"] for c in square if not c["pass"]] \
+        == [f"v(L).P = P v(x) n={n} deg=2" for n in (2, 3, 4)]
+
+
+# Conjugation by e^{xA} as the composition e^{-xA} D e^{xA}, against the
+# sequential action on random matrix polynomials.
+NAMED_DIFFOPS = (ladder_raising, ladder_lowering, second_order, casimir_mult,
+                 second_order_diagonalized)
+positive_rats = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+nonzero_rats = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@st.composite
+def conjugation_inputs(draw):
+    n = draw(st.integers(1, 4))
+    spec = WeightSpec(n, draw(positive_rats),
+                      tuple(draw(st.lists(nonzero_rats, min_size=n - 1, max_size=n - 1))),
+                      tuple(draw(st.lists(positive_rats, min_size=n, max_size=n))))
+    square = st.lists(st.lists(small_rats, min_size=n, max_size=n), min_size=n, max_size=n)
+    q = MatPoly([MatQ(c) for c in draw(st.lists(square, min_size=1, max_size=4))], n)
+    return spec, draw(st.sampled_from(NAMED_DIFFOPS)), q
+
+
+@given(conjugation_inputs())
+@settings(max_examples=60, deadline=None)
+def test_conjugation_by_exp_is_a_composition(inputs):
+    spec, build, q = inputs
+    d = build(spec)
+    left, right = exp_nilpotent(spec.A, -1), exp_nilpotent(spec.A, +1)
+    conjugated = right_mult(left).compose(d).compose(right_mult(right))
+    assert conjugated.act(q) == d.act(q * left) * right
