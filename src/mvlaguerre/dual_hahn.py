@@ -24,6 +24,7 @@ The printed variant's status is reported next to every corrected check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -116,12 +117,14 @@ def epsilon_seq(n: int, i: int, params: DHParams, j_max: int) -> list:
 
 
 def verify_gauge_ratio(params: DHParams, n: int, i: int) -> list[dict]:
-    """eps_{j+1} = (n+i-j)(dj+c) eps_j for 0 <= j < n+i (stated as the ratio
-    eps_j/eps_{j+1} M_j = 1; the product form stays meaningful at c = 0
-    where eps_1 vanishes)."""
+    """The sequence of the ratio eps_j/eps_{j+1} M_j = 1, that is
+    eps_{j+1} = (n+i-j)(dj+c) eps_j from eps_0 = 1, against its closed form
+    eps_j = (n+i)!/(n+i-j)! prod_{m<j} (dm+c) for 0 <= j <= n+i (the product
+    form stays meaningful at c = 0, where eps_1 vanishes)."""
     eps = epsilon_seq(n, i, params, n + i)
-    ok = all(eps[j + 1] == (n + i - j) * (params.d * j + params.c) * eps[j]
-             for j in range(n + i))
+    ok = all(eps[j] == math.perm(n + i, j)
+             * math.prod(params.d * m + params.c for m in range(j))
+             for j in range(n + i + 1))
     return [check(f"gauge ratio n={n},i={i}", "gauge-ratio", ok)]
 
 

@@ -182,6 +182,16 @@ GOLDEN_STDOUT = {
         "9360e0174f0da75016e99bfde5dc4f89e9ee0cb9d9942d2d727887e8ca7130d4",
     "verify --suite all --N 3 --c 1/2 --d 3 --nmax 6":
         "3fb395aa01ec8c60dcfb88b8b74232b76dc82ae4effeea6e57497e4d3cd0a3e3",
+    # non-integer phi and nu denominators, recorded before the Lie layer moved
+    # to integer numerators over one shared denominator
+    "lie --phi 1/2x^2+3x-7/3":
+        "2fc0dff0d65df8acf1a52d7efdb2418c859188332dedc9fa903445d50d0b0fdf",
+    "lie --phi 2/3x^6-x^4+5x":
+        "df88ff549c7758fe39fa0260260609fa28f2d70c37d4a20fc76af869a13607fa",
+    "lie --truncate 10":
+        "fa19dadfa5b199d4e31e63ac3992d29c5e3edc3b4f67394f261ce8c85264afd4",
+    "lie --extended --nu 3/7":
+        "3916ee89b87f4c1dcd06cd83e509d055911474647e062d5f21eda4965fed606b",
 }
 
 

@@ -66,6 +66,21 @@ def test_epsilon_sequence(family):
         epsilon_seq(1, 1, params, 5)
 
 
+def test_gauge_ratio_fails_off_the_closed_form(monkeypatch):
+    """A sequence started at eps_0 = 2 still satisfies every ratio
+    eps_{j+1} = (n+i-j)(dj+c) eps_j, but not the closed form."""
+    params = build_delta_family(3, F(1), F(1, 2), F(3))
+    n, i = 2, 1
+    doubled = [2 * e for e in epsilon_seq(n, i, params, n + i)]
+    assert all(doubled[j + 1] == (n + i - j) * (params.d * j + params.c) * doubled[j]
+               for j in range(n + i))
+    _ok(verify_gauge_ratio(params, n, i))
+    monkeypatch.setattr(dh, "epsilon_seq", lambda *args: doubled)
+    [verdict] = verify_gauge_ratio(params, n, i)
+    assert verdict["check_id"] == f"gauge ratio n={n},i={i}"
+    assert verdict["pass"] is False
+
+
 def test_q_recursions(family):
     params, _, xi = family
     checks = verify_q_recursions(xi, params)

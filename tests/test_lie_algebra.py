@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre import lie_algebra as la
-from mvlaguerre.lie_algebra import (bracket, conformal_similar,
+from mvlaguerre.lie_algebra import (conformal_similar,
                                     dim_formula, exp_series_truncated,
                                     extended_algebra_report, generate_algebra,
                                     iso_test, monomial_support,
@@ -45,6 +45,11 @@ def el(bound, cD=0, cDd=0, cD2=0, mult=RPoly.zero()):
     multiplier coefficients x^0..x^bound."""
     assert mult.degree <= bound
     return (cD, cDd, cD2) + tuple(mult.coeff(k) for k in range(bound + 1))
+
+
+def bracket(u, v, phi, nu=None, extended=False):
+    """The integer bracket on rational tuples and an RPoly exponent."""
+    return la._values(la.bracket(la._vec(u), la._vec(v), la._vec(phi.coeffs), nu, extended))
 
 
 def test_bracket_generator_table():
@@ -191,8 +196,9 @@ def test_generators_are_1_D_Ddag_x_and_the_derivative_multipliers(expr):
     for j in range(1, phi.degree + 1):
         deriv = deriv.derivative()
         expected.append(el(b, mult=RPoly.monomial(j) * deriv))
+    expected = [la._vec(e) for e in expected]
     assert la.generator_elements(phi) == expected
-    assert la.generator_elements(phi, extended=True) == expected + [el(b, cD2=1)]
+    assert la.generator_elements(phi, extended=True) == expected + [la._vec(el(b, cD2=1))]
 
 
 def test_truncated_series_growth():
@@ -355,7 +361,7 @@ def test_lie_alg_takes_the_last_closure_pass(monkeypatch):
     alg = generate_algebra(parse_phi("x^5+x^3+1"))
     assert during_init == [0]
     last = [(u, v) for u, v, *_ in calls[-alg.dim ** 2:]]
-    assert last == [(u, v) for u in alg.basis for v in alg.basis]
+    assert last == [(u, v) for u in alg.vectors for v in alg.vectors]
 
 
 def _rank(rows, columns):
@@ -395,12 +401,182 @@ def _row_systems(draw):
 def test_null_space_and_span_on_random_rational_rows(system):
     columns, rows = system
     rank = _rank(rows, columns)
-    null = la._null_space(rows, columns)
+    vecs = [la._vec(row) for row in rows]
+    null = [la._values(vec) for vec in la._null_space(vecs, columns)]
     assert all(sum(r * v for r, v in zip(row, vec)) == 0 for vec in null for row in rows)
     assert len(null) == columns - rank
     assert _rank(null, columns) == len(null)
-    reduced, pivots = la._span(rows)
+    reduced, pivots = la._span(vecs)
     assert len(reduced) == rank and pivots == sorted(pivots)
-    assert all(la._coordinates(reduced, pivots, row) is not None for row in rows)
+    assert all(la._coordinates(reduced, pivots, vec) is not None for vec in vecs)
     # a nonzero vector orthogonal to every row lies outside their span
-    assert all(la._coordinates(reduced, pivots, vec) is None for vec in null)
+    assert all(la._coordinates(reduced, pivots, la._vec(vec)) is None for vec in null)
+
+
+# The Fraction closure the integer layer replaced: the coefficient-form
+# bracket, the echelon insert and the null space as they were on rational
+# tuples, kept here as the slow reference of the integer numerators.
+
+def fraction_bracket(u, v, phi, nu=None, extended=False):
+    n = len(u)
+    a = u[0] * v[1] - v[0] * u[1]
+    b = u[1] - u[0]
+    c = v[0] - v[1]
+    out = [0] * n
+    if a:
+        out[4] = 2 * a
+        for k, f in enumerate(phi.coeffs):
+            if k and f:
+                out[3 + k] -= k * k * a * f
+    for s, e in ((b, v), (c, u)):
+        if s:
+            for k in range(1, n - 3):
+                if e[3 + k]:
+                    out[3 + k] += k * s * e[3 + k]
+    if u[2] or v[2]:
+        assert extended and phi == RPoly.x() and not any(u[5:]) and not any(v[5:])
+        s = u[0] * v[2] - v[0] * u[2]
+        t = u[1] * v[2] - v[1] * u[2]
+        w = u[2] * v[4] - v[2] * u[4]
+        out[0] += -s - w
+        out[1] += t + w
+        out[2] += s - t
+        out[3] += (t - s) * (1 + F(nu))
+    return tuple(out)
+
+
+def fraction_coordinates(rows, pivots, v):
+    coeffs = tuple(v[p] for p in pivots)
+    rest = list(v)
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            rest = [x - c * y if y else x for x, y in zip(rest, row)]
+    return None if any(rest) else coeffs
+
+
+def fraction_rref_insert(rows, pivots, v):
+    v = [F(x) for x in v]
+    for row, p in zip(rows, pivots):
+        if v[p] != 0:
+            c = v[p]
+            for k in range(len(v)):
+                v[k] -= c * row[k]
+    piv = next((k for k, x in enumerate(v) if x != 0), None)
+    if piv is None:
+        return False
+    inv = 1 / v[piv]
+    v = [x * inv for x in v]
+    for idx, (row, p) in enumerate(zip(rows, pivots)):
+        if row[piv] != 0:
+            c = row[piv]
+            rows[idx] = [a - c * b for a, b in zip(row, v)]
+    pos = next((t for t, p in enumerate(pivots) if p > piv), len(pivots))
+    rows.insert(pos, v)
+    pivots.insert(pos, piv)
+    return True
+
+
+def fraction_null_space(rows, unknowns):
+    reduced, pivots = [], []
+    for row in rows:
+        fraction_rref_insert(reduced, pivots, row)
+    basis = []
+    for fc in range(unknowns):
+        if fc in pivots:
+            continue
+        v = [F(0)] * unknowns
+        v[fc] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_closure(phi, nu=None, extended=False):
+    """(basis, pivots, structure, center) of the closure on rational tuples,
+    from generators built with RPoly derivatives."""
+    b = max(1, phi.degree)
+    gens = [el(b, mult=RPoly.one()), el(b, cD=1), el(b, cDd=1), el(b, mult=RPoly.x())]
+    deriv = phi
+    for j in range(1, phi.degree + 1):
+        deriv = deriv.derivative()
+        gens.append(el(b, mult=RPoly.monomial(j) * deriv))
+    if extended:
+        gens.append(el(b, cD2=1))
+    rows, pivots = [], []
+    for g in gens:
+        fraction_rref_insert(rows, pivots, g)
+    grew = True
+    while grew:
+        basis = [tuple(v) for v in rows]
+        structure, grew = {}, False
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                w = fraction_bracket(u, v, phi, nu, extended)
+                coeffs = None if grew else fraction_coordinates(rows, pivots, w)
+                if coeffs is None:
+                    grew |= fraction_rref_insert(rows, pivots, w)
+                structure[(i, j)] = coeffs
+    dim = len(basis)
+    center = fraction_null_space([[structure[(i, c)][t] for i in range(dim)]
+                                  for c in range(dim) for t in range(dim)], dim)
+    return basis, pivots, structure, center
+
+
+def _assert_matches_fraction_closure(alg, phi, nu=None, extended=False):
+    basis, pivots, structure, center = fraction_closure(phi, nu, extended)
+    assert alg.dim == len(basis)
+    assert alg.labels == [la._label(p) for p in pivots]
+    assert alg.basis == basis
+    # the integer rows are the reference rows in lowest terms
+    assert alg.vectors == [la._vec(row) for row in basis]
+    assert alg.structure == structure
+    assert alg.center() == center
+
+
+nonzero_rats = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@given(st.lists(rats, max_size=6), nonzero_rats)
+@settings(max_examples=80, deadline=None)
+def test_integer_closure_matches_fraction_closure(lower, lead):
+    """Random rational phi of degree 0..6: the same dimension, labels, basis,
+    structure constants and center as the Fraction closure."""
+    phi = RPoly([*lower, lead])
+    _assert_matches_fraction_closure(generate_algebra(phi), phi)
+
+
+@given(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=9))
+@settings(max_examples=40, deadline=None)
+def test_integer_extended_closure_matches_fraction_closure(nu):
+    alg = generate_algebra(RPoly.x(), nu=nu, extended=True)
+    _assert_matches_fraction_closure(alg, RPoly.x(), nu, True)
+
+
+def fraction_conformal_similar(psi1, psi2):
+    """The spectral test on Fraction diagonals, with lambda = t / s."""
+    s1 = sorted(psi1[i, i] for i in range(psi1.N))
+    s2 = sorted(psi2[i, i] for i in range(psi2.N))
+    if len(s1) != len(s2):
+        return False
+    for t in s2:
+        for s in s1:
+            if s != 0 and t != 0 and sorted(v * t / s for v in s1) == s2:
+                return True
+    return all(v == 0 for v in s1) and all(v == 0 for v in s2)
+
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(st.lists(small_rats, min_size=1, max_size=4), st.lists(small_rats, max_size=4),
+       small_rats, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_conformal_similarity_on_numerators_matches_fractions(s1, other, lam, scaled):
+    """Half the draws scale and reverse the first spectrum, so that similar
+    pairs are common; the rest pair it with an unrelated spectrum."""
+    s2 = [lam * v for v in reversed(s1)] if scaled else other
+    if not s2:
+        s2 = [F(0)]
+    psi1, psi2 = MatQ.diag(s1), MatQ.diag(s2)
+    assert conformal_similar(psi1, psi2) == fraction_conformal_similar(psi1, psi2)
