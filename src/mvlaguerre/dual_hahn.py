@@ -25,7 +25,6 @@ The printed variant's status is reported next to every corrected check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,23 +33,24 @@ from .laguerre_forms import XiTable
 from .matrices import MatPoly, MatQ, build_K, exp_nilpotent
 from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
 from .scalar import DomainError, dual_hahn, dual_hahn_via_recurrence, pochhammer, rat
-from .weights import WeightSpec, weight_polynomial_part
+from .weights import Frozen, WeightSpec, weight_polynomial_part
 
 
-@dataclass(frozen=True)
-class DHParams:
-    N: int
-    nu: Fraction
-    c: Fraction
-    d: Fraction
-    delta_nu: tuple
-    delta_nu1: tuple
+class DHParams(Frozen):
+    """A constrained family: size N, exponent nu, the rationals c and d, and
+    the diagonal weights at levels nu and nu+1."""
+
+    _fields = ("N", "nu", "c", "d", "delta_nu", "delta_nu1")
+
+    def __init__(self, N: int, nu: Fraction, c: Fraction, d: Fraction,
+                 delta_nu: tuple, delta_nu1: tuple):
+        self.__dict__.update(N=N, nu=nu, c=c, d=d, delta_nu=delta_nu, delta_nu1=delta_nu1)
 
     @property
     def gamma(self) -> Fraction:
         return self.c / self.d
 
-    # built once per family (cached_property bypasses the frozen __setattr__)
+    # built once per family
     @cached_property
     def spec(self) -> WeightSpec:
         """The weight whose multipliers the dual Hahn forms describe: a_k = -1."""
@@ -344,7 +344,7 @@ def phi_psi(params: DHParams):
         check("deg Psi", "pearson-pair", psi.degree == 1),
     ]
 
-    spec_nu1 = replace(spec, nu=spec.nu + 1, delta=params.delta_nu1)
+    spec_nu1 = WeightSpec(spec.N, spec.nu + 1, spec.a, params.delta_nu1, spec.phi)
     w_nu = ScaledMat(spec.nu, l0 * weight_polynomial_part(spec) * l0.transpose())
     w_nu1 = ScaledMat(spec_nu1.nu, l0 * weight_polynomial_part(spec_nu1) * l0.transpose())
     checks.append(check("W Phi = W(nu+1)", "pearson-pair",

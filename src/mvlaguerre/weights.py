@@ -15,7 +15,6 @@ formulas; storage is 0-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,32 +26,59 @@ class UnsupportedWeightError(ValueError):
     """Moment computation is only exact for phi(x) = x."""
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    N: int
-    nu: Fraction
-    a: tuple
-    delta: tuple
-    phi: RPoly = field(default_factory=RPoly.x)
+class Frozen:
+    """An immutable value: compared, hashed and shown by the fields that
+    `_fields` names, which `__init__` stores once in the instance dict.
+    `cached_property` also writes there directly, so it still caches."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", rat(self.nu))
-        object.__setattr__(self, "a", tuple(rat(v) for v in self.a))
-        object.__setattr__(self, "delta", tuple(rat(v) for v in self.delta))
-        if self.N < 1:
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightSpec(Frozen):
+    """The weight's parameters: size N, exponent nu, the subdiagonal a of A,
+    the diagonal weights delta and the exponent phi of e^{-phi}.  A variant
+    is a new spec, built with the constructor."""
+
+    _fields = ("N", "nu", "a", "delta", "phi")
+
+    def __init__(self, N: int, nu, a, delta, phi: RPoly = RPoly.x()):
+        nu, a, delta = rat(nu), tuple(rat(v) for v in a), tuple(rat(v) for v in delta)
+        if N < 1:
             raise ValueError("N must be >= 1")
-        if self.nu <= 0:
+        if nu <= 0:
             raise ValueError("nu must be > 0")
-        if len(self.a) != self.N - 1:
+        if len(a) != N - 1:
             raise ValueError("need N-1 subdiagonal entries a_k")
-        if any(v == 0 for v in self.a):
+        if any(v == 0 for v in a):
             raise ValueError("a_k must be nonzero")
-        if len(self.delta) != self.N:
+        if len(delta) != N:
             raise ValueError("need N diagonal weights delta_k")
-        if any(v <= 0 for v in self.delta):
+        if any(v <= 0 for v in delta):
             raise ValueError("delta_k must be positive")
+        self.__dict__.update(N=N, nu=nu, a=a, delta=delta, phi=phi)
 
-    # built once per spec (cached_property bypasses the frozen __setattr__)
+    # built once per spec
     @cached_property
     def A(self) -> MatQ:
         return build_A(self.a, self.N)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -476,20 +478,83 @@ def test_suite_dualhahn_builds_one_spec_per_level(monkeypatch):
     params = dh.build_delta_family(3, Fraction(1, 2), 2, 1)
     seq = compute_monic_ops(params.spec, 3)
     counts = {"WeightSpec": 0, "build_A": 0}
-    post_init, build_a = WeightSpec.__post_init__, weights.build_A
+    init, build_a = WeightSpec.__init__, weights.build_A
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         counts["WeightSpec"] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counting_build_a(*args, **kwargs):
         counts["build_A"] += 1
         return build_a(*args, **kwargs)
 
-    monkeypatch.setattr(WeightSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(WeightSpec, "__init__", counting_init)
     monkeypatch.setattr(weights, "build_A", counting_build_a)
     rp.suite_dualhahn(params, seq)
     assert counts == {"WeightSpec": 1, "build_A": 2}
+
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_csv():
+    """Every command runs in a fresh process that pays for the import: the
+    package loads neither dataclasses (which pulls in inspect) nor csv,
+    which only `xi --csv` uses."""
+    probe = ("import json, sys; before = set(sys.modules); import mvlaguerre.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "mvlaguerre.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "csv"}
+
+
+def _count_per_algebra(monkeypatch, *names):
+    """Wrap the named LieAlg methods; each call appends the algebra, which
+    the list keeps alive, so no two algebras share an id."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(self, *args, _name=name, _fn=getattr(la.LieAlg, name)):
+            calls[_name].append(self)
+            return _fn(self, *args)
+        monkeypatch.setattr(la.LieAlg, name, counting)
+    return calls
+
+
+def _per_algebra(algs):
+    return sorted(algs.count(a) for a in {id(a): a for a in algs}.values())
+
+
+def test_suite_lie_checks_the_axioms_once_per_algebra(monkeypatch):
+    """The family, the structure reports and the extended report read one
+    verdict per algebra: 7 family closures and the extended one."""
+    calls = _count_per_algebra(monkeypatch, "jacobi_holds", "antisymmetry_holds")
+    assert rp.all_pass(rp.suite_lie())
+    assert _per_algebra(calls["jacobi_holds"]) == [1] * 8
+    assert _per_algebra(calls["antisymmetry_holds"]) == [1] * 8
+
+
+@pytest.mark.parametrize("command", ["lie --phi x", "lie --phi x^3+x^2", "lie --truncate 8",
+                                     "lie --extended"])
+def test_lie_command_checks_the_axioms_and_center_once(command, monkeypatch, capsys):
+    calls = _count_per_algebra(monkeypatch, "jacobi_holds", "antisymmetry_holds", "center")
+    null_spaces = []
+    null_space = la._null_space
+
+    def counting_null_space(rows, unknowns):
+        null_spaces.append(unknowns)
+        return null_space(rows, unknowns)
+
+    monkeypatch.setattr(la, "_null_space", counting_null_space)
+    code, out, _ = _run(command.split(), capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checks"]["jacobi"] and payload["checks"]["antisymmetry"]
+    assert {name: len(c) for name, c in calls.items()} == {
+        "jacobi_holds": 1, "antisymmetry_holds": 1, "center": 1}
+    assert null_spaces == [payload["dimension"]]
 
 
 def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -154,7 +153,8 @@ def test_H_recursion_reproduces_oracle(seq):
 def test_H_recursion_negative_control():
     seq = compute_monic_ops(SPEC2, 3)
     h = [seq.H[0], seq.H[1]]
-    wrong_a = replace(seq.spec, a=(seq.spec.a[0] + 1,))
+    s = seq.spec
+    wrong_a = WeightSpec(s.N, s.nu, (s.a[0] + 1,), s.delta, s.phi)
     assert h_recursion_next(wrong_a, h) != seq.H[2]
 
 

@@ -337,6 +337,38 @@ def test_antisymmetry_can_fail(name):
     assert alg.antisymmetry_holds()
 
 
+
+def _first_jacobi_breaking_change(alg):
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for t in range(alg.dim):
+                _with_constant(alg, i, j, t, 1)
+                _with_constant(alg, j, i, t, -1)
+                broken = not alg.jacobi_holds()
+                _with_constant(alg, i, j, t, -1)
+                _with_constant(alg, j, i, t, 1)
+                if broken:
+                    return i, j, t
+    raise AssertionError("no antisymmetric change breaks Jacobi")
+
+
+def test_reports_state_the_axioms_of_a_broken_table():
+    """The reports read the algebra's cached verdicts, which still come from
+    its structure constants: a broken table fails them by name."""
+    alg = CLOSURES["phi=x^3+x^2"]()
+    _with_constant(alg, 0, 1, alg.dim - 1, 1)
+    checks = {c["check_id"]: c["pass"] for c in structure_report(alg)["checks"]}
+    assert checks["antisymmetry"] is False and checks["jacobi"] is alg.jacobi_holds()
+
+    i, j, t = _first_jacobi_breaking_change(CLOSURES["extended"]())
+    alg = CLOSURES["extended"]()
+    _with_constant(alg, i, j, t, 1)
+    _with_constant(alg, j, i, t, -1)
+    checks = {c["check_id"]: c["pass"] for c in extended_algebra_report(alg)["checks"]}
+    assert checks["jacobi"] is False
+    assert alg.axioms == {"antisymmetry": True, "jacobi": False}
+
+
 def test_lie_alg_takes_the_last_closure_pass(monkeypatch):
     """The structure comes from the brackets of the closure's last pass,
     which are every ordered pair of the final basis; building the LieAlg

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvlaguerre import weights
+from mvlaguerre.dual_hahn import DHParams, build_delta_family
 from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.scalar import RPoly, factorial, pochhammer
 from mvlaguerre.weights import (MomentTable, UnsupportedWeightError,
@@ -167,3 +169,118 @@ def test_moment_sums_equal_the_separate_loops(spec, s):
 def test_moment_rejects_a_negative_index():
     with pytest.raises(ValueError):
         moment(SPEC2, -1)
+
+
+# WeightSpec and DHParams are immutable values.  Each case: the class, the
+# constructor's keyword arguments, equal arguments of other types, and per
+# field a different value.  A WeightSpec's N cannot change alone (the
+# lengths of a and delta follow it), so there it changes with them.
+VALUE_CASES = {
+    "WeightSpec": (
+        WeightSpec,
+        dict(N=2, nu=F(1, 2), a=(F(-1),), delta=(F(1), F(2)), phi=RPoly.x()),
+        dict(N=2, nu="1/2", a=["-1"], delta=[1, "2"]),
+        {"N": dict(N=3, a=(F(-1), F(-1)), delta=(F(1), F(2), F(3))),
+         "nu": dict(nu=F(3, 2)), "a": dict(a=(F(2),)), "delta": dict(delta=(F(1), F(3))),
+         "phi": dict(phi=RPoly.monomial(2))},
+    ),
+    "DHParams": (
+        DHParams,
+        dict(N=2, nu=F(1, 2), c=F(2), d=F(1), delta_nu=(F(1), F(3)), delta_nu1=(F(3), F(9))),
+        dict(N=2, nu=F(1, 2), c=2, d=1, delta_nu=(1, 3), delta_nu1=(3, 9)),
+        {"N": dict(N=3), "nu": dict(nu=F(1)), "c": dict(c=F(1)), "d": dict(d=F(2)),
+         "delta_nu": dict(delta_nu=(F(1), F(2))), "delta_nu1": dict(delta_nu1=(F(3), F(8)))},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_CASES))
+def test_equal_fields_give_equal_values_with_equal_hashes(name):
+    cls, kwargs, same, _ = VALUE_CASES[name]
+    first, second = cls(**kwargs), cls(*kwargs.values())
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert cls(**same) == first and hash(cls(**same)) == hash(first)
+    assert len({first, second, cls(**same)}) == 1
+
+
+@pytest.mark.parametrize("name", list(VALUE_CASES))
+def test_changing_any_one_field_breaks_equality(name):
+    cls, kwargs, _, changes = VALUE_CASES[name]
+    base = cls(**kwargs)
+    assert set(changes) == set(base._fields)
+    for field, change in changes.items():
+        other = cls(**{**kwargs, **change})
+        assert getattr(other, field) != getattr(base, field), field
+        assert other != base and not other == base, field
+
+
+def test_other_classes_are_not_equal():
+    (ws, ws_kwargs, _, _), (dh, dh_kwargs, _, _) = VALUE_CASES.values()
+
+    class SubSpec(WeightSpec):
+        pass
+
+    spec, params = ws(**ws_kwargs), dh(**dh_kwargs)
+    for value, other in [(spec, params), (params, spec), (spec, SubSpec(**ws_kwargs)),
+                         (spec, tuple(ws_kwargs.values())), (params, dh_kwargs)]:
+        assert value.__eq__(other) is NotImplemented
+        assert value != other
+
+
+@pytest.mark.parametrize("name", list(VALUE_CASES))
+def test_values_are_immutable(name):
+    cls, kwargs, _, _ = VALUE_CASES[name]
+    value = cls(**kwargs)
+    for field in [*value._fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == cls(**kwargs) and not hasattr(value, "extra")
+
+
+@pytest.mark.parametrize("name", list(VALUE_CASES))
+def test_repr_shows_every_field(name):
+    cls, kwargs, _, _ = VALUE_CASES[name]
+    value = cls(**kwargs)
+    fields = ", ".join(f"{f}={v!r}" for f, v in kwargs.items())
+    assert repr(value) == f"{name}({fields})"
+
+
+def test_spec_builds_each_cached_matrix_once(monkeypatch):
+    counts = {"build_A": 0, "build_J": 0, "inverse": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(weights, "build_A", counting("build_A", weights.build_A))
+    monkeypatch.setattr(weights, "build_J", counting("build_J", weights.build_J))
+    monkeypatch.setattr(MatQ, "inverse", counting("inverse", MatQ.inverse))
+    spec = WeightSpec(3, F(1, 2), (F(2), F(-1, 3)), (F(1), F(2), F(5)))
+    first = [spec.A, spec.J, spec.at1, spec.am1_inv, spec.at1_inv]
+    assert counts == {"build_A": 1, "build_J": 1, "inverse": 2}
+    assert all(a is b for a, b in zip(first, [spec.A, spec.J, spec.at1, spec.am1_inv,
+                                              spec.at1_inv]))
+    assert counts == {"build_A": 1, "build_J": 1, "inverse": 2}
+    assert spec.am1_inv * (spec.A - MatQ.identity(3)) == MatQ.identity(3)
+    assert spec.at1_inv * spec.at1 == MatQ.identity(3)
+
+
+def test_dh_params_build_their_spec_once(monkeypatch):
+    built = []
+    init = WeightSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    params = build_delta_family(3, F(1, 2), 2, 1)
+    monkeypatch.setattr(WeightSpec, "__init__", counting_init)
+    assert params.spec is params.spec
+    assert len(built) == 1
+    assert params.spec == WeightSpec(3, F(1, 2), (-1, -1), params.delta_nu)
