@@ -46,11 +46,11 @@ class DHParams(Frozen):
                  delta_nu: tuple, delta_nu1: tuple):
         self.__dict__.update(N=N, nu=nu, c=c, d=d, delta_nu=delta_nu, delta_nu1=delta_nu1)
 
-    @property
+    # built once per family
+    @cached_property
     def gamma(self) -> Fraction:
         return self.c / self.d
 
-    # built once per family
     @cached_property
     def spec(self) -> WeightSpec:
         """The weight whose multipliers the dual Hahn forms describe: a_k = -1."""

@@ -58,7 +58,9 @@ class OPSeq:
     and its inverse;
     Q[n] = P_n e^{xA} and R[n] = K_n^{-1} Q[n];
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
-    xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
+    xi, the XiTable read off R (laguerre_forms.extract_xi returns it);
+    moment_rows[n][b] = <P_n, x^b I> for 0 <= b <= n, shared by the
+    orthogonality and C-ratio checks.
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
     Two threads racing on first use compute the same exact value, so a
     family is safe to share.
@@ -77,6 +79,13 @@ class OPSeq:
         self.Y = tuple(p.coeff(deg - 2) if deg >= 2 else zero for deg, p in enumerate(self.P))
         self.B = tuple(self.X[k] - self.X[k + 1] for k in range(n_max))
         self.C = (None,) + tuple(self.H[k] * self.h_inv(k - 1) for k in range(1, n_max + 1))
+
+    @cached_property
+    def moment_rows(self) -> tuple:
+        # L_i[b] = <P_i, x^b I> = sum_a P_{i,a} m_{a+b} for 0 <= b <= i
+        n, table = self.spec.N, self.table
+        return tuple(tuple(MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
+                           for b in range(i + 1)) for i, p in enumerate(self.P))
 
     def ip(self, p: MatPoly, q: MatPoly) -> MatQ:
         return inner_product(p, q, self.table)
@@ -190,20 +199,26 @@ def scalar_laguerre_monic(alpha, n_max: int):
 
 def verify_three_term(seq: OPSeq) -> list[dict]:
     """Exact residual checks for the three-term recurrence, the B/C
-    formulas, and the second-coefficient recursion."""
+    formulas, and the second-coefficient recursion.  C_k is checked for
+    every 1 <= k <= n_max against the inner product <x P_k, P_{k-1}> of
+    the moment table, not against the H_k H_{k-1}^{-1} it is built from."""
     checks = []
     n = seq.spec.N
-    xI = MatPoly.x_identity(n)
     for k in range(seq.n_max):
-        lhs = xI * seq.P[k]
+        lhs = seq.P[k].scale_x(1)
         rhs = seq.P[k + 1] + MatPoly.const(seq.B[k]) * seq.P[k]
         if k >= 1:
             rhs = rhs + MatPoly.const(seq.C[k]) * seq.P[k - 1]
         checks.append(check(f"three-term n={k}", "three-term-recurrence",
                             (lhs - rhs).is_zero()))
     for k in range(1, seq.n_max + 1):
-        ok = seq.C[k] == seq.H[k] * seq.H[k - 1].inverse()
-        checks.append(check(f"C-ratio n={k}", "recurrence-coefficients", ok))
+        # <x P_k, P_{k-1}> = C_k H_{k-1} by the three-term recurrence; the
+        # inner product is sum_b <P_k, x^{b+1} I> P_{k-1,b}^T, read off the
+        # moment rows
+        ip = MatQ.dot([(m, c.transpose()) for m, c in
+                       zip(seq.moment_rows[k][1:], seq.P[k - 1].coeffs)], n)
+        checks.append(check(f"C-ratio n={k}", "recurrence-coefficients",
+                            seq.C[k] * seq.H[k - 1] == ip))
     for k in range(2, seq.n_max):
         ok = seq.Y[k] == seq.Y[k + 1] + seq.B[k] * seq.X[k] + seq.C[k]
         checks.append(check(f"Y-recursion n={k}", "second-coefficient-recursion", ok))
@@ -212,14 +227,12 @@ def verify_three_term(seq: OPSeq) -> list[dict]:
 
 def gram_lower_rows(seq: OPSeq):
     """Yield, for i = 0..n_max, the list of <P_i, P_j> over j < i: the exact
-    sum of seq.ip regrouped as sum_b L_i[b] P_{j,b}^T, with the moment row
-    L_i[b] = sum_a P_{i,a} m_{a+b} built once per i.  O(n^3) block products
-    for the triangle instead of O(n^4); each sum is one MatQ.dot."""
-    n, table = seq.spec.N, seq.table
+    sum of seq.ip regrouped as sum_b L_i[b] P_{j,b}^T, with the moment rows
+    L_i[b] = seq.moment_rows[i][b].  O(n^3) block products for the triangle
+    instead of O(n^4); each sum is one MatQ.dot."""
+    n = seq.spec.N
     transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
-    for i, p in enumerate(seq.P):
-        row = [MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
-               for b in range(i)]
+    for i, row in enumerate(seq.moment_rows):
         yield [MatQ.dot(list(zip(row, transposed[j])), n) for j in range(i)]
 
 

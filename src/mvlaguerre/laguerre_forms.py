@@ -22,7 +22,7 @@ from .engine import OPSeq, check
 from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
-from .scalar import factorial, laguerre_poly, pochhammer, rat_str
+from .scalar import factorial, laguerre_numerators, pochhammer, rat_str
 from .weights import WeightSpec
 
 
@@ -120,31 +120,43 @@ def extract_xi(seq: OPSeq) -> XiTable:
 def read_xi(seq: OPSeq) -> XiTable:
     """Read xi off the oracle: every R entry must be an exact multiple of
     its Laguerre polynomial (full-polynomial proportionality, not just the
-    value at zero); off-pattern entries must vanish identically.  Each
-    L_deg^(nu+j) the pattern reaches is built once, up front."""
+    value at zero); off-pattern entries must vanish identically.
+
+    The check runs on integers.  Each L_deg^(nu+j) the pattern reaches is
+    built once, up front, as its numerators l_k (`laguerre_numerators`);
+    coefficient k of an R entry is num_k / d_k, read off the MatQ
+    numerators of R's coefficients.  An entry of degree deg is a multiple
+    of L_deg exactly when num_k d_deg l_deg == num_deg d_k l_k for every
+    k <= deg, and then xi = (-1)^deg deg! num_deg / d_deg, since
+    l_deg / (q^deg deg!) = (-1)^deg / deg!."""
     spec = seq.spec
     table = XiTable(spec.N, seq.n_max)
-    laguerre = {(j, deg): laguerre_poly(spec.nu + j, deg) for j in range(1, spec.N + 1)
+    laguerre = {(j, deg): laguerre_numerators(spec.nu + j, deg)[0]
+                for j in range(1, spec.N + 1)
                 for deg in range(seq.n_max + spec.N - j + 1)}
     for n, r in enumerate(seq.R):
+        nums = [c.num for c in r.coeffs]
+        dens = [c.d for c in r.coeffs]
         for i in range(1, spec.N + 1):
             for j in range(1, spec.N + 1):
-                p = r.entry(i - 1, j - 1)
+                entry = [num[i - 1][j - 1] for num in nums]
                 deg = n + i - j
                 if deg < 0:
-                    if not p.is_zero():
+                    if any(entry):
                         raise ClosedFormViolation(
                             f"R({n})[{i},{j}] nonzero below the degree pattern")
                     continue
-                lag = laguerre[j, deg]
-                if p.is_zero():
+                if not any(entry):
                     table.values[n, i, j] = Fraction(0)
                     continue
-                ratio = p.coeff(p.degree) / lag.coeff(p.degree) if p.degree == deg else None
-                if ratio is None or ratio * lag != p:
+                lag = laguerre[j, deg]
+                if len(entry) <= deg or any(entry[deg + 1:]) or not all(
+                        v * dens[deg] * lag[deg] == entry[deg] * dens[k] * lag[k]
+                        for k, v in enumerate(entry[:deg])):
                     raise ClosedFormViolation(
                         f"R({n})[{i},{j}] is not a multiple of L_{deg}^(nu+{j})")
-                table.values[n, i, j] = ratio
+                table.values[n, i, j] = Fraction((-1) ** deg * factorial(deg) * entry[deg],
+                                                 dens[deg])
     return table
 
 

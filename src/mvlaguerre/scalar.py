@@ -2,14 +2,18 @@
 forms are written in: Pochhammer symbols, generalized Laguerre polynomials,
 and terminating dual Hahn polynomials evaluated as 3F2 sums.
 
-All arithmetic is over `fractions.Fraction`; nothing here ever touches a
-float.  Values are immutable and every function is pure.
+Each closed form brings its rational arguments over one common
+denominator and runs its loop on integer numerators, building one
+`fractions.Fraction` per result (per coefficient, for a polynomial) at the
+end; nothing here ever touches a float.  Values are immutable and every
+function is pure.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb, lcm
 
 
 class DomainError(ValueError):
@@ -35,14 +39,23 @@ def rat_str(x: Fraction) -> str:
 
 
 def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1."""
+    """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1: for
+    a = p/q, the integer product (p)(p+q)...(p+(n-1)q) over q^n."""
     if n < 0:
         raise DomainError("pochhammer needs n >= 0")
     a = rat(a)
-    out = Fraction(1)
+    p, q = a.numerator, a.denominator
+    out = 1
     for k in range(n):
-        out *= a + k
-    return out
+        out *= p + k * q
+    return Fraction(out, q ** n)
+
+
+def _common(*values) -> tuple:
+    """Integer numerators of Fractions over their least common denominator
+    Q, followed by Q."""
+    q = lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (q // v.denominator) for v in values), q)
 
 
 def factorial(n: int) -> int:
@@ -153,21 +166,34 @@ class RPoly:
         return "RPoly(" + " + ".join(terms) + ")"
 
 
-def laguerre_poly(alpha, n: int) -> RPoly:
-    """Generalized Laguerre polynomial L_n^(alpha) as an exact RPoly.
+def laguerre_numerators(alpha, n: int) -> tuple:
+    """Integer numerators (l_0, ..., l_n) and the denominator q^n n! of the
+    generalized Laguerre polynomial L_n^(alpha), alpha = p/q:
 
-    Coefficient of x^k is c_k = (-1)^k (alpha+k+1)_{n-k} / ((n-k)! k!); the
-    value at 0 is (alpha+1)_n / n!.  Built downward from c_n = (-1)^n / n!
-    by c_k = -c_{k+1} (k+1) (alpha+k+1) / (n-k), which divides by nothing
-    that depends on alpha, so negative integer alpha stays exact.
-    """
+        L_n^(alpha)(x) = sum_k l_k x^k / (q^n n!),
+        l_k = (-1)^k C(n,k) q^k prod_{m=k+1..n} (p + m q),
+
+    which is c_k = (-1)^k (alpha+k+1)_{n-k} / ((n-k)! k!) over one
+    denominator.  Nothing divides by a quantity that depends on alpha, so
+    negative integer alpha stays exact; l_n = (-q)^n never vanishes."""
     if n < 0:
         raise DomainError("laguerre_poly needs n >= 0")
     alpha = rat(alpha)
-    coeffs = [Fraction((-1) ** n, factorial(n))]
-    for k in range(n - 1, -1, -1):
-        coeffs.append(-coeffs[-1] * (k + 1) * (alpha + k + 1) / (n - k))
-    return RPoly(coeffs[::-1])
+    p, q = alpha.numerator, alpha.denominator
+    nums = []
+    prod = 1  # prod_{m=k+1..n} (p + m q), built downward from k = n
+    for k in range(n, -1, -1):
+        nums.append((-1) ** k * comb(n, k) * q ** k * prod)
+        prod *= p + k * q
+    return tuple(nums[::-1]), q ** n * factorial(n)
+
+
+def laguerre_poly(alpha, n: int) -> RPoly:
+    """Generalized Laguerre polynomial L_n^(alpha) as an exact RPoly over
+    the numerators of `laguerre_numerators`; the value at 0 is
+    (alpha+1)_n / n!."""
+    nums, den = laguerre_numerators(alpha, n)
+    return RPoly([Fraction(v, den) for v in nums])
 
 
 def lambda_lattice(x, gamma, delta) -> Fraction:
@@ -181,52 +207,65 @@ def dual_hahn(k: int, x, gamma, delta, M: int) -> Fraction:
     terminating 3F2 sum at unit argument.
 
     The sum runs to m = k; requires k <= M so that the (-M)_m denominator
-    factor never vanishes inside the range.
+    factor never vanishes inside the range.  With x, gamma, delta over one
+    denominator Q, the ratio of consecutive terms is u_m / den_m with
+
+        u_m   = (m-k) (mQ - X) (X + G + D + (m+1)Q),
+        den_m = Q (G + (m+1)Q) (m-M) (m+1),
+
+    and the partial sum s/v and the current term t/v share the integer
+    denominator v: s <- s den_m + t u_m, t <- t u_m, v <- v den_m.
     """
     if k < 0 or M < 0:
         raise DomainError("dual_hahn needs k, M >= 0")
     if k > M:
         raise DomainError(f"dual_hahn needs k <= M (got k={k}, M={M})")
-    x, gamma, delta = rat(x), rat(gamma), rat(delta)
-    total = Fraction(0)
-    term = Fraction(1)
-    for m in range(k + 1):
-        total += term
-        if m == k:
-            break
-        den = (gamma + 1 + m) * (-M + m) * (m + 1)
+    X, G, D, Q = _common(rat(x), rat(gamma), rat(delta))
+    top = X + G + D + Q
+    s, t, v = 1, 1, 1  # after the m = 0 term
+    for m in range(k):
+        den = Q * (G + (m + 1) * Q) * (m - M) * (m + 1)
         if den == 0:
             raise DomainError("vanishing denominator Pochhammer in 3F2 sum")
-        term *= (-k + m) * (-x + m) * (x + gamma + delta + 1 + m)
-        term /= den
-    return total
-
-
-def dual_hahn_recurrence_step(s_k, s_km1, k: int, gamma, delta, M: int, x):
-    """One step of the normalized recurrence x s_k = s_{k+1} - (u_k+v_k) s_k
-    + u_{k-1} v_k s_{k-1}, solved for s_{k+1}.
-
-    u_k = (k+gamma+1)(k-M), v_k = k(k-delta-M-1); seeds s_0 = 1, s_{-1} = 0.
-    """
-    x, gamma, delta = rat(x), rat(gamma), rat(delta)
-    u = lambda j: (j + gamma + 1) * (j - M)
-    v = lambda j: j * (j - delta - M - 1)
-    return x * rat(s_k) + (u(k) + v(k)) * rat(s_k) - u(k - 1) * v(k) * rat(s_km1)
+        t *= (m - k) * (m * Q - X) * (top + m * Q)
+        s = s * den + t
+        v *= den
+    return Fraction(s, v)
 
 
 def dual_hahn_via_recurrence(k: int, x, gamma, delta, M: int) -> Fraction:
-    """T_k evaluated through the monic chain s_k and the normalization
-    T_k = s_k(lambda(x)) / ((gamma+1)_k (-M)_k)."""
+    """T_k evaluated through the monic chain s_k of the normalized
+    recurrence y s_k = s_{k+1} - (u_k+v_k) s_k + u_{k-1} v_k s_{k-1} at
+    y = lambda(x), with u_k = (k+gamma+1)(k-M), v_k = k(k-delta-M-1) and
+    seeds s_0 = 1, s_{-1} = 0, and the normalization
+    T_k = s_k(lambda(x)) / ((gamma+1)_k (-M)_k).
+
+    With x, gamma, delta over one denominator Q, Q^2 lambda, Q u_j and Q v_j
+    are integers, and so is S_j = Q^{2j} s_j:
+
+        S_{j+1} = (Q^2 lambda + Q (Q u_j + Q v_j)) S_j
+                  - Q^2 (Q u_{j-1}) (Q v_j) S_{j-1},
+
+    and the normalization is prod_{m<k} (Q u_m) / Q^k.
+    """
     if k > M:
         raise DomainError(f"dual_hahn needs k <= M (got k={k}, M={M})")
-    lam = lambda_lattice(x, gamma, delta)
-    s_km1, s_k = Fraction(0), Fraction(1)
+    X, G, D, Q = _common(rat(x), rat(gamma), rat(delta))
+    if k < 0:  # the normalization (gamma+1)_k is undefined
+        raise DomainError("pochhammer needs n >= 0")
+    q2 = Q * Q
+    lam = X * (X + G + D + Q)
+    s_km1, s_k = 0, 1
+    norm = 1
     for j in range(k):
-        s_km1, s_k = s_k, dual_hahn_recurrence_step(s_k, s_km1, j, gamma, delta, M, lam)
-    norm = pochhammer(rat(gamma) + 1, k) * pochhammer(Fraction(-M), k)
+        qu = (G + (j + 1) * Q) * (j - M)  # Q u_j
+        qv = j * (j * Q - D - (M + 1) * Q)  # Q v_j
+        qu_prev = (G + j * Q) * (j - 1 - M)  # Q u_{j-1}
+        s_km1, s_k = s_k, (lam + Q * (qu + qv)) * s_k - q2 * qu_prev * qv * s_km1
+        norm *= qu
     if norm == 0:
         raise DomainError("vanishing normalization in dual Hahn recurrence")
-    return s_k / norm
+    return Fraction(s_k, Q ** k * norm)
 
 
 _TERM_RE = re.compile(

@@ -561,7 +561,8 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     """suite_operators, suite_laguerre, resolve_open_questions and extract_xi
     on one family build H_n J H_n^{-1}, T_n = H_n (A^T-1) H_{n-1}^{-1},
     Gamma_n, G(n) and I(n) once per n, all inside the family, read the
-    xi table off the oracle once, and build each Laguerre polynomial once."""
+    xi table off the oracle once, and build the numerators of each Laguerre
+    polynomial once."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -596,7 +597,7 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
 
     monkeypatch.setattr(MatQ, "__mul__", counting_mul)
     reads = _count_calls(monkeypatch, lf, "read_xi")
-    laguerre = _count_calls(monkeypatch, lf, "laguerre_poly")
+    laguerre = _count_calls(monkeypatch, lf, "laguerre_numerators")
     rp.suite_operators(seq)
     rp.suite_laguerre(seq)
     rp.resolve_open_questions(seq)
@@ -621,13 +622,14 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
 
 def test_suite_oracle_makes_cubically_many_block_products(monkeypatch):
     """suite_oracle of an N=2, n_max=10 family makes no more block products
-    than its checks need.  The moment row of P_i costs i(i+1) and its
-    products with P_0..P_{i-1} another i(i+1)/2, so orthogonality takes
-    n(n+1)(n+2)/2 up to n = n_max (a full inner product per pair counts 2493
-    here); the three-term, C-ratio and Y-recursion checks take
-    3n(n-1)/2 + 4n - 2.  A block product is a call of MatQ.__mul__ or a
-    pair with no identity factor in a fused MatQ.dot of two or more pairs
-    (a single pair is handed to MatQ.__mul__ and counted there)."""
+    than its checks need.  The moment rows of P_i (b <= i, shared with the
+    C-ratio check) cost i(i+1) and their products with P_0..P_{i-1} another
+    i(i+1)/2, so orthogonality takes n(n+1)(n+2)/2 up to n = n_max (a full
+    inner product per pair counts 2493 here); the three-term, C-ratio and
+    Y-recursion checks take at most 3n(n-1)/2 + 4n - 2.  A block product is
+    a call of MatQ.__mul__ or a pair with no identity factor in a fused
+    MatQ.dot of two or more pairs (a single pair is handed to MatQ.__mul__
+    and counted there)."""
     F = Fraction
     seq = compute_monic_ops(WeightSpec(2, F(5, 8), (F(-9, 7),), (F(6, 5), F(7, 9))), 10)
     calls = []

@@ -204,6 +204,35 @@ def test_gram_rows_equal_the_inner_product(spec):
     assert any(not v.is_zero() for row in gram_lower_rows(_skewed(seq)) for v in row)
 
 
+@pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
+def test_moment_rows_and_the_C_ratio_side_are_inner_products(spec):
+    """moment_rows[i][b] = seq.ip(P_i, x^b I) for b <= i, on the oracle
+    family and on a skewed one, and the C-ratio check compares C_k H_{k-1}
+    with seq.ip(x P_k, P_{k-1})."""
+    seq = compute_monic_ops(spec, 4)
+    i_n = MatQ.identity(spec.N)
+    for family in (seq, _skewed(seq)):
+        assert family.moment_rows == tuple(
+            tuple(family.ip(p, MatPoly.monomial(b, i_n)) for b in range(i + 1))
+            for i, p in enumerate(family.P))
+    for k in range(1, seq.n_max + 1):
+        assert seq.C[k] * seq.H[k - 1] == seq.ip(seq.P[k].scale_x(1), seq.P[k - 1])
+
+
+def test_C_ratio_fails_when_H_3_is_doubled():
+    """C is built as H_k H_{k-1}^{-1}; with H_3 doubled, C_3 doubles while
+    <x P_3, P_2> does not, so exactly C-ratio n=3 fails (C_4 H_3 is
+    unchanged)."""
+    seq = compute_monic_ops(SHARED_SPECS[1], 5)
+    H = list(seq.H)
+    H[3] = H[3] * 2
+    broken = OPSeq(seq.spec, seq.table, seq.P, H)
+    _ok(verify_three_term(seq))
+    failed = [c["check_id"] for c in verify_three_term(broken)
+              if c["equation"] == "recurrence-coefficients" and not c["pass"]]
+    assert failed == ["C-ratio n=3"]
+
+
 positive_rats = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
 nonzero_rats = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
 

@@ -1,6 +1,10 @@
 from fractions import Fraction as F
+from functools import cache
 
+import fraction_reference as ref
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops
 from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
@@ -10,9 +14,9 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        verify_Q_relation, verify_R_eigen,
                                        verify_X1_bootstrap, verify_X_recursion,
                                        verify_displayed_xi_recursions,
-                                       verify_xi_tables, x1_from_h0,
+                                       read_xi, verify_xi_tables, x1_from_h0,
                                        xi_by_recursion)
-from mvlaguerre.matrices import MatQ
+from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.scalar import factorial
 from mvlaguerre.weights import WeightSpec
 
@@ -255,3 +259,92 @@ def test_X_recursion_displayed_form_reads_row_1_only():
              for n, x in enumerate(seq.X)]
     row = next(c for c in verify_X_recursion(seq) if "derived form" in c["check_id"])
     assert row["pass"] and row["displayed_form_pass"] is True
+
+
+# read_xi runs on integer numerators; it must give the table, and raise
+# ClosedFormViolation, exactly where the Fraction reference does.
+
+positive = st.one_of(st.fractions(F(1, 40), 30, max_denominator=40),
+                     st.builds(F, st.integers(1, 10 ** 20), st.integers(1, 10 ** 15)))
+nonzero = st.builds(lambda sign, v: sign * v, st.sampled_from([1, -1]), positive)
+
+
+@st.composite
+def weight_specs(draw):
+    N = draw(st.integers(1, 3))
+    return WeightSpec(N, draw(positive), tuple(draw(nonzero) for _ in range(N - 1)),
+                      tuple(draw(positive) for _ in range(N)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(weight_specs(), st.integers(0, 4))
+def test_read_xi_equals_the_fraction_reference(spec, n_max):
+    seq = compute_monic_ops(spec, n_max)
+    assert read_xi(seq).values == ref.read_xi(seq).values
+
+
+CONTROL_SPECS = SPECS + [WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)),
+                                    (F(2, 3), F(5), F(11, 4)))]
+
+
+@cache
+def _control_family(index):
+    return compute_monic_ops(CONTROL_SPECS[index], 4)
+
+
+def _with_entry_added(seq, n, i, j, k, value):
+    """The family with `value` x^k added to entry (i, j) of R(x, n)."""
+    R = list(seq.R)
+    R[n] = R[n] + MatPoly.monomial(k, MatQ.unit(seq.spec.N, i - 1, j - 1) * value)
+    family = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    family.R = tuple(R)  # shadows the cached R
+    return family
+
+
+def _assert_both_reject(family, message):
+    for read in (read_xi, ref.read_xi):
+        with pytest.raises(ClosedFormViolation) as info:
+            read(family)
+        assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(CONTROL_SPECS) - 1), st.data())
+def test_read_xi_rejects_one_perturbed_coefficient(index, data):
+    """One coefficient of one R entry of degree >= 1 moved, at or above its
+    degree: no multiple of L_deg^(nu+j) has that shape, since every
+    coefficient of L_deg^(nu+j) is nonzero for nu + j > 0."""
+    seq = _control_family(index)
+    N = seq.spec.N
+    n, i, j = (data.draw(st.integers(0, seq.n_max)), data.draw(st.integers(1, N)),
+               data.draw(st.integers(1, N)))
+    deg = n + i - j
+    assume(deg >= 1)
+    k = data.draw(st.integers(0, deg + 1))
+    family = _with_entry_added(seq, n, i, j, k, data.draw(nonzero))
+    _assert_both_reject(family, f"R({n})[{i},{j}] is not a multiple of L_{deg}^(nu+{j})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(CONTROL_SPECS) - 1), st.data())
+def test_read_xi_rejects_a_nonzero_entry_below_the_degree_pattern(index, data):
+    seq = _control_family(index)
+    N = seq.spec.N
+    assume(N >= 2)
+    i = data.draw(st.integers(1, N - 1))
+    j = data.draw(st.integers(i + 1, N))
+    n = data.draw(st.integers(0, j - i - 1))  # n + i - j < 0
+    k = data.draw(st.integers(0, 3))
+    family = _with_entry_added(seq, n, i, j, k, data.draw(nonzero))
+    _assert_both_reject(family, f"R({n})[{i},{j}] nonzero below the degree pattern")
+
+
+def test_read_xi_controls_are_exact_at_the_boundary():
+    """The smallest changes: the constant of L_1 entry R(0)[2,1] of SPEC2
+    moved by 1, and 1 placed at R(0)[1,2], where n + i - j = -1."""
+    seq = compute_monic_ops(SPEC2, 1)
+    assert read_xi(seq).values == ref.read_xi(seq).values
+    _assert_both_reject(_with_entry_added(seq, 0, 2, 1, 0, 1),
+                        "R(0)[2,1] is not a multiple of L_1^(nu+1)")
+    _assert_both_reject(_with_entry_added(seq, 0, 1, 2, 0, 1),
+                        "R(0)[1,2] nonzero below the degree pattern")

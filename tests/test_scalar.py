@@ -1,14 +1,14 @@
 from fractions import Fraction as F
 from math import factorial
 
+import fraction_reference as ref
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.scalar import (DomainError, RPoly, dual_hahn,
-                               dual_hahn_recurrence_step,
                                dual_hahn_via_recurrence, lambda_lattice,
-                               laguerre_poly, parse_phi,
+                               laguerre_numerators, laguerre_poly, parse_phi,
                                pochhammer, rat, rat_str)
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -99,7 +99,7 @@ def test_dual_hahn_trivial_and_domain():
 
 def test_dual_hahn_recurrence_seed():
     gamma, M = F(1, 2), 3
-    s1 = dual_hahn_recurrence_step(F(1), F(0), 0, gamma, F(2), M, F(9))
+    s1 = ref.dual_hahn_recurrence_step(F(1), F(0), 0, gamma, F(2), M, F(9))
     assert s1 == 9 + (gamma + 1) * (-M)
 
 
@@ -134,3 +134,92 @@ def test_parse_phi():
     for bad in ("", "x^", "y+1", "x**2", "1/0x", "1/0", "x^2+0/0x"):
         with pytest.raises(DomainError):
             parse_phi(bad)
+
+
+# Exactness of the integer-numerator closed forms against their
+# Fraction-by-Fraction references: equal values, and a DomainError with the
+# same message on exactly the same inputs.  The arguments reach negative,
+# zero and large-height rationals, ints, 'p/q' strings and zero-denominator
+# strings (rat raises DomainError on those, so the order of the checks shows).
+
+any_rats = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    st.integers(-8, 8).map(F),
+    st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30)),
+    st.integers(-5, 5),
+    st.sampled_from(["0", "-7/3", "22/7", "1/0", "-3/0"]),
+)
+# gamma at a negative integer makes (gamma+1)_m vanish inside the sum
+gammas = st.one_of(any_rats, st.integers(-7, -1).map(F))
+# x at a small integer makes the (-x)_m numerator factor vanish
+nodes = st.one_of(any_rats, st.integers(0, 7))
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+@settings(max_examples=300)
+@given(any_rats, st.integers(-3, 14))
+@example(F(-3), 5)
+@example(F(0), 0)
+@example("1/0", -1)
+def test_pochhammer_equals_the_fraction_reference(a, n):
+    assert _outcome(pochhammer, a, n) == _outcome(ref.pochhammer, a, n)
+
+
+@settings(max_examples=300)
+@given(any_rats, st.integers(-2, 12))
+@example(F(-4), 9)
+@example(F(-1, 3), 0)
+def test_laguerre_poly_equals_the_fraction_reference(alpha, n):
+    assert _outcome(laguerre_poly, alpha, n) == _outcome(ref.laguerre_poly, alpha, n)
+
+
+@given(any_rats.filter(lambda a: not isinstance(a, str)), st.integers(0, 12))
+def test_laguerre_numerators_are_the_coefficients_over_one_denominator(alpha, n):
+    nums, den = laguerre_numerators(alpha, n)
+    alpha = F(alpha)
+    assert len(nums) == n + 1 and all(isinstance(v, int) for v in nums)
+    assert den == alpha.denominator ** n * factorial(n)
+    assert nums[n] == (-alpha.denominator) ** n
+    assert RPoly([F(v, den) for v in nums]) == ref.laguerre_poly(alpha, n)
+
+
+@settings(max_examples=400)
+@given(st.integers(-2, 7), nodes, gammas, any_rats, st.integers(-2, 7))
+@example(1, F(0), F(-1), F(0), 3)
+@example(2, F(1), F(1, 2), F(0), 1)
+@example(3, "1/0", F(0), F(0), 2)
+@example(-1, F(1), F(1), F(1), 2)
+def test_dual_hahn_sum_equals_the_fraction_reference(k, x, gamma, delta, M):
+    assert _outcome(dual_hahn, k, x, gamma, delta, M) == \
+        _outcome(ref.dual_hahn, k, x, gamma, delta, M)
+
+
+@settings(max_examples=400)
+@given(st.integers(-2, 7), nodes, gammas, any_rats, st.integers(-2, 7))
+@example(2, F(1), F(-2), F(0), 4)
+@example(-1, F(1), F(1), F(1), 2)
+@example(-1, "1/0", F(1), F(1), 2)
+@example(3, F(2), F(1, 2), F(-5, 2), -1)
+def test_dual_hahn_recurrence_equals_the_fraction_reference(k, x, gamma, delta, M):
+    assert _outcome(dual_hahn_via_recurrence, k, x, gamma, delta, M) == \
+        _outcome(ref.dual_hahn_via_recurrence, k, x, gamma, delta, M)
+
+
+def test_the_exactness_inputs_reach_every_domain_error():
+    """The drawn arguments above can hit each DomainError branch."""
+    assert _outcome(pochhammer, 1, -1)[0] == "DomainError"
+    assert _outcome(laguerre_poly, 1, -1)[0] == "DomainError"
+    assert _outcome(dual_hahn, 1, F(0), F(-1), F(0), 3) == \
+        ("DomainError", "vanishing denominator Pochhammer in 3F2 sum")
+    assert _outcome(dual_hahn_via_recurrence, 2, F(1), F(-2), F(0), 4) == \
+        ("DomainError", "vanishing normalization in dual Hahn recurrence")
+    assert _outcome(dual_hahn_via_recurrence, -1, F(1), F(1), F(1), 2) == \
+        ("DomainError", "pochhammer needs n >= 0")
+    assert _outcome(dual_hahn, 1, "1/0", F(0), F(0), 2) == \
+        ("DomainError", "zero denominator in '1/0'")

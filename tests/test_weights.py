@@ -284,3 +284,16 @@ def test_dh_params_build_their_spec_once(monkeypatch):
     assert params.spec is params.spec
     assert len(built) == 1
     assert params.spec == WeightSpec(3, F(1, 2), (-1, -1), params.delta_nu)
+
+
+def test_dh_params_gamma_is_cached_and_immutable():
+    params = build_delta_family(3, F(1, 2), F(5, 3), F(7, 2))
+    assert params.gamma == F(10, 21)
+    assert params.gamma is params.gamma  # one division, then the cached value
+    with pytest.raises(AttributeError):
+        params.gamma = F(1)
+    with pytest.raises(AttributeError):
+        del params.gamma
+    assert params.gamma == F(10, 21)
+    fresh = build_delta_family(3, F(1, 2), F(5, 3), F(7, 2))
+    assert fresh == params and hash(fresh) == hash(params)
