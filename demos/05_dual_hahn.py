@@ -47,7 +47,7 @@ print("  quoted form     =", xi_dual_hahn_displayed(1, 2, 1, params))
 
 checks = verify_derivative_coupling(seq, params)
 print("\nthe x = 0 matrix identity behind the recursion:",
-      all(c["pass"] for c in checks if c["check_id"].startswith("derivative")),
+      all(c["pass"] for c in checks if c["equation"] == "derivative-coupling-at-zero"),
       "(exact for every n)")
 
 print("\nquadratic lattice: lambda(x) = x(x + gamma + delta + 1), e.g.",

@@ -42,7 +42,7 @@ print("\ntruncations of the exponential series keep growing (no finite",
 print("  dims:", [generate_algebra(exp_series_truncated(t)).dim
                   for t in range(4, 9)])
 
-ext = extended_algebra_report(generate_algebra(parse_phi("x"), nu=F(1, 2), extended=True))
+ext = extended_algebra_report(generate_algebra(parse_phi("x"), nu=F(1, 2)))
 print("\nextended algebra with the second-order operator: dim",
       ext["dimension"])
 for c in ext["checks"]:

@@ -4,7 +4,8 @@ Subcommands: compute-polys, verify, xi, lie, dualhahn.  All rational values
 are read and written as 'p/q' strings; output is stable JSON (or CSV for
 the multiplier table) with a top-level schema marker, byte-identical across
 runs for identical configuration.  Exit status: 0 all selected checks pass,
-1 any check failed, 2 argument or parse error.
+1 any check failed, 2 argument or parse error or an output path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -192,8 +193,7 @@ def cmd_lie(args) -> int:
         phi = la.exp_series_truncated(args.truncate)
     else:
         phi = parse_phi(args.phi)
-    alg = la.generate_algebra(phi, nu=nu if args.extended else None,
-                              extended=args.extended)
+    alg = la.generate_algebra(phi, nu=nu if args.extended else None)
     structure = [[i, j, k, rat_str(v)]
                  for (i, j), vec in sorted(alg.structure.items())
                  for k, v in enumerate(vec) if v != 0]
@@ -260,7 +260,7 @@ def cmd_dualhahn(args) -> int:
         "xi": xi_records,
         "all_equal": all_equal,
         "derivative_coupling": all(c["pass"] for c in checks
-                       if c["check_id"].startswith("derivative coupling")),
+                       if c["equation"] == "derivative-coupling-at-zero"),
         "checks": rp.sort_checks(checks),
         "display_corrections": rp.display_corrections(checks),
         "all_pass": ok and all_equal,
@@ -307,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "identity verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_flags(p, need_nmax=5):
+    def add_spec_flags(p):
         p.add_argument("--N", type=int, default=2)
         p.add_argument("--nu", default="1/2")
         p.add_argument("--a", default=None,
                        help="comma list of N-1 subdiagonal entries, e.g. '-1,2'")
         p.add_argument("--delta", default=None,
                        help="comma list of N positive diagonal weights")
-        p.add_argument("--nmax", type=_degree, default=need_nmax)
+        p.add_argument("--nmax", type=_degree, default=5)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("compute-polys", help="emit the monic family as JSON")
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         _attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,9 @@ The family it returns, `OPSeq`, also owns every per-degree object derived
 from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
 Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
 first use.  Every sum of block products here (the projections, the inner
-products, the moment rows) is fused into one `MatQ.dot` with a single gcd
-pass; the canonical form is unique, so regrouping a sum this way is exact.
+products, the moment rows of the orthogonality check) is fused into one
+`MatQ.dot` with a single gcd pass; the canonical form is unique, so
+regrouping a sum this way is exact.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class OPSeq:
     norms.  Read off them at construction: X[n] the one-but-leading
     coefficient (X[0] = 0), Y[n] the second-but-leading (Y[0] = Y[1] = 0),
     B[n] = X[n] - X[n+1] for n <= n_max-1 and C[n] = H[n] H[n-1]^{-1} for
-    1 <= n <= n_max (C[0] is None).
+    1 <= n <= n_max (C[0] is None).  `table` is the moment table the family
+    was orthogonalized on; inner products of its polynomials are
+    `weights.inner_product(p, q, seq.table)`.
 
     Computed on first use and kept, at most once per family, as tuples over
     n = 0..n_max:
@@ -58,9 +61,7 @@ class OPSeq:
     and its inverse;
     Q[n] = P_n e^{xA} and R[n] = K_n^{-1} Q[n];
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
-    xi, the XiTable read off R (laguerre_forms.extract_xi returns it);
-    moment_rows[n][b] = <P_n, x^b I> for 0 <= b <= n, shared by the
-    orthogonality and C-ratio checks.
+    xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
     Two threads racing on first use compute the same exact value, so a
     family is safe to share.
@@ -79,16 +80,6 @@ class OPSeq:
         self.Y = tuple(p.coeff(deg - 2) if deg >= 2 else zero for deg, p in enumerate(self.P))
         self.B = tuple(self.X[k] - self.X[k + 1] for k in range(n_max))
         self.C = (None,) + tuple(self.H[k] * self.h_inv(k - 1) for k in range(1, n_max + 1))
-
-    @cached_property
-    def moment_rows(self) -> tuple:
-        # L_i[b] = <P_i, x^b I> = sum_a P_{i,a} m_{a+b} for 0 <= b <= i
-        n, table = self.spec.N, self.table
-        return tuple(tuple(MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
-                           for b in range(i + 1)) for i, p in enumerate(self.P))
-
-    def ip(self, p: MatPoly, q: MatPoly) -> MatQ:
-        return inner_product(p, q, self.table)
 
     def h_inv(self, n: int) -> MatQ:
         return _inverse_of_H(self.H, self._h_inv, n)
@@ -147,15 +138,14 @@ class OPSeq:
         return read_xi(self)
 
 
-def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OPSeq:
+def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
     P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one fused sum
-    (MatQ.dot) per coefficient.  `projection_order` permutes the terms (the
-    result must not change; used by the uniqueness test).  Since P_n is
-    orthogonal to every lower degree, H_n = <P_n, P_n> = <x^n I, P_n>, which
-    costs one product per coefficient of P_n.  Each H_m^{-1} is computed
-    once, when degree m+1 first needs it, and handed to the family.
+    (MatQ.dot) per coefficient.  Since P_n is orthogonal to every lower
+    degree, H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
+    coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
+    first needs it, and handed to the family.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
@@ -167,8 +157,7 @@ def compute_monic_ops(spec: WeightSpec, n_max: int, projection_order=None) -> OP
     for deg in range(n_max + 1):
         xn = MatPoly.monomial(deg, i)
         terms = [[] for _ in range(deg)]
-        order = list(range(deg)) if projection_order is None else projection_order(deg)
-        for m in order:
+        for m in range(deg):
             coef = inner_product(xn, P[m], table) * _inverse_of_H(H, inverses, m)
             for k, c in enumerate(P[m].coeffs):
                 terms[k].append((coef, c))
@@ -198,12 +187,9 @@ def scalar_laguerre_monic(alpha, n_max: int):
 
 
 def verify_three_term(seq: OPSeq) -> list[dict]:
-    """Exact residual checks for the three-term recurrence, the B/C
-    formulas, and the second-coefficient recursion.  C_k is checked for
-    every 1 <= k <= n_max against the inner product <x P_k, P_{k-1}> of
-    the moment table, not against the H_k H_{k-1}^{-1} it is built from."""
+    """Exact residual checks for the three-term recurrence and the
+    second-coefficient recursion."""
     checks = []
-    n = seq.spec.N
     for k in range(seq.n_max):
         lhs = seq.P[k].scale_x(1)
         rhs = seq.P[k + 1] + MatPoly.const(seq.B[k]) * seq.P[k]
@@ -211,38 +197,40 @@ def verify_three_term(seq: OPSeq) -> list[dict]:
             rhs = rhs + MatPoly.const(seq.C[k]) * seq.P[k - 1]
         checks.append(check(f"three-term n={k}", "three-term-recurrence",
                             (lhs - rhs).is_zero()))
-    for k in range(1, seq.n_max + 1):
-        # <x P_k, P_{k-1}> = C_k H_{k-1} by the three-term recurrence; the
-        # inner product is sum_b <P_k, x^{b+1} I> P_{k-1,b}^T, read off the
-        # moment rows
-        ip = MatQ.dot([(m, c.transpose()) for m, c in
-                       zip(seq.moment_rows[k][1:], seq.P[k - 1].coeffs)], n)
-        checks.append(check(f"C-ratio n={k}", "recurrence-coefficients",
-                            seq.C[k] * seq.H[k - 1] == ip))
     for k in range(2, seq.n_max):
         ok = seq.Y[k] == seq.Y[k + 1] + seq.B[k] * seq.X[k] + seq.C[k]
         checks.append(check(f"Y-recursion n={k}", "second-coefficient-recursion", ok))
     return checks
 
 
-def gram_lower_rows(seq: OPSeq):
-    """Yield, for i = 0..n_max, the list of <P_i, P_j> over j < i: the exact
-    sum of seq.ip regrouped as sum_b L_i[b] P_{j,b}^T, with the moment rows
-    L_i[b] = seq.moment_rows[i][b].  O(n^3) block products for the triangle
-    instead of O(n^4); each sum is one MatQ.dot."""
-    n = seq.spec.N
-    transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
-    for i, row in enumerate(seq.moment_rows):
-        yield [MatQ.dot(list(zip(row, transposed[j])), n) for j in range(i)]
+def moment_row(p: MatPoly, table: MomentTable) -> list[MatQ]:
+    """L[b] = <p, x^b I> = sum_a p_a m_{a+b} for 0 <= b <= deg p, one
+    fused sum each."""
+    n = table.spec.N
+    return [MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
+            for b in range(len(p.coeffs))]
 
 
 def verify_orthogonality(seq: OPSeq) -> list[dict]:
-    """<P_n, P_m> = delta_nm H_n exactly, every pair m < n computed by
-    `gram_lower_rows`, plus positive definiteness of every H_n by minors."""
+    """<P_i, P_j> = delta_ij H_i exactly for every pair j < i, positive
+    definiteness of every H_i by minors, and C_i for 1 <= i <= n_max
+    against <x P_i, P_{i-1}> = C_i H_{i-1} (the three-term recurrence),
+    not against the H_i H_{i-1}^{-1} it is built from.  Both products are
+    read off the moment row L_i of one degree at a time:
+    <P_i, x^s P_j> = sum_b L_i[b+s] P_{j,b}^T, O(n^3) block products for
+    the triangle instead of O(n^4).  No row outlives its degree."""
+    n = seq.spec.N
+    transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
     checks = []
-    for i, products in enumerate(gram_lower_rows(seq)):
-        for j, ip in enumerate(products):
+    for i, p in enumerate(seq.P):
+        row = moment_row(p, seq.table)
+        for j in range(i):
+            ip = MatQ.dot(list(zip(row, transposed[j])), n)
             checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ip.is_zero()))
         checks.append(check(f"H-posdef n={i}", "orthogonality",
                             seq.H[i].is_positive_definite()))
+        if i >= 1:
+            ip = MatQ.dot(list(zip(row[1:], transposed[i - 1])), n)
+            checks.append(check(f"C-ratio n={i}", "recurrence-coefficients",
+                                seq.C[i] * seq.H[i - 1] == ip))
     return checks

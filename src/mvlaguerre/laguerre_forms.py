@@ -17,12 +17,13 @@ status is reported alongside.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .engine import OPSeq, check
 from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
-from .scalar import factorial, laguerre_numerators, pochhammer, rat_str
+from .scalar import laguerre_numerators, pochhammer, rat_str
 from .weights import WeightSpec
 
 

@@ -110,11 +110,11 @@ def _lin(*terms) -> tuple:
 _X = ((0, 1), 1)  # phi = x as a pair
 
 
-def bracket(u, v, phi, nu=None, extended: bool = False) -> tuple:
+def bracket(u, v, phi, nu=None) -> tuple:
     """Lie bracket of two elements (num, d) of one length over the exponent
-    phi = (Phi, L), in the numerator form of the module docstring.  The
-    extended table (second-order generator) is only defined for phi = x and
-    needs nu."""
+    phi = (Phi, L), in the numerator form of the module docstring.  A given
+    nu selects the extended table (second-order generator), which is only
+    defined for phi = x."""
     (U, du), (V, dv), (P, L) = u, v, phi
     n = len(U)
     if len(V) != n:
@@ -135,12 +135,10 @@ def bracket(u, v, phi, nu=None, extended: bool = False) -> tuple:
                     out[3 + k] += k * s * e[3 + k]
     d = du * dv * L
     if U[2] or V[2]:
-        if not extended:
-            raise DomainError("second-order generator outside the extended algebra")
+        if nu is None:
+            raise DomainError("second-order generator outside the extended algebra (needs nu)")
         if phi != _X:
             raise DomainError("extended bracket table requires phi = x")
-        if nu is None:
-            raise DomainError("extended bracket table needs nu")
         if any(U[5:]) or any(V[5:]):
             raise DomainError("extended table only covers degree-1 multipliers")
         nn, nd = rat(nu).as_integer_ratio()
@@ -158,10 +156,10 @@ def bracket(u, v, phi, nu=None, extended: bool = False) -> tuple:
 
 class LieAlg:
     """Finite-dimensional Lie algebra realized on coordinate vectors: an
-    echelonized basis plus exact structure constants."""
+    echelonized basis plus exact structure constants.  It is the extended
+    algebra exactly when it has a nu."""
 
-    def __init__(self, vectors, pivots, phi: RPoly, structure: dict,
-                 nu=None, extended: bool = False):
+    def __init__(self, vectors, pivots, phi: RPoly, structure: dict, nu=None):
         """`vectors` are the reduced echelon rows (num, d) at `pivots`;
         `structure[(i, j)]` holds the coordinates (num, d) of the bracket of
         basis elements i and j, for every ordered pair."""
@@ -170,10 +168,13 @@ class LieAlg:
         self.labels = [_label(p) for p in self._pivots]
         self.phi = phi
         self.nu = nu
-        self.extended = extended
         self.bound = max(1, phi.degree)
         self.dim = len(self.vectors)
         self.structure = {ij: _values(c) for ij, c in structure.items()}
+
+    @property
+    def extended(self) -> bool:
+        return self.nu is not None
 
     @property
     def basis(self) -> list:
@@ -258,13 +259,6 @@ def _zero(v) -> bool:
     return not any(v[0])
 
 
-def _pivot(v) -> int:
-    for k, x in enumerate(v[0]):
-        if x:
-            return k
-    raise ValueError("zero vector in basis")
-
-
 def _reduce(rows, pivots, v) -> tuple:
     """v against reduced echelon rows: its coefficients, which are its
     entries at their pivots, and the numerators of v - sum_r v[p_r] row_r,
@@ -317,14 +311,14 @@ def generator_elements(phi: RPoly, extended: bool = False) -> list[tuple]:
     return gens
 
 
-def generate_algebra(phi: RPoly, nu=None, extended: bool = False) -> LieAlg:
+def generate_algebra(phi: RPoly, nu=None) -> LieAlg:
     """Span of the generators closed under bracket, with closure detected by
     rank stabilization; returns the finished algebra with structure
-    constants."""
+    constants.  A given nu means the extended algebra (phi = x only)."""
     if phi.is_zero():
         raise DomainError("phi must be nonzero")
     phi_vec = _vec(phi.coeffs)
-    rows, pivots = _span(generator_elements(phi, extended))
+    rows, pivots = _span(generator_elements(phi, nu is not None))
     while True:
         # Bracket every ordered pair of the basis.  A pass that adds nothing
         # leaves the basis final, and its brackets are the structure.
@@ -333,14 +327,14 @@ def generate_algebra(phi: RPoly, nu=None, extended: bool = False) -> LieAlg:
         grew = False
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                coeffs, rest = _reduce(rows, pivots, bracket(u, v, phi_vec, nu, extended))
+                coeffs, rest = _reduce(rows, pivots, bracket(u, v, phi_vec, nu))
                 if any(rest):
                     _insert(rows, pivots, rest)
                     grew = True
                 structure[(i, j)] = coeffs
         if not grew:
             break
-    return LieAlg(rows, pivots, phi, structure, nu, extended)
+    return LieAlg(rows, pivots, phi, structure, nu)
 
 
 def _label(pivot: int) -> str:
@@ -433,14 +427,16 @@ def structure_report(alg: LieAlg) -> dict:
 
     # h is spanned by every generator but 1 and Ddag: D, x, x^j phi^(j)
     _one, d, _ddag, *mults = generator_elements(phi)
-    h_rows, _ = _span([d, *mults])
+    h_rows, h_pivots = _span([d, *mults])
     checks.append(check("dim h = k", "solvable-structure", len(h_rows) == k))
 
     d1_rows, _ = _span(bracket(v1, v2, phi_vec) for v1 in h_rows for v2 in h_rows)
     second_zero = all(_zero(bracket(v1, v2, phi_vec)) for v1 in d1_rows for v2 in d1_rows)
     checks.append(check("derived series of h ends", "solvable-structure", second_zero))
 
-    ideal = [v for v in h_rows if not any(v[0][:3])]
+    # a reduced row is zero before its pivot, so the multiplication rows
+    # are those with pivot >= 3
+    ideal = [v for v, p in zip(h_rows, h_pivots) if p >= 3]
     ideal_abelian = all(_zero(bracket(v1, v2, phi_vec)) for v1 in ideal for v2 in ideal)
     checks.append(check("multiplication ideal abelian, dim k-1",
                         "solvable-structure", ideal_abelian and len(ideal) == k - 1))
@@ -461,7 +457,7 @@ def structure_report(alg: LieAlg) -> dict:
         "basis": alg.labels,
         "checks": checks,
     }
-    ideal_exponents = sorted({_pivot(v) - 3 for v in ideal})
+    ideal_exponents = [p - 3 for p in h_pivots if p >= 3]
     out["ideal_ad_spectrum"] = ideal_exponents
     if len(ideal_exponents) == 2:
         lam0, lam1 = (Fraction(v) for v in ideal_exponents)
@@ -500,7 +496,7 @@ def extended_algebra_report(alg: LieAlg) -> dict:
     xs = [x1, x2, x3, x4, x5]
 
     def br(u, v):
-        return bracket(u, v, _X, nu, True)
+        return bracket(u, v, _X, nu)
 
     table_ok = (
         br(x1, x2) == _lin((-1, x4))

@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
-from .scalar import RPoly, factorial, rat
+from .scalar import RPoly, rat
 
 
 class SingularMatrixError(ArithmeticError):
@@ -186,15 +186,14 @@ class MatQ:
             g = gcd(self.d, other)
             k = other // g
             return MatQ._of(tuple(tuple(v * k for v in r) for r in self.num), self.d // g)
-        if isinstance(other, (str, Fraction)):
-            s = rat(other)
-            p = s.numerator
+        if isinstance(other, Fraction):
+            p = other.numerator
             return MatQ._canonical([[v * p for v in r] for r in self.num],
-                                   self.d * s.denominator)
+                                   self.d * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, str, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
 
@@ -364,17 +363,15 @@ class MatPoly:
             return MatPoly.dot([(self, other)], self.N)
         if isinstance(other, MatQ):
             return MatPoly([c * other for c in self.coeffs], self.N)
-        if isinstance(other, (int, str, Fraction)):
-            s = rat(other)
-            return MatPoly([c * s for c in self.coeffs], self.N)
+        if isinstance(other, (int, Fraction)):
+            return MatPoly([c * other for c in self.coeffs], self.N)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, MatQ):
             return MatPoly([other * c for c in self.coeffs], self.N)
-        if isinstance(other, (int, str, Fraction)):
-            s = rat(other)
-            return MatPoly([c * s for c in self.coeffs], self.N)
+        if isinstance(other, (int, Fraction)):
+            return MatPoly([c * other for c in self.coeffs], self.N)
         return NotImplemented
 
     def scale_x(self, k: int) -> "MatPoly":
@@ -405,13 +402,11 @@ def build_J(n: int) -> MatQ:
     return MatQ.diag(range(1, n + 1))
 
 
-def build_A(a, n: int | None = None) -> MatQ:
-    """Strictly lower bidiagonal A with A[k+1, k] = a_k (1-based)."""
+def build_A(a) -> MatQ:
+    """Strictly lower bidiagonal A of size len(a) + 1 with A[k+1, k] = a_k
+    (1-based)."""
     a = [rat(v) for v in a]
-    if n is None:
-        n = len(a) + 1
-    if len(a) != n - 1:
-        raise ValueError(f"need {n - 1} subdiagonal entries, got {len(a)}")
+    n = len(a) + 1
     m = [[Fraction(0)] * n for _ in range(n)]
     for k, v in enumerate(a):
         m[k + 1][k] = v

@@ -398,7 +398,9 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
 
 def verify_general_D_theorem(seq: OPSeq, ops: dict) -> list[dict]:
     """Degree-one tail: the delta^{-1} coefficient of the operator matched to
-    the raising ladder vanishes identically, and A_1(n) = A - 1."""
+    the raising ladder vanishes identically, and A_1(n) = A - 1, where the
+    shift-1 coefficient A_1(n) of M must also be the x^{n+1} coefficient of
+    P_n . D, the leading term of P_n . D = M . P_n (P_{n+1} is monic)."""
     spec = seq.spec
     A, J = spec.A, spec.J
     i = MatQ.identity(spec.N)
@@ -409,8 +411,9 @@ def verify_general_D_theorem(seq: OPSeq, ops: dict) -> list[dict]:
             - (A - i) * seq.Y[n + 1] - a0 * seq.X[n]
         checks.append(check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
     for n in range(seq.n_max):
+        lead = ops["D"].act(seq.P[n]).coeff(n + 1)
         checks.append(check(f"A1(n)=A-1 n={n}", "ladder-difference-form",
-                            ops["M"].coeff(1, n) == A - i))
+                            ops["M"].coeff(1, n) == lead == A - i))
     return checks
 
 

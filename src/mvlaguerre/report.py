@@ -78,7 +78,7 @@ def resolve_i1_boundary(seq: OPSeq) -> dict:
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
     versus the printed pair."""
     rows = [c for c in lf.verify_displayed_xi_recursions(seq)
-            if c["check_id"].startswith("i=1 boundary")]
+            if c["equation"] == "multiplier-boundary-relation"]
     if not rows:
         raise AmbiguousResolutionError("i=1 boundary relation was not exercised")
     derived_ok = all(c["pass"] for c in rows)
@@ -232,7 +232,7 @@ def suite_lie(nu=Fraction(1, 2)) -> list[dict]:
         rep = la.structure_report(algs[expr])
         checks.append(check(f"structure phi={expr}", "solvable-structure",
                             all_pass(rep["checks"])))
-    ext = la.generate_algebra(RPoly.x(), nu=nu, extended=True)
+    ext = la.generate_algebra(RPoly.x(), nu=nu)
     checks += la.extended_algebra_report(ext)["checks"]
     dims = [la.generate_algebra(la.exp_series_truncated(t)).dim for t in range(4, 9)]
     checks.append(check("truncated exp-series growth", "closure-dimension",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 
 class DomainError(ValueError):
@@ -56,13 +56,6 @@ def _common(*values) -> tuple:
     Q, followed by Q."""
     q = lcm(*(v.denominator for v in values))
     return (*(v.numerator * (q // v.denominator) for v in values), q)
-
-
-def factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class RPoly:

@@ -81,7 +81,7 @@ class WeightSpec(Frozen):
     # built once per spec
     @cached_property
     def A(self) -> MatQ:
-        return build_A(self.a, self.N)
+        return build_A(self.a)
 
     @cached_property
     def J(self) -> MatQ:

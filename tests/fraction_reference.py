@@ -5,9 +5,10 @@ tests require the package to give the same values, and to raise
 `DomainError` or `ClosedFormViolation` on the same inputs."""
 
 from fractions import Fraction
+from math import factorial
 
 from mvlaguerre.laguerre_forms import ClosedFormViolation, XiTable
-from mvlaguerre.scalar import DomainError, RPoly, factorial, lambda_lattice, rat
+from mvlaguerre.scalar import DomainError, RPoly, lambda_lattice, rat
 
 
 def pochhammer(a, n: int) -> Fraction:

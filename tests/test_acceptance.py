@@ -3,13 +3,13 @@ rational equality (zero residual).  Each test prints a PASS line so the
 suite doubles as a human-readable report under `pytest -s`."""
 
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 from mvlaguerre import report as rp
 from mvlaguerre.dual_hahn import build_delta_family
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
-from mvlaguerre.scalar import factorial
 from mvlaguerre.weights import WeightSpec, inner_product
 
 NUS = (F(1, 2), F(1), F(5, 2))

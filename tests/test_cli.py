@@ -117,6 +117,48 @@ def test_dualhahn_subcommand(tmp_path):
     assert payload["derivative_coupling"] is True
 
 
+def _relabelled(fn, equation, **override):
+    """fn with every check id renamed and `override` set on the checks of
+    `equation`; a selection by check-id text finds none of them."""
+    def wrapped(*args):
+        out = []
+        for c in fn(*args):
+            c = {**c, "check_id": f"relabelled {c['check_id']}"}
+            if c["equation"] == equation:
+                c.update(override)
+            out.append(c)
+        return out
+    return wrapped
+
+
+def test_dualhahn_derivative_coupling_reads_the_equation_label(monkeypatch, capsys):
+    """The payload's derivative_coupling is the verdict of the
+    derivative-coupling-at-zero checks, whatever their ids: renamed and
+    failed, they make it false."""
+    monkeypatch.setattr(dh, "verify_derivative_coupling", _relabelled(
+        dh.verify_derivative_coupling, "derivative-coupling-at-zero", **{"pass": False}))
+    code, out = run(["dualhahn", "--N", "3", "--c", "2", "--d", "1"], capsys)
+    assert code == 1
+    assert json.loads(out)["derivative_coupling"] is False
+
+
+def test_i1_boundary_resolution_reads_the_equation_label(monkeypatch):
+    """resolve_i1_boundary reads the multiplier-boundary-relation checks by
+    their equation label: with every id renamed it resolves as before, and
+    with the quoted variant of that relation alone passing it is
+    ambiguous."""
+    seq = compute_monic_ops(WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)), 4)
+    expected = rp.resolve_i1_boundary(seq)
+    original = lf.verify_displayed_xi_recursions
+    monkeypatch.setattr(lf, "verify_displayed_xi_recursions",
+                        _relabelled(original, "multiplier-boundary-relation"))
+    assert rp.resolve_i1_boundary(seq) == expected
+    monkeypatch.setattr(lf, "verify_displayed_xi_recursions", _relabelled(
+        original, "multiplier-boundary-relation", displayed_form_pass=True))
+    with pytest.raises(rp.AmbiguousResolutionError):
+        rp.resolve_i1_boundary(seq)
+
+
 def test_verify_dualhahn_requires_constrained_family():
     code = main(["verify", "--suite", "dualhahn", "--N", "2", "--nu", "1/2",
                  "--a", "2", "--delta", "1,1", "--nmax", "3"])
@@ -240,6 +282,24 @@ def test_bad_rational_or_nu_exits_2(command, capsys):
     code, out, err = _run(command.split(), capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    """--out naming a directory cannot be written: exit 2 with one line on
+    stderr, not a traceback."""
+    code, out, err = _run(["lie", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_csv_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    """--csv inside a directory that does not exist cannot be written: exit
+    2 with one line on stderr, not a traceback."""
+    csv_path = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(["xi", "--N", "2", "--nmax", "2", "--csv", str(csv_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not csv_path.parent.exists()
 
 
 @pytest.mark.parametrize("command", [

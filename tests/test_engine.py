@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.dual_hahn import build_delta_family
-from mvlaguerre.engine import (OPSeq, compute_monic_ops, gram_lower_rows,
+from mvlaguerre.engine import (OPSeq, compute_monic_ops, moment_row,
                                scalar_laguerre_monic, verify_orthogonality,
                                verify_three_term)
 from mvlaguerre.matrices import (MatPoly, MatQ, SingularMatrixError, exp_nilpotent,
@@ -45,9 +45,8 @@ def test_orthogonality_and_three_term():
 
 def test_uniqueness_under_permuted_projection_order():
     seq = compute_monic_ops(SPEC2, 4)
-    permuted = compute_monic_ops(SPEC2, 4,
-                                 projection_order=lambda d: list(range(d))[::-1])
-    assert all(a == b for a, b in zip(seq.P, permuted.P))
+    permuted, _ = _subtract_chain(SPEC2, 4, lambda d: list(range(d))[::-1])
+    assert all(a == b for a, b in zip(seq.P, permuted))
 
 
 def test_scalar_reduction_matches_classical_recurrence():
@@ -103,8 +102,9 @@ def test_projection_order_does_not_change_the_family(spec):
     seq = compute_monic_ops(spec, 4)
     for order in (lambda d: list(range(d))[::-1],
                   lambda d: list(range(1, d, 2)) + list(range(0, d, 2))):
-        other = compute_monic_ops(spec, 4, projection_order=order)
-        assert (other.P, other.H, other.C[1:]) == (seq.P, seq.H, seq.C[1:])
+        P, H = _subtract_chain(spec, 4, order)
+        C = tuple(H[k] * H[k - 1].inverse() for k in range(1, 5))
+        assert (P, H, C) == (seq.P, seq.H, seq.C[1:])
 
 
 def test_singular_norm_raises_when_first_needed():
@@ -189,34 +189,49 @@ def _skewed(seq):
 
 
 def _assert_gram_rows_are_inner_products(seq):
+    """On the family and on its skewed copy: the regrouped sum
+    sum_b L_i[b] P_{j,b}^T over the moment row L_i = moment_row(P_i) equals
+    inner_product(P_i, P_j) for every j < i, and verify_orthogonality's
+    verdict for (i, j) is whether that inner product vanishes."""
     for family in (seq, _skewed(seq)):
-        expected = [[family.ip(family.P[i], family.P[j]) for j in range(i)]
-                    for i in range(family.n_max + 1)]
-        assert list(gram_lower_rows(family)) == expected
+        verdicts = {c["check_id"]: c["pass"] for c in verify_orthogonality(family)}
+        for i, p in enumerate(family.P):
+            row = moment_row(p, family.table)
+            for j, q in enumerate(family.P[:i]):
+                ip = inner_product(p, q, family.table)
+                regrouped = MatQ.dot([(m, c.transpose()) for m, c in zip(row, q.coeffs)],
+                                     family.spec.N)
+                assert regrouped == ip
+                assert verdicts[f"orthogonality n={i},m={j}"] == ip.is_zero()
 
 
 @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
 def test_gram_rows_equal_the_inner_product(spec):
-    """The regrouped sum sum_b L_i[b] P_{j,b}^T against seq.ip(P_i, P_j),
+    """The regrouped sum sum_b L_i[b] P_{j,b}^T against inner_product(P_i, P_j),
     on the oracle family (all zero) and on a skewed family (mostly not)."""
     seq = compute_monic_ops(spec, 5)
     _assert_gram_rows_are_inner_products(seq)
-    assert any(not v.is_zero() for row in gram_lower_rows(_skewed(seq)) for v in row)
+    skewed = _skewed(seq)
+    assert any(not inner_product(p, q, seq.table).is_zero()
+               for i, p in enumerate(skewed.P) for q in skewed.P[:i])
+    assert not all(c["pass"] for c in verify_orthogonality(skewed)
+                   if c["check_id"].startswith("orthogonality"))
 
 
 @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
 def test_moment_rows_and_the_C_ratio_side_are_inner_products(spec):
-    """moment_rows[i][b] = seq.ip(P_i, x^b I) for b <= i, on the oracle
-    family and on a skewed one, and the C-ratio check compares C_k H_{k-1}
-    with seq.ip(x P_k, P_{k-1})."""
+    """moment_row(P_i)[b] = <P_i, x^b I> for b <= i, on the oracle family
+    and on a skewed one, and the C-ratio check compares C_k H_{k-1} with
+    <x P_k, P_{k-1}>."""
     seq = compute_monic_ops(spec, 4)
     i_n = MatQ.identity(spec.N)
     for family in (seq, _skewed(seq)):
-        assert family.moment_rows == tuple(
-            tuple(family.ip(p, MatPoly.monomial(b, i_n)) for b in range(i + 1))
-            for i, p in enumerate(family.P))
+        assert [moment_row(p, family.table) for p in family.P] == [
+            [inner_product(p, MatPoly.monomial(b, i_n), family.table) for b in range(i + 1)]
+            for i, p in enumerate(family.P)]
     for k in range(1, seq.n_max + 1):
-        assert seq.C[k] * seq.H[k - 1] == seq.ip(seq.P[k].scale_x(1), seq.P[k - 1])
+        assert seq.C[k] * seq.H[k - 1] == inner_product(seq.P[k].scale_x(1), seq.P[k - 1],
+                                                        seq.table)
 
 
 def test_C_ratio_fails_when_H_3_is_doubled():
@@ -227,8 +242,8 @@ def test_C_ratio_fails_when_H_3_is_doubled():
     H = list(seq.H)
     H[3] = H[3] * 2
     broken = OPSeq(seq.spec, seq.table, seq.P, H)
-    _ok(verify_three_term(seq))
-    failed = [c["check_id"] for c in verify_three_term(broken)
+    _ok(verify_orthogonality(seq))
+    failed = [c["check_id"] for c in verify_orthogonality(broken)
               if c["equation"] == "recurrence-coefficients" and not c["pass"]]
     assert failed == ["C-ratio n=3"]
 
@@ -257,14 +272,19 @@ def test_orthogonality_fails_exactly_at_a_perturbed_coefficient(i, k):
     eps E_11 <x^k I, P_j>, which vanishes for k < j by orthogonality, and
     <P_l, P_i> for l > i by <P_l, x^k I> eps E_11^T = 0.  So exactly the
     checks n=i,m=j with j <= k fail: for the constant coefficient only
-    m=0, for the one-but-leading every m < i."""
+    m=0, for the one-but-leading every m < i.  The C-ratio side
+    <x P_i, P_{i-1}> changes by eps E_11 <x^{k+1} I, P_{i-1}>, nonzero
+    exactly for k >= i-2, and <x P_{i+1}, P_i> by
+    <P_{i+1}, x^{k+1} I> eps E_11^T = 0; so C-ratio n=i fails too exactly
+    when k >= i-2."""
     seq = compute_monic_ops(RATIONAL_SPECS[2], 5)
     eps = MatQ.unit(3, 0, 0) * F(1, 1000)
     P = list(seq.P)
     P[i] = P[i] + MatPoly.monomial(k, eps)
     checks = verify_orthogonality(OPSeq(seq.spec, seq.table, P, seq.H))
     failed = {c["check_id"] for c in checks if not c["pass"]}
-    assert failed == {f"orthogonality n={i},m={j}" for j in range(k + 1)}
+    assert failed == ({f"orthogonality n={i},m={j}" for j in range(k + 1)}
+                      | ({f"C-ratio n={i}"} if k >= i - 2 else set()))
 
 
 def _subtract_chain(spec, n_max, projection_order=None):
@@ -292,12 +312,12 @@ ORDERS = {"natural": None, "reversed": lambda d: list(range(d))[::-1],
 @pytest.mark.parametrize("order", list(ORDERS))
 @pytest.mark.parametrize("spec", SHARED_SPECS, ids=SHARED_IDS)
 def test_gram_schmidt_equals_the_subtraction_chain(spec, order):
-    seq = compute_monic_ops(spec, 5, projection_order=ORDERS[order])
+    seq = compute_monic_ops(spec, 5)
     assert (seq.P, seq.H) == _subtract_chain(spec, 5, ORDERS[order])
 
 
 @given(weight_specs(), st.integers(0, 4), st.sampled_from(list(ORDERS)))
 @settings(max_examples=25, deadline=None)
 def test_gram_schmidt_equals_the_subtraction_chain_on_random_specs(spec, n_max, order):
-    seq = compute_monic_ops(spec, n_max, projection_order=ORDERS[order])
+    seq = compute_monic_ops(spec, n_max)
     assert (seq.P, seq.H) == _subtract_chain(spec, n_max, ORDERS[order])

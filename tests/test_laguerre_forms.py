@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from functools import cache
+from math import factorial
 
 import fraction_reference as ref
 import pytest
@@ -17,7 +18,6 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        read_xi, verify_xi_tables, x1_from_h0,
                                        xi_by_recursion)
 from mvlaguerre.matrices import MatPoly, MatQ
-from mvlaguerre.scalar import factorial
 from mvlaguerre.weights import WeightSpec
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))

@@ -47,9 +47,9 @@ def el(bound, cD=0, cDd=0, cD2=0, mult=RPoly.zero()):
     return (cD, cDd, cD2) + tuple(mult.coeff(k) for k in range(bound + 1))
 
 
-def bracket(u, v, phi, nu=None, extended=False):
+def bracket(u, v, phi, nu=None):
     """The integer bracket on rational tuples and an RPoly exponent."""
-    return la._values(la.bracket(la._vec(u), la._vec(v), la._vec(phi.coeffs), nu, extended))
+    return la._values(la.bracket(la._vec(u), la._vec(v), la._vec(phi.coeffs), nu))
 
 
 def test_bracket_generator_table():
@@ -136,7 +136,7 @@ def test_degree_mismatch_never_isomorphic():
 
 
 def test_extended_algebra_report():
-    rep = extended_algebra_report(generate_algebra(RPoly.x(), nu=F(1, 2), extended=True))
+    rep = extended_algebra_report(generate_algebra(RPoly.x(), nu=F(1, 2)))
     _ok(rep["checks"])
     hatted = next(c for c in rep["checks"] if "hatted" in c["check_id"])
     assert hatted["displayed_form_pass"] is False
@@ -167,22 +167,20 @@ def test_casimir_ad_invariance_parts_fail_on_their_own():
 
 def test_extended_requires_phi_x():
     with pytest.raises(DomainError):
-        bracket(el(2, cD2=1), el(2, cD=1), parse_phi("x^2"),
-                nu=F(1), extended=True)
+        bracket(el(2, cD2=1), el(2, cD=1), parse_phi("x^2"), nu=F(1))
     with pytest.raises(DomainError):
-        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x(), extended=True)
+        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x())
 
 
 def test_extended_table_rejects_what_it_does_not_cover():
-    """The second-order generator outside the extended algebra, and a
-    multiplier of degree above 1 next to it."""
+    """The second-order generator outside the extended algebra (no nu),
+    and a multiplier of degree above 1 next to it."""
     with pytest.raises(DomainError):
-        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x(), nu=F(1))
+        bracket(el(1, cD2=1), el(1, cD=1), RPoly.x())
     with pytest.raises(DomainError):
-        bracket(el(2, cD2=1), el(2, mult=RPoly.monomial(2)), RPoly.x(),
-                nu=F(1), extended=True)
+        bracket(el(2, cD2=1), el(2, mult=RPoly.monomial(2)), RPoly.x(), nu=F(1))
     assert bracket(el(2, cD=1), el(2, mult=RPoly.monomial(2)), RPoly.x(),
-                   nu=F(1), extended=True) == el(2, mult=RPoly.monomial(2, -2))
+                   nu=F(1)) == el(2, mult=RPoly.monomial(2, -2))
 
 
 @pytest.mark.parametrize("expr", sorted(FAMILY) + ["x^8-3x^6+x", "x^4+2x^3+1/3"])
@@ -211,7 +209,7 @@ def test_truncated_series_growth():
 # closure's last pass, cross-checked against the RPoly formula and the
 # unit-vector Jacobi test they replaced.
 
-def ref_bracket(e1, e2, phi, nu=None, extended=False):
+def ref_bracket(e1, e2, phi, nu=None):
     """The bracket as a product of RPoly temporaries x, phi', phi'', x p',
     on coordinate tuples whose multiplier slices it reads as RPolys."""
     (a1, b1, c1), p = e1[:3], RPoly(e1[3:])
@@ -222,7 +220,7 @@ def ref_bracket(e1, e2, phi, nu=None, extended=False):
     mult = mult + x * ((b1 - a1) * q.derivative() + (a2 - b2) * p.derivative())
     ops = [0, 0, 0]
     if c1 != 0 or c2 != 0:
-        assert extended and phi == RPoly.x()
+        assert nu is not None and phi == RPoly.x()
         s = a1 * c2 - a2 * c1
         t = b1 * c2 - b2 * c1
         u = c1 * q.coeff(1) - c2 * p.coeff(1)
@@ -276,14 +274,13 @@ def test_bracket_matches_rpoly_formula(drawn):
                                                           max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_extended_bracket_matches_rpoly_formula(e1, e2, nu):
-    assert bracket(e1, e2, RPoly.x(), nu, True) \
-        == ref_bracket(e1, e2, RPoly.x(), nu, True)
+    assert bracket(e1, e2, RPoly.x(), nu) == ref_bracket(e1, e2, RPoly.x(), nu)
 
 
 CLOSURES = {
     **{f"phi={expr}": (lambda e=expr: generate_algebra(parse_phi(e)))
        for expr in LIE_FAMILY},
-    "extended": lambda: generate_algebra(RPoly.x(), nu=F(1, 2), extended=True),
+    "extended": lambda: generate_algebra(RPoly.x(), nu=F(1, 2)),
     **{f"exp-series t={t}": (lambda t=t: generate_algebra(exp_series_truncated(t)))
        for t in range(4, 9)},
 }
@@ -295,7 +292,7 @@ def test_structure_constants_are_fresh_brackets_of_the_basis(name):
     pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
     assert sorted(alg.structure) == pairs
     for i, j in pairs:
-        fresh = ref_bracket(alg.basis[i], alg.basis[j], alg.phi, alg.nu, alg.extended)
+        fresh = ref_bracket(alg.basis[i], alg.basis[j], alg.phi, alg.nu)
         assert alg.structure[(i, j)] == alg.coordinates(fresh)
     assert alg.jacobi_holds() and ref_jacobi(alg)
 
@@ -449,7 +446,7 @@ def test_null_space_and_span_on_random_rational_rows(system):
 # bracket, the echelon insert and the null space as they were on rational
 # tuples, kept here as the slow reference of the integer numerators.
 
-def fraction_bracket(u, v, phi, nu=None, extended=False):
+def fraction_bracket(u, v, phi, nu=None):
     n = len(u)
     a = u[0] * v[1] - v[0] * u[1]
     b = u[1] - u[0]
@@ -466,7 +463,7 @@ def fraction_bracket(u, v, phi, nu=None, extended=False):
                 if e[3 + k]:
                     out[3 + k] += k * s * e[3 + k]
     if u[2] or v[2]:
-        assert extended and phi == RPoly.x() and not any(u[5:]) and not any(v[5:])
+        assert nu is not None and phi == RPoly.x() and not any(u[5:]) and not any(v[5:])
         s = u[0] * v[2] - v[0] * u[2]
         t = u[1] * v[2] - v[1] * u[2]
         w = u[2] * v[4] - v[2] * u[4]
@@ -524,7 +521,7 @@ def fraction_null_space(rows, unknowns):
     return basis
 
 
-def fraction_closure(phi, nu=None, extended=False):
+def fraction_closure(phi, nu=None):
     """(basis, pivots, structure, center) of the closure on rational tuples,
     from generators built with RPoly derivatives."""
     b = max(1, phi.degree)
@@ -533,7 +530,7 @@ def fraction_closure(phi, nu=None, extended=False):
     for j in range(1, phi.degree + 1):
         deriv = deriv.derivative()
         gens.append(el(b, mult=RPoly.monomial(j) * deriv))
-    if extended:
+    if nu is not None:
         gens.append(el(b, cD2=1))
     rows, pivots = [], []
     for g in gens:
@@ -544,7 +541,7 @@ def fraction_closure(phi, nu=None, extended=False):
         structure, grew = {}, False
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
-                w = fraction_bracket(u, v, phi, nu, extended)
+                w = fraction_bracket(u, v, phi, nu)
                 coeffs = None if grew else fraction_coordinates(rows, pivots, w)
                 if coeffs is None:
                     grew |= fraction_rref_insert(rows, pivots, w)
@@ -555,8 +552,8 @@ def fraction_closure(phi, nu=None, extended=False):
     return basis, pivots, structure, center
 
 
-def _assert_matches_fraction_closure(alg, phi, nu=None, extended=False):
-    basis, pivots, structure, center = fraction_closure(phi, nu, extended)
+def _assert_matches_fraction_closure(alg, phi, nu=None):
+    basis, pivots, structure, center = fraction_closure(phi, nu)
     assert alg.dim == len(basis)
     assert alg.labels == [la._label(p) for p in pivots]
     assert alg.basis == basis
@@ -581,8 +578,8 @@ def test_integer_closure_matches_fraction_closure(lower, lead):
 @given(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=9))
 @settings(max_examples=40, deadline=None)
 def test_integer_extended_closure_matches_fraction_closure(nu):
-    alg = generate_algebra(RPoly.x(), nu=nu, extended=True)
-    _assert_matches_fraction_closure(alg, RPoly.x(), nu, True)
+    alg = generate_algebra(RPoly.x(), nu=nu)
+    _assert_matches_fraction_closure(alg, RPoly.x(), nu)
 
 
 def fraction_conformal_similar(psi1, psi2):

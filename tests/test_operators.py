@@ -62,6 +62,20 @@ def test_general_D_theorem(seq):
     _ok(verify_general_D_theorem(seq, make_named_operators(seq)))
 
 
+def test_ladder_difference_form_fails_when_D_uses_the_transpose():
+    """The shift-1 coefficient of M is read against the leading coefficient
+    of P_n . D: with D built from A^T - 1 instead of A - 1, that coefficient
+    is A^T - 1, so exactly the five A1(n)=A-1 checks fail."""
+    seq = compute_monic_ops(SPECS[2], 5)
+    named = make_named_operators(seq)
+    _ok(verify_general_D_theorem(seq, named))
+    spec = seq.spec
+    at1 = spec.A.transpose() - MatQ.identity(spec.N)
+    named["D"] = DiffOp([MatPoly.monomial(1, at1), MatPoly.x_identity(spec.N)])
+    failed = {c["check_id"] for c in verify_general_D_theorem(seq, named) if not c["pass"]}
+    assert failed == {f"A1(n)=A-1 n={n}" for n in range(5)}
+
+
 def test_star_dagger_structure(seq):
     _ok(verify_star_dagger(seq, make_named_operators(seq)))
 

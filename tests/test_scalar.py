@@ -74,8 +74,6 @@ def test_laguerre_poly_matches_the_pochhammer_formula(alpha, n):
 @pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(7, 3)])
 @pytest.mark.parametrize("n", [0, 1, 3, 7, 12])
 def test_laguerre_value_at_zero(alpha, n):
-    from mvlaguerre.scalar import factorial
-
     assert laguerre_poly(alpha, n)(0) == pochhammer(alpha + 1, n) / factorial(n)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from mvlaguerre import weights
 from mvlaguerre.dual_hahn import DHParams, build_delta_family
 from mvlaguerre.matrices import MatPoly, MatQ
-from mvlaguerre.scalar import RPoly, factorial, pochhammer
+from mvlaguerre.scalar import RPoly, pochhammer
 from mvlaguerre.weights import (MomentTable, UnsupportedWeightError,
                                 WeightSpec, h0_as_displayed,
                                 h0_index_corrected, inner_product, moment,
