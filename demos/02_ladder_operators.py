@@ -45,7 +45,7 @@ print(f"intertwining checks: {len(inter)}, all pass: {all(c['pass'] for c in int
 # the bracket identities tie B_n, C_n, H_n and the eigenvalue matrices
 # together; two printed variants fail by one sign and are reported next to
 # the corrected forms
-brk = verify_bracket_identities(seq, ops)
+brk = verify_bracket_identities(seq)
 print(f"bracket checks: {len(brk)}, all pass: {all(c['pass'] for c in brk)}")
 flagged = [c for c in brk if c.get("displayed_form_pass") is False]
 print("corrected-vs-printed sign reports:", sorted({c['equation'] for c in flagged}))

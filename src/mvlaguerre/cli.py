@@ -186,14 +186,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    nu = rat(args.nu)
-    if nu <= 0:
-        raise DomainError("nu must be > 0")
+    nu = None
+    if args.extended:
+        nu = rat("1/2" if args.nu is None else args.nu)
+        if nu <= 0:
+            raise DomainError("nu must be > 0")
+    elif args.nu is not None:
+        raise DomainError("--nu needs --extended")
     if args.truncate is not None:
         phi = la.exp_series_truncated(args.truncate)
     else:
         phi = parse_phi(args.phi)
-    alg = la.generate_algebra(phi, nu=nu if args.extended else None)
+    alg = la.generate_algebra(phi, nu=nu)
     structure = [[i, j, k, rat_str(v)]
                  for (i, j), vec in sorted(alg.structure.items())
                  for k, v in enumerate(vec) if v != 0]
@@ -338,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     phi = p.add_mutually_exclusive_group()
     phi.add_argument("--phi", default="x")
     phi.add_argument("--truncate", type=_degree, default=None)
-    p.add_argument("--nu", default="1/2")
+    p.add_argument("--nu", default=None, help="exponent of the extended algebra "
+                   "(default 1/2); needs --extended")
     p.add_argument("--extended", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_lie)

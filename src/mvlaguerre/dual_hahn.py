@@ -169,9 +169,17 @@ def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
     return checks
 
 
-def lattice_node(params: DHParams, i: int) -> int:
-    """The dual Hahn lattice point the multipliers sit on: x = N - i."""
-    return params.N - i
+def _t_arguments(params: DHParams, n: int, i: int) -> tuple:
+    """(x, gamma, delta, M) of the dual Hahn values T_k the closed form at
+    (n, i) reads: the node x = N - i, delta = n + i - N and M = N - 1."""
+    return params.N - i, params.gamma, n + i - params.N, params.N - 1
+
+
+def _closed_form(n: int, i: int, j: int, params: DHParams, t, xi_ni1) -> Fraction:
+    """The corrected closed form at (n, i, j) from T_{j-1} = t."""
+    sign = Fraction(-1) ** (j - 1)
+    return sign * (n + i) * pochhammer(-(params.N - 1), j - 1) \
+        / pochhammer(n + i - j + 1, j) * t * rat(xi_ni1)
 
 
 def xi_dual_hahn(n: int, i: int, j: int, params: DHParams, xi_ni1) -> Fraction:
@@ -181,11 +189,8 @@ def xi_dual_hahn(n: int, i: int, j: int, params: DHParams, xi_ni1) -> Fraction:
     product, which is what keeps c = 0 in the domain."""
     if n + i - j <= 0:
         raise DomainError("closed form needs n+i-j > 0")
-    nn = params.N
-    t = dual_hahn(j - 1, lattice_node(params, i), params.gamma, n + i - nn, nn - 1)
-    sign = Fraction(-1) ** (j - 1)
-    return sign * (n + i) * pochhammer(-(nn - 1), j - 1) \
-        / pochhammer(n + i - j + 1, j) * t * rat(xi_ni1)
+    t = dual_hahn(j - 1, *_t_arguments(params, n, i))
+    return _closed_form(n, i, j, params, t, xi_ni1)
 
 
 def xi_dual_hahn_displayed(n: int, i: int, j: int, params: DHParams) -> Fraction:
@@ -204,17 +209,22 @@ def xi_dual_hahn_displayed(n: int, i: int, j: int, params: DHParams) -> Fraction
 
 
 def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
+    """The corrected closed form against the xi table, with the printed
+    form reported, and the 3F2 sum against the recurrence at every argument
+    set (n, i, k < N).  Each T_k is summed once and read by both."""
     checks = []
+    cross = True
     for n in range(xi.n_max + 1):
         for i in range(1, params.N + 1):
+            args = _t_arguments(params, n, i)
+            t = [dual_hahn(k, *args) for k in range(params.N)]
+            cross = cross and all(tk == dual_hahn_via_recurrence(k, *args)
+                                  for k, tk in enumerate(t))
             corr_ok, disp_ok = True, True
             tested = False
             for j in range(1, min(params.N, n + i - 1) + 1):
-                if n + i - j <= 0:
-                    continue
                 tested = True
-                val = xi_dual_hahn(n, i, j, params, xi.get(n, i, 1))
-                if val != xi.get(n, i, j):
+                if _closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1)) != xi.get(n, i, j):
                     corr_ok = False
                 if params.c > 0:
                     try:
@@ -229,13 +239,6 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
                 checks.append(check(f"dual Hahn closed form n={n},i={i}",
                                     "dual-hahn-closed-form", corr_ok,
                                     displayed_form_pass=disp_ok))
-    cross = all(
-        dual_hahn(k, lattice_node(params, i), params.gamma, n + i - params.N,
-                  params.N - 1)
-        == dual_hahn_via_recurrence(k, lattice_node(params, i), params.gamma,
-                                    n + i - params.N, params.N - 1)
-        for n in range(xi.n_max + 1) for i in range(1, params.N + 1)
-        for k in range(params.N))
     checks.append(check("3F2 equals recurrence at used arguments",
                         "dual-hahn-recurrence", cross))
     return checks

@@ -275,8 +275,8 @@ def second_order_diagonalized(spec: WeightSpec) -> DiffOp:
 
 def make_named_operators(seq: OPSeq) -> dict:
     """All named operators for one computed family: differential ones keyed
-    'D', 'Ddag', 'D2', 'C', 'DQ2'; difference ones 'M', 'Mdag', 'L', 'Gamma',
-    'MC'."""
+    'D', 'Ddag', 'D2', 'C', 'DQ2'; difference ones 'M', 'Mdag', 'L', 'MC'.
+    The eigenvalues of 'D2' are seq.Gamma."""
     spec = seq.spec
     n = spec.N
     i = MatQ.identity(n)
@@ -322,7 +322,6 @@ def make_named_operators(seq: OPSeq) -> dict:
         "M": SeqOp.from_fn([0, 1], m0, n_max, n),
         "Mdag": SeqOp.from_fn([-1, 0], mdag0, n_max, n),
         "L": SeqOp.from_fn([-1, 0, 1], l0, n_max, n),
-        "Gamma": SeqOp({0: seq.Gamma}, n_max, n),
         "MC": SeqOp.from_fn([-1, 0, 1], mc0, n_max, n),
     }
 
@@ -362,58 +361,52 @@ def verify_adjoint_pair(d1: DiffOp, d2: DiffOp, table: MomentTable,
 
 
 def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
-    """P.D = M.P, P.Ddag = Mdag.P, P.D2 = Gamma.P, P.C = MC.P, and the
-    coefficient identities they force on X, B, H.  `ops` is
-    make_named_operators(seq)."""
+    """P.D = M.P, P.Ddag = Mdag.P, P.D2 = Gamma.P and P.C = MC.P, with every
+    check that reads these images: A_1(n) = A - 1 off the top coefficient of
+    P_n.D (P_{n+1} is monic), the Casimir identity
+    (M + Mdag + L + 1 + nu).P = P.(Ax - J), and the Fourier map
+    (M L).P = (P.D).x on the window interior.  One pass over the degrees
+    forms each image once, next to the coefficient identities on X, Y, B, H
+    that the matched operators force.  `ops` is make_named_operators(seq)."""
     spec = seq.spec
     A, J = spec.A, spec.J
     i = MatQ.identity(spec.N)
+    one_nu = MatPoly.const(i * (1 + spec.nu))
+    ml = ops["M"].compose(ops["L"])
     checks = []
-    for n in range(seq.n_max):
-        lhs = ops["D"].act(seq.P[n])
-        rhs = ops["M"].act(seq.P, n)
-        checks.append(check(f"P.D=M.P n={n}", "ladder-intertwining", lhs == rhs))
     for n in range(seq.n_max + 1):
-        lhs = ops["Ddag"].act(seq.P[n])
-        rhs = ops["Mdag"].act(seq.P, n)
-        checks.append(check(f"P.Ddag=Mdag.P n={n}", "ladder-intertwining", lhs == rhs))
-    for n in range(seq.n_max + 1):
-        lhs = ops["D2"].act(seq.P[n])
-        gamma_n = ops["Gamma"].coeff(0, n)
+        p = seq.P[n]
+        mdag_p = ops["Mdag"].act(seq.P, n)
+        checks.append(check(f"P.Ddag=Mdag.P n={n}", "ladder-intertwining",
+                            ops["Ddag"].act(p) == mdag_p))
         checks.append(check(f"P.D2=Gamma.P n={n}", "second-order-eigenvalue",
-                            lhs == MatPoly.const(gamma_n) * seq.P[n]))
-    for n in range(seq.n_max):
-        lhs = ops["C"].act(seq.P[n])
-        rhs = ops["MC"].act(seq.P, n)
-        checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order", lhs == rhs))
-    for n in range(seq.n_max):
-        lhs = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
-        rhs = -(i * (n + 1 + spec.nu)) - seq.HJH[n]
-        checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient", lhs == rhs))
-    for n in range(1, seq.n_max + 1):
-        lhs = seq.X[n] + commutator(J, seq.X[n])
-        checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == seq.T[n]))
-    return checks
-
-
-def verify_general_D_theorem(seq: OPSeq, ops: dict) -> list[dict]:
-    """Degree-one tail: the delta^{-1} coefficient of the operator matched to
-    the raising ladder vanishes identically, and A_1(n) = A - 1, where the
-    shift-1 coefficient A_1(n) of M must also be the x^{n+1} coefficient of
-    P_n . D, the leading term of P_n . D = M . P_n (P_{n+1} is monic)."""
-    spec = seq.spec
-    A, J = spec.A, spec.J
-    i = MatQ.identity(spec.N)
-    checks = []
-    for n in range(2, seq.n_max):
-        a0 = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
-        resid = (i * (n - 1)) * seq.X[n] + seq.Y[n] * (A - i) \
-            - (A - i) * seq.Y[n + 1] - a0 * seq.X[n]
-        checks.append(check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
-    for n in range(seq.n_max):
-        lead = ops["D"].act(seq.P[n]).coeff(n + 1)
+                            ops["D2"].act(p) == MatPoly.const(seq.Gamma[n]) * p))
+        if n >= 1:
+            lhs = seq.X[n] + commutator(J, seq.X[n])
+            checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == seq.T[n]))
+        if n == seq.n_max:
+            break
+        p_d, m_p = ops["D"].act(p), ops["M"].act(seq.P, n)
+        p_c = ops["C"].act(p)
+        checks.append(check(f"P.D=M.P n={n}", "ladder-intertwining", p_d == m_p))
+        checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order",
+                            p_c == ops["MC"].act(seq.P, n)))
         checks.append(check(f"A1(n)=A-1 n={n}", "ladder-difference-form",
-                            ops["M"].coeff(1, n) == lead == A - i))
+                            ops["M"].coeff(1, n) == p_d.coeff(n + 1) == A - i))
+        casimir = m_p + mdag_p + ops["L"].act(seq.P, n) + one_nu * p
+        checks.append(check(f"Casimir identity n={n}", "casimir-difference-identity",
+                            casimir == p_c))
+        if 1 <= n < seq.n_max - 1:
+            checks.append(check(f"phi-map multiplicative n={n}", "fourier-map-multiplicative",
+                                ml.act(seq.P, n) == p_d.scale_x(1)))
+        a0 = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
+        checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient",
+                            a0 == -(i * (n + 1 + spec.nu)) - seq.HJH[n]))
+        if n >= 2:
+            # the delta^{-1} coefficient of the operator matched to D vanishes
+            resid = (i * (n - 1)) * seq.X[n] + seq.Y[n] * (A - i) \
+                - (A - i) * seq.Y[n + 1] - a0 * seq.X[n]
+            checks.append(check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
     return checks
 
 
@@ -436,20 +429,6 @@ def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
     mdag = ops["Mdag"]
     checks.append(check("Mdag = dagger(M)", "dagger-involution",
                         m_dag.agrees_with(mdag, interior)))
-    return checks
-
-
-def verify_fourier_homomorphism(seq: OPSeq, ops: dict) -> list[dict]:
-    """(M L) . P = (P . D) . x on the window interior: the generalized
-    Fourier map is multiplicative on the tested pair."""
-    ml = ops["M"].compose(ops["L"])
-    x_mult = right_mult(MatPoly.x_identity(seq.spec.N))
-    checks = []
-    for n in range(1, seq.n_max - 1):
-        lhs = ml.act(seq.P, n)
-        rhs = x_mult.act(ops["D"].act(seq.P[n]))
-        checks.append(check(f"phi-map multiplicative n={n}",
-                            "fourier-map-multiplicative", lhs == rhs))
     return checks
 
 
@@ -483,9 +462,9 @@ def verify_L_poly(v: RPoly, seq: OPSeq, ops: dict) -> list[dict]:
     return checks
 
 
-def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
-    """The seven delta-coefficient equations tying B, C, H, Gamma together,
-    the two J-bracket closed forms, and the Casimir identity.
+def verify_bracket_identities(seq: OPSeq) -> list[dict]:
+    """The seven delta-coefficient equations tying B, C, H, Gamma together
+    and the two J-bracket closed forms.
 
     Two printed forms fail under the oracle by one sign on their last term
     (the delta^{-1} equation of the M-dagger bracket and the [C_n, J]
@@ -494,7 +473,6 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
     spec = seq.spec
     A, J = spec.A, spec.J
     i = MatQ.identity(spec.N)
-    nu = spec.nu
     checks = []
     hjh, t, gamma = seq.HJH, seq.T, seq.Gamma
     # [Gamma, C]_n = Gamma_n C_n - C_n Gamma_{n-1}, read by three identities
@@ -537,12 +515,6 @@ def verify_bracket_identities(seq: OPSeq, ops: dict) -> list[dict]:
                             commutator(seq.C[n], J) == corrected,
                             displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))
 
-    cas = ops["C"]
-    for n in range(seq.n_max):
-        lhs = ops["M"].act(seq.P, n) + ops["Mdag"].act(seq.P, n) \
-            + ops["L"].act(seq.P, n) + MatPoly.const(i * (1 + nu)) * seq.P[n]
-        checks.append(check(f"Casimir identity n={n}", "casimir-difference-identity",
-                            lhs == cas.act(seq.P[n])))
     return checks
 
 

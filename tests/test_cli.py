@@ -271,17 +271,27 @@ def test_readme_command_line_examples_pass(argv, tmp_path, capsys):
     "lie --extended --nu 1/0",
     "lie --extended --nu 0",
     "lie --extended --nu -1",
+    "lie --nu 3",
+    "lie --nu 0",
     "compute-polys --N 2 --nu 1/0 --nmax 2",
     "compute-polys --N 2 --a=1/0 --nmax 2",
     "compute-polys --N 2 --delta=1,0/0 --nmax 2",
     "dualhahn --N 3 --c 1/0 --d 1",
 ])
 def test_bad_rational_or_nu_exits_2(command, capsys):
-    """A zero denominator or a nu <= 0 is an argument error: exit 2 with one
-    line on stderr, not a traceback and not a verdict."""
+    """A zero denominator, a nu <= 0 or a lie --nu without --extended is an
+    argument error: exit 2 with one line on stderr, not a traceback and not
+    a verdict."""
     code, out, err = _run(command.split(), capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_lie_extended_defaults_nu_to_one_half(capsys):
+    """--nu has no default of its own; --extended alone closes at nu = 1/2."""
+    _, default, _ = _run(["lie", "--extended"], capsys)
+    _, half, _ = _run(["lie", "--extended", "--nu", "1/2"], capsys)
+    assert default == half and json.loads(default)["extended_report"]
 
 
 def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
@@ -399,6 +409,37 @@ def test_suite_operators_builds_named_operators_once(monkeypatch):
     calls = _count_calls(monkeypatch, ops, "make_named_operators")
     rp.suite_operators(seq)
     assert len(calls) == 1
+
+
+def test_operator_suite_forms_each_image_once(monkeypatch, capsys):
+    """Every P_n . E and (M . P)(n) of the operator suite is a distinct
+    (operator, n) image: the checks that read an image share it."""
+    images = {}
+    for cls, degree in ((ops.DiffOp, lambda q: q.degree), (ops.SeqOp, lambda n: n)):
+        act, calls = cls.act, images.setdefault(cls.__name__, [])
+
+        def counting(self, *args, act=act, calls=calls, degree=degree):
+            calls.append((self, degree(args[-1])))  # holds self, so ids stay unique
+            return act(self, *args)
+
+        monkeypatch.setattr(cls, "act", counting)
+    code, _, _ = _run(["verify", "--suite", "operators", "--N", "3", "--nmax", "5"], capsys)
+    monkeypatch.undo()
+    assert code == 0
+    for name, bound in (("DiffOp", 22), ("SeqOp", 26)):
+        keys = [(id(op), n) for op, n in images[name]]
+        assert 0 < len(keys) == len(set(keys)) <= bound, name
+
+
+def test_dual_hahn_suite_sums_each_3F2_once(monkeypatch, capsys):
+    """The closed-form check and the 3F2-against-recurrence check read the
+    same T_k: 54 argument sets (n <= 5, i, k < 3), plus 44 for the printed
+    variant."""
+    calls = _count_calls(monkeypatch, dh, "dual_hahn")
+    code, _, _ = _run(["verify", "--suite", "all", "--N", "3", "--c", "2", "--d", "1",
+                       "--nmax", "5"], capsys)
+    assert code == 0
+    assert 0 < len(calls) <= 98
 
 
 def test_dualhahn_computes_one_family_and_one_xi_table(monkeypatch, capsys):

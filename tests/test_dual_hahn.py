@@ -96,6 +96,23 @@ def test_closed_form_equals_extraction(family):
     _ok(checks)
 
 
+def test_recurrence_cross_check_covers_every_argument_set(monkeypatch):
+    """The 3F2 sum is compared with the recurrence at every (n, i, k < N),
+    also where no closed-form check reads T_k: at n = 0, i = 1 none does."""
+    params = build_delta_family(3, F(1, 2), F(2), F(1))
+    xi = extract_xi(compute_monic_ops(params.spec, 3))
+    recurrence = dh.dual_hahn_via_recurrence
+    off = (2, params.N - 1, params.gamma, 1 - params.N, params.N - 1)  # k = 2 at n = 0, i = 1
+
+    def bumped(*args):
+        return recurrence(*args) + (args == off)
+
+    monkeypatch.setattr(dh, "dual_hahn_via_recurrence", bumped)
+    checks = verify_dual_hahn_closed_form(xi, params)
+    assert [c["check_id"] for c in checks if not c["pass"]] \
+        == ["3F2 equals recurrence at used arguments"]
+
+
 def test_displayed_closed_form_has_a_witness():
     params = build_delta_family(2, F(1), F(1), F(1))
     seq = compute_monic_ops(params.spec, 3)

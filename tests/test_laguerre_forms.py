@@ -211,14 +211,14 @@ def test_corrupted_norm_fails_the_coupling_checks():
     """A family built with one corrupted H_n derives its HJH, T, G and I
     from that H_n; the coupling structure, the X recursion and the bracket
     identities each catch it."""
-    from mvlaguerre.operators import make_named_operators, verify_bracket_identities
+    from mvlaguerre.operators import verify_bracket_identities
 
     seq = compute_monic_ops(SPECS[2], 4)
     H = list(seq.H)
     H[2] = H[2] + MatQ.unit(3, 1, 1)
     bad = OPSeq(seq.spec, seq.table, seq.P, H)
     for checks in (compute_GI(bad), verify_X_recursion(bad),
-                   verify_bracket_identities(bad, make_named_operators(bad))):
+                   verify_bracket_identities(bad)):
         assert any(not c["pass"] for c in checks)
 
 

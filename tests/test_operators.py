@@ -13,8 +13,6 @@ from mvlaguerre.operators import (DiffOp, ScaledMat, SeqOp, WindowError,
                                   second_order, second_order_diagonalized,
                                   verify_adjoint_pair,
                                   verify_bracket_identities,
-                                  verify_fourier_homomorphism,
-                                  verify_general_D_theorem,
                                   verify_intertwinings, verify_L_poly,
                                   verify_star_dagger,
                                   verify_symmetry_conditions, weight_scaled)
@@ -54,25 +52,46 @@ def test_delta_shift_definition(seq):
         op.act(seq.P, seq.n_max)
 
 
+def _by_equation(checks, *equations):
+    return [c for c in checks if c["equation"] in equations]
+
+
 def test_intertwinings(seq):
-    _ok(verify_intertwinings(seq, make_named_operators(seq)))
+    checks = verify_intertwinings(seq, make_named_operators(seq))
+    _ok(checks)
+    assert {c["equation"] for c in checks} == {
+        "ladder-intertwining", "second-order-eigenvalue", "symmetric-first-order",
+        "ladder-difference-form", "casimir-difference-identity",
+        "fourier-map-multiplicative", "zero-shift-coefficient",
+        "vanishing-down-shift", "down-shift-coefficient"}
 
 
 def test_general_D_theorem(seq):
-    _ok(verify_general_D_theorem(seq, make_named_operators(seq)))
+    """A_1(n) = A - 1 at every n < n_max, and the delta^{-1} coefficient
+    of the operator matched to D vanishes at 2 <= n < n_max."""
+    checks = verify_intertwinings(seq, make_named_operators(seq))
+    lead = _by_equation(checks, "ladder-difference-form")
+    tail = _by_equation(checks, "vanishing-down-shift")
+    _ok(lead + tail)
+    assert [c["check_id"] for c in lead] == [f"A1(n)=A-1 n={n}" for n in range(seq.n_max)]
+    assert [c["check_id"] for c in tail] == [f"fla A-1n n={n}" for n in range(2, seq.n_max)]
 
 
 def test_ladder_difference_form_fails_when_D_uses_the_transpose():
     """The shift-1 coefficient of M is read against the leading coefficient
     of P_n . D: with D built from A^T - 1 instead of A - 1, that coefficient
-    is A^T - 1, so exactly the five A1(n)=A-1 checks fail."""
+    is A^T - 1, so among the A_1(n) and delta^{-1} checks exactly the five
+    A1(n)=A-1 checks fail."""
     seq = compute_monic_ops(SPECS[2], 5)
     named = make_named_operators(seq)
-    _ok(verify_general_D_theorem(seq, named))
+    equations = ("ladder-difference-form", "vanishing-down-shift")
+    _ok(_by_equation(verify_intertwinings(seq, named), *equations))
     spec = seq.spec
     at1 = spec.A.transpose() - MatQ.identity(spec.N)
     named["D"] = DiffOp([MatPoly.monomial(1, at1), MatPoly.x_identity(spec.N)])
-    failed = {c["check_id"] for c in verify_general_D_theorem(seq, named) if not c["pass"]}
+    checks = _by_equation(verify_intertwinings(seq, named), *equations)
+    assert len(checks) == 8
+    failed = {c["check_id"] for c in checks if not c["pass"]}
     assert failed == {f"A1(n)=A-1 n={n}" for n in range(5)}
 
 
@@ -81,11 +100,15 @@ def test_star_dagger_structure(seq):
 
 
 def test_fourier_map_multiplicative(seq):
-    _ok(verify_fourier_homomorphism(seq, make_named_operators(seq)))
+    checks = _by_equation(verify_intertwinings(seq, make_named_operators(seq)),
+                          "fourier-map-multiplicative")
+    _ok(checks)
+    assert [c["check_id"] for c in checks] \
+        == [f"phi-map multiplicative n={n}" for n in range(1, seq.n_max - 1)]
 
 
 def test_bracket_identities_and_displayed_variants(seq):
-    checks = verify_bracket_identities(seq, make_named_operators(seq))
+    checks = verify_bracket_identities(seq)
     _ok(checks)
     mdl = [c for c in checks if c["check_id"].startswith("MdL-1")]
     assert mdl and all(c["displayed_form_pass"] is False for c in mdl)
@@ -348,14 +371,19 @@ def test_each_dagger_check_can_fail(name, j, failing):
 
 
 def test_checks_reading_L_fail_on_a_perturbed_coefficient():
-    """L's shift-0 coefficient enters (M L)(n) at n and n - 1, and L^2(n)
-    at n - 1, n and n + 1."""
+    """L's shift-0 coefficient enters (M L)(n) at n and n - 1, (L . P)(n) in
+    the Casimir identity at n, and L^2(n) at n - 1, n and n + 1."""
     seq = compute_monic_ops(SPECS[2], 6)
     ops = make_named_operators(seq)
     ops["L"] = _bump(ops["L"], 0, 3)
-    fourier = verify_fourier_homomorphism(seq, ops)
+    checks = verify_intertwinings(seq, ops)
+    fourier = _by_equation(checks, "fourier-map-multiplicative")
     assert [c["check_id"] for c in fourier if not c["pass"]] \
         == [f"phi-map multiplicative n={n}" for n in (2, 3)]
+    assert [c["check_id"] for c in checks if not c["pass"]] \
+        == [f"{name} n={n}" for n, name in ((2, "phi-map multiplicative"),
+                                            (3, "Casimir identity"),
+                                            (3, "phi-map multiplicative"))]
     square = verify_L_poly(RPoly((0, 0, 1)), seq, ops)
     assert [c["check_id"] for c in square if not c["pass"]] \
         == [f"v(L).P = P v(x) n={n} deg=2" for n in (2, 3, 4)]
