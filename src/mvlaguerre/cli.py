@@ -19,7 +19,7 @@ from . import dual_hahn as dh
 from . import laguerre_forms as lf
 from . import lie_algebra as la
 from . import report as rp
-from .engine import OPSeq, compute_monic_ops
+from .engine import compute_monic_ops
 from .matrices import MatPoly, MatQ
 from .scalar import DomainError, parse_phi, rat, rat_str
 from .weights import WeightSpec
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
     notes: list[str] = []
     resolutions: list[dict] = []
-    params = seq = None
+    params = None
     if args.suite in ("dualhahn", "all"):
         params = _dualhahn_params(args, spec)
         if params is None:
@@ -144,27 +144,28 @@ def cmd_verify(args) -> int:
                 raise DomainError(
                     "dual Hahn suite needs --c/--d or a delta family with a = -1")
             notes.append("dualhahn suite skipped: weight is not a constrained family")
-    if args.suite in ("operators", "laguerre", "all"):
-        seq = compute_monic_ops(spec, n_max)
+    # the weight is orthogonalized once, at the highest degree a reader needs:
+    # the suites n_max, the resolutions >= 2 (the i = 1 boundary relation)
+    # and the dual Hahn suite of this weight min(n_max, 4) + 1
+    suites = args.suite in ("operators", "laguerre", "all")
+    resolve = spec.N >= 2 and args.suite in ("laguerre", "all")
+    shared_dh = params is not None and params.spec == spec
+    r = n_max if n_max >= 2 else 3
+    k = min(n_max, 4) + 1
+    degrees = {m for m, wanted in ((n_max, suites), (r, resolve), (k, shared_dh)) if wanted}
+    whole = compute_monic_ops(spec, max(degrees)) if degrees else None
+    family = {m: whole.prefix(m) for m in degrees}
+    if suites:
+        seq = family[n_max]
         checks += rp.suite_oracle(seq)
         if args.suite in ("operators", "all"):
             checks += rp.suite_operators(seq)
         if args.suite in ("laguerre", "all"):
             checks += rp.suite_laguerre(seq)
-            if spec.N >= 2:
-                resolutions = rp.resolve_open_questions(seq)
+    if resolve:
+        resolutions = rp.resolve_open_questions(family[r])
     if params is not None:
-        k = min(n_max, 4) + 1
-        if seq is not None and params.spec == spec and n_max >= k:
-            # the verified family already holds degrees 0..k and the inverses
-            # of H_0..H_{k-1}: at n_max == k it is the family itself, with its
-            # K, R and xi table; the dual Hahn suite never reads the moment
-            # table, so its depth does not matter
-            dh_seq = seq if n_max == k else OPSeq(
-                spec, seq.table, seq.P[:k + 1], seq.H[:k + 1],
-                {n: seq.h_inv(n) for n in range(k)})
-        else:
-            dh_seq = compute_monic_ops(params.spec, k)
+        dh_seq = family[k] if shared_dh else compute_monic_ops(params.spec, k)
         checks += rp.suite_dualhahn(params, dh_seq)
     if args.suite == "all":
         checks += rp.suite_lie(spec.nu)
@@ -216,6 +217,9 @@ def cmd_lie(args) -> int:
         },
     }
     payload["center_dimension"] = len(alg.center())
+    axioms = payload["checks"]
+    ok = axioms["jacobi"] and axioms["antisymmetry"] \
+        and axioms["dim_matches_formula"] is not False
     if phi.degree >= 2 and not args.extended:
         rep = la.structure_report(alg)
         payload["structure_report"] = {
@@ -226,15 +230,12 @@ def cmd_lie(args) -> int:
         }
         if "l36_alpha" in rep:
             payload["structure_report"]["l36_alpha"] = rep["l36_alpha"]
-        payload["derived_series_lengths"] = 2
+        payload["derived_series_lengths"] = rep["derived_length"]
+        ok = ok and rp.all_pass(rep["checks"])
     if args.extended:
         ext = la.extended_algebra_report(alg)
         payload["extended_report"] = ext["checks"]
-    ok = payload["checks"]["jacobi"] and payload["checks"]["antisymmetry"]
-    if payload["checks"]["dim_matches_formula"] is False:
-        ok = False
-    if args.extended:
-        ok = ok and all(c["pass"] for c in payload["extended_report"])
+        ok = ok and rp.all_pass(ext["checks"])
     _emit(payload, args.out)
     return 0 if ok else 1
 

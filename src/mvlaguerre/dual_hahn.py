@@ -329,8 +329,8 @@ def phi_psi(params: DHParams):
     l0_inv = build_K(0, params.nu, a)
     l0_star_inv = l0_inv.transpose()
     djc = j * params.d + i * params.c
-    ex_pos = exp_nilpotent(a, +1)   # e^{xA}
-    ex_neg = exp_nilpotent(a, -1)   # e^{-xA}
+    ex_pos = exp_nilpotent(a)    # e^{xA}
+    ex_neg = exp_nilpotent(-a)   # e^{-xA}
     ex_pos_t, ex_neg_t = ex_pos.transpose(), ex_neg.transpose()
     _, m_star = derivative_coupling_matrices(params)
     m_const = m_star.transpose()   # Delta_nu^{-1} A Delta_{nu+1}

@@ -63,6 +63,8 @@ class OPSeq:
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
     xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
+    `prefix(m)` is the family of degrees 0..m, read off this one: a reader
+    that needs fewer degrees takes a prefix instead of a second oracle run.
     Two threads racing on first use compute the same exact value, so a
     family is safe to share.
     """
@@ -83,6 +85,18 @@ class OPSeq:
 
     def h_inv(self, n: int) -> MatQ:
         return _inverse_of_H(self.H, self._h_inv, n)
+
+    def prefix(self, m: int) -> "OPSeq":
+        """The family of degrees 0..m: `self` at m == n_max, else one sharing
+        P[:m+1], H[:m+1], the moment table and the memoized H_n^{-1}, n <= m.
+        Monic orthogonal polynomials do not depend on how far the family
+        goes, so this equals compute_monic_ops(spec, m) but for table depth."""
+        if not 0 <= m <= self.n_max:
+            raise ValueError(f"prefix degree {m} outside 0..{self.n_max}")
+        if m == self.n_max:
+            return self
+        return OPSeq(self.spec, self.table, self.P[:m + 1], self.H[:m + 1],
+                     {n: v for n, v in self._h_inv.items() if n <= m})
 
     @cached_property
     def HJH(self) -> tuple:
@@ -115,7 +129,7 @@ class OPSeq:
 
     @cached_property
     def Q(self) -> tuple:
-        ex = exp_nilpotent(self.spec.A, +1)
+        ex = exp_nilpotent(self.spec.A)
         return tuple(p * ex for p in self.P)
 
     @cached_property

@@ -66,8 +66,8 @@ def verify_diagonalization(spec) -> list[dict]:
     e^{-xA} D e^{xA}, collapses them to their diagonal forms: the ladder to
     d_x x - x, the second-order operator to d_x^2 x + d_x(1+nu-x+J) - J,
     and the multiplication Ax - J to -J."""
-    left = right_mult(exp_nilpotent(spec.A, -1))
-    right = right_mult(exp_nilpotent(spec.A, +1))
+    left = right_mult(exp_nilpotent(-spec.A))
+    right = right_mult(exp_nilpotent(spec.A))
     x_i = MatPoly.x_identity(spec.N)
     return [
         check("ladder diagonalization", "diagonalized-eigenproblem",
@@ -262,9 +262,12 @@ def verify_xi_tables(extracted: XiTable, recursed: XiTable) -> list[dict]:
     checks.append(check("xi extraction equals recursion",
                         "multiplier-recursions", ok,
                         first_mismatch=str(first_bad) if first_bad else None))
-    zero_ok = all(extracted.values.get((n, i, j)) is not None
-                  for (n, i, j) in extracted.values if n + i - j >= 0)
-    checks.append(check("xi zero pattern", "multiplier-zero-pattern", zero_ok))
+    # keys exactly where n+i-j >= 0; a value there may itself be 0
+    N = extracted.N
+    pattern = {(n, i, j) for n in range(extracted.n_max + 1)
+               for i in range(1, N + 1) for j in range(1, N + 1) if n + i - j >= 0}
+    checks.append(check("xi zero pattern", "multiplier-zero-pattern",
+                        set(extracted.values) == pattern))
     return checks
 
 

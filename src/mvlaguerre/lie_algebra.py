@@ -456,6 +456,8 @@ def structure_report(alg: LieAlg) -> dict:
         "I_phi": support,
         "basis": alg.labels,
         "checks": checks,
+        # the derived length of h: 1 if h' = 0, 2 if h' != 0 = h''
+        "derived_length": 1 if not d1_rows else 2 if second_zero else None,
     }
     ideal_exponents = [p - 3 for p in h_pivots if p >= 3]
     out["ideal_ad_spectrum"] = ideal_exponents

@@ -431,16 +431,14 @@ def matexp_nilpotent(a: MatQ) -> MatQ:
     return out
 
 
-def exp_nilpotent(a: MatQ, sign: int = 1) -> MatPoly:
-    """e^{sign * xA} for strictly lower triangular A, as an exact MatPoly:
-    sum over m < N of (sign * A)^m x^m / m!."""
+def exp_nilpotent(a: MatQ) -> MatPoly:
+    """e^{xA} for strictly lower triangular A, as an exact MatPoly:
+    sum over m < N of A^m x^m / m!.  e^{-xA} is exp_nilpotent(-A)."""
     _check_strictly_lower(a)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     coeffs = [MatQ.identity(a.N)]
     power = MatQ.identity(a.N)
     for m in range(1, a.N):
-        power = power * (a * sign)
+        power = power * a
         coeffs.append(power * Fraction(1, factorial(m)))
     return MatPoly(coeffs, a.N)
 
@@ -453,5 +451,5 @@ def build_K(n: int, nu, A: MatQ) -> MatQ:
     Entrywise, (K_n)_{i,j} = (prod_{k=j..i-1} a_k) (n+nu+j+1)_{i-j} / (i-j)!
     in 1-based indices, with a_k = A[k+1, k].
     """
-    B = A * (MatQ.identity(A.N) * (n + rat(nu) + 1) + build_J(A.N))
-    return matexp_nilpotent(B)
+    shift = n + rat(nu) + 1
+    return matexp_nilpotent(A * MatQ.diag([shift + j for j in range(1, A.N + 1)]))

@@ -15,11 +15,10 @@ from . import dual_hahn as dh
 from . import laguerre_forms as lf
 from . import lie_algebra as la
 from . import operators as ops
-from .engine import (OPSeq, check, compute_monic_ops, scalar_laguerre_monic,
-                     verify_orthogonality, verify_three_term)
+from .engine import (OPSeq, check, scalar_laguerre_monic, verify_orthogonality,
+                     verify_three_term)
 from .scalar import RPoly, parse_phi, rat_str
-from .weights import (WeightSpec, h0_as_displayed, h0_index_corrected, moment,
-                      moment_via_expansion)
+from .weights import h0_as_displayed, moment_via_expansion
 
 
 class AmbiguousResolutionError(AssertionError):
@@ -39,13 +38,13 @@ def all_pass(checks: list[dict]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def resolve_h0_pochhammer(spec: WeightSpec) -> dict:
+def resolve_h0_pochhammer(seq: OPSeq) -> dict:
     """Which Pochhammer index in the zeroth-norm closed form reproduces the
-    Gamma-integral: the printed (nu)_{i+j-r} or the raised (nu)_{i+j-r+1}."""
-    oracle = moment_via_expansion(spec, 0)
-    assert oracle == moment(spec, 0)
-    displayed = h0_as_displayed(spec) == oracle
-    corrected = h0_index_corrected(spec) == oracle
+    Gamma-integral (`moment_via_expansion`): the printed (nu)_{i+j-r}, or
+    the raised (nu)_{i+j-r+1} of the m_0 the family was orthogonalized on."""
+    oracle = moment_via_expansion(seq.spec, 0)
+    displayed = h0_as_displayed(seq.spec) == oracle
+    corrected = seq.table[0] == oracle
     if displayed == corrected:
         raise AmbiguousResolutionError("H_0 Pochhammer probe is ambiguous")
     return {
@@ -96,13 +95,11 @@ def resolve_i1_boundary(seq: OPSeq) -> dict:
 
 
 def resolve_open_questions(seq: OPSeq) -> list[dict]:
-    """The three resolutions for the weight of `seq`, read off the xi table
-    and G, I the family keeps.  The i = 1 boundary relation first appears
-    at n_max = 2, so a shorter family is recomputed to degree 3."""
-    if seq.n_max < 2:
-        seq = compute_monic_ops(seq.spec, 3)
+    """The three resolutions for the weight of `seq`, read off its moment
+    table, xi table and G, I.  The i = 1 boundary relation first appears at
+    degree 2, so `seq` must reach n_max >= 2."""
     return [
-        resolve_h0_pochhammer(seq.spec),
+        resolve_h0_pochhammer(seq),
         resolve_xi_seed(seq),
         resolve_i1_boundary(seq),
     ]

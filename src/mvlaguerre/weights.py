@@ -179,7 +179,7 @@ def moment_via_expansion(spec: WeightSpec, s: int) -> MatQ:
 def weight_polynomial_part(spec: WeightSpec) -> MatPoly:
     """The matrix polynomial G(x) with W(x) = e^{-x} x^nu G(x):
     G = e^{xA} diag(delta_k x^k) e^{xA^T}."""
-    left = exp_nilpotent(spec.A, +1)
+    left = exp_nilpotent(spec.A)
     return left * diagonal_part(spec) * left.transpose()
 
 
@@ -225,9 +225,3 @@ def h0_as_displayed(spec: WeightSpec) -> MatQ:
     offset s = -1."""
     return _moment_sums(spec, [-1])[0]
 
-
-def h0_index_corrected(spec: WeightSpec) -> MatQ:
-    """Same formula with the index raised by one, (nu)_{i+j-r+1}; this is the
-    variant the direct integral produces.  (nu)_{m+1} / nu = (nu+1)_m, so
-    it is the moment sum at offset s = 0."""
-    return _moment_sums(spec, [0])[0]

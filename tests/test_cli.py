@@ -463,14 +463,15 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("nmax,degrees,xi_degrees",
-                         [(4, [4, 5], [4, 5]), (5, [5], [5]), (7, [7], [7, 5])])
+                         [(4, [5], [4, 5]), (5, [5], [5]), (7, [7], [7, 5])])
 def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
         nmax, degrees, xi_degrees, monkeypatch, capsys):
     """The unit weights of N = 2 are the dual Hahn family (c, d) = (0, 1),
-    whose suite needs degrees up to min(n_max, 4) + 1: from n_max = 5 on,
-    the verified family holds them and the oracle runs once.  At n_max = 5
-    the suite gets that family itself, so its xi table is read once; above,
-    it gets the first six degrees with the H inverses the oracle made."""
+    whose suite needs degrees up to min(n_max, 4) + 1.  The weight is
+    orthogonalized once, at the higher of n_max and that degree, and each
+    suite reads a prefix of that family.  At n_max = 5 both read the family
+    itself, so its xi table is read once; otherwise the two families share
+    P, H and the H inverses the oracle made."""
     oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
     xi = _count_calls(monkeypatch, lf, "read_xi")
     verified, dual_hahn = [], []
@@ -485,8 +486,45 @@ def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
     assert [seq.n_max for seq, *_ in xi] == xi_degrees
     (seq,), (dh_seq,) = verified, dual_hahn
     assert (dh_seq is seq) == (nmax == 5)
-    if nmax > 5:
-        assert all(dh_seq.h_inv(n) is seq.h_inv(n) for n in range(5))
+    shared = range(min(seq.n_max, dh_seq.n_max) + 1)
+    assert all(dh_seq.P[n] is seq.P[n] and dh_seq.h_inv(n) is seq.h_inv(n) for n in shared)
+
+
+@pytest.mark.parametrize("command", [
+    *(f"verify --suite all --N 2 --nmax {n}" for n in range(5)),
+    *(f"verify --suite laguerre --N {N} --nmax {n}" for N in (2, 3) for n in (0, 1)),
+])
+def test_verify_orthogonalizes_the_weight_once(command, monkeypatch, capsys):
+    """The suites, the resolutions (which need degree 2) and the dual Hahn
+    suite of the same weight each read a prefix of one family."""
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    code, _, _ = _run(command.split(), capsys)
+    assert code == 0
+    assert len(oracle) == 1
+
+
+def test_verify_orthogonalizes_each_distinct_weight_once(monkeypatch, capsys):
+    """Beside unit deltas, the (c, d) = (2, 1) dual Hahn weight differs from
+    the verified one and keeps its own oracle."""
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    code, _, _ = _run("verify --suite all --N 3 --c 2 --d 1 --nmax 0".split(), capsys)
+    assert code == 0
+    assert [n for _, n in oracle] == [3, 1]
+    assert oracle[0][0] != oracle[1][0]
+
+
+def test_lie_exits_1_when_a_structure_check_fails(monkeypatch, capsys):
+    structure_report = la.structure_report
+
+    def one_check_false(alg):
+        rep = structure_report(alg)
+        rep["checks"][-1]["pass"] = False
+        return rep
+
+    monkeypatch.setattr(la, "structure_report", one_check_false)
+    code, out, _ = _run(["lie", "--phi", "x^3+x^2"], capsys)
+    assert code == 1
+    assert json.loads(out)["derived_series_lengths"] == 2
 
 
 def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):

@@ -107,6 +107,27 @@ def test_projection_order_does_not_change_the_family(spec):
         assert (P, H, C) == (seq.P, seq.H, seq.C[1:])
 
 
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_prefix_is_the_family_of_fewer_degrees(spec):
+    """prefix(m) of a deeper family equals the oracle run at n_max = m, down
+    to the closed forms read off it, and shares the deeper family's P, H,
+    moment table and H inverses."""
+    whole = compute_monic_ops(spec, 4)
+    assert whole.prefix(4) is whole
+    for m in range(4):
+        short, ref = whole.prefix(m), compute_monic_ops(spec, m)
+        assert (short.n_max, short.P, short.H, short.X, short.Y, short.B, short.C) \
+            == (m, ref.P, ref.H, ref.X, ref.Y, ref.B, ref.C)
+        assert (short.K, short.R, short.G, short.I) == (ref.K, ref.R, ref.G, ref.I)
+        assert short.xi.values == ref.xi.values
+        assert short.table is whole.table
+        assert all(short.P[n] is whole.P[n] and short.h_inv(n) is whole.h_inv(n)
+                   for n in range(m + 1))
+    for m in (-1, 5):
+        with pytest.raises(ValueError):
+            whole.prefix(m)
+
+
 def test_singular_norm_raises_when_first_needed():
     # delta_1 = 0 slips past the constructor's checks here; the first row of
     # every moment, and so of H_0, is then zero
@@ -133,7 +154,7 @@ def test_shared_matrices_match_the_slow_paths(spec):
     for n in range(5):
         assert seq.h_inv(n) == seq.H[n].inverse()
         assert seq.K_inv[n] == seq.K[n].inverse()
-        q = seq.P[n] * exp_nilpotent(spec.A, +1)
+        q = seq.P[n] * exp_nilpotent(spec.A)
         assert seq.Q[n] == q
         b = spec.A * (i * (n + spec.nu + 1) + spec.J)
         assert seq.R[n] == matexp_nilpotent(-b) * q

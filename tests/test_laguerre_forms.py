@@ -16,7 +16,7 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        verify_X1_bootstrap, verify_X_recursion,
                                        verify_displayed_xi_recursions,
                                        read_xi, verify_xi_tables, x1_from_h0,
-                                       xi_by_recursion)
+                                       xi_by_recursion, XiTable)
 from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.weights import WeightSpec
 
@@ -141,6 +141,32 @@ def test_xi_recursion_equals_extraction(seq):
     rec = xi_by_recursion(seq)
     _ok(verify_xi_tables(xi, rec))
     assert set(rec.values) == set(xi.values)
+
+
+def _zero_pattern(checks):
+    (ok,) = [c["pass"] for c in checks if c["check_id"] == "xi zero pattern"]
+    return ok
+
+
+@pytest.mark.parametrize("spec, key, value", [
+    (SPEC2, (3, 1, 1), F(-3, 2)),
+    (WeightSpec(3, 3, (F(-4, 3), F(-1, 4)), (F(3, 2), 1, F(5, 6))), (4, 2, 2), 0),
+    # the dual Hahn family (c, d) = (0, 1)
+    (WeightSpec(3, F(1, 2), (-1, -1), (1, F(1, 2), F(1, 2))), (1, 2, 2), 0),
+])
+def test_xi_zero_pattern_reads_the_keys_not_the_values(spec, key, value):
+    """The table must hold xi(n,i,j) exactly where n+i-j >= 0, whatever the
+    value (it may be 0 on the pattern): `key` dropped, or one key below the
+    pattern added, fails the check."""
+    seq = compute_monic_ops(spec, key[0])
+    xi, rec = seq.xi, xi_by_recursion(seq)
+    assert xi.values[key] == value
+    _ok(verify_xi_tables(xi, rec))
+    dropped, below = XiTable(xi.N, xi.n_max), XiTable(xi.N, xi.n_max)
+    dropped.values = {k: v for k, v in xi.values.items() if k != key}
+    below.values = {**xi.values, (0, 1, 2): F(0)}
+    assert not _zero_pattern(verify_xi_tables(dropped, rec))
+    assert not _zero_pattern(verify_xi_tables(below, rec))
 
 
 def test_displayed_recursion_variants_fail(seq):

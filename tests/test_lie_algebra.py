@@ -91,6 +91,8 @@ def test_central_element_for_family():
 def test_structure_report(expr):
     rep = structure_report(generate_algebra(parse_phi(expr)))
     _ok(rep["checks"])
+    # h' != 0 and h'' = 0
+    assert rep["derived_length"] == 2
 
 
 def test_structure_report_requires_degree_two():

@@ -347,16 +347,16 @@ def test_build_A_J_commutator():
 def test_exp_nilpotent_identities():
     a = build_A((F(1, 2), -3))
     j = build_J(3)
-    pos, neg = exp_nilpotent(a, +1), exp_nilpotent(a, -1)
+    pos, neg = exp_nilpotent(a), exp_nilpotent(-a)
     assert pos * neg == MatPoly.const(MatQ.identity(3))
     # e^{xA} J e^{-xA} = J - Ax
     lhs = pos * MatPoly.const(j) * neg
     assert lhs == MatPoly.const(j) - MatPoly.monomial(1, a)
     # entry formula: coefficient of x^{i-r} at (i, r) is (A^{i-r})_{i,r}/(i-r)!
     assert pos.coeff(2)[2, 0] == a[1, 0] * a[2, 1] / 2
-    assert exp_nilpotent(MatQ.zero(1), 1) == MatPoly.const(MatQ.identity(1))
+    assert exp_nilpotent(MatQ.zero(1)) == MatPoly.const(MatQ.identity(1))
     with pytest.raises(ValueError):
-        exp_nilpotent(MatQ([[0, 1], [0, 0]]), 1)
+        exp_nilpotent(MatQ([[0, 1], [0, 0]]))
 
 
 @given(st.integers(0, 6))
@@ -385,7 +385,7 @@ def test_build_K_subdiagonal_entry():
 
 def test_matexp_nilpotent_matches_poly_at_one():
     a = build_A((2, 3))
-    assert matexp_nilpotent(a) == exp_nilpotent(a, +1)(1)
+    assert matexp_nilpotent(a) == exp_nilpotent(a)(1)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))

@@ -413,6 +413,6 @@ def conjugation_inputs(draw):
 def test_conjugation_by_exp_is_a_composition(inputs):
     spec, build, q = inputs
     d = build(spec)
-    left, right = exp_nilpotent(spec.A, -1), exp_nilpotent(spec.A, +1)
+    left, right = exp_nilpotent(-spec.A), exp_nilpotent(spec.A)
     conjugated = right_mult(left).compose(d).compose(right_mult(right))
     assert conjugated.act(q) == d.act(q * left) * right

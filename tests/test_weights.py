@@ -10,9 +10,8 @@ from mvlaguerre.dual_hahn import DHParams, build_delta_family
 from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.scalar import RPoly, pochhammer
 from mvlaguerre.weights import (MomentTable, UnsupportedWeightError,
-                                WeightSpec, h0_as_displayed,
-                                h0_index_corrected, inner_product, moment,
-                                moment_via_expansion)
+                                WeightSpec, h0_as_displayed, inner_product,
+                                moment, moment_via_expansion)
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 SPECS = [
@@ -106,7 +105,7 @@ def test_table_depth_guard():
 @pytest.mark.parametrize("spec", SPECS)
 def test_h0_pochhammer_index_probe(spec):
     oracle = moment_via_expansion(spec, 0)
-    assert h0_index_corrected(spec) == oracle
+    assert moment(spec, 0) == oracle
     assert h0_as_displayed(spec) != oracle
 
 
@@ -164,7 +163,7 @@ def test_moment_sums_equal_the_separate_loops(spec, s):
     assert moment(spec, s) == _old_moment(spec, s)
     assert MomentTable(spec, s)[s] == _old_moment(spec, s)
     assert h0_as_displayed(spec) == _old_h0(spec, 0)
-    assert h0_index_corrected(spec) == _old_h0(spec, 1)
+    assert moment(spec, 0) == _old_h0(spec, 1)
 
 
 def test_moment_rejects_a_negative_index():
