@@ -27,10 +27,12 @@ print("matches the oracle:", h1 == seq.H[1])
 
 print("\nclimbing the recursion H_{n+2} <- (H_{n-1}), H_n, H_{n+1}:")
 chain = [seq.H[0], seq.H[1]]
+inverses = [h.inverse() for h in chain]
 for n in range(2, 7):
-    nxt = h_recursion_next(spec, chain)
+    nxt = h_recursion_next(spec, chain, inverses)
     print(f"  H_{n} exact match:", nxt == seq.H[n])
     chain.append(seq.H[n])
+    inverses.append(seq.H[n].inverse())
 
 # scalar sanity: for N = 1 the ratio H_{n+1}/H_n is the classical
 # (n+1)(n+nu+2) of the Laguerre weight with shifted parameter

@@ -146,7 +146,9 @@ def cmd_verify(args) -> int:
             notes.append("dualhahn suite skipped: weight is not a constrained family")
     # the weight is orthogonalized once, at the highest degree a reader needs:
     # the suites n_max, the resolutions >= 2 (the i = 1 boundary relation)
-    # and the dual Hahn suite of this weight min(n_max, 4) + 1
+    # and the dual Hahn suite of this weight min(n_max, 4) + 1; a proper
+    # prefix arises only beside a reader of the whole family's xi table, so
+    # the closed forms and xi the prefix slices off the whole are read anyway
     suites = args.suite in ("operators", "laguerre", "all")
     resolve = spec.N >= 2 and args.suite in ("laguerre", "all")
     shared_dh = params is not None and params.spec == spec

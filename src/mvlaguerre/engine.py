@@ -13,7 +13,7 @@ regrouping a sum this way is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .matrices import MatPoly, MatQ, SingularMatrixError, build_K, exp_nilpotent
 from .scalar import RPoly, rat
@@ -37,6 +37,17 @@ def _inverse_of_H(H, inverses: dict, m: int) -> MatQ:
                 f"singular H_{m}; parameters violate the weight invariants"
             ) from exc
     return inverses[m]
+
+
+def _per_degree(build):
+    """A per-degree tuple of the family, built on first use and kept; a
+    prefix slices its whole family's tuple instead of building its own."""
+    @wraps(build)
+    def get(seq):
+        if seq._whole is not None:
+            return getattr(seq._whole, build.__name__)[:seq.n_max + 1]
+        return build(seq)
+    return cached_property(get)
 
 
 class OPSeq:
@@ -64,7 +75,9 @@ class OPSeq:
     xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
     `prefix(m)` is the family of degrees 0..m, read off this one: a reader
-    that needs fewer degrees takes a prefix instead of a second oracle run.
+    that needs fewer degrees takes a prefix instead of a second oracle run,
+    and the prefix's tuples above and its xi table are slices of this
+    family's, built here once over all degrees.
     Two threads racing on first use compute the same exact value, so a
     family is safe to share.
     """
@@ -77,6 +90,7 @@ class OPSeq:
         self.H = tuple(H)
         self.n_max = n_max = len(self.P) - 1
         self._h_inv = dict(h_inv or {})
+        self._whole = None  # the family this one is a proper prefix of
         zero = MatQ.zero(spec.N)
         self.X = tuple(p.coeff(deg - 1) if deg >= 1 else zero for deg, p in enumerate(self.P))
         self.Y = tuple(p.coeff(deg - 2) if deg >= 2 else zero for deg, p in enumerate(self.P))
@@ -88,65 +102,72 @@ class OPSeq:
 
     def prefix(self, m: int) -> "OPSeq":
         """The family of degrees 0..m: `self` at m == n_max, else one sharing
-        P[:m+1], H[:m+1], the moment table and the memoized H_n^{-1}, n <= m.
-        Monic orthogonal polynomials do not depend on how far the family
-        goes, so this equals compute_monic_ops(spec, m) but for table depth."""
+        P[:m+1], H[:m+1], the moment table and the memoized H_n^{-1}, n <= m,
+        whose HJH, T, Gamma, K, K_inv, Q, R, G and I are the [:m+1] slices of
+        this family's and whose xi is this family's table at n <= m (so
+        reading any of them builds it here, over every degree).  Monic
+        orthogonal polynomials do not depend on how far the family goes, so
+        this equals compute_monic_ops(spec, m) but for table depth."""
         if not 0 <= m <= self.n_max:
             raise ValueError(f"prefix degree {m} outside 0..{self.n_max}")
         if m == self.n_max:
             return self
-        return OPSeq(self.spec, self.table, self.P[:m + 1], self.H[:m + 1],
-                     {n: v for n, v in self._h_inv.items() if n <= m})
+        seq = OPSeq(self.spec, self.table, self.P[:m + 1], self.H[:m + 1],
+                    {n: v for n, v in self._h_inv.items() if n <= m})
+        seq._whole = self
+        return seq
 
-    @cached_property
+    @_per_degree
     def HJH(self) -> tuple:
         J = self.spec.J
         return tuple(h * J * self.h_inv(n) for n, h in enumerate(self.H))
 
-    @cached_property
+    @_per_degree
     def T(self) -> tuple:
         at1 = self.spec.at1
         return (None,) + tuple(h * at1 * self.h_inv(n) for n, h in enumerate(self.H[1:]))
 
-    @cached_property
+    @_per_degree
     def Gamma(self) -> tuple:
         spec = self.spec
         A, J, i = spec.A, spec.J, MatQ.identity(spec.N)
         return tuple(A * (i * (n + spec.nu + 1) + J) - i * n - J
                      for n in range(self.n_max + 1))
 
-    @cached_property
+    @_per_degree
     def K(self) -> tuple:
         spec = self.spec
         return tuple(build_K(n, spec.nu, spec.A) for n in range(self.n_max + 1))
 
-    @cached_property
+    @_per_degree
     def K_inv(self) -> tuple:
         # K_n^{-1} = exp(-A(n+nu+1+J)) is K_n at -A
         spec = self.spec
         neg_A = -spec.A
         return tuple(build_K(n, spec.nu, neg_A) for n in range(self.n_max + 1))
 
-    @cached_property
+    @_per_degree
     def Q(self) -> tuple:
         ex = exp_nilpotent(self.spec.A)
         return tuple(p * ex for p in self.P)
 
-    @cached_property
+    @_per_degree
     def R(self) -> tuple:
         return tuple(kinv * q for kinv, q in zip(self.K_inv, self.Q))
 
-    @cached_property
+    @_per_degree
     def G(self) -> tuple:
         return (None,) + tuple(kinv * t * k for kinv, t, k in
                                zip(self.K_inv[1:], self.T[1:], self.K))
 
-    @cached_property
+    @_per_degree
     def I(self) -> tuple:
         return tuple(kinv * hjh * k for kinv, hjh, k in zip(self.K_inv, self.HJH, self.K))
 
     @cached_property
     def xi(self):
+        if self._whole is not None:
+            return self._whole.xi.prefix(self.n_max)
         from .laguerre_forms import read_xi  # it builds on this module
 
         return read_xi(self)

@@ -11,7 +11,13 @@ two-term recursions driven by the diagonal of G(n) and the superdiagonal of
 I(n), and checks the nonlinear recursion for the squared norms.  Where a commonly
 quoted recursion disagrees with the oracle (a handful of signs and one
 Pochhammer subscript), the corrected form is used and the quoted variant's
-status is reported alongside.
+status is reported alongside, and only where it compared at least one entry.
+
+D_Q, Lambda_n and J are diagonal, so the eigen-equation of R and the
+derivative relation of Q are checked entry by entry, coefficient by
+coefficient, on the integer numerators of the MatQ coefficients; the norm
+recursion pass inverts each H_m once, afresh, and hands the inverses to
+every step.
 """
 
 from __future__ import annotations
@@ -82,15 +88,29 @@ def verify_diagonalization(spec) -> list[dict]:
 
 
 def verify_R_eigen(seq: OPSeq) -> list[dict]:
-    """R . D_Q = Lambda_n . R with D_Q the diagonalized second-order operator
-    and Lambda_n = -(n+J)."""
+    """R . D_Q = Lambda_n . R, with D_Q = d_x^2 x + d_x(1+nu+J-x) - J the
+    diagonalized second-order operator and Lambda_n = -(n+J), checked entry
+    by entry.  Both are diagonal, so entry r = R(x,n)[i,j] (1-based) must
+    solve the scalar Laguerre equation x r'' + (1+nu+j-x) r' + (n+i-j) r = 0,
+    whose coefficient of x^k is
+
+        (k+1)(k+1+nu+j) r_{k+1} + (n+i-j-k) r_k = 0.
+
+    On integers, with nu = p/q and r_k = num_k[i][j] / d_k read off the
+    MatQ numerators of R's coefficients (num zero above the top one):
+
+        (k+1)(q(k+1+j)+p) num_{k+1} d_k + q(n+i-j-k) num_k d_{k+1} == 0."""
     spec = seq.spec
-    dq = second_order_diagonalized(spec)
+    p, q = spec.nu.numerator, spec.nu.denominator
+    zero = MatQ.zero(spec.N)
     checks = []
     for n, r in enumerate(seq.R):
-        lam = MatQ.diag([-(n + k) for k in range(1, spec.N + 1)])
-        checks.append(check(f"R eigen-equation n={n}", "diagonalized-eigenproblem",
-                            dq.act(r) == MatPoly.const(lam) * r))
+        # 0-based row a and column b: n+i-j = n+a-b and k+1+j = k+2+b
+        ok = all((k + 1) * (q * (k + 2 + b) + p) * w * c.d + q * (n + a - b - k) * v * up.d == 0
+                 for k, (c, up) in enumerate(zip(r.coeffs, r.coeffs[1:] + (zero,)))
+                 for a, (row, up_row) in enumerate(zip(c.num, up.num))
+                 for b, (v, w) in enumerate(zip(row, up_row)))
+        checks.append(check(f"R eigen-equation n={n}", "diagonalized-eigenproblem", ok))
     return checks
 
 
@@ -106,6 +126,12 @@ class XiTable:
         if n + i - j < 0:
             return Fraction(0)
         return self.values[(n, i, j)]
+
+    def prefix(self, m: int) -> "XiTable":
+        """The table of degrees n <= m."""
+        table = XiTable(self.N, m)
+        table.values = {key: v for key, v in self.values.items() if key[0] <= m}
+        return table
 
     def records(self):
         for (n, i, j) in sorted(self.values):
@@ -275,15 +301,19 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     """Status of the printed variants against the oracle table seq.xi: the
     interior a-term sign, the n=1 boundary sign, and the printed N1/N2
     coefficients of the i=1 boundary relation.  These are reports, not gates; the package's
-    own recursion (the corrected one) is gated by verify_xi_tables."""
+    own recursion (the corrected one) is gated by verify_xi_tables.  Each is
+    reported only where it compared at least one entry: the interior
+    recursion needs N >= 2 and n_max >= 1, the boundary seed too, and the
+    i=1 relation N >= 2 and n_max >= 2."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
     xi, G, I = seq.xi, seq.G, seq.I
     out = []
-    disp_ok, corr_ok = True, True
+    disp_ok, corr_ok, tested = True, True, False
     for (n, i, j) in sorted(xi.values):
         if n < 1 or i < 2 or n + i - j <= 0:
             continue
+        tested = True
         prev = xi.get(n, i - 1, j)
         up = xi.get(n - 1, i, j)
         tail = G[n][i - 1, i - 1] / (n + nu + i) * up
@@ -291,9 +321,10 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
             disp_ok = False
         if xi.get(n, i, j) != -a[i - 2] * prev + tail:
             corr_ok = False
-    out.append(check("interior recursion, corrected sign", "multiplier-interior-recursion", corr_ok,
-                     displayed_form_pass=disp_ok))
-    if seq.n_max >= 1:
+    if tested:
+        out.append(check("interior recursion, corrected sign", "multiplier-interior-recursion",
+                         corr_ok, displayed_form_pass=disp_ok))
+    if seq.n_max >= 1 and N >= 2:
         disp = all(xi.get(1, i, i + 1) == I[0][i - 1, i] for i in range(1, N))
         corr = all(xi.get(1, i, i + 1) == -I[0][i - 1, i] for i in range(1, N))
         out.append(check("boundary seed xi(1,i,i+1), corrected sign",
@@ -319,37 +350,43 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     return out
 
 
-def h_recursion_next(spec: WeightSpec, H: list) -> MatQ:
-    """H_{n+2} from (H_{n-1},) H_n, H_{n+1} through the delta-coefficient
-    identities, with A, J, A^T - 1 and the inverses of A - 1 and A^T - 1
-    read off `spec`; the H_{n-1} term drops when producing H_2 because the
-    sequence vanishes at negative indices.  Each H_m is inverted afresh,
-    once per call: the inverses are part of the check."""
+def h_recursion_next(spec: WeightSpec, H: list, H_inv: list) -> MatQ:
+    """H_{n+2} from (H_{n-1},) H_n, H_{n+1}, the last two of `H`, and their
+    inverses H_inv[m] = H_m^{-1}, through the delta-coefficient identities,
+    with A, J, A^T - 1 and the inverses of A - 1 and A^T - 1 read off
+    `spec`; the H_{n-1} term drops when producing H_2 because the sequence
+    vanishes at negative indices."""
     A, J, at1, am1_inv = spec.A, spec.J, spec.at1, spec.am1_inv
     i = MatQ.identity(A.N)
     am1 = A - i
     n = len(H) - 2  # producing index n+2
     hn, hn1 = H[n], H[n + 1]
-    hn_inv = hn.inverse()
+    hn_inv = H_inv[n]
     hjh_n = hn * J * hn_inv
-    hjh_n1 = hn1 * J * hn1.inverse()
+    hjh_n1 = hn1 * J * H_inv[n + 1]
     bn = -commutator(J, hjh_n) + am1 * hn1 * at1 * hn_inv
     if n >= 1:
-        bn = bn - hn * at1 * H[n - 1].inverse() * am1
+        bn = bn - hn * at1 * H_inv[n - 1] * am1
     inner = (bn * am1 - i * 2 - hjh_n1 + hjh_n
              + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * hn_inv) * am1)
     return am1_inv * am1_inv * inner * hn1 * spec.at1_inv
 
 
 def verify_H_recursion(seq: OPSeq) -> list[dict]:
+    """H_n for 2 <= n <= n_max by h_recursion_next from the family's
+    H_{n-3}, H_{n-2}, H_{n-1}, against its H_n.  The pass inverts each
+    H_m, m < n_max, once, afresh, when the first step that needs it runs:
+    the inverses are part of the check, so they are taken of the H under
+    check and not read from the family's memo (seq.h_inv)."""
     checks = []
     if seq.n_max < 2:
         return checks
-    H = [seq.H[0], seq.H[1]]
+    H = seq.H
+    inverses = [H[0].inverse()]
     for n in range(2, seq.n_max + 1):
-        nxt = h_recursion_next(seq.spec, H)
-        checks.append(check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == seq.H[n]))
-        H.append(seq.H[n])
+        inverses.append(H[n - 1].inverse())
+        nxt = h_recursion_next(seq.spec, H[:n], inverses)
+        checks.append(check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == H[n]))
     return checks
 
 
@@ -399,18 +436,27 @@ def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
 
 
 def verify_Q_relation(seq: OPSeq) -> list[dict]:
-    """-Q(x,n) J = x Q'(x,n) - (n+J) Q(x,n) + H_n (A-1)^* H_{n-1}^{-1}
-    Q(x,n-1), with the last term absent at n = 0."""
-    J = seq.spec.J
-    i = MatQ.identity(seq.spec.N)
+    """-Q(x,n) J = x Q'(x,n) - (n+J) Q(x,n) + T_n Q(x,n-1), with
+    T_n = H_n (A-1)^* H_{n-1}^{-1} and the last term absent at n = 0,
+    checked entry by entry.  J is diagonal, so coefficient k of entry (i,j)
+    (1-based) reads
+
+        (k-n-i+j) Q_k[i,j] + (T_n Q_{n-1})_k[i,j] = 0.
+
+    T_n Q(x,n-1) is the one block product, one per coefficient; then, with
+    Q_k = num/d and (T_n Q_{n-1})_k = tnum/td on integers,
+    (k-n-i+j) num td + tnum d == 0.  A T_n Q(x,n-1) of higher degree than
+    Q(x,n) fails."""
+    zero = MatQ.zero(seq.spec.N)
     checks = []
-    q = seq.Q
-    for n in range(seq.n_max + 1):
-        lhs = -(q[n] * J)
-        rhs = q[n].derivative().scale_x(1) - MatPoly.const(i * n + J) * q[n]
-        if n >= 1:
-            rhs = rhs + MatPoly.const(seq.T[n]) * q[n - 1]
-        checks.append(check(f"Q relation n={n}", "conjugated-derivative-relation", lhs == rhs))
+    for n, q in enumerate(seq.Q):
+        tq = (seq.T[n] * seq.Q[n - 1]).coeffs if n >= 1 else ()
+        ok = len(tq) <= len(q.coeffs) and all(
+            (k - n - a + b) * v * t.d + w * c.d == 0
+            for k, (c, t) in enumerate(zip(q.coeffs, tq + (zero,) * (len(q.coeffs) - len(tq))))
+            for a, (row, t_row) in enumerate(zip(c.num, t.num))
+            for b, (v, w) in enumerate(zip(row, t_row)))
+        checks.append(check(f"Q relation n={n}", "conjugated-derivative-relation", ok))
     return checks
 
 
@@ -421,16 +467,23 @@ def verify_X_recursion(seq: OPSeq) -> list[dict]:
     G(n)_{ii} = X(n)_{ii} diagonal claim.
 
     The printed item (a) drops the X(n+1) term and swaps H_n J H_n^{-1} for
-    I(n) in row 1; its status is reported against the oracle."""
+    I(n) in row 1; its status is reported against the oracle.  Each check
+    is reported only where it compares something: the X recursion from
+    n_max = 2, the diagonal claim from n_max = 1."""
     spec = seq.spec
     A, N, X = spec.A, spec.N, seq.X
     i = MatQ.identity(N)
-    corr_ok = all(i * n + X[n] * A - A * X[n + 1] - X[n] + X[n + 1]
-                  == -(i * (n + 1 + spec.nu)) - seq.HJH[n] for n in range(1, seq.n_max))
-    disp_ok = all(not any((i * n + X[n] * A - X[n] + i * (n + 1 + spec.nu) + seq.I[n]).rows[0])
-                  for n in range(1, seq.n_max))
-    gx_ok = all(seq.G[n][r, r] == X[n][r, r]
-                for n in range(1, seq.n_max + 1) for r in range(N))
-    return [check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
-                  corr_ok, displayed_form_pass=disp_ok),
-            check("G(n) diagonal equals X(n) diagonal", "coupling-diagonal-claim", gx_ok)]
+    checks = []
+    if seq.n_max >= 2:
+        corr_ok = all(i * n + X[n] * A - A * X[n + 1] - X[n] + X[n + 1]
+                      == -(i * (n + 1 + spec.nu)) - seq.HJH[n] for n in range(1, seq.n_max))
+        disp_ok = all(not any((i * n + X[n] * A - X[n] + i * (n + 1 + spec.nu) + seq.I[n]).rows[0])
+                      for n in range(1, seq.n_max))
+        checks.append(check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
+                            corr_ok, displayed_form_pass=disp_ok))
+    if seq.n_max >= 1:
+        gx_ok = all(seq.G[n][r, r] == X[n][r, r]
+                    for n in range(1, seq.n_max + 1) for r in range(N))
+        checks.append(check("G(n) diagonal equals X(n) diagonal", "coupling-diagonal-claim",
+                            gx_ok))
+    return checks

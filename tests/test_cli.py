@@ -463,15 +463,16 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("nmax,degrees,xi_degrees",
-                         [(4, [5], [4, 5]), (5, [5], [5]), (7, [7], [7, 5])])
+                         [(4, [5], [5]), (5, [5], [5]), (7, [7], [7])])
 def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
         nmax, degrees, xi_degrees, monkeypatch, capsys):
     """The unit weights of N = 2 are the dual Hahn family (c, d) = (0, 1),
     whose suite needs degrees up to min(n_max, 4) + 1.  The weight is
     orthogonalized once, at the higher of n_max and that degree, and each
     suite reads a prefix of that family.  At n_max = 5 both read the family
-    itself, so its xi table is read once; otherwise the two families share
-    P, H and the H inverses the oracle made."""
+    itself; otherwise the two families share P, H, the H inverses the oracle
+    made, and the closed forms and xi values the whole family built.  Either
+    way the xi table is read off R once."""
     oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
     xi = _count_calls(monkeypatch, lf, "read_xi")
     verified, dual_hahn = [], []
@@ -488,6 +489,10 @@ def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
     assert (dh_seq is seq) == (nmax == 5)
     shared = range(min(seq.n_max, dh_seq.n_max) + 1)
     assert all(dh_seq.P[n] is seq.P[n] and dh_seq.h_inv(n) is seq.h_inv(n) for n in shared)
+    assert all(dh_seq.K[n] is seq.K[n] and dh_seq.R[n] is seq.R[n] and dh_seq.I[n] is seq.I[n]
+               for n in shared)
+    assert all(dh_seq.xi.values[key] is v for key, v in seq.xi.values.items()
+               if key[0] <= dh_seq.n_max)
 
 
 @pytest.mark.parametrize("command", [
@@ -501,6 +506,27 @@ def test_verify_orthogonalizes_the_weight_once(command, monkeypatch, capsys):
     code, _, _ = _run(command.split(), capsys)
     assert code == 0
     assert len(oracle) == 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("nmax", range(4))
+def test_no_printed_laguerre_variant_passes_untested(N, nmax, capsys):
+    """A printed variant of the Laguerre suite (interior recursion, n = 1
+    boundary seed, i = 1 boundary relation, X recursion rows) is reported
+    only where it compared an entry, and the printed forms are wrong
+    wherever they are compared: no row may claim displayed_form_pass.  The
+    G(n) = X(n) diagonal claim, too, is reported only from n_max = 1."""
+    code, out, _ = _run(f"verify --suite laguerre --N {N} --nmax {nmax}".split(), capsys)
+    assert code == 0
+    payload = json.loads(out)
+    rows = payload["display_corrections"]
+    assert not [r["check_id"] for r in rows if r["displayed_form_pass"]]
+    ids = {r["check_id"] for r in rows}
+    assert ("interior recursion, corrected sign" in ids) == (N >= 2 and nmax >= 1)
+    assert ("boundary seed xi(1,i,i+1), corrected sign" in ids) == (N >= 2 and nmax >= 1)
+    assert ("X recursion rows, derived form" in ids) == (nmax >= 2)
+    checks = {c["check_id"] for c in payload["checks"]}
+    assert ("G(n) diagonal equals X(n) diagonal" in checks) == (nmax >= 1)
 
 
 def test_verify_orthogonalizes_each_distinct_weight_once(monkeypatch, capsys):
@@ -531,7 +557,8 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     """suite_operators, suite_laguerre and extract_xi on one family build
     each K_n, each K_n^{-1} and each R(x,n) = K_n^{-1} P_n e^{xA} once, and
     invert an H_n only in the family's memo (at most once each) or where a
-    fresh inverse is the check itself."""
+    fresh inverse is the check itself: the norm recursion pass, which
+    inverts each H_m it reads once, and the X(1) bootstrap."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -569,10 +596,13 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     lf.extract_xi(seq)
     for name in ("K", "K_inv", "R"):
         assert sorted(n for what, n in built if what == name) == list(degrees), name
-    memo = [n for caller, n in inverted if caller == "_inverse_of_H"]
-    assert len(memo) == len(set(memo))
+    for owner in ("_inverse_of_H", "verify_H_recursion"):
+        once = [n for caller, n in inverted if caller == owner]
+        assert len(once) == len(set(once)), owner
+    assert [n for caller, n in inverted if caller == "verify_H_recursion"] \
+        == list(range(seq.n_max))
     assert {caller for caller, _ in inverted} <= {
-        "_inverse_of_H", "h_recursion_next", "x1_from_h0"}
+        "_inverse_of_H", "verify_H_recursion", "x1_from_h0"}
 
 
 def _owner(frame):

@@ -128,6 +128,32 @@ def test_prefix_is_the_family_of_fewer_degrees(spec):
             whole.prefix(m)
 
 
+CLOSED_FORMS = ("HJH", "T", "Gamma", "K", "K_inv", "Q", "R", "G", "I")
+
+
+def test_prefix_slices_the_closed_forms_of_its_family(monkeypatch):
+    """A prefix's closed forms are the [:m+1] slices of its family's tuples
+    and its xi table is the family's at n <= m: the xi table is read off R
+    once, however many prefixes read it, and a prefix of a prefix slices the
+    same objects."""
+    import mvlaguerre.laguerre_forms as lf
+
+    reads = []
+    read_xi = lf.read_xi
+    monkeypatch.setattr(lf, "read_xi", lambda seq: reads.append(seq.n_max) or read_xi(seq))
+    whole = compute_monic_ops(RATIONAL_SPECS[2], 4)
+    for m in range(4):
+        short = whole.prefix(m)
+        for name in CLOSED_FORMS:
+            sliced, full = getattr(short, name), getattr(whole, name)
+            assert len(sliced) == m + 1 and all(a is b for a, b in zip(sliced, full)), name
+        assert short.xi.n_max == m
+        assert short.xi.values == {k: v for k, v in whole.xi.values.items() if k[0] <= m}
+        inner = whole.prefix(3).prefix(m)
+        assert all(a is b for a, b in zip(inner.R, whole.R)) and inner.xi.values == short.xi.values
+    assert reads == [4]
+
+
 def test_singular_norm_raises_when_first_needed():
     # delta_1 = 0 slips past the constructor's checks here; the first row of
     # every moment, and so of H_0, is then zero

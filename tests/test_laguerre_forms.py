@@ -18,6 +18,7 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        read_xi, verify_xi_tables, x1_from_h0,
                                        xi_by_recursion, XiTable)
 from mvlaguerre.matrices import MatPoly, MatQ
+from mvlaguerre.operators import second_order_diagonalized
 from mvlaguerre.weights import WeightSpec
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
@@ -185,7 +186,8 @@ def test_H_recursion_negative_control():
     h = [seq.H[0], seq.H[1]]
     s = seq.spec
     wrong_a = WeightSpec(s.N, s.nu, (s.a[0] + 1,), s.delta, s.phi)
-    assert h_recursion_next(wrong_a, h) != seq.H[2]
+    assert h_recursion_next(s, h, [m.inverse() for m in h]) == seq.H[2]
+    assert h_recursion_next(wrong_a, h, [m.inverse() for m in h]) != seq.H[2]
 
 
 def test_scalar_H_ratio():
@@ -374,3 +376,147 @@ def test_read_xi_controls_are_exact_at_the_boundary():
                         "R(0)[2,1] is not a multiple of L_1^(nu+1)")
     _assert_both_reject(_with_entry_added(seq, 0, 1, 2, 0, 1),
                         "R(0)[1,2] nonzero below the degree pattern")
+
+
+# verify_R_eigen, verify_Q_relation and verify_H_recursion run entry by
+# entry on integer numerators, and the H pass inverts each H_m once; each
+# must give, verdict for verdict, what the generic forms they replaced give.
+
+def _R_eigen_reference(seq):
+    """D_Q acting on R(x,n) against Lambda_n R(x,n), as matrix polynomials."""
+    dq = second_order_diagonalized(seq.spec)
+    N = seq.spec.N
+    return [dq.act(r) == MatPoly.const(MatQ.diag([-(n + k) for k in range(1, N + 1)])) * r
+            for n, r in enumerate(seq.R)]
+
+
+def _Q_relation_reference(seq):
+    """-Q J == x Q' - (n+J) Q + T_n Q(x,n-1), as matrix polynomials."""
+    J, i = seq.spec.J, MatQ.identity(seq.spec.N)
+    out = []
+    for n, q in enumerate(seq.Q):
+        rhs = q.derivative().scale_x(1) - MatPoly.const(i * n + J) * q
+        if n >= 1:
+            rhs = rhs + MatPoly.const(seq.T[n]) * seq.Q[n - 1]
+        out.append(-(q * J) == rhs)
+    return out
+
+
+def _H_recursion_reference(seq):
+    """Each step with inverses of its own, taken afresh."""
+    return [h_recursion_next(seq.spec, seq.H[:n], [h.inverse() for h in seq.H[:n]]) == seq.H[n]
+            for n in range(2, seq.n_max + 1)]
+
+
+def _verdicts(checks):
+    return [c["pass"] for c in checks]
+
+
+def _assert_match_the_references(seq):
+    """The three checks against their references; returns whether any failed."""
+    got = (_verdicts(verify_R_eigen(seq)), _verdicts(verify_Q_relation(seq)),
+           _verdicts(verify_H_recursion(seq)))
+    assert got == (_R_eigen_reference(seq), _Q_relation_reference(seq),
+                   _H_recursion_reference(seq))
+    return not all(map(all, got))
+
+
+def _with_P_entry_added(seq, m, i, j, k, value):
+    """The family with `value` x^k added to entry (i, j) (1-based) of P_m."""
+    P = list(seq.P)
+    P[m] = P[m] + MatPoly.monomial(k, MatQ.unit(seq.spec.N, i - 1, j - 1) * value)
+    return OPSeq(seq.spec, seq.table, P, seq.H)
+
+
+def _with_H_entry_added(seq, m, i, j, value):
+    H = list(seq.H)
+    H[m] = H[m] + MatQ.unit(seq.spec.N, i - 1, j - 1) * value
+    return OPSeq(seq.spec, seq.table, seq.P, H)
+
+
+@cache
+def _rational_family(index):
+    from test_engine import RATIONAL_SPECS
+
+    return compute_monic_ops(RATIONAL_SPECS[index], 5)
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda k: f"N={k + 1}")
+def test_entrywise_checks_match_the_generic_forms_on_rational_specs(index):
+    """Clean, every check passes; one corrupted coefficient of each P_m and
+    one corrupted entry of each H_m give the references' verdicts, and some
+    verdict fails in each."""
+    seq = _rational_family(index)
+    N = seq.spec.N
+    assert not _assert_match_the_references(seq)
+    for m in range(seq.n_max + 1):
+        assert _assert_match_the_references(_with_P_entry_added(seq, m, N, 1, m // 2, F(-3, 7)))
+        assert _assert_match_the_references(_with_H_entry_added(seq, m, 1, N, F(5, 11)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(weight_specs(), st.integers(0, 4), st.data())
+def test_entrywise_checks_match_the_generic_forms(spec, n_max, data):
+    seq = compute_monic_ops(spec, n_max)
+    N = spec.N
+    assert not _assert_match_the_references(seq)
+    m = data.draw(st.integers(0, n_max))
+    i, j = data.draw(st.integers(1, N)), data.draw(st.integers(1, N))
+    _assert_match_the_references(_with_P_entry_added(seq, m, i, j, data.draw(st.integers(0, m)),
+                                                     data.draw(nonzero)))
+    _assert_match_the_references(_with_H_entry_added(seq, m, i, j, data.draw(nonzero)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_R_eigen_fails_at_the_degree_of_one_perturbed_P_entry(index, data):
+    """value x^k added to entry (i, j) of P_m adds exactly value x^k to entry
+    (i, j) of R(x, m), which is a multiple of L_{m+i-j}^(nu+j) only if it is
+    a constant and m + i - j = 0."""
+    seq = _rational_family(index)
+    N = seq.spec.N
+    m, i, j = (data.draw(st.integers(0, seq.n_max)), data.draw(st.integers(1, N)),
+               data.draw(st.integers(1, N)))
+    k = data.draw(st.integers(0, m))
+    assume(k >= 1 or m + i - j != 0)
+    bad = _with_P_entry_added(seq, m, i, j, k, data.draw(nonzero))
+    assert [c["check_id"] for c in verify_R_eigen(bad) if not c["pass"]] \
+        == [f"R eigen-equation n={m}"]
+
+
+@pytest.mark.parametrize("index", [1, 2, 3], ids=lambda k: f"N={k + 1}")
+def test_R_eigen_with_nu_plus_one_fails_at_every_degree(index):
+    """R(x, n) read against D_Q and Lambda_n of nu + 1: for N >= 2 every
+    degree holds an entry of positive degree, which no longer solves its
+    Laguerre equation."""
+    seq = _rational_family(index)
+    s = seq.spec
+    shifted = OPSeq(WeightSpec(s.N, s.nu + 1, s.a, s.delta), seq.table, seq.P, seq.H)
+    shifted.R = seq.R  # shadows the cached R
+    checks = verify_R_eigen(shifted)
+    assert len(checks) == seq.n_max + 1
+    assert not any(_verdicts(checks))
+    assert _R_eigen_reference(shifted) == _verdicts(checks)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_H_recursion_fails_on_one_corrupted_norm(m):
+    seq = _rational_family(2)
+    failing = [c["check_id"] for c in verify_H_recursion(_with_H_entry_added(seq, m, 2, 2, 1))
+               if not c["pass"]]
+    assert failing
+    if m >= 2:
+        assert f"H-recursion n={m}" in failing
+
+
+def test_Q_relation_fails_when_T_Q_outgrows_Q():
+    """T_n Q(x, n-1) of higher degree than Q(x, n) fails the relation: Q(x, 2)
+    replaced by Q(x, 2) cut to degree 1."""
+    seq = compute_monic_ops(SPECS[2], 3)
+    Q = list(seq.Q)
+    Q[2] = MatPoly(Q[2].coeffs[:2], seq.spec.N)
+    seq.Q = tuple(Q)  # shadows the cached Q
+    assert len((seq.T[2] * seq.Q[1]).coeffs) > len(seq.Q[2].coeffs)
+    assert [c["check_id"] for c in verify_Q_relation(seq) if not c["pass"]] \
+        == ["Q relation n=2", "Q relation n=3"]
+    assert _Q_relation_reference(seq) == _verdicts(verify_Q_relation(seq))
