@@ -165,7 +165,10 @@ def cmd_verify(args) -> int:
         if args.suite in ("laguerre", "all"):
             checks += rp.suite_laguerre(seq)
     if resolve:
-        resolutions = rp.resolve_open_questions(family[r])
+        # at r == n_max the laguerre suite read the boundary relation on this family
+        rows = ([c for c in checks if c["equation"] == "multiplier-boundary-relation"]
+                if r == n_max else None)
+        resolutions = rp.resolve_open_questions(family[r], rows)
     if params is not None:
         dh_seq = family[k] if shared_dh else compute_monic_ops(params.spec, k)
         checks += rp.suite_dualhahn(params, dh_seq)

@@ -5,9 +5,14 @@ The family it returns, `OPSeq`, also owns every per-degree object derived
 from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
 Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
 first use.  Every sum of block products here (the projections, the inner
-products, the moment rows of the orthogonality check) is fused into one
-`MatQ.dot` with a single gcd pass; the canonical form is unique, so
-regrouping a sum this way is exact.
+products <x^n I, P_m> over the once-transposed coefficients of P_m, each
+coefficient of the three-term recurrence, the moment rows of the
+orthogonality check) is fused into one `MatQ.dot` with a single gcd pass;
+the canonical form is unique, so regrouping a sum this way is exact.  A
+block that is exactly zero adds nothing to such a sum, so the Gram and
+C-ratio sums of the orthogonality check leave out the zero blocks of the
+moment row, which are every block below the degree when the family is
+orthogonal.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import cached_property, wraps
 
 from .matrices import MatPoly, MatQ, SingularMatrixError, build_K, exp_nilpotent
 from .scalar import RPoly, rat
-from .weights import MomentTable, WeightSpec, inner_product
+from .weights import MomentTable, WeightSpec
 
 
 def check(check_id: str, equation: str, ok, **extra) -> dict:
@@ -177,27 +182,37 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
     P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one fused sum
-    (MatQ.dot) per coefficient.  Since P_n is orthogonal to every lower
-    degree, H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
+    (MatQ.dot) per coefficient.  <x^n I, P_m> = sum_b m_{n+b} P_{m,b}^T is
+    one fused sum over the transposed coefficients of P_m, taken once, when
+    P_m is finished.  Since P_n is orthogonal to every lower degree,
+    H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
     coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
     first needs it, and handed to the family.
     """
     if not spec.phi_is_x():
         raise ValueError("orthogonalization requires phi(x) = x")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0 (got n_max={n_max})")
     table = MomentTable(spec, 2 * n_max + 2)
     n, i = spec.N, MatQ.identity(spec.N)
     P: list[MatPoly] = []
     H: list[MatQ] = []
+    transposed: list[list] = []  # the nonzero (b, P_{m,b}^T) of each P_m
     inverses: dict = {}
+
+    def with_monomial(deg: int, m: int) -> MatQ:
+        return MatQ.dot([(table[deg + b], ct) for b, ct in transposed[m]], n)
+
     for deg in range(n_max + 1):
-        xn = MatPoly.monomial(deg, i)
         terms = [[] for _ in range(deg)]
         for m in range(deg):
-            coef = inner_product(xn, P[m], table) * _inverse_of_H(H, inverses, m)
+            coef = with_monomial(deg, m) * _inverse_of_H(H, inverses, m)
             for k, c in enumerate(P[m].coeffs):
                 terms[k].append((coef, c))
         P.append(MatPoly([-MatQ.dot(t, n) for t in terms] + [i], n))
-        H.append(inner_product(xn, P[-1], table))
+        transposed.append([(b, c.transpose()) for b, c in enumerate(P[-1].coeffs)
+                           if not c.is_zero()])
+        H.append(with_monomial(deg, deg))
     return OPSeq(spec, table, P, H, inverses)
 
 
@@ -222,16 +237,25 @@ def scalar_laguerre_monic(alpha, n_max: int):
 
 
 def verify_three_term(seq: OPSeq) -> list[dict]:
-    """Exact residual checks for the three-term recurrence and the
-    second-coefficient recursion."""
+    """Exact residual checks for the three-term recurrence
+    x P_k = P_{k+1} + B_k P_k + C_k P_{k-1} and the second-coefficient
+    recursion.  Coefficient j of the recurrence reads
+
+        P_{k,j-1} = P_{k+1,j} + B_k P_{k,j} + C_k P_{k-1,j},
+
+    one fused sum (MatQ.dot) per coefficient, for j up to
+    max(deg P_{k+1}, deg P_k + 1, deg P_{k-1}): a P_{k+1} whose degree
+    dropped fails at the top coefficient."""
+    n = seq.spec.N
+    i = MatQ.identity(n)
     checks = []
     for k in range(seq.n_max):
-        lhs = seq.P[k].scale_x(1)
-        rhs = seq.P[k + 1] + MatPoly.const(seq.B[k]) * seq.P[k]
-        if k >= 1:
-            rhs = rhs + MatPoly.const(seq.C[k]) * seq.P[k - 1]
-        checks.append(check(f"three-term n={k}", "three-term-recurrence",
-                            (lhs - rhs).is_zero()))
+        up, mid = seq.P[k + 1].coeffs, seq.P[k].coeffs
+        low = seq.P[k - 1].coeffs if k >= 1 else ()
+        terms = ((i, up), (seq.B[k], mid), (seq.C[k], low))
+        ok = all(MatQ.dot([(m, c[j]) for m, c in terms if j < len(c)], n) == seq.P[k].coeff(j - 1)
+                 for j in range(max(len(up), len(mid) + 1, len(low))))
+        checks.append(check(f"three-term n={k}", "three-term-recurrence", ok))
     for k in range(2, seq.n_max):
         ok = seq.Y[k] == seq.Y[k + 1] + seq.B[k] * seq.X[k] + seq.C[k]
         checks.append(check(f"Y-recursion n={k}", "second-coefficient-recursion", ok))
@@ -253,19 +277,24 @@ def verify_orthogonality(seq: OPSeq) -> list[dict]:
     not against the H_i H_{i-1}^{-1} it is built from.  Both products are
     read off the moment row L_i of one degree at a time:
     <P_i, x^s P_j> = sum_b L_i[b+s] P_{j,b}^T, O(n^3) block products for
-    the triangle instead of O(n^4).  No row outlives its degree."""
+    the triangle instead of O(n^4).  A block L_i[b] that is exactly zero
+    (every b < i when P_i is orthogonal to the lower degrees) adds nothing
+    and makes no term of either sum.  No row outlives its degree."""
     n = seq.spec.N
     transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
     checks = []
     for i, p in enumerate(seq.P):
         row = moment_row(p, seq.table)
+        nonzero = [b for b, block in enumerate(row) if not block.is_zero()]
         for j in range(i):
-            ip = MatQ.dot(list(zip(row, transposed[j])), n)
+            ip = MatQ.dot([(row[b], transposed[j][b]) for b in nonzero
+                           if b < len(transposed[j])], n)
             checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ip.is_zero()))
         checks.append(check(f"H-posdef n={i}", "orthogonality",
                             seq.H[i].is_positive_definite()))
         if i >= 1:
-            ip = MatQ.dot(list(zip(row[1:], transposed[i - 1])), n)
+            ip = MatQ.dot([(row[b], transposed[i - 1][b - 1]) for b in nonzero
+                           if 1 <= b <= len(transposed[i - 1])], n)
             checks.append(check(f"C-ratio n={i}", "recurrence-coefficients",
                                 seq.C[i] * seq.H[i - 1] == ip))
     return checks

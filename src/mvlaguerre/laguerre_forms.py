@@ -413,21 +413,24 @@ def x1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
 
 
 def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
-    """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}."""
-    x1 = x1_from_h0(spec, h0)
+    """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}, X(1) from x1_from_h0."""
+    return _h1_from_x1(spec, h0, x1_from_h0(spec, h0))
+
+
+def _h1_from_x1(spec: WeightSpec, h0: MatQ, x1: MatQ) -> MatQ:
     return (x1 + commutator(spec.J, x1)) * h0 * spec.at1_inv
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
-    """X(1) and H_1 rebuilt from H_0; a family without P_1 has nothing to
-    compare them with."""
+    """X(1) and H_1 rebuilt from H_0, H_1 from that one X(1) (so H_0 is
+    inverted once); a family without P_1 has nothing to compare them with."""
     spec = seq.spec
     if seq.n_max < 1:
         return []
     x1 = x1_from_h0(spec, seq.H[0])
     zero_ok = all(seq.X[1][i, j] == 0
                   for i in range(spec.N) for j in range(spec.N) if j > i + 1)
-    h1 = h1_from_h0(spec, seq.H[0])
+    h1 = _h1_from_x1(spec, seq.H[0], x1)
     return [
         check("X(1) from H_0", "norm-bootstrap", x1 == seq.X[1]),
         check("X(1) zero pattern", "norm-bootstrap", zero_ok),

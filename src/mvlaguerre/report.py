@@ -72,12 +72,15 @@ def resolve_xi_seed(seq: OPSeq) -> dict:
     }
 
 
-def resolve_i1_boundary(seq: OPSeq) -> dict:
+def resolve_i1_boundary(seq: OPSeq, rows: list[dict] | None = None) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
-    versus the printed pair."""
-    rows = [c for c in lf.verify_displayed_xi_recursions(seq)
-            if c["equation"] == "multiplier-boundary-relation"]
+    versus the printed pair.  `rows` are the multiplier-boundary-relation
+    checks of `seq` where a suite already ran them; without them the
+    printed variants of `seq` are checked here."""
+    if rows is None:
+        rows = [c for c in lf.verify_displayed_xi_recursions(seq)
+                if c["equation"] == "multiplier-boundary-relation"]
     if not rows:
         raise AmbiguousResolutionError("i=1 boundary relation was not exercised")
     derived_ok = all(c["pass"] for c in rows)
@@ -94,14 +97,15 @@ def resolve_i1_boundary(seq: OPSeq) -> dict:
     }
 
 
-def resolve_open_questions(seq: OPSeq) -> list[dict]:
+def resolve_open_questions(seq: OPSeq, boundary_rows: list[dict] | None = None) -> list[dict]:
     """The three resolutions for the weight of `seq`, read off its moment
     table, xi table and G, I.  The i = 1 boundary relation first appears at
-    degree 2, so `seq` must reach n_max >= 2."""
+    degree 2, so `seq` must reach n_max >= 2.  `boundary_rows` hands over
+    the multiplier-boundary-relation checks a suite already ran on `seq`."""
     return [
         resolve_h0_pochhammer(seq),
         resolve_xi_seed(seq),
-        resolve_i1_boundary(seq),
+        resolve_i1_boundary(seq, boundary_rows),
     ]
 
 

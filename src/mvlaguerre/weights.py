@@ -10,13 +10,22 @@ makes the whole table rational:
     m_s[i,j] = sum_{r<=min(i,j)} delta_r c_{i,r} c_{j,r} (nu+1)_{s+i+j-r}
 
 where c_{i,r} = (A^{i-r})_{i,r} / (i-r)! (1-based indices throughout the
-formulas; storage is 0-based).
+formulas; storage is 0-based).  The table is built on integer numerators:
+with nu = p/q, (nu+1)_t = R_t / q^t for the integers R_0 = 1,
+R_{t+1} = R_t (p + q(t+1)); the s-independent weights delta_r c_{i,r} c_{j,r}
+are written k_{ijr} / W over one common denominator W, and, with
+e = i+j-r in 1..2N-1,
+
+    m_s[i,j] = sum_r k_{ijr} q^{2N-1-e} R_{s+e} / (W q^{s+2N-1}),
+
+one integer sum per entry and one gcd pass per matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .matrices import MatPoly, MatQ, build_A, build_J, exp_nilpotent
 from .scalar import DomainError, RPoly, pochhammer, rat
@@ -119,9 +128,11 @@ def _moment_sums(spec: WeightSpec, offsets) -> list[MatQ]:
 
         sum_{r<=min(i,j)} delta_r c_{i,r} c_{j,r} (nu+1)_{s+i+j-r},
 
-    c_{i,r} = prod_{k=r}^{i-1} a_k / (i-r)!.  The c table and the prefix
-    list (nu+1)_0, (nu+1)_1, ... are built once for all offsets; every
-    offset must be >= -1, so that no index is negative."""
+    c_{i,r} = prod_{k=r}^{i-1} a_k / (i-r)!, summed on the integer
+    numerators of the module docstring: the weights, the R_t and the
+    powers of q are built once for all offsets, and each m_s is one MatQ
+    with one gcd pass.  Every offset must be >= -1, so that no index
+    s+i+j-r is negative."""
     if not spec.phi_is_x():
         raise UnsupportedWeightError("moments require phi(x) = x")
     offsets = list(offsets)
@@ -131,20 +142,23 @@ def _moment_sums(spec: WeightSpec, offsets) -> list[MatQ]:
         c[r][r] = Fraction(1)
         for i in range(r + 1, n + 1):
             c[i][r] = c[i - 1][r] * spec.a[i - 2] / (i - r)
-    rising = [Fraction(1)]
-    for k in range(max(offsets) + 2 * n - 1):
-        rising.append(rising[-1] * (spec.nu + 1 + k))
-    # delta_r c_{i,r} c_{j,r} and the index i+j-r do not depend on s
-    terms = {(i, j): [(spec.delta[r - 1] * c[i][r] * c[j][r], i + j - r)
-                      for r in range(1, j + 1)]
-             for i in range(1, n + 1) for j in range(1, i + 1)}
+    ratios = {(i, j): [(spec.delta[r - 1] * c[i][r] * c[j][r], i + j - r)
+                       for r in range(1, j + 1)]
+              for i in range(1, n + 1) for j in range(1, i + 1)}
+    w = lcm(*(k.denominator for terms in ratios.values() for k, _ in terms))
+    p, q = spec.nu.numerator, spec.nu.denominator
+    top = 2 * n - 1
+    terms = {ij: [(k.numerator * (w // k.denominator) * q ** (top - e), e) for k, e in ij_terms]
+             for ij, ij_terms in ratios.items()}
+    rising = [1]
+    for t in range(max(offsets) + top):
+        rising.append(rising[-1] * (p + q * (t + 1)))
     out = []
     for s in offsets:
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for (i, j), ij_terms in terms.items():
-            v = sum((k * rising[s + e] for k, e in ij_terms), Fraction(0))
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
-        out.append(MatQ(rows))
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = sum(k * rising[s + e] for k, e in ij_terms)
+        out.append(MatQ._canonical(rows, w * q ** (s + top)))
     return out
 
 
@@ -198,6 +212,8 @@ class MomentTable:
     """Read-only table m_0..m_depth for one WeightSpec."""
 
     def __init__(self, spec: WeightSpec, depth: int):
+        if depth < 0:
+            raise ValueError(f"moment table depth must be >= 0 (got depth={depth})")
         self.spec = spec
         self.depth = depth
         self.moments = _moment_sums(spec, range(depth + 1))

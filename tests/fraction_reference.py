@@ -1,13 +1,16 @@
-"""Fraction-by-Fraction reference versions of the scalar closed forms and of
-`read_xi`: every step is one `fractions.Fraction` operation, the way they
-read before the package moved them onto integer numerators.  The exactness
-tests require the package to give the same values, and to raise
-`DomainError` or `ClosedFormViolation` on the same inputs."""
+"""Fraction-by-Fraction reference versions of the scalar closed forms, of
+`read_xi` and of the moment sums: every step is one `fractions.Fraction`
+operation, the way they read before the package moved them onto integer
+numerators.  The exactness tests require the package to give the same
+values, and to raise `DomainError` or `ClosedFormViolation` on the same
+inputs.  `three_term_residuals` is the three-term check as the `MatPoly`
+identity it was before it became one fused sum per coefficient."""
 
 from fractions import Fraction
 from math import factorial
 
 from mvlaguerre.laguerre_forms import ClosedFormViolation, XiTable
+from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.scalar import DomainError, RPoly, lambda_lattice, rat
 
 
@@ -103,3 +106,42 @@ def read_xi(seq) -> XiTable:
                         f"R({n})[{i},{j}] is not a multiple of L_{deg}^(nu+{j})")
                 table.values[n, i, j] = ratio
     return table
+
+
+def moment_sums(spec, offsets) -> list:
+    """For each s in `offsets` (each >= -1) the matrix with 1-based entries
+    sum_{r<=min(i,j)} delta_r c_{i,r} c_{j,r} (nu+1)_{s+i+j-r}, each term a
+    Fraction product over the Fraction prefix list of (nu+1)_t."""
+    offsets = list(offsets)
+    n = spec.N
+    c = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for r in range(1, n + 1):
+        c[r][r] = Fraction(1)
+        for i in range(r + 1, n + 1):
+            c[i][r] = c[i - 1][r] * spec.a[i - 2] / (i - r)
+    rising = [Fraction(1)]
+    for k in range(max(offsets) + 2 * n - 1):
+        rising.append(rising[-1] * (spec.nu + 1 + k))
+    terms = {(i, j): [(spec.delta[r - 1] * c[i][r] * c[j][r], i + j - r)
+                      for r in range(1, j + 1)]
+             for i in range(1, n + 1) for j in range(1, i + 1)}
+    out = []
+    for s in offsets:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), ij_terms in terms.items():
+            v = sum((k * rising[s + e] for k, e in ij_terms), Fraction(0))
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        out.append(MatQ(rows))
+    return out
+
+
+def three_term_residuals(seq) -> list[bool]:
+    """For k < n_max, whether x P_k - (P_{k+1} + B_k P_k + C_k P_{k-1}) is
+    the zero matrix polynomial."""
+    out = []
+    for k in range(seq.n_max):
+        rhs = seq.P[k + 1] + MatPoly.const(seq.B[k]) * seq.P[k]
+        if k >= 1:
+            rhs = rhs + MatPoly.const(seq.C[k]) * seq.P[k - 1]
+        out.append((seq.P[k].scale_x(1) - rhs).is_zero())
+    return out

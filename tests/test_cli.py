@@ -462,6 +462,21 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
     assert (len(oracle), len(xi), len(gi)) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("nmax,calls", [(5, 1), (1, 2)])
+def test_verify_laguerre_reads_the_boundary_relation_once_per_family(
+        nmax, calls, monkeypatch, capsys):
+    """At n_max >= 2 the i = 1 boundary resolution reads the suite's own
+    multiplier-boundary-relation rows; at n_max = 1 it reads a family of
+    degree 3, which the suite did not check, and runs the printed variants
+    there."""
+    displayed = _count_calls(monkeypatch, lf, "verify_displayed_xi_recursions")
+    code, out, _ = _run(["verify", "--suite", "laguerre", "--N", "3", "--nmax", str(nmax)],
+                        capsys)
+    assert code == 0
+    assert len(json.loads(out)["open_question_resolutions"]) == 3
+    assert [seq.n_max for seq, in displayed] == [nmax, 3][:calls]
+
+
 @pytest.mark.parametrize("nmax,degrees,xi_degrees",
                          [(4, [5], [5]), (5, [5], [5]), (7, [7], [7])])
 def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
@@ -558,7 +573,8 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     each K_n, each K_n^{-1} and each R(x,n) = K_n^{-1} P_n e^{xA} once, and
     invert an H_n only in the family's memo (at most once each) or where a
     fresh inverse is the check itself: the norm recursion pass, which
-    inverts each H_m it reads once, and the X(1) bootstrap."""
+    inverts each H_m it reads once, and the X(1) bootstrap, which builds
+    X(1) once and so inverts H_0 once."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -601,6 +617,7 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
         assert len(once) == len(set(once)), owner
     assert [n for caller, n in inverted if caller == "verify_H_recursion"] \
         == list(range(seq.n_max))
+    assert [n for caller, n in inverted if caller == "x1_from_h0"] == [0]
     assert {caller for caller, _ in inverted} <= {
         "_inverse_of_H", "verify_H_recursion", "x1_from_h0"}
 

@@ -2,6 +2,7 @@ import sys
 import threading
 from fractions import Fraction as F
 
+import fraction_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,43 @@ def test_orthogonality_fails_exactly_at_a_perturbed_coefficient(i, k):
     failed = {c["check_id"] for c in checks if not c["pass"]}
     assert failed == ({f"orthogonality n={i},m={j}" for j in range(k + 1)}
                       | ({f"C-ratio n={i}"} if k >= i - 2 else set()))
+
+
+def _perturbed_families(spec, n_max):
+    """The family of `spec`, then each family with one coefficient of one
+    P_m bumped by E_11 / 1000 or zeroed (a zeroed leading coefficient drops
+    the degree of P_m); B and C are read off the perturbed P."""
+    seq = compute_monic_ops(spec, n_max)
+    yield "clean", seq
+    bump = MatQ.unit(spec.N, 0, 0) * F(1, 1000)
+    for m, p in enumerate(seq.P):
+        for k, c in enumerate(p.coeffs):
+            for how, new in (("bumped", c + bump), ("zeroed", MatQ.zero(spec.N))):
+                coeffs = list(p.coeffs)
+                coeffs[k] = new
+                P = list(seq.P)
+                P[m] = MatPoly(coeffs, spec.N)
+                yield f"P_{m} coefficient {k} {how}", OPSeq(spec, seq.table, P, seq.H)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_fused_three_term_matches_the_matpoly_identity(spec):
+    """The one-fused-sum-per-coefficient check gives the verdict of the
+    MatPoly identity x P_k = P_{k+1} + B_k P_k + C_k P_{k-1} at every k, on
+    the family and on every one-coefficient perturbation of it, and each
+    perturbation fails at some k."""
+    for what, seq in _perturbed_families(spec, 4):
+        fused = [c["pass"] for c in verify_three_term(seq)
+                 if c["equation"] == "three-term-recurrence"]
+        expected = ref.three_term_residuals(seq)
+        assert fused == expected, what
+        assert all(fused) == (what == "clean"), what
+
+
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_negative_degree_is_rejected(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        compute_monic_ops(SPEC2, n_max)
 
 
 def _subtract_chain(spec, n_max, projection_order=None):

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import factorial
 
+import fraction_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,8 +151,8 @@ _pos = _rats.filter(lambda v: v > 0)
 
 
 @st.composite
-def rational_specs(draw):
-    n = draw(st.integers(1, 4))
+def rational_specs(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
     a = draw(st.lists(_rats.filter(lambda v: v != 0), min_size=n - 1, max_size=n - 1))
     delta = draw(st.lists(_pos, min_size=n, max_size=n))
     return WeightSpec(n, draw(_pos), tuple(a), tuple(delta))
@@ -164,6 +165,25 @@ def test_moment_sums_equal_the_separate_loops(spec, s):
     assert MomentTable(spec, s)[s] == _old_moment(spec, s)
     assert h0_as_displayed(spec) == _old_h0(spec, 0)
     assert moment(spec, 0) == _old_h0(spec, 1)
+
+
+@given(rational_specs(max_dim=5), st.lists(st.integers(-1, 12), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_integer_moment_sums_equal_the_fraction_loop(spec, offsets):
+    """The table on integer Pochhammer numerators equals the Fraction loop
+    it replaced at every offset, -1 (h0_as_displayed) included, and the
+    Gamma-integral path at every s >= 0."""
+    table = weights._moment_sums(spec, offsets)
+    assert table == ref.moment_sums(spec, offsets)
+    for s, m in zip(offsets, table):
+        if s >= 0:
+            assert m == moment_via_expansion(spec, s)
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_moment_table_rejects_a_negative_depth(depth):
+    with pytest.raises(ValueError, match="depth"):
+        MomentTable(SPEC2, depth)
 
 
 def test_moment_rejects_a_negative_index():
