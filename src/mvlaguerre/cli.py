@@ -58,24 +58,6 @@ def _emit(payload: dict, out_path: str | None):
         print(text)
 
 
-def _infer_cd(spec: WeightSpec):
-    """Recover (c, d) = (gamma, 1) from a delta family when it is one of the
-    constructed ones with unit mu and a = -1; None otherwise."""
-    if any(v != -1 for v in spec.a):
-        return None
-    gamma = None
-    for k in range(1, spec.N):
-        ratio = spec.delta[k] / spec.delta[k - 1]
-        g = ratio * k * (spec.N - k) - k
-        if gamma is None:
-            gamma = g
-        elif gamma != g:
-            return None
-    if gamma is None or gamma < 0:
-        return None
-    return (gamma, Fraction(1))
-
-
 def cmd_compute_polys(args) -> int:
     spec = _spec_from_args(args)
     seq = compute_monic_ops(spec, args.nmax)
@@ -118,16 +100,12 @@ def cmd_xi(args) -> int:
     return 0
 
 
-def _dualhahn_params(args, spec: WeightSpec | None):
+def _dualhahn_params(args, spec: WeightSpec):
     if args.c is not None or args.d is not None:
         c = rat(args.c) if args.c is not None else Fraction(1)
         d = rat(args.d) if args.d is not None else Fraction(1)
         return dh.build_delta_family(args.N, rat(args.nu), c, d)
-    if spec is not None:
-        cd = _infer_cd(spec)
-        if cd is not None:
-            return dh.build_delta_family(spec.N, spec.nu, cd[0], cd[1])
-    return None
+    return dh.family_of(spec)
 
 
 def cmd_verify(args) -> int:
@@ -255,7 +233,7 @@ def cmd_dualhahn(args) -> int:
     for row in xi.records():
         n, i, j = row["n"], row["i"], row["j"]
         entry = {"n": n, "i": i, "j": j, "xi_extracted": row["xi"]}
-        if n + i - j > 0 and j <= params.N:
+        if n + i - j > 0:
             entry["xi_dual_hahn"] = rat_str(
                 dh.xi_dual_hahn(n, i, j, params, xi.get(n, i, 1)))
         xi_records.append(entry)

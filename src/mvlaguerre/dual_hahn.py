@@ -30,10 +30,10 @@ from functools import cached_property
 
 from .engine import OPSeq, check
 from .laguerre_forms import XiTable
-from .matrices import MatPoly, MatQ, build_K, exp_nilpotent
-from .operators import DiffOp, ScaledMat, verify_symmetry_conditions
+from .matrices import MatPoly, MatQ, build_K
+from .operators import DiffOp, verify_symmetry_conditions
 from .scalar import DomainError, dual_hahn, dual_hahn_via_recurrence, pochhammer, rat
-from .weights import Frozen, WeightSpec, weight_polynomial_part
+from .weights import Frozen, ScaledMat, WeightSpec
 
 
 class DHParams(Frozen):
@@ -55,6 +55,20 @@ class DHParams(Frozen):
     def spec(self) -> WeightSpec:
         """The weight whose multipliers the dual Hahn forms describe: a_k = -1."""
         return WeightSpec(self.N, self.nu, (-1,) * (self.N - 1), self.delta_nu)
+
+    @cached_property
+    def spec_nu1(self) -> WeightSpec:
+        """The weight at level nu+1, with the diagonal weights delta_nu1."""
+        return WeightSpec(self.N, self.nu + 1, self.spec.a, self.delta_nu1)
+
+    @cached_property
+    def coupling(self) -> tuple:
+        """(C, M*): M* = ((Delta_nu)^{-1} A Delta_{nu+1})^T and the coupling
+        C = (dJ+c)(nu+J+1) + M*, exact."""
+        a, j, i = self.spec.A, self.spec.J, MatQ.identity(self.N)
+        m_star = (MatQ.diag([1 / v for v in self.delta_nu]) * a
+                  * MatQ.diag(self.delta_nu1)).transpose()
+        return (j * self.d + i * self.c) * (j + i * (self.nu + 1)) + m_star, m_star
 
     def to_dict(self) -> dict:
         from .scalar import rat_str
@@ -89,6 +103,19 @@ def build_delta_family(n_dim: int, nu, c, d) -> DHParams:
     if errs:
         raise DomainError("; ".join(errs))
     return params
+
+
+def family_of(spec: WeightSpec) -> DHParams | None:
+    """The constructed family (c, d) = (gamma, 1) whose delta ratios are
+    those of `spec`, when spec has a = -1 and one gamma >= 0 fits every
+    ratio delta_{k+1}/delta_k = (k+gamma)/(k(N-k)); None otherwise."""
+    if any(v != -1 for v in spec.a):
+        return None
+    gammas = {spec.delta[k] / spec.delta[k - 1] * k * (spec.N - k) - k
+              for k in range(1, spec.N)}
+    if len(gammas) != 1 or min(gammas) < 0:
+        return None
+    return build_delta_family(spec.N, spec.nu, gammas.pop(), 1)
 
 
 def check_conditions(params: DHParams) -> list[str]:
@@ -226,14 +253,7 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
                 tested = True
                 if _closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1)) != xi.get(n, i, j):
                     corr_ok = False
-                if params.c > 0:
-                    try:
-                        disp = xi_dual_hahn_displayed(n, i, j, params)
-                        if disp != xi.get(n, i, j):
-                            disp_ok = False
-                    except DomainError:
-                        disp_ok = False
-                else:
+                if params.c <= 0 or xi_dual_hahn_displayed(n, i, j, params) != xi.get(n, i, j):
                     disp_ok = False
             if tested:
                 checks.append(check(f"dual Hahn closed form n={n},i={i}",
@@ -272,24 +292,12 @@ def verify_boundary_recursion(xi: XiTable, params: DHParams) -> list[dict]:
     return checks
 
 
-def derivative_coupling_matrices(params: DHParams):
-    """C = (dJ+c)(nu+J+1) + ((Delta_nu)^{-1} A Delta_{nu+1})^T and the
-    n-scaling D_n = n (d(J-N-1) - c), all exact."""
-    spec = params.spec
-    a, j, i = spec.A, spec.J, MatQ.identity(params.N)
-    dinv = MatQ.diag([1 / v for v in params.delta_nu])
-    d1 = MatQ.diag(params.delta_nu1)
-    m_star = (dinv * a * d1).transpose()
-    c_mat = (j * params.d + i * params.c) * (j + i * (params.nu + 1)) + m_star
-    return c_mat, m_star
-
-
 def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
     """(R'(0,n) - R(0,n) A) C = n (d(J-N-1)-c) R(0,n) exactly for every n;
     also reports the printed sign of the transposed-conjugate entry."""
     nn = params.N
     a, j, i = seq.spec.A, seq.spec.J, MatQ.identity(nn)
-    c_mat, m_star = derivative_coupling_matrices(params)
+    c_mat, m_star = params.coupling
     checks = []
     for n, r in enumerate(seq.R):
         r0 = r(0)
@@ -329,11 +337,9 @@ def phi_psi(params: DHParams):
     l0_inv = build_K(0, params.nu, a)
     l0_star_inv = l0_inv.transpose()
     djc = j * params.d + i * params.c
-    ex_pos = exp_nilpotent(a)    # e^{xA}
-    ex_neg = exp_nilpotent(-a)   # e^{-xA}
+    ex_pos, ex_neg = spec.exp_xA, spec.exp_neg_xA
     ex_pos_t, ex_neg_t = ex_pos.transpose(), ex_neg.transpose()
-    _, m_star = derivative_coupling_matrices(params)
-    m_const = m_star.transpose()   # Delta_nu^{-1} A Delta_{nu+1}
+    m_const = params.coupling[1].transpose()   # Delta_nu^{-1} A Delta_{nu+1}
 
     inner_phi = MatPoly.monomial(1, djc)
     phi = l0_star_inv * (ex_neg_t * inner_phi * ex_pos_t) * l0.transpose()
@@ -347,9 +353,8 @@ def phi_psi(params: DHParams):
         check("deg Psi", "pearson-pair", psi.degree == 1),
     ]
 
-    spec_nu1 = WeightSpec(spec.N, spec.nu + 1, spec.a, params.delta_nu1, spec.phi)
-    w_nu = ScaledMat(spec.nu, l0 * weight_polynomial_part(spec) * l0.transpose())
-    w_nu1 = ScaledMat(spec_nu1.nu, l0 * weight_polynomial_part(spec_nu1) * l0.transpose())
+    w_nu, w_nu1 = (ScaledMat(w.s, l0 * w.body * l0.transpose())
+                   for w in (spec.weight, params.spec_nu1.weight))
     checks.append(check("W Phi = W(nu+1)", "pearson-pair",
                         (w_nu.rmul(phi) - w_nu1).is_zero()))
     checks.append(check("W Psi = d/dx W(nu+1)", "pearson-pair",

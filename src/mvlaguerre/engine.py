@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, wraps
 
-from .matrices import MatPoly, MatQ, SingularMatrixError, build_K, exp_nilpotent
+from .matrices import MatPoly, MatQ, SingularMatrixError, build_K
 from .scalar import RPoly, rat
 from .weights import MomentTable, WeightSpec
 
@@ -153,7 +153,7 @@ class OPSeq:
 
     @_per_degree
     def Q(self) -> tuple:
-        ex = exp_nilpotent(self.spec.A)
+        ex = self.spec.exp_xA
         return tuple(p * ex for p in self.P)
 
     @_per_degree
@@ -187,10 +187,9 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     P_m is finished.  Since P_n is orthogonal to every lower degree,
     H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
     coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
-    first needs it, and handed to the family.
+    first needs it, and handed to the family.  The moment table raises
+    `UnsupportedWeightError` (a ValueError) for phi other than x.
     """
-    if not spec.phi_is_x():
-        raise ValueError("orthogonalization requires phi(x) = x")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0 (got n_max={n_max})")
     table = MomentTable(spec, 2 * n_max + 2)

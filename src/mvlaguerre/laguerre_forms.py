@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator, exp_nilpotent
+from .matrices import MatPoly, MatQ, commutator
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import laguerre_numerators, pochhammer, rat_str
@@ -72,8 +72,8 @@ def verify_diagonalization(spec) -> list[dict]:
     e^{-xA} D e^{xA}, collapses them to their diagonal forms: the ladder to
     d_x x - x, the second-order operator to d_x^2 x + d_x(1+nu-x+J) - J,
     and the multiplication Ax - J to -J."""
-    left = right_mult(exp_nilpotent(-spec.A))
-    right = right_mult(exp_nilpotent(spec.A))
+    left = right_mult(spec.exp_neg_xA)
+    right = right_mult(spec.exp_xA)
     x_i = MatPoly.x_identity(spec.N)
     return [
         check("ladder diagonalization", "diagonalized-eigenproblem",

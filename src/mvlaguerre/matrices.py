@@ -420,17 +420,6 @@ def _check_strictly_lower(a: MatQ):
                 raise ValueError("matrix must be strictly lower triangular")
 
 
-def matexp_nilpotent(a: MatQ) -> MatQ:
-    """exp of a strictly lower triangular matrix, as an exact finite sum."""
-    _check_strictly_lower(a)
-    out = MatQ.identity(a.N)
-    power = MatQ.identity(a.N)
-    for m in range(1, a.N):
-        power = power * a
-        out = out + power * Fraction(1, factorial(m))
-    return out
-
-
 def exp_nilpotent(a: MatQ) -> MatPoly:
     """e^{xA} for strictly lower triangular A, as an exact MatPoly:
     sum over m < N of A^m x^m / m!.  e^{-xA} is exp_nilpotent(-A)."""
@@ -449,7 +438,9 @@ def build_K(n: int, nu, A: MatQ) -> MatQ:
     A(n + nu + 1 + J) - (n + J).  At -A it returns K_n^{-1}.
 
     Entrywise, (K_n)_{i,j} = (prod_{k=j..i-1} a_k) (n+nu+j+1)_{i-j} / (i-j)!
-    in 1-based indices, with a_k = A[k+1, k].
+    in 1-based indices, with a_k = A[k+1, k].  It is the sum of the
+    coefficients of e^{xA(n+nu+1+J)}, its value at x = 1.
     """
     shift = n + rat(nu) + 1
-    return matexp_nilpotent(A * MatQ.diag([shift + j for j in range(1, A.N + 1)]))
+    terms = exp_nilpotent(A * MatQ.diag([shift + j for j in range(1, A.N + 1)])).coeffs
+    return sum(terms[1:], terms[0])

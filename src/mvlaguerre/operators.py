@@ -21,8 +21,8 @@ import math
 
 from .engine import OPSeq, check
 from .matrices import MatPoly, MatQ, commutator
-from .scalar import RPoly, rat
-from .weights import MomentTable, WeightSpec, diagonal_part, weight_polynomial_part
+from .scalar import RPoly
+from .weights import MomentTable, ScaledMat, WeightSpec
 
 
 class WindowError(IndexError):
@@ -258,7 +258,6 @@ def second_order(spec: WeightSpec) -> DiffOp:
 
 def casimir_mult(spec: WeightSpec) -> DiffOp:
     """Right multiplication by Ax - J."""
-    n = spec.N
     return right_mult(MatPoly.monomial(1, spec.A) - MatPoly.const(spec.J))
 
 
@@ -521,62 +520,6 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Symmetry equations for second-order operators against the weight
 # ---------------------------------------------------------------------------
-
-
-class ScaledMat:
-    """x^s e^{-x} B(x) for a rational power s and a matrix polynomial B;
-    closed under d/dx and under one-sided multiplication by matrix
-    polynomials, which is what the symmetry equations need.  It is zero
-    exactly when B is, so every identity between such terms is an exact
-    identity between matrix polynomials."""
-
-    __slots__ = ("s", "body")
-
-    def __init__(self, s, body: MatPoly):
-        self.s = rat(s)
-        self.body = body
-
-    def dx(self) -> "ScaledMat":
-        """d/dx (x^s e^{-x} B) = x^{s-1} e^{-x} (s B + x (B' - B))."""
-        b = self.body
-        return ScaledMat(self.s - 1, b * self.s + (b.derivative() - b).scale_x(1))
-
-    def lmul(self, f: MatPoly) -> "ScaledMat":
-        return ScaledMat(self.s, f * self.body)
-
-    def rmul(self, f: MatPoly) -> "ScaledMat":
-        return ScaledMat(self.s, self.body * f)
-
-    def _aligned(self, other: "ScaledMat"):
-        """Both bodies over the lower of the two powers of x."""
-        gap = self.s - other.s
-        if gap.denominator != 1:
-            raise ValueError(f"powers x^{self.s} and x^{other.s} differ by a non-integer")
-        if gap >= 0:
-            return other.s, self.body.scale_x(int(gap)), other.body
-        return self.s, self.body, other.body.scale_x(int(-gap))
-
-    def __add__(self, other: "ScaledMat") -> "ScaledMat":
-        s, a, b = self._aligned(other)
-        return ScaledMat(s, a + b)
-
-    def __sub__(self, other: "ScaledMat") -> "ScaledMat":
-        s, a, b = self._aligned(other)
-        return ScaledMat(s, a - b)
-
-    def scale(self, c) -> "ScaledMat":
-        return ScaledMat(self.s, self.body * rat(c))
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-
-def weight_scaled(spec: WeightSpec) -> ScaledMat:
-    return ScaledMat(spec.nu, weight_polynomial_part(spec))
-
-
-def diagonal_weight_scaled(spec: WeightSpec) -> ScaledMat:
-    return ScaledMat(spec.nu, diagonal_part(spec))
 
 
 def verify_symmetry_conditions(d: DiffOp, w: ScaledMat, label: str) -> list[dict]:

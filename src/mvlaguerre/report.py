@@ -168,9 +168,9 @@ def suite_operators(seq: OPSeq) -> list[dict]:
     checks += ops.verify_bracket_identities(seq)
     checks += ops.verify_L_poly(RPoly((0, 0, 1)), seq, named)
     checks += ops.verify_symmetry_conditions(
-        named["D2"], ops.weight_scaled(seq.spec), "second-order vs W")
+        named["D2"], seq.spec.weight, "second-order vs W")
     checks += ops.verify_symmetry_conditions(
-        named["DQ2"], ops.diagonal_weight_scaled(seq.spec), "diagonalized vs T")
+        named["DQ2"], seq.spec.diagonal_weight, "diagonalized vs T")
     return checks
 
 

@@ -4,7 +4,10 @@ The weight on [0, infinity) is
 
     W(x) = e^{xA} T(x) e^{xA^T},   T(x) = e^{-x} sum_k delta_k x^{nu+k} E_kk,
 
-with A strictly lower bidiagonal.  Dividing every moment by Gamma(nu+1)
+with A strictly lower bidiagonal.  The spec owns this form: `spec.weight`
+is W and `spec.diagonal_weight` is T, each an x^nu e^{-x} (matrix
+polynomial) `ScaledMat`, and `spec.exp_xA`, `spec.exp_neg_xA` are e^{+-xA},
+each built once per spec, on first use.  Dividing every moment by Gamma(nu+1)
 makes the whole table rational:
 
     m_s[i,j] = sum_{r<=min(i,j)} delta_r c_{i,r} c_{j,r} (nu+1)_{s+i+j-r}
@@ -64,6 +67,54 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class ScaledMat:
+    """x^s e^{-x} B(x) for a rational power s and a matrix polynomial B;
+    closed under d/dx and under one-sided multiplication by matrix
+    polynomials, which is what the symmetry equations need.  It is zero
+    exactly when B is, so every identity between such terms is an exact
+    identity between matrix polynomials."""
+
+    __slots__ = ("s", "body")
+
+    def __init__(self, s, body: MatPoly):
+        self.s = rat(s)
+        self.body = body
+
+    def dx(self) -> "ScaledMat":
+        """d/dx (x^s e^{-x} B) = x^{s-1} e^{-x} (s B + x (B' - B))."""
+        b = self.body
+        return ScaledMat(self.s - 1, b * self.s + (b.derivative() - b).scale_x(1))
+
+    def lmul(self, f: MatPoly) -> "ScaledMat":
+        return ScaledMat(self.s, f * self.body)
+
+    def rmul(self, f: MatPoly) -> "ScaledMat":
+        return ScaledMat(self.s, self.body * f)
+
+    def _aligned(self, other: "ScaledMat"):
+        """Both bodies over the lower of the two powers of x."""
+        gap = self.s - other.s
+        if gap.denominator != 1:
+            raise ValueError(f"powers x^{self.s} and x^{other.s} differ by a non-integer")
+        if gap >= 0:
+            return other.s, self.body.scale_x(int(gap)), other.body
+        return self.s, self.body, other.body.scale_x(int(-gap))
+
+    def __add__(self, other: "ScaledMat") -> "ScaledMat":
+        s, a, b = self._aligned(other)
+        return ScaledMat(s, a + b)
+
+    def __sub__(self, other: "ScaledMat") -> "ScaledMat":
+        s, a, b = self._aligned(other)
+        return ScaledMat(s, a - b)
+
+    def scale(self, c) -> "ScaledMat":
+        return ScaledMat(self.s, self.body * rat(c))
+
+    def is_zero(self) -> bool:
+        return self.body.is_zero()
+
+
 class WeightSpec(Frozen):
     """The weight's parameters: size N, exponent nu, the subdiagonal a of A,
     the diagonal weights delta and the exponent phi of e^{-phi}.  A variant
@@ -108,6 +159,31 @@ class WeightSpec(Frozen):
     @cached_property
     def at1_inv(self) -> MatQ:
         return self.at1.inverse()
+
+    # the weight of phi(x) = x and its factors
+    @cached_property
+    def exp_xA(self) -> MatPoly:
+        return exp_nilpotent(self.A)
+
+    @cached_property
+    def exp_neg_xA(self) -> MatPoly:
+        return exp_nilpotent(-self.A)
+
+    @cached_property
+    def diagonal_weight(self) -> ScaledMat:
+        """T(x) = x^nu e^{-x} sum_k delta_k x^k E_kk (1-based k), its body
+        written coefficient by coefficient."""
+        n = self.N
+        return ScaledMat(self.nu, MatPoly(
+            [MatQ.zero(n)]
+            + [MatQ.diag([self.delta[k] if k == m else 0 for k in range(n)]) for m in range(n)],
+            n))
+
+    @cached_property
+    def weight(self) -> ScaledMat:
+        """W(x) = e^{xA} T(x) e^{xA^T}, the body e^{xA} diag(delta_k x^k) e^{xA^T}."""
+        left = self.exp_xA
+        return ScaledMat(self.nu, left * self.diagonal_weight.body * left.transpose())
 
     def phi_is_x(self) -> bool:
         return self.phi == RPoly.x()
@@ -175,7 +251,7 @@ def moment_via_expansion(spec: WeightSpec, s: int) -> MatQ:
     Used as the oracle's oracle; must agree with `moment` exactly."""
     if not spec.phi_is_x():
         raise UnsupportedWeightError("moments require phi(x) = x")
-    body = weight_polynomial_part(spec)
+    body = spec.weight.body
     n = spec.N
     rows = []
     for i in range(n):
@@ -188,24 +264,6 @@ def moment_via_expansion(spec: WeightSpec, s: int) -> MatQ:
             ))
         rows.append(row)
     return MatQ(rows)
-
-
-def weight_polynomial_part(spec: WeightSpec) -> MatPoly:
-    """The matrix polynomial G(x) with W(x) = e^{-x} x^nu G(x):
-    G = e^{xA} diag(delta_k x^k) e^{xA^T}."""
-    left = exp_nilpotent(spec.A)
-    return left * diagonal_part(spec) * left.transpose()
-
-
-def diagonal_part(spec: WeightSpec) -> MatPoly:
-    """The diagonal factor sum_k delta_k x^k E_kk (1-based k) of the weight
-    body, written coefficient by coefficient."""
-    n = spec.N
-    return MatPoly(
-        [MatQ.zero(n)]
-        + [MatQ.diag([spec.delta[k] if k == m else 0 for k in range(n)]) for m in range(n)],
-        n,
-    )
 
 
 class MomentTable:

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -585,13 +586,15 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     norm = {h: n for n, h in enumerate(seq.H)}
     built, inverted = [], []
 
-    # K_n and K_n^{-1} are nilpotent exponentials; R(x,n) is the one product
-    # of K_n^{-1} with a matrix polynomial
-    exp, rmul, inverse = matrices.matexp_nilpotent, MatPoly.__rmul__, MatQ.inverse
+    # K_n and K_n^{-1} are nilpotent exponentials at x = 1; R(x,n) is the one
+    # product of K_n^{-1} with a matrix polynomial
+    exp, rmul, inverse = matrices.exp_nilpotent, MatPoly.__rmul__, MatQ.inverse
 
     def counting_exp(a):
         out = exp(a)
-        built.append(kind[out])
+        at_one = out(1)
+        if at_one in kind:
+            built.append(kind[at_one])
         return out
 
     def counting_rmul(self, other):
@@ -604,7 +607,7 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
             inverted.append((sys._getframe(1).f_code.co_name, norm[self]))
         return inverse(self)
 
-    monkeypatch.setattr(matrices, "matexp_nilpotent", counting_exp)
+    monkeypatch.setattr(matrices, "exp_nilpotent", counting_exp)
     monkeypatch.setattr(MatPoly, "__rmul__", counting_rmul)
     monkeypatch.setattr(MatQ, "inverse", counting_inverse)
     rp.suite_operators(seq)
@@ -655,6 +658,39 @@ def test_build_A_runs_only_inside_the_spec(monkeypatch):
     rp.suite_dualhahn(params, compute_monic_ops(params.spec, 3))
     dh.phi_psi(params)
     assert callers and set(callers) == {("mvlaguerre.weights", "A")}
+
+
+def test_exp_nilpotent_runs_only_inside_the_spec_and_K(monkeypatch, capsys):
+    """e^{xA} and e^{-xA} are built only by WeightSpec.exp_xA and
+    WeightSpec.exp_neg_xA, and K_n only by build_K: Q, the diagonalization,
+    the weight and the Pearson pair read the spec's.  Each DHParams builds
+    its coupling once, for the coupling check and the Pearson pair."""
+    original = matrices.exp_nilpotent
+    callers = set()
+
+    def recording(a):
+        callers.add(_owner(sys._getframe(1)))
+        return original(a)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("mvlaguerre") and getattr(mod, "exp_nilpotent", None) is original:
+            monkeypatch.setattr(mod, "exp_nilpotent", recording)
+    coupling, built = dh.DHParams.coupling.func, []
+
+    def counting(params):
+        built.append(params)  # kept alive, so no two share an id
+        return coupling(params)
+
+    counted = cached_property(counting)
+    counted.__set_name__(dh.DHParams, "coupling")
+    monkeypatch.setattr(dh.DHParams, "coupling", counted)
+    # N = 2 with unit weights is its own dual Hahn family (c = 0, d = 1)
+    for argv in ("verify --suite all --N 2 --nmax 5",
+                 "verify --suite all --N 3 --c 2 --d 1 --nmax 5",
+                 "dualhahn --N 3 --c 2 --d 1"):
+        assert _run(argv.split(), capsys)[0] == 0, argv
+    assert callers == {"exp_xA", "exp_neg_xA", "build_K"}
+    assert len(built) == len({id(params) for params in built}) == 3
 
 
 def test_suite_dualhahn_builds_one_spec_per_level(monkeypatch):

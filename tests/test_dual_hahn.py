@@ -1,11 +1,11 @@
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from mvlaguerre import dual_hahn as dh
 from mvlaguerre.dual_hahn import (DHParams, build_delta_family,
-                                  check_conditions, epsilon_seq,
-                                  derivative_coupling_matrices, phi_psi,
+                                  check_conditions, epsilon_seq, phi_psi,
                                   verify_boundary_recursion,
                                   verify_dual_hahn_closed_form,
                                   verify_gauge_ratio, verify_derivative_coupling,
@@ -113,6 +113,16 @@ def test_recurrence_cross_check_covers_every_argument_set(monkeypatch):
         == ["3F2 equals recurrence at used arguments"]
 
 
+def test_displayed_closed_form_is_not_read_below_c_zero():
+    """build_delta_family accepts c in (-d, 0); the printed form needs c > 0,
+    so every closed-form row there reports it as failing."""
+    params = build_delta_family(3, F(1, 2), F(-1, 2), F(1))
+    checks = verify_dual_hahn_closed_form(extract_xi(compute_monic_ops(params.spec, 4)), params)
+    rows = [c for c in checks if c["equation"] == "dual-hahn-closed-form"]
+    _ok(checks)
+    assert rows and all(c["displayed_form_pass"] is False for c in rows)
+
+
 def test_displayed_closed_form_has_a_witness():
     params = build_delta_family(2, F(1), F(1), F(1))
     seq = compute_monic_ops(params.spec, 3)
@@ -138,19 +148,21 @@ def test_derivative_coupling(family):
     assert entry["displayed_form_pass"] is False
 
 
-def test_derivative_coupling_negative_control():
+def _patch_coupling(monkeypatch, change):
+    """DHParams.coupling replaced by change(C, M*) of the true one."""
+    coupling = DHParams.coupling.func
+    patched = cached_property(lambda params: change(*coupling(params)))
+    patched.__set_name__(DHParams, "coupling")
+    monkeypatch.setattr(DHParams, "coupling", patched)
+
+
+def test_derivative_coupling_negative_control(monkeypatch):
+    # flips the transposed-conjugate term of C
+    _patch_coupling(monkeypatch, lambda c_mat, m_star: (c_mat - m_star * 2, m_star))
     params = build_delta_family(2, F(1), F(1), F(1))
     seq = compute_monic_ops(params.spec, 3)
-    c_mat, m_star = derivative_coupling_matrices(params)
-    wrong = c_mat - m_star * 2  # flips the transposed-conjugate term
-    from mvlaguerre.matrices import MatQ, build_J
-
-    n = 1
-    r = seq.R[n]
-    lhs = (r.derivative()(0) - r(0) * seq.spec.A) * wrong
-    i = MatQ.identity(2)
-    d_n = (build_J(2) * params.d - i * (params.d * 3 + params.c)) * n
-    assert lhs != d_n * r(0)
+    checks = verify_derivative_coupling(seq, params)
+    assert not next(c for c in checks if c["check_id"] == "derivative coupling n=1")["pass"]
 
 
 def test_phi_psi(family):
@@ -173,13 +185,7 @@ def test_phi_psi_negative_control():
 def test_pearson_psi_identity_fails_alone(monkeypatch):
     """A wrong coupling term changes Psi but not Phi: W Phi = W(nu+1) still
     holds and W Psi = d/dx W(nu+1) fails."""
-    coupling = dh.derivative_coupling_matrices
-
-    def doubled_coupling(params):
-        c_mat, m_star = coupling(params)
-        return c_mat, m_star * 2
-
-    monkeypatch.setattr(dh, "derivative_coupling_matrices", doubled_coupling)
+    _patch_coupling(monkeypatch, lambda c_mat, m_star: (c_mat, m_star * 2))
     _, _, checks = phi_psi(build_delta_family(3, F(1), F(1), F(1)))
     failed = {c["check_id"] for c in checks if not c["pass"]}
     assert "W Psi = d/dx W(nu+1)" in failed

@@ -11,11 +11,10 @@ from mvlaguerre.dual_hahn import build_delta_family
 from mvlaguerre.engine import (OPSeq, compute_monic_ops, moment_row,
                                scalar_laguerre_monic, verify_orthogonality,
                                verify_three_term)
-from mvlaguerre.matrices import (MatPoly, MatQ, SingularMatrixError, exp_nilpotent,
-                                 matexp_nilpotent)
+from mvlaguerre.matrices import MatPoly, MatQ, SingularMatrixError, exp_nilpotent
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
-from mvlaguerre.weights import MomentTable, WeightSpec, inner_product
+from mvlaguerre.weights import MomentTable, UnsupportedWeightError, WeightSpec, inner_product
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 
@@ -184,7 +183,7 @@ def test_shared_matrices_match_the_slow_paths(spec):
         q = seq.P[n] * exp_nilpotent(spec.A)
         assert seq.Q[n] == q
         b = spec.A * (i * (n + spec.nu + 1) + spec.J)
-        assert seq.R[n] == matexp_nilpotent(-b) * q
+        assert seq.R[n] == exp_nilpotent(-b)(1) * q
 
 
 def test_family_is_immutable():
@@ -370,6 +369,12 @@ def test_fused_three_term_matches_the_matpoly_identity(spec):
 def test_negative_degree_is_rejected(n_max):
     with pytest.raises(ValueError, match="n_max"):
         compute_monic_ops(SPEC2, n_max)
+
+
+def test_phi_other_than_x_is_rejected_by_the_moments():
+    spec = WeightSpec(2, F(1), (F(1),), (F(1), F(1)), RPoly((0, 0, 1)))
+    with pytest.raises(UnsupportedWeightError, match="phi"):
+        compute_monic_ops(spec, 2)
 
 
 def _subtract_chain(spec, n_max, projection_order=None):

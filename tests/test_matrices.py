@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mvlaguerre.matrices import (MatPoly, MatQ,
                                  SingularMatrixError, build_A, build_J,
                                  build_K, commutator,
-                                 exp_nilpotent, matexp_nilpotent)
+                                 exp_nilpotent)
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -383,9 +383,11 @@ def test_build_K_subdiagonal_entry():
     assert build_K(n, nu, build_A((-a[0],)))[1, 0] == -a[0] * (n + nu + 2)
 
 
-def test_matexp_nilpotent_matches_poly_at_one():
-    a = build_A((2, 3))
-    assert matexp_nilpotent(a) == exp_nilpotent(a)(1)
+def test_build_K_is_the_exponential_at_one():
+    nu, a = F(5, 2), build_A((2, 3))
+    for n in (0, 3):
+        shifted = a * MatQ.diag([n + nu + 1 + j for j in range(1, 4)])
+        assert build_K(n, nu, a) == exp_nilpotent(shifted)(1)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops
 from mvlaguerre.matrices import MatPoly, MatQ, exp_nilpotent
-from mvlaguerre.operators import (DiffOp, ScaledMat, SeqOp, WindowError,
-                                  casimir_mult, diagonal_weight_scaled,
+from mvlaguerre.operators import (DiffOp, SeqOp, WindowError, casimir_mult,
                                   ladder_lowering, ladder_raising,
                                   make_named_operators, right_mult,
                                   second_order, second_order_diagonalized,
@@ -15,9 +14,9 @@ from mvlaguerre.operators import (DiffOp, ScaledMat, SeqOp, WindowError,
                                   verify_bracket_identities,
                                   verify_intertwinings, verify_L_poly,
                                   verify_star_dagger,
-                                  verify_symmetry_conditions, weight_scaled)
+                                  verify_symmetry_conditions)
 from mvlaguerre.scalar import RPoly
-from mvlaguerre.weights import WeightSpec
+from mvlaguerre.weights import ScaledMat, WeightSpec
 
 SPECS = [
     WeightSpec(2, F(1), (F(1),), (F(1), F(1))),
@@ -132,8 +131,8 @@ def test_adjoint_negative_control(seq):
 
 def test_symmetry_conditions(seq):
     ops = make_named_operators(seq)
-    _ok(verify_symmetry_conditions(ops["D2"], weight_scaled(seq.spec), "W"))
-    _ok(verify_symmetry_conditions(ops["DQ2"], diagonal_weight_scaled(seq.spec), "T"))
+    _ok(verify_symmetry_conditions(ops["D2"], seq.spec.weight, "W"))
+    _ok(verify_symmetry_conditions(ops["DQ2"], seq.spec.diagonal_weight, "T"))
 
 
 def test_intertwining_negative_control():
@@ -155,7 +154,7 @@ def test_symmetry_negative_control():
                         d.coeff(1) + MatPoly.const(MatQ.unit(spec.N, 0, 0)),
                         d.coeff(2)])
     checks = verify_symmetry_conditions(
-        corrupted, diagonal_weight_scaled(spec), "corrupted")
+        corrupted, spec.diagonal_weight, "corrupted")
     assert any(not c["pass"] for c in checks)
 
 
@@ -171,7 +170,7 @@ def test_each_symmetry_equation_can_fail(k, unit, failing):
     d = make_named_operators(seq)["D2"]
     coeffs = [d.coeff(i) for i in range(3)]
     coeffs[k] = coeffs[k] + MatPoly.const(MatQ.unit(seq.spec.N, *unit))
-    checks = verify_symmetry_conditions(DiffOp(coeffs), weight_scaled(seq.spec), "W")
+    checks = verify_symmetry_conditions(DiffOp(coeffs), seq.spec.weight, "W")
     assert {c["check_id"] for c in checks if not c["pass"]} == {f"{n} W" for n in failing}
 
 
