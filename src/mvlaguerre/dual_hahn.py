@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .engine import OPSeq, check
+from .engine import OPSeq, check, quoted_check
 from .laguerre_forms import XiTable
 from .matrices import MatPoly, MatQ, build_K
 from .operators import DiffOp, verify_symmetry_conditions
@@ -95,8 +95,6 @@ def build_delta_family(n_dim: int, nu, c, d) -> DHParams:
     delta = [Fraction(1)]
     for k in range(1, n_dim):
         delta.append((d * k + c) * delta[-1] / (d * k * (n_dim - k)))
-    if any(v <= 0 for v in delta):
-        raise DomainError("constructed delta family is not positive")
     delta1 = tuple((d * k + c) * delta[k - 1] for k in range(1, n_dim + 1))
     params = DHParams(n_dim, nu, c, d, tuple(delta), delta1)
     errs = check_conditions(params)
@@ -115,7 +113,10 @@ def family_of(spec: WeightSpec) -> DHParams | None:
               for k in range(1, spec.N)}
     if len(gammas) != 1 or min(gammas) < 0:
         return None
-    return build_delta_family(spec.N, spec.nu, gammas.pop(), 1)
+    params = build_delta_family(spec.N, spec.nu, gammas.pop(), 1)
+    if params.spec == spec:
+        params.__dict__["spec"] = spec  # the same weight: share its cached forms
+    return params
 
 
 def check_conditions(params: DHParams) -> list[str]:
@@ -164,35 +165,26 @@ def _ef_coeffs(params: DHParams, n: int, i: int, j: int):
 
 
 def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
-    """Three-term relations of the gauge sequences q_j = eps_j xi(n,i,j) and
-    qt_j = d^{-j} q_j.  The oracle sign is -E_j on the middle term; the
-    printed +E_j variant is reported."""
+    """Three-term relations -E_j q_j + F_j q_{j-1} + q_{j+1}/d = 0 of the
+    gauge sequences q_j = eps_j xi(n,i,j); the printed +E_j variant is
+    reported.  The relation of qt_j = d^{-j} q_j is this one times d^{-j},
+    so it holds exactly where this one does."""
     checks = []
     d = params.d
     for n in range(xi.n_max + 1):
         for i in range(1, params.N + 1):
             top = min(params.N, n + i)
-            if top < 2:
-                continue
-            eps = epsilon_seq(n, i, params, min(top, n + i))
-            q = {j: eps[j] * xi.get(n, i, j) for j in range(1, top + 1)}
-            qt = {j: q[j] / d ** j for j in q}
-            corr_ok, disp_ok = True, True
-            for j in range(1, top):
-                if n + i - j <= 0:
-                    continue
+            eps = epsilon_seq(n, i, params, top)
+            # q_0 = 0 stands in for the j = 1 term, which carries F_1 = 0
+            q = [Fraction(0)] + [eps[j] * xi.get(n, i, j) for j in range(1, top + 1)]
+
+            def relation(j):
                 e_j, f_j = _ef_coeffs(params, n, i, j)
-                prev = q.get(j - 1, Fraction(0))  # j = 1 term carries F_1 = 0
-                if -e_j * q[j] + f_j * prev + q[j + 1] / d != 0:
-                    corr_ok = False
-                if e_j * q[j] + f_j * prev + q[j + 1] / d != 0:
-                    disp_ok = False
-                ft = f_j / d
-                prev_t = qt.get(j - 1, Fraction(0))
-                if -e_j * qt[j] + ft * prev_t + qt[j + 1] != 0:
-                    corr_ok = False
-            checks.append(check(f"q three-term n={n},i={i}", "gauge-three-term",
-                                corr_ok, displayed_form_pass=disp_ok))
+                return (-e_j * q[j] + f_j * q[j - 1] + q[j + 1] / d == 0,
+                        e_j * q[j] + f_j * q[j - 1] + q[j + 1] / d == 0)
+
+            checks += quoted_check(f"q three-term n={n},i={i}", "gauge-three-term",
+                                   [relation(j) for j in range(1, top)])
     return checks
 
 
@@ -247,18 +239,11 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
             t = [dual_hahn(k, *args) for k in range(params.N)]
             cross = cross and all(tk == dual_hahn_via_recurrence(k, *args)
                                   for k, tk in enumerate(t))
-            corr_ok, disp_ok = True, True
-            tested = False
-            for j in range(1, min(params.N, n + i - 1) + 1):
-                tested = True
-                if _closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1)) != xi.get(n, i, j):
-                    corr_ok = False
-                if params.c <= 0 or xi_dual_hahn_displayed(n, i, j, params) != xi.get(n, i, j):
-                    disp_ok = False
-            if tested:
-                checks.append(check(f"dual Hahn closed form n={n},i={i}",
-                                    "dual-hahn-closed-form", corr_ok,
-                                    displayed_form_pass=disp_ok))
+            checks += quoted_check(
+                f"dual Hahn closed form n={n},i={i}", "dual-hahn-closed-form",
+                [(_closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1)) == xi.get(n, i, j),
+                  params.c > 0 and xi_dual_hahn_displayed(n, i, j, params) == xi.get(n, i, j))
+                 for j in range(1, min(params.N, n + i - 1) + 1)])
     checks.append(check("3F2 equals recurrence at used arguments",
                         "dual-hahn-recurrence", cross))
     return checks
@@ -270,26 +255,19 @@ def verify_boundary_recursion(xi: XiTable, params: DHParams) -> list[dict]:
         xi(n,i,j-1) = (1 - n(gamma+N+1-i)/((j-1)(N-j+1))) xi(n,i,j);
 
     the printed factor (n(N+1-i)(i-1)/((j-1)(N-j+1)) + 1) is reported."""
-    checks = []
     g = params.gamma
     nn = params.N
-    corr_ok, disp_ok, tested = True, True, False
-    for n in range(xi.n_max + 1):
-        for i in range(1, nn + 1):
-            j = n + i
-            if j <= 1 or j > nn:
-                continue
-            tested = True
-            corr = (1 - Fraction(n) * (g + nn + 1 - i) / ((j - 1) * (nn - j + 1)))
-            if xi.get(n, i, j - 1) != corr * xi.get(n, i, j):
-                corr_ok = False
-            disp = (Fraction(n) * (nn + 1 - i) * (i - 1) / ((j - 1) * (nn - j + 1)) + 1)
-            if xi.get(n, i, j - 1) != disp * xi.get(n, i, j):
-                disp_ok = False
-    if tested:
-        checks.append(check("boundary recursion j=n+i", "dual-hahn-boundary-recursion",
-                            corr_ok, displayed_form_pass=disp_ok))
-    return checks
+
+    def factors(n, i):
+        j = n + i
+        corr = 1 - Fraction(n) * (g + nn + 1 - i) / ((j - 1) * (nn - j + 1))
+        disp = Fraction(n) * (nn + 1 - i) * (i - 1) / ((j - 1) * (nn - j + 1)) + 1
+        return (xi.get(n, i, j - 1) == corr * xi.get(n, i, j),
+                xi.get(n, i, j - 1) == disp * xi.get(n, i, j))
+
+    return quoted_check("boundary recursion j=n+i", "dual-hahn-boundary-recursion",
+                        [factors(n, i) for n in range(xi.n_max + 1)
+                         for i in range(1, nn + 1) if 1 < n + i <= nn])
 
 
 def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
@@ -306,12 +284,9 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
         d_n = (j * params.d - i * (params.d * (nn + 1) + params.c)) * n
         checks.append(check(f"derivative coupling n={n}", "derivative-coupling-at-zero",
                             lhs == d_n * r0))
-    disp_entry_ok = all(
-        m_star[k - 1, k] == params.d * k * (nn - k) for k in range(1, nn))
-    corr_entry_ok = all(
-        m_star[k - 1, k] == -params.d * k * (nn - k) for k in range(1, nn))
-    checks.append(check("conjugated-diagonal entry sign", "conjugated-coupling-entry",
-                        corr_entry_ok, displayed_form_pass=disp_entry_ok))
+    checks += quoted_check("conjugated-diagonal entry sign", "conjugated-coupling-entry",
+                           [(m_star[k - 1, k] == -params.d * k * (nn - k),
+                             m_star[k - 1, k] == params.d * k * (nn - k)) for k in range(1, nn)])
     return checks
 
 

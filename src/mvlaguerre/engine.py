@@ -31,6 +31,19 @@ def check(check_id: str, equation: str, ok, **extra) -> dict:
     return {"check_id": check_id, "equation": equation, "pass": bool(ok), **extra}
 
 
+def quoted_check(check_id: str, equation: str, verdicts: list) -> list[dict]:
+    """A corrected form beside its printed variant, from one (corrected
+    holds, printed holds) pair per compared entry: `pass` is the conjunction
+    of the first items and `displayed_form_pass` of the second.  No pairs
+    give no check, so a variant is reported only where it compared at least
+    one entry.  A row that always makes exactly one comparison passes
+    `displayed_form_pass` to `check` instead."""
+    if not verdicts:
+        return []
+    return [check(check_id, equation, all(c for c, _ in verdicts),
+                  displayed_form_pass=all(p for _, p in verdicts))]
+
+
 def _inverse_of_H(H, inverses: dict, m: int) -> MatQ:
     """H_m^{-1}, memoized in `inverses`; a singular H_m raises when its
     inverse is first needed."""

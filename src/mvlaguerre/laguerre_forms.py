@@ -11,7 +11,7 @@ two-term recursions driven by the diagonal of G(n) and the superdiagonal of
 I(n), and checks the nonlinear recursion for the squared norms.  Where a commonly
 quoted recursion disagrees with the oracle (a handful of signs and one
 Pochhammer subscript), the corrected form is used and the quoted variant's
-status is reported alongside, and only where it compared at least one entry.
+status is reported alongside (engine.quoted_check).
 
 D_Q, Lambda_n and J are diagonal, so the eigen-equation of R and the
 derivative relation of Q are checked entry by entry, coefficient by
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .engine import OPSeq, check
+from .engine import OPSeq, check, quoted_check
 from .matrices import MatPoly, MatQ, commutator
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
@@ -301,53 +301,40 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     """Status of the printed variants against the oracle table seq.xi: the
     interior a-term sign, the n=1 boundary sign, and the printed N1/N2
     coefficients of the i=1 boundary relation.  These are reports, not gates; the package's
-    own recursion (the corrected one) is gated by verify_xi_tables.  Each is
-    reported only where it compared at least one entry: the interior
-    recursion needs N >= 2 and n_max >= 1, the boundary seed too, and the
-    i=1 relation N >= 2 and n_max >= 2."""
+    own recursion (the corrected one) is gated by verify_xi_tables.  The
+    interior recursion compares entries from N >= 2 and n_max >= 1, the
+    boundary seed too, and the i=1 relation from N >= 2 and n_max >= 2."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
     xi, G, I = seq.xi, seq.G, seq.I
-    out = []
-    disp_ok, corr_ok, tested = True, True, False
-    for (n, i, j) in sorted(xi.values):
-        if n < 1 or i < 2 or n + i - j <= 0:
-            continue
-        tested = True
-        prev = xi.get(n, i - 1, j)
-        up = xi.get(n - 1, i, j)
-        tail = G[n][i - 1, i - 1] / (n + nu + i) * up
-        if xi.get(n, i, j) != a[i - 2] * prev + tail:
-            disp_ok = False
-        if xi.get(n, i, j) != -a[i - 2] * prev + tail:
-            corr_ok = False
-    if tested:
-        out.append(check("interior recursion, corrected sign", "multiplier-interior-recursion",
-                         corr_ok, displayed_form_pass=disp_ok))
-    if seq.n_max >= 1 and N >= 2:
-        disp = all(xi.get(1, i, i + 1) == I[0][i - 1, i] for i in range(1, N))
-        corr = all(xi.get(1, i, i + 1) == -I[0][i - 1, i] for i in range(1, N))
-        out.append(check("boundary seed xi(1,i,i+1), corrected sign",
-                         "multiplier-boundary-seed", corr, displayed_form_pass=disp))
-    disp_ok, corr_ok, tested = True, True, False
-    for n in range(1, seq.n_max):
-        j = n + 1
-        if j > N or N < 2:
-            continue
-        tested = True
+
+    def interior(n, i, j):
+        prev = a[i - 2] * xi.get(n, i - 1, j)
+        tail = G[n][i - 1, i - 1] / (n + nu + i) * xi.get(n - 1, i, j)
+        return xi.get(n, i, j) == tail - prev, xi.get(n, i, j) == tail + prev
+
+    def seed(i):
+        return xi.get(1, i, i + 1) == -I[0][i - 1, i], xi.get(1, i, i + 1) == I[0][i - 1, i]
+
+    def relation(n):
+        lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
+        n1 = G[n + 1][0, 0] / (n + nu + 2) + 1 - I[n][0, 1] * a[0]
+        n2 = -I[n][0, 1] * G[n][1, 1] / (n + nu + 2)
         n1_disp = (nu + 2 * n + 3) * G[n + 1][0, 0] / (n + nu + 2) + (n + 2 + nu) \
             + I[n][0, 1] * (nu + 2 * n + 2) * a[0]
         n2_disp = I[n][0, 1] * (nu + 2 * n + 2) * G[n][1, 1] / (n + nu + 2)
-        if n1_disp * xi.get(n, 1, j) != n2_disp * xi.get(n - 1, 2, j):
-            disp_ok = False
-        n1 = G[n + 1][0, 0] / (n + nu + 2) + 1 - I[n][0, 1] * a[0]
-        n2 = -I[n][0, 1] * G[n][1, 1] / (n + nu + 2)
-        if n1 * xi.get(n, 1, j) != n2 * xi.get(n - 1, 2, j):
-            corr_ok = False
-    if tested:
-        out.append(check("i=1 boundary relation, derived coefficients",
-                         "multiplier-boundary-relation", corr_ok, displayed_form_pass=disp_ok))
-    return out
+        return n1 * lo == n2 * hi, n1_disp * lo == n2_disp * hi
+
+    return [
+        *quoted_check("interior recursion, corrected sign", "multiplier-interior-recursion",
+                      [interior(n, i, j) for (n, i, j) in sorted(xi.values)
+                       if n >= 1 and i >= 2 and n + i - j > 0]),
+        *quoted_check("boundary seed xi(1,i,i+1), corrected sign", "multiplier-boundary-seed",
+                      [seed(i) for i in range(1, N if seq.n_max >= 1 else 1)]),
+        *quoted_check("i=1 boundary relation, derived coefficients",
+                      "multiplier-boundary-relation",
+                      [relation(n) for n in range(1, min(seq.n_max, N))]),
+    ]
 
 
 def h_recursion_next(spec: WeightSpec, H: list, H_inv: list) -> MatQ:
@@ -470,20 +457,20 @@ def verify_X_recursion(seq: OPSeq) -> list[dict]:
     G(n)_{ii} = X(n)_{ii} diagonal claim.
 
     The printed item (a) drops the X(n+1) term and swaps H_n J H_n^{-1} for
-    I(n) in row 1; its status is reported against the oracle.  Each check
-    is reported only where it compares something: the X recursion from
-    n_max = 2, the diagonal claim from n_max = 1."""
+    I(n) in row 1; its status is reported against the oracle.  The X
+    recursion compares rows from n_max = 2, the diagonal claim from
+    n_max = 1."""
     spec = seq.spec
     A, N, X = spec.A, spec.N, seq.X
     i = MatQ.identity(N)
-    checks = []
-    if seq.n_max >= 2:
-        corr_ok = all(i * n + X[n] * A - A * X[n + 1] - X[n] + X[n + 1]
-                      == -(i * (n + 1 + spec.nu)) - seq.HJH[n] for n in range(1, seq.n_max))
-        disp_ok = all(not any((i * n + X[n] * A - X[n] + i * (n + 1 + spec.nu) + seq.I[n]).rows[0])
-                      for n in range(1, seq.n_max))
-        checks.append(check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
-                            corr_ok, displayed_form_pass=disp_ok))
+
+    def rows(n):
+        head = i * n + X[n] * A - X[n]
+        return (head - A * X[n + 1] + X[n + 1] == -(i * (n + 1 + spec.nu)) - seq.HJH[n],
+                not any((head + i * (n + 1 + spec.nu) + seq.I[n]).rows[0]))
+
+    checks = quoted_check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
+                          [rows(n) for n in range(1, seq.n_max)])
     if seq.n_max >= 1:
         gx_ok = all(seq.G[n][r, r] == X[n][r, r]
                     for n in range(1, seq.n_max + 1) for r in range(N))

@@ -549,10 +549,10 @@ def extended_algebra_report(alg: LieAlg) -> dict:
     hh = MatQ([[s * t for t in ch] for s in ch])
     ef = MatQ([[s * t for t in cf] for s in ce])
     ef = ef + ef.transpose()
-    corr_ok = _ad_invariant(alg, hh + ef * 2, (0,) * alg.dim)
-    disp_ok = _ad_invariant(alg, hh - ef * 2, tuple(-2 * t for t in ch))
+    oracle_casimir = _ad_invariant(alg, hh + ef * 2, (0,) * alg.dim)
+    printed_casimir = _ad_invariant(alg, hh - ef * 2, tuple(-2 * t for t in ch))
     checks.append(check("quadratic Casimir ad-invariance", "quadratic-casimir",
-                        corr_ok, displayed_form_pass=disp_ok))
+                        oracle_casimir, displayed_form_pass=printed_casimir))
     checks.append(check("linear Casimirs central", "linear-casimirs", in_center))
 
     # e1 = x2, e2 = x4, e3 = x1 + x2 - x4, e4 = x5: [e1, e2] = e2, all else 0

@@ -237,6 +237,10 @@ GOLDEN_STDOUT = {
         "fa19dadfa5b199d4e31e63ac3992d29c5e3edc3b4f67394f261ce8c85264afd4",
     "lie --extended --nu 3/7":
         "3916ee89b87f4c1dcd06cd83e509d055911474647e062d5f21eda4965fed606b",
+    # recorded after the N = 1 entry-sign row, which compared no entry, was
+    # dropped
+    "dualhahn --N 1 --c 2 --d 1 --nmax 2":
+        "635d2bdb51b747f7925d3969fb6d05eb06afb3f4df597df1dfb973141371c6f7",
 }
 
 
@@ -543,6 +547,48 @@ def test_no_printed_laguerre_variant_passes_untested(N, nmax, capsys):
     assert ("X recursion rows, derived form" in ids) == (nmax >= 2)
     checks = {c["check_id"] for c in payload["checks"]}
     assert ("G(n) diagonal equals X(n) diagonal" in checks) == (nmax >= 1)
+
+
+@pytest.mark.parametrize("c", ["2", "7/3"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("nmax", range(4))
+def test_coupling_entry_sign_is_reported_only_where_it_compares(N, c, nmax, capsys):
+    """The conjugated-diagonal entry sign compares M*_{k,k+1} for
+    k = 1..N-1: at N = 1 it compares nothing and no row is reported, so no
+    printed variant of the dual Hahn suite claims displayed_form_pass."""
+    code, out, _ = _run(f"dualhahn --N {N} --c {c} --d 1 --nmax {nmax}".split(), capsys)
+    assert code == 0
+    payload = json.loads(out)
+    entry = [r for r in payload["checks"] if r["equation"] == "conjugated-coupling-entry"]
+    assert len(entry) == (N >= 2)
+    if N == 1:
+        assert not [r["check_id"] for r in payload["display_corrections"]
+                    if r["displayed_form_pass"]]
+
+
+def test_verify_reads_the_dual_hahn_suite_on_the_verified_spec(monkeypatch, capsys):
+    """With unit weights at N = 2 the verified weight is the dual Hahn family
+    (c, d) = (0, 1): the suite's params share the verified spec object, so
+    its e^{xA} and e^{-xA} are built once each, and e^{xA} once more only
+    for the weight at level nu+1 (build_K aside)."""
+    original = matrices.exp_nilpotent
+    callers = []
+
+    def recording(a):
+        callers.append(_owner(sys._getframe(1)))
+        return original(a)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("mvlaguerre") and getattr(mod, "exp_nilpotent", None) is original:
+            monkeypatch.setattr(mod, "exp_nilpotent", recording)
+    oracle = _count_calls(monkeypatch, engine, "compute_monic_ops")
+    suite = _count_calls(monkeypatch, rp, "suite_dualhahn")
+    code, _, _ = _run("verify --suite all --N 2 --nmax 5".split(), capsys)
+    assert code == 0
+    assert len([c for c in callers if c != "build_K"]) == 3
+    [(spec, _)] = oracle
+    [(params, _)] = suite
+    assert params.spec is spec
 
 
 def test_verify_orthogonalizes_each_distinct_weight_once(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from mvlaguerre.dual_hahn import (DHParams, build_delta_family,
                                   xi_dual_hahn, xi_dual_hahn_displayed)
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
+from mvlaguerre.matrices import MatQ
 from mvlaguerre.scalar import DomainError
 
 GRID = [
@@ -113,6 +114,30 @@ def test_recurrence_cross_check_covers_every_argument_set(monkeypatch):
         == ["3F2 equals recurrence at used arguments"]
 
 
+@pytest.mark.parametrize("key, failing", [
+    # j < n+i: the gauge relation and the closed form of (n, i) read it
+    ((3, 1, 2), {"q three-term n=3,i=1", "dual Hahn closed form n=3,i=1"}),
+    # j = n+i: the gauge relation and the boundary recursion read it
+    ((1, 2, 3), {"q three-term n=1,i=2", "boundary recursion j=n+i"}),
+    # j = n+i-1 = N-1: all three
+    ((2, 1, 2), {"q three-term n=2,i=1", "dual Hahn closed form n=2,i=1",
+                 "boundary recursion j=n+i"}),
+])
+def test_xi_forms_fail_on_a_perturbed_entry(key, failing):
+    """One xi entry raised by 1 in a copy of the table fails the corrected
+    side of exactly the gauge, closed-form and boundary rows that read it."""
+    params = build_delta_family(3, F(1, 2), F(2), F(1))
+    xi = extract_xi(compute_monic_ops(params.spec, 4))
+    bad = xi.prefix(xi.n_max)
+    bad.values[key] += 1
+    verify = (verify_q_recursions, verify_dual_hahn_closed_form, verify_boundary_recursion)
+    good = [c for v in verify for c in v(xi, params)]
+    checks = [c for v in verify for c in v(bad, params)]
+    _ok(good)
+    assert [c["check_id"] for c in checks] == [c["check_id"] for c in good]
+    assert {c["check_id"] for c in checks if not c["pass"]} == failing
+
+
 def test_displayed_closed_form_is_not_read_below_c_zero():
     """build_delta_family accepts c in (-d, 0); the printed form needs c > 0,
     so every closed-form row there reports it as failing."""
@@ -163,6 +188,17 @@ def test_derivative_coupling_negative_control(monkeypatch):
     seq = compute_monic_ops(params.spec, 3)
     checks = verify_derivative_coupling(seq, params)
     assert not next(c for c in checks if c["check_id"] == "derivative coupling n=1")["pass"]
+
+
+def test_coupling_entry_sign_fails_on_one_flipped_entry(monkeypatch):
+    """M*_{12} with its sign flipped, C left true: the entry-sign row fails
+    and every derivative coupling row, which reads C alone, still passes."""
+    _patch_coupling(monkeypatch, lambda c_mat, m_star: (
+        c_mat, m_star - MatQ.unit(3, 0, 1) * (2 * m_star[0, 1])))
+    params = build_delta_family(3, F(1), F(1), F(1))
+    checks = verify_derivative_coupling(compute_monic_ops(params.spec, 3), params)
+    assert [c["check_id"] for c in checks if not c["pass"]] \
+        == ["conjugated-diagonal entry sign"]
 
 
 def test_phi_psi(family):

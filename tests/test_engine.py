@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mvlaguerre.dual_hahn import build_delta_family
 from mvlaguerre.engine import (OPSeq, compute_monic_ops, moment_row,
-                               scalar_laguerre_monic, verify_orthogonality,
-                               verify_three_term)
+                               quoted_check, scalar_laguerre_monic,
+                               verify_orthogonality, verify_three_term)
 from mvlaguerre.matrices import MatPoly, MatQ, SingularMatrixError, exp_nilpotent
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
@@ -22,6 +22,19 @@ SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 def _ok(checks):
     bad = [c for c in checks if not c["pass"]]
     assert not bad, bad
+
+
+def test_quoted_check_reports_only_what_it_compared():
+    """No pairs give no row; otherwise one row whose pass and
+    displayed_form_pass are the conjunctions of the corrected and the
+    printed verdicts."""
+    assert quoted_check("q", "eq", []) == []
+    assert quoted_check("q", "eq", [(True, False), (True, False)]) == [
+        {"check_id": "q", "equation": "eq", "pass": True, "displayed_form_pass": False}]
+    [row] = quoted_check("q", "eq", [(True, True), (False, True)])
+    assert row["pass"] is False and row["displayed_form_pass"] is True
+    [row] = quoted_check("q", "eq", [(True, True), (True, False)])
+    assert row["pass"] is True and row["displayed_form_pass"] is False
 
 
 def test_monic_and_low_degree_data():

@@ -177,6 +177,29 @@ def test_displayed_recursion_variants_fail(seq):
         assert c["displayed_form_pass"] is False
 
 
+@pytest.mark.parametrize("key, failing", [
+    # read by the interior recursion alone
+    ((2, 2, 1), {"multiplier-interior-recursion"}),
+    # the n = 1 seed; the interior recursion and the i = 1 relation read it too
+    ((1, 1, 2), {"multiplier-interior-recursion", "multiplier-boundary-seed",
+                 "multiplier-boundary-relation"}),
+    # the i = 1 relation at n = 2, and the interior recursion at (2, 2, 3)
+    ((2, 1, 3), {"multiplier-interior-recursion", "multiplier-boundary-relation"}),
+])
+def test_displayed_xi_recursions_fail_on_a_perturbed_entry(key, failing):
+    """A fresh family whose xi table has one entry raised by 1 fails the
+    corrected side of exactly the recursions that read that entry."""
+    seq = compute_monic_ops(SPECS[2], 4)
+    bad = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    bad.xi = seq.xi.prefix(seq.n_max)
+    bad.xi.values[key] += 1
+    good = verify_displayed_xi_recursions(seq)
+    checks = verify_displayed_xi_recursions(bad)
+    _ok(good)
+    assert [c["check_id"] for c in checks] == [c["check_id"] for c in good]
+    assert {c["equation"] for c in checks if not c["pass"]} == failing
+
+
 def test_H_recursion_reproduces_oracle(seq):
     _ok(verify_H_recursion(seq))
 
