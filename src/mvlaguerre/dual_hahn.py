@@ -227,10 +227,13 @@ def xi_dual_hahn_displayed(n: int, i: int, j: int, params: DHParams) -> Fraction
         / eps[j] * t
 
 
-def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
+def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams,
+                                 values: dict | None = None) -> list[dict]:
     """The corrected closed form against the xi table, with the printed
     form reported, and the 3F2 sum against the recurrence at every argument
-    set (n, i, k < N).  Each T_k is summed once and read by both."""
+    set (n, i, k < N).  Each T_k is summed once and read by both.  `values`,
+    when given, receives the corrected closed form at every (n, i, j) it
+    compared: each n + i - j > 0 of the table, the same as xi_dual_hahn."""
     checks = []
     cross = True
     for n in range(xi.n_max + 1):
@@ -239,11 +242,15 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
             t = [dual_hahn(k, *args) for k in range(params.N)]
             cross = cross and all(tk == dual_hahn_via_recurrence(k, *args)
                                   for k, tk in enumerate(t))
+            closed = {j: _closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1))
+                      for j in range(1, min(params.N, n + i - 1) + 1)}
+            if values is not None:
+                values.update(((n, i, j), v) for j, v in closed.items())
             checks += quoted_check(
                 f"dual Hahn closed form n={n},i={i}", "dual-hahn-closed-form",
-                [(_closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1)) == xi.get(n, i, j),
+                [(v == xi.get(n, i, j),
                   params.c > 0 and xi_dual_hahn_displayed(n, i, j, params) == xi.get(n, i, j))
-                 for j in range(1, min(params.N, n + i - 1) + 1)])
+                 for j, v in closed.items()])
     checks.append(check("3F2 equals recurrence at used arguments",
                         "dual-hahn-recurrence", cross))
     return checks

@@ -85,9 +85,10 @@ class OPSeq:
     h_inv(n) = H_n^{-1} (the oracle hands over those it used);
     HJH[n] = H_n J H_n^{-1};
     T[n] = H_n (A^T - 1) H_{n-1}^{-1}, the down-shift coupling (T[0] is None);
-    Gamma[n] = A(n+nu+1+J) - n - J, the second-order eigenvalue;
+    Gamma[n] = A(n+nu+1+J) - n - J, the second-order eigenvalue, entry by
+    entry on the numerators of A;
     K[n] and K_inv[n], the triangularizer K_n = exp(A(n+nu+1+J)) of Gamma_n
-    and its inverse;
+    and its inverse, each summed on integers (matrices.build_K);
     Q[n] = P_n e^{xA} and R[n] = K_n^{-1} Q[n];
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
     xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
@@ -147,9 +148,14 @@ class OPSeq:
 
     @_per_degree
     def Gamma(self) -> tuple:
+        # entry (r, c), 0-based: A[r,c] (n+nu+2+c) - delta_rc (n+r+1), on the
+        # numerators of A over d_A q, with nu = p/q
         spec = self.spec
-        A, J, i = spec.A, spec.J, MatQ.identity(spec.N)
-        return tuple(A * (i * (n + spec.nu + 1) + J) - i * n - J
+        a, p, q = spec.A, spec.nu.numerator, spec.nu.denominator
+        d = a.d * q
+        return tuple(MatQ._canonical([[v * (q * (n + 2 + c) + p) - (r == c) * (n + r + 1) * d
+                                       for c, v in enumerate(row)]
+                                      for r, row in enumerate(a.num)], d)
                      for n in range(self.n_max + 1))
 
     @_per_degree

@@ -15,18 +15,21 @@ status is reported alongside (engine.quoted_check).
 
 D_Q, Lambda_n and J are diagonal, so the eigen-equation of R and the
 derivative relation of Q are checked entry by entry, coefficient by
-coefficient, on the integer numerators of the MatQ coefficients; the norm
-recursion pass inverts each H_m once, afresh, and hands the inverses to
-every step.
+coefficient, on the integer numerators of the MatQ coefficients.  The K_n
+checks are products (K_n Lambda_n = Gamma_n K_n, K_n K_n^{-1} = I) and take
+no inverse.  The norm recursion pass inverts each H_m once, afresh, forms
+H_m J H_m^{-1}, T_m and [J, H_m J H_m^{-1}] (entry by entry) once per m, and
+hands them to every step, the one step h_recursion_next also takes.  Each X
+recursion identity is one fused sum (MatQ.dot) that must vanish.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .engine import OPSeq, check, quoted_check
-from .matrices import MatPoly, MatQ, commutator
+from .matrices import MatPoly, MatQ
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import laguerre_numerators, pochhammer, rat_str
@@ -38,32 +41,31 @@ class ClosedFormViolation(AssertionError):
 
 
 def verify_K_properties(seq: OPSeq) -> list[dict]:
-    """K_n Lambda_n K_n^{-1} = Gamma_n exactly, unit diagonal, the
-    closed-form entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)!, and the
-    closed-form K_n^{-1} against a fresh inverse of K_n."""
+    """K_n Lambda_n = Gamma_n K_n exactly, unit diagonal, the closed-form
+    entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)!, and K_n K_inv[n] = I for
+    the closed-form K_n^{-1}.  K_n is unipotent, hence invertible, so the
+    two products hold exactly when K_n Lambda_n K_n^{-1} = Gamma_n and
+    K_inv[n] is the inverse of K_n; no inverse is taken.  Lambda_n is
+    diagonal, so K_n Lambda_n scales column c (0-based) by -(n+c+1)."""
     spec = seq.spec
     checks = []
     N, nu = spec.N, spec.nu
+    # prod_{k=j..i-1} a_k / (i-j)!, 1-based, once per family
+    coef = {(ii, jj): prod(spec.a[jj - 1:ii - 1], start=Fraction(1)) / factorial(ii - jj)
+            for ii in range(1, N + 1) for jj in range(1, ii + 1)}
     for n in range(seq.n_max + 1):
         k = seq.K[n]
-        k_inv = k.inverse()  # fresh, to check the closed form seq.K_inv[n]
-        lam = MatQ.diag([-(n + r) for r in range(1, N + 1)])
+        k_lam = MatQ._canonical([[-(n + c + 1) * v for c, v in enumerate(row)]
+                                 for row in k.num], k.d)
         checks.append(check(f"K-conjugation n={n}", "triangularizer-conjugation",
-                            k * lam * k_inv == seq.Gamma[n]))
+                            k_lam == seq.Gamma[n] * k))
         checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
                             all(k[r, r] == 1 for r in range(N))))
-        entry_ok = True
-        for ii in range(1, N + 1):
-            for jj in range(1, ii + 1):
-                prod = Fraction(1)
-                for m in range(jj, ii):
-                    prod *= spec.a[m - 1]
-                expected = prod * pochhammer(nu + jj + n + 1, ii - jj) / factorial(ii - jj)
-                if k[ii - 1, jj - 1] != expected:
-                    entry_ok = False
+        entry_ok = all(k[ii - 1, jj - 1] == c * pochhammer(nu + jj + n + 1, ii - jj)
+                       for (ii, jj), c in coef.items())
         checks.append(check(f"K-closed-form n={n}", "triangularizer-entries", entry_ok))
         checks.append(check(f"K-inverse n={n}", "triangularizer-entries",
-                            seq.K_inv[n] == k_inv))
+                            (k * seq.K_inv[n]).is_identity()))
     return checks
 
 
@@ -337,42 +339,71 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     ]
 
 
+def _J_commutator(x: MatQ) -> MatQ:
+    """[J, X] for J = diag(1, ..., N): entry (r, c) is (r - c) x_rc."""
+    return MatQ._canonical([[(r - c) * v for c, v in enumerate(row)]
+                            for r, row in enumerate(x.num)], x.d)
+
+
+def _norm_terms(spec: WeightSpec, h: MatQ, h_inv: MatQ, h_prev_inv: MatQ | None) -> tuple:
+    """What the norm recursion reads of one H_m, from H_m, H_m^{-1} and
+    H_{m-1}^{-1} (None at m = 0, where the sequence vanishes below):
+    H_m J H_m^{-1}, T_m = H_m (A^T - 1) H_{m-1}^{-1} (None at m = 0) and
+    W_m = [J, H_m J H_m^{-1}] + T_m (A - 1)."""
+    hjh = h * spec.J * h_inv
+    if h_prev_inv is None:
+        return hjh, None, _J_commutator(hjh)
+    t = h * spec.at1 * h_prev_inv
+    return hjh, t, MatQ.dot([(MatQ.identity(spec.N), _J_commutator(hjh)), (t, spec.am1)],
+                            spec.N)
+
+
+def _h_step(spec: WeightSpec, lower: tuple, upper: tuple, h_up: MatQ) -> MatQ:
+    """H_{n+2} from the `_norm_terms` of H_n (`lower`) and of H_{n+1}
+    (`upper`) and from H_{n+1} itself:
+
+        b_n = (A-1) T_{n+1} - W_n,
+        H_{n+2} = (A-1)^{-2} (b_n (A-1) + (A-1) W_{n+1} + H_n J H_n^{-1}
+                              - H_{n+1} J H_{n+1}^{-1} - 2) H_{n+1} (A^T-1)^{-1},
+
+    b_n and the inner sum each one fused MatQ.dot."""
+    i, am1 = MatQ.identity(spec.N), spec.am1
+    hjh_n, _, w_n = lower
+    hjh_up, t_up, w_up = upper
+    bn = MatQ.dot([(am1, t_up), (i, -w_n)], spec.N)
+    inner = MatQ.dot([(bn, am1), (am1, w_up), (i, hjh_n), (i, -hjh_up), (i, i * -2)], spec.N)
+    return spec.am1_inv * spec.am1_inv * inner * h_up * spec.at1_inv
+
+
 def h_recursion_next(spec: WeightSpec, H: list, H_inv: list) -> MatQ:
     """H_{n+2} from (H_{n-1},) H_n, H_{n+1}, the last two of `H`, and their
     inverses H_inv[m] = H_m^{-1}, through the delta-coefficient identities,
-    with A, J, A^T - 1 and the inverses of A - 1 and A^T - 1 read off
-    `spec`; the H_{n-1} term drops when producing H_2 because the sequence
-    vanishes at negative indices."""
-    A, J, at1, am1_inv = spec.A, spec.J, spec.at1, spec.am1_inv
-    i = MatQ.identity(A.N)
-    am1 = A - i
+    with A - 1, A^T - 1 and their inverses read off `spec`; the H_{n-1}
+    term drops when producing H_2 because the sequence vanishes at negative
+    indices.  It forms the `_norm_terms` of H_n and H_{n+1} and takes the
+    one step (`_h_step`) that verify_H_recursion takes."""
     n = len(H) - 2  # producing index n+2
-    hn, hn1 = H[n], H[n + 1]
-    hn_inv = H_inv[n]
-    hjh_n = hn * J * hn_inv
-    hjh_n1 = hn1 * J * H_inv[n + 1]
-    bn = -commutator(J, hjh_n) + am1 * hn1 * at1 * hn_inv
-    if n >= 1:
-        bn = bn - hn * at1 * H_inv[n - 1] * am1
-    inner = (bn * am1 - i * 2 - hjh_n1 + hjh_n
-             + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * hn_inv) * am1)
-    return am1_inv * am1_inv * inner * hn1 * spec.at1_inv
+    lower = _norm_terms(spec, H[n], H_inv[n], H_inv[n - 1] if n >= 1 else None)
+    upper = _norm_terms(spec, H[n + 1], H_inv[n + 1], H_inv[n])
+    return _h_step(spec, lower, upper, H[n + 1])
 
 
 def verify_H_recursion(seq: OPSeq) -> list[dict]:
-    """H_n for 2 <= n <= n_max by h_recursion_next from the family's
-    H_{n-3}, H_{n-2}, H_{n-1}, against its H_n.  The pass inverts each
-    H_m, m < n_max, once, afresh, when the first step that needs it runs:
-    the inverses are part of the check, so they are taken of the H under
-    check and not read from the family's memo (seq.h_inv)."""
+    """H_n for 2 <= n <= n_max by the step of h_recursion_next from the
+    family's H_{n-3}, H_{n-2}, H_{n-1}, against its H_n, in one pass: each
+    H_m, m < n_max, is inverted once, afresh, and its `_norm_terms`
+    (H_m J H_m^{-1}, T_m, W_m) are formed once and read by both steps that
+    need them.  The inverses are part of the check, so they are taken of
+    the H under check and not read from the family's memo (seq.h_inv)."""
     checks = []
     if seq.n_max < 2:
         return checks
-    H = seq.H
-    inverses = [H[0].inverse()]
+    spec, H = seq.spec, seq.H
+    inverses = [h.inverse() for h in H[:-1]]
+    terms = [_norm_terms(spec, h, inv, inverses[m - 1] if m else None)
+             for m, (h, inv) in enumerate(zip(H, inverses))]
     for n in range(2, seq.n_max + 1):
-        inverses.append(H[n - 1].inverse())
-        nxt = h_recursion_next(seq.spec, H[:n], inverses)
+        nxt = _h_step(spec, terms[n - 2], terms[n - 1], H[n - 1])
         checks.append(check(f"H-recursion n={n}", "norm-three-term-recursion", nxt == H[n]))
     return checks
 
@@ -405,7 +436,7 @@ def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
 
 
 def _h1_from_x1(spec: WeightSpec, h0: MatQ, x1: MatQ) -> MatQ:
-    return (x1 + commutator(spec.J, x1)) * h0 * spec.at1_inv
+    return (x1 + _J_commutator(x1)) * h0 * spec.at1_inv
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:
@@ -454,20 +485,26 @@ def verify_X_recursion(seq: OPSeq) -> list[dict]:
     """The zeroth-coefficient identity as the matrix identity
     n + X_n A - A X_{n+1} - X_n + X_{n+1} = -(n+1+nu) - H_n J H_n^{-1}
     for 1 <= n < n_max, whose rows are the X recursions, plus the
-    G(n)_{ii} = X(n)_{ii} diagonal claim.
+    G(n)_{ii} = X(n)_{ii} diagonal claim.  Each identity is one fused sum
+    (MatQ.dot) that must vanish:
+
+        X_n (A-1) - (A-1) X_{n+1} + (2n+1+nu) + H_n J H_n^{-1} = 0.
 
     The printed item (a) drops the X(n+1) term and swaps H_n J H_n^{-1} for
-    I(n) in row 1; its status is reported against the oracle.  The X
+    I(n) in row 1, so its status is row 1 of
+    X_n (A-1) + (2n+1+nu) + I(n) = 0, reported against the oracle.  The X
     recursion compares rows from n_max = 2, the diagonal claim from
     n_max = 1."""
     spec = seq.spec
-    A, N, X = spec.A, spec.N, seq.X
-    i = MatQ.identity(N)
+    N, X = spec.N, seq.X
+    i, am1 = MatQ.identity(N), spec.am1
+    one_minus_a = -am1
 
     def rows(n):
-        head = i * n + X[n] * A - X[n]
-        return (head - A * X[n + 1] + X[n + 1] == -(i * (n + 1 + spec.nu)) - seq.HJH[n],
-                not any((head + i * (n + 1 + spec.nu) + seq.I[n]).rows[0]))
+        xa, shift = X[n] * am1, i * (2 * n + 1 + spec.nu)
+        derived = MatQ.dot([(i, xa), (one_minus_a, X[n + 1]), (i, shift), (i, seq.HJH[n])], N)
+        printed = MatQ.dot([(i, xa), (i, shift), (i, seq.I[n])], N)
+        return derived.is_zero(), not any(printed.num[0])
 
     checks = quoted_check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
                           [rows(n) for n in range(1, seq.n_max)])

@@ -434,13 +434,32 @@ def exp_nilpotent(a: MatQ) -> MatPoly:
 
 def build_K(n: int, nu, A: MatQ) -> MatQ:
     """Unipotent lower triangular K_n = exp(A (n + nu + 1 + J)) for a
-    strictly lower bidiagonal A; its columns are the eigenvectors of
+    strictly lower triangular A; its columns are the eigenvectors of
     A(n + nu + 1 + J) - (n + J).  At -A it returns K_n^{-1}.
 
-    Entrywise, (K_n)_{i,j} = (prod_{k=j..i-1} a_k) (n+nu+j+1)_{i-j} / (i-j)!
-    in 1-based indices, with a_k = A[k+1, k].  It is the sum of the
-    coefficients of e^{xA(n+nu+1+J)}, its value at x = 1.
+    For the strictly lower bidiagonal A of the weight, entrywise
+    (K_n)_{i,j} = (prod_{k=j..i-1} a_k) (n+nu+j+1)_{i-j} / (i-j)! in 1-based
+    indices, with a_k = A[k+1, k].  It is the value at x = 1 of
+    e^{xA(n+nu+1+J)}, built on integers: with nu = p/q, M = A (n+nu+1+J) is
+    the integer matrix m over md = d_A q (column c, 0-based, scaled by
+    q(n+2+c) + p), and
+
+        K_n = sum_{k<N} M^k / k! = sum_{k<N} m^k ((N-1)!/k!) md^{N-1-k}
+                                   / ((N-1)! md^{N-1}),
+
+    one integer sum over one denominator and one gcd pass.
     """
-    shift = n + rat(nu) + 1
-    terms = exp_nilpotent(A * MatQ.diag([shift + j for j in range(1, A.N + 1)])).coeffs
-    return sum(terms[1:], terms[0])
+    nu = rat(nu)
+    p, q, size = nu.numerator, nu.denominator, A.N
+    if any(v for r, row in enumerate(A.num) for v in row[r:]):
+        raise ValueError("matrix must be strictly lower triangular")
+    cols = list(zip(*([v * (q * (n + 2 + c) + p) for c, v in enumerate(row)]
+                      for row in A.num)))
+    md, top = A.d * q, factorial(size - 1)
+    power = MatQ.identity(size).num
+    acc = [[v * top * md ** (size - 1) for v in row] for row in power]
+    for k in range(1, size):
+        power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+        s = top // factorial(k) * md ** (size - 1 - k)
+        acc = [[u + v * s for u, v in zip(ra, rb)] for ra, rb in zip(acc, power)]
+    return MatQ._canonical(acc, top * md ** (size - 1))

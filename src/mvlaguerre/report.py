@@ -190,9 +190,12 @@ def suite_laguerre(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def suite_dualhahn(params: dh.DHParams, seq: OPSeq) -> list[dict]:
+def suite_dualhahn(params: dh.DHParams, seq: OPSeq,
+                   closed_forms: dict | None = None) -> list[dict]:
     """The dual Hahn checks of a constrained family, given its oracle family
-    `seq` (of params.spec)."""
+    `seq` (of params.spec).  `closed_forms`, when given, receives the
+    corrected closed form xi_dual_hahn at every (n, i, j) with n + i - j > 0
+    of the family's xi table, as the closed-form check computed it."""
     xi = seq.xi
     checks = [check("delta family conditions", "pearson-compatibility",
                     not dh.check_conditions(params))]
@@ -200,7 +203,7 @@ def suite_dualhahn(params: dh.DHParams, seq: OPSeq) -> list[dict]:
         for i in range(1, params.N + 1):
             checks += dh.verify_gauge_ratio(params, n, i)
     checks += dh.verify_q_recursions(xi, params)
-    checks += dh.verify_dual_hahn_closed_form(xi, params)
+    checks += dh.verify_dual_hahn_closed_form(xi, params, closed_forms)
     checks += dh.verify_boundary_recursion(xi, params)
     checks += dh.verify_derivative_coupling(seq, params)
     _, _, pchecks = dh.phi_psi(params)

@@ -147,14 +147,18 @@ class WeightSpec(Frozen):
     def J(self) -> MatQ:
         return build_J(self.N)
 
-    # A^T - 1 and the inverses of A - 1 and A^T - 1, for the norm recursions
+    # A - 1, A^T - 1 and their inverses, for the norm recursions
+    @cached_property
+    def am1(self) -> MatQ:
+        return self.A - MatQ.identity(self.N)
+
     @cached_property
     def at1(self) -> MatQ:
         return self.A.transpose() - MatQ.identity(self.N)
 
     @cached_property
     def am1_inv(self) -> MatQ:
-        return (self.A - MatQ.identity(self.N)).inverse()
+        return self.am1.inverse()
 
     @cached_property
     def at1_inv(self) -> MatQ:

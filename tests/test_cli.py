@@ -386,19 +386,28 @@ def test_small_parameter_sweep(name, n_dim, capsys):
             assert payload["checks"], argv
 
 
+def _wrap_everywhere(monkeypatch, module, name, wrapper_of):
+    """Replace `module.name` by `wrapper_of(original)` in every package module
+    that holds it."""
+    original = getattr(module, name)
+    wrapped = wrapper_of(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("mvlaguerre") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
 def _count_calls(monkeypatch, module, name):
     """Replace `module.name` by a counting wrapper in every package module
     that holds it; returns the list the calls are appended to."""
     calls = []
-    original = getattr(module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def wrapper_of(original):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counting
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("mvlaguerre") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
+    _wrap_everywhere(monkeypatch, module, name, wrapper_of)
     return calls
 
 
@@ -445,6 +454,20 @@ def test_dual_hahn_suite_sums_each_3F2_once(monkeypatch, capsys):
                        "--nmax", "5"], capsys)
     assert code == 0
     assert 0 < len(calls) <= 98
+
+
+def test_dualhahn_table_reads_the_suite_closed_forms(monkeypatch, capsys):
+    """The xi_dual_hahn column of the printed table is the suite's corrected
+    closed form, not a second 3F2 sum: dualhahn --N 3 --c 2 --d 1 (n <= 5)
+    sums 54 T_k for the closed form and the recurrence cross-check and 44
+    for the printed variant, and nothing more."""
+    calls = _count_calls(monkeypatch, dh, "dual_hahn")
+    code, out, _ = _run(["dualhahn", "--N", "3", "--c", "2", "--d", "1"], capsys)
+    assert code == 0
+    assert len(calls) == 98
+    rows = [r for r in json.loads(out)["xi"] if "xi_dual_hahn" in r]
+    assert len(rows) == 44
+    assert all(r["xi_dual_hahn"] == r["xi_extracted"] for r in rows)
 
 
 def test_dualhahn_computes_one_family_and_one_xi_table(monkeypatch, capsys):
@@ -615,13 +638,36 @@ def test_lie_exits_1_when_a_structure_check_fails(monkeypatch, capsys):
     assert json.loads(out)["derived_series_lengths"] == 2
 
 
+def _record_gamma_builds(monkeypatch, spec, n_max, built):
+    """Append (owner, "Gamma", n) to `built` whenever Gamma_n =
+    A(n+nu+1+J) - n - J is formed from integer numerators, as one canonical
+    MatQ made outside the matrix arithmetic of `matrices`; that is how the
+    family forms it.  (Sums and products that come out equal to Gamma_n, such
+    as the constant coefficient of the second-order operator, are not
+    builds of it.)"""
+    i = MatQ.identity(spec.N)
+    gammas = {spec.A * (i * (n + spec.nu + 1) + spec.J) - i * n - spec.J: n
+              for n in range(n_max + 1)}
+    canonical = MatQ._canonical
+
+    def counting(num, d):
+        out = canonical(num, d)
+        frame = sys._getframe(1)
+        if out in gammas and frame.f_globals["__name__"] != "mvlaguerre.matrices":
+            built.append((_owner(frame), "Gamma", gammas[out]))
+        return out
+
+    monkeypatch.setattr(MatQ, "_canonical", staticmethod(counting))
+
+
 def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     """suite_operators, suite_laguerre and extract_xi on one family build
-    each K_n, each K_n^{-1} and each R(x,n) = K_n^{-1} P_n e^{xA} once, and
-    invert an H_n only in the family's memo (at most once each) or where a
-    fresh inverse is the check itself: the norm recursion pass, which
-    inverts each H_m it reads once, and the X(1) bootstrap, which builds
-    X(1) once and so inverts H_0 once."""
+    each K_n, each K_n^{-1}, each Gamma_n and each R(x,n) = K_n^{-1} P_n e^{xA}
+    once, inside the family, and invert an H_n only in the family's memo
+    (at most once each) or where a fresh inverse is the check itself: the
+    norm recursion pass, which inverts each H_m it reads once, and the X(1)
+    bootstrap, which builds X(1) once and so inverts H_0 once.  No K check
+    inverts K_n."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -632,35 +678,37 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     norm = {h: n for n, h in enumerate(seq.H)}
     built, inverted = [], []
 
-    # K_n and K_n^{-1} are nilpotent exponentials at x = 1; R(x,n) is the one
-    # product of K_n^{-1} with a matrix polynomial
-    exp, rmul, inverse = matrices.exp_nilpotent, MatPoly.__rmul__, MatQ.inverse
+    # K_n and K_n^{-1} come from build_K; R(x,n) is the one product of
+    # K_n^{-1} with a matrix polynomial
+    rmul, inverse = MatPoly.__rmul__, MatQ.inverse
 
-    def counting_exp(a):
-        out = exp(a)
-        at_one = out(1)
-        if at_one in kind:
-            built.append(kind[at_one])
-        return out
+    def counting_build_K(original):
+        def build(n, nu, a):
+            out = original(n, nu, a)
+            built.append((_owner(sys._getframe(1)), *kind[out]))
+            return out
+        return build
 
     def counting_rmul(self, other):
         if isinstance(other, MatQ) and kind.get(other, ("",))[0] == "K_inv":
-            built.append(("R", kind[other][1]))
+            built.append((_owner(sys._getframe(1)), "R", kind[other][1]))
         return rmul(self, other)
 
     def counting_inverse(self):
-        if self in norm:
-            inverted.append((sys._getframe(1).f_code.co_name, norm[self]))
+        if self in norm or self in kind:
+            inverted.append((_owner(sys._getframe(1)), norm.get(self, "K")))
         return inverse(self)
 
-    monkeypatch.setattr(matrices, "exp_nilpotent", counting_exp)
+    _wrap_everywhere(monkeypatch, matrices, "build_K", counting_build_K)
+    _record_gamma_builds(monkeypatch, spec, seq.n_max, built)
     monkeypatch.setattr(MatPoly, "__rmul__", counting_rmul)
     monkeypatch.setattr(MatQ, "inverse", counting_inverse)
     rp.suite_operators(seq)
     rp.suite_laguerre(seq)
     lf.extract_xi(seq)
-    for name in ("K", "K_inv", "R"):
-        assert sorted(n for what, n in built if what == name) == list(degrees), name
+    for name in ("K", "K_inv", "Gamma", "R"):
+        assert sorted(n for _, what, n in built if what == name) == list(degrees), name
+    assert all(owner == what for owner, what, _ in built), built
     for owner in ("_inverse_of_H", "verify_H_recursion"):
         once = [n for caller, n in inverted if caller == owner]
         assert len(once) == len(set(once)), owner
@@ -669,6 +717,7 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     assert [n for caller, n in inverted if caller == "x1_from_h0"] == [0]
     assert {caller for caller, _ in inverted} <= {
         "_inverse_of_H", "verify_H_recursion", "x1_from_h0"}
+    assert "K" not in {n for _, n in inverted}
 
 
 def _owner(frame):
@@ -708,19 +757,23 @@ def test_build_A_runs_only_inside_the_spec(monkeypatch):
 
 def test_exp_nilpotent_runs_only_inside_the_spec_and_K(monkeypatch, capsys):
     """e^{xA} and e^{-xA} are built only by WeightSpec.exp_xA and
-    WeightSpec.exp_neg_xA, and K_n only by build_K: Q, the diagonalization,
-    the weight and the Pearson pair read the spec's.  Each DHParams builds
-    its coupling once, for the coupling check and the Pearson pair."""
-    original = matrices.exp_nilpotent
-    callers = set()
+    WeightSpec.exp_neg_xA: Q, the diagonalization, the weight and the
+    Pearson pair read the spec's.  K_n and K_n^{-1} are built only by
+    build_K, which sums its exponential on integers itself and is called
+    only by the family's K and K_inv and by the Pearson pair.  Each DHParams builds its coupling
+    once, for the coupling check and the Pearson pair."""
+    callers, k_callers = set(), set()
 
-    def recording(a):
-        callers.add(_owner(sys._getframe(1)))
-        return original(a)
+    def recording_in(seen):
+        def wrapper_of(original):
+            def recording(*args):
+                seen.add(_owner(sys._getframe(1)))
+                return original(*args)
+            return recording
+        return wrapper_of
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("mvlaguerre") and getattr(mod, "exp_nilpotent", None) is original:
-            monkeypatch.setattr(mod, "exp_nilpotent", recording)
+    _wrap_everywhere(monkeypatch, matrices, "exp_nilpotent", recording_in(callers))
+    _wrap_everywhere(monkeypatch, matrices, "build_K", recording_in(k_callers))
     coupling, built = dh.DHParams.coupling.func, []
 
     def counting(params):
@@ -735,7 +788,9 @@ def test_exp_nilpotent_runs_only_inside_the_spec_and_K(monkeypatch, capsys):
                  "verify --suite all --N 3 --c 2 --d 1 --nmax 5",
                  "dualhahn --N 3 --c 2 --d 1"):
         assert _run(argv.split(), capsys)[0] == 0, argv
-    assert callers == {"exp_xA", "exp_neg_xA", "build_K"}
+    assert callers == {"exp_xA", "exp_neg_xA"}
+    # phi_psi has no family: it writes the Pearson pair in the basis of K_0^{-1}
+    assert k_callers == {"K", "K_inv", "phi_psi"}
     assert len(built) == len({id(params) for params in built}) == 3
 
 
@@ -830,7 +885,8 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     on one family build H_n J H_n^{-1}, T_n = H_n (A^T-1) H_{n-1}^{-1},
     Gamma_n, G(n) and I(n) once per n, all inside the family, read the
     xi table off the oracle once, and build the numerators of each Laguerre
-    polynomial once."""
+    polynomial once.  The norm recursion pass forms its own
+    H_m J H_m^{-1} (m < n_max) and T_m (1 <= m < n_max) once per m."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -863,6 +919,7 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
                 built.append((_owner(sys._getframe(1)), *what))
         return mul(self, other)
 
+    _record_gamma_builds(monkeypatch, spec, seq.n_max, built)
     monkeypatch.setattr(MatQ, "__mul__", counting_mul)
     reads = _count_calls(monkeypatch, lf, "read_xi")
     laguerre = _count_calls(monkeypatch, lf, "laguerre_numerators")
@@ -877,11 +934,16 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
                      ("G", degrees[1:]), ("I", degrees)):
         assert sorted(n for owner, what, n in built if what == name and owner == name) \
             == ns, name
-    # outside the family, such products are formed only where they are the
-    # check: the standalone norm recursions, the generic dagger
-    # H(n) M^* H(n)^{-1} (checked against the family's M-dagger), and K_n
-    allowed = {"HJH": {"h_recursion_next", "x1_from_h0"},
-               "T": {"h_recursion_next", "dagger"}, "Gamma": {"build_K"}}
+    # Gamma_n is formed from numerators (`_record_gamma_builds`) and nowhere
+    # as the product A(n+nu+1+J); outside the family, the other products are
+    # formed only where they are the check: the norm recursion pass (each once per m), the X(1) bootstrap and
+    # the generic dagger H(n) M^* H(n)^{-1} (checked against the family's
+    # M-dagger)
+    assert sorted(n for owner, what, n in built if owner == "_norm_terms" and what == "HJH") \
+        == degrees[:-1]
+    assert sorted(n for owner, what, n in built if owner == "_norm_terms" and what == "T") \
+        == degrees[1:-1]
+    allowed = {"HJH": {"_norm_terms", "x1_from_h0"}, "T": {"_norm_terms", "dagger"}}
     for owner, what, _ in built:
         assert owner == what or owner in allowed.get(what, ()), (owner, what)
     assert len(reads) == 1

@@ -424,3 +424,19 @@ def test_gram_schmidt_equals_the_subtraction_chain(spec, order):
 def test_gram_schmidt_equals_the_subtraction_chain_on_random_specs(spec, n_max, order):
     seq = compute_monic_ops(spec, n_max)
     assert (seq.P, seq.H) == _subtract_chain(spec, n_max, ORDERS[order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 30), st.data())
+def test_entrywise_Gamma_is_the_matq_expression(N, n_max, data):
+    """OPSeq.Gamma, built entry by entry on the numerators of A and nu,
+    equals A(n+nu+1+J) - n - J at every degree.  Gamma reads only the spec
+    and the number of degrees, so the family here is the identity at each."""
+    rats = st.fractions(F(1, 30), 50, max_denominator=30)
+    spec = WeightSpec(N, data.draw(rats),
+                      [data.draw(rats) * data.draw(st.sampled_from([1, -1])) for _ in range(N - 1)],
+                      [data.draw(rats) for _ in range(N)])
+    i = MatQ.identity(N)
+    seq = OPSeq(spec, None, [MatPoly.const(i)] * (n_max + 1), [i] * (n_max + 1))
+    assert seq.Gamma == tuple(spec.A * (i * (n + spec.nu + 1) + spec.J) - i * n - spec.J
+                              for n in range(n_max + 1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvlaguerre.engine import OPSeq, compute_monic_ops
+from mvlaguerre.engine import OPSeq, compute_monic_ops, quoted_check
 from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        extract_xi,
                                        h_recursion_next, h1_from_h0,
@@ -17,7 +17,7 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        verify_displayed_xi_recursions,
                                        read_xi, verify_xi_tables, x1_from_h0,
                                        xi_by_recursion, XiTable)
-from mvlaguerre.matrices import MatPoly, MatQ
+from mvlaguerre.matrices import MatPoly, MatQ, commutator
 from mvlaguerre.operators import second_order_diagonalized
 from mvlaguerre.weights import WeightSpec
 
@@ -425,9 +425,31 @@ def _Q_relation_reference(seq):
     return out
 
 
+def _H_step_reference(spec, H, H_inv):
+    """H_{n+2} from the last two of H (and H_{n-1}) as one chain of MatQ
+    products and sums, every term formed afresh:
+    b_n = -[J, H_n J H_n^{-1}] + (A-1) H_{n+1} (A^T-1) H_n^{-1}
+          - H_n (A^T-1) H_{n-1}^{-1} (A-1),
+    H_{n+2} = (A-1)^{-2} (b_n (A-1) - 2 - H_{n+1} J H_{n+1}^{-1} + H_n J H_n^{-1}
+              + (A-1) [J, H_{n+1} J H_{n+1}^{-1}]
+              + (A-1) H_{n+1} (A^T-1) H_n^{-1} (A-1)) H_{n+1} (A^T-1)^{-1}."""
+    A, J = spec.A, spec.J
+    i = MatQ.identity(spec.N)
+    am1, at1 = A - i, A.transpose() - i
+    n = len(H) - 2
+    hn, hn1 = H[n], H[n + 1]
+    hjh_n, hjh_n1 = hn * J * H_inv[n], hn1 * J * H_inv[n + 1]
+    bn = -commutator(J, hjh_n) + am1 * hn1 * at1 * H_inv[n]
+    if n >= 1:
+        bn = bn - hn * at1 * H_inv[n - 1] * am1
+    inner = (bn * am1 - i * 2 - hjh_n1 + hjh_n
+             + am1 * commutator(J, hjh_n1) + am1 * (hn1 * at1 * H_inv[n]) * am1)
+    return am1.inverse() * am1.inverse() * inner * hn1 * at1.inverse()
+
+
 def _H_recursion_reference(seq):
     """Each step with inverses of its own, taken afresh."""
-    return [h_recursion_next(seq.spec, seq.H[:n], [h.inverse() for h in seq.H[:n]]) == seq.H[n]
+    return [_H_step_reference(seq.spec, seq.H[:n], [h.inverse() for h in seq.H[:n]]) == seq.H[n]
             for n in range(2, seq.n_max + 1)]
 
 
@@ -543,3 +565,78 @@ def test_Q_relation_fails_when_T_Q_outgrows_Q():
     assert [c["check_id"] for c in verify_Q_relation(seq) if not c["pass"]] \
         == ["Q relation n=2", "Q relation n=3"]
     assert _Q_relation_reference(seq) == _verdicts(verify_Q_relation(seq))
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda k: f"N={k + 1}")
+def test_h_recursion_next_is_the_reference_step(index):
+    """h_recursion_next (one step of the shared pass, its terms formed for
+    that step) equals the MatQ chain at every degree, also on a family with
+    one corrupted norm, where the value it returns is not H_{n+2}."""
+    seq = _rational_family(index)
+    for H in (seq.H, _with_H_entry_added(seq, 1, 1, seq.spec.N, F(5, 11)).H):
+        inverses = [h.inverse() for h in H]
+        for n in range(2, seq.n_max + 1):
+            assert h_recursion_next(seq.spec, H[:n], inverses[:n]) \
+                == _H_step_reference(seq.spec, H[:n], inverses[:n])
+
+
+# verify_X_recursion checks each identity as one fused sum; it must give
+# what the MatQ expressions it replaced give.
+
+def _X_rows_reference(seq):
+    """(derived rows hold, printed row 1 holds) per n, as MatQ expressions."""
+    spec = seq.spec
+    A, X, i = spec.A, seq.X, MatQ.identity(spec.N)
+    out = []
+    for n in range(1, seq.n_max):
+        head = i * n + X[n] * A - X[n]
+        out.append((head - A * X[n + 1] + X[n + 1] == -(i * (n + 1 + spec.nu)) - seq.HJH[n],
+                    not any((head + i * (n + 1 + spec.nu) + seq.I[n]).rows[0])))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.sampled_from(["X", "HJH", "I", None]), st.data())
+def test_fused_X_rows_match_the_matq_expressions(index, printed_holds, name, data):
+    """Clean, with I(n) chosen so that row 1 of the printed item holds (and
+    the last row does not), and with one entry of one X_m, H_m J H_m^{-1} or
+    I(m) perturbed: the fused sums give the reference's verdicts."""
+    seq = _rational_family(index)
+    family = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    spec, N = seq.spec, seq.spec.N
+    i = MatQ.identity(N)
+    if printed_holds:  # shadows the cached I
+        family.I = tuple(-(x * (spec.A - i) + i * (2 * n + 1 + spec.nu)) + MatQ.unit(N, N - 1, 0)
+                         for n, x in enumerate(seq.X))
+    if name:
+        m = data.draw(st.integers(1, seq.n_max))
+        r, c = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+        mats = list(getattr(family, name))
+        mats[m] = mats[m] + MatQ.unit(N, r, c) * data.draw(nonzero)
+        setattr(family, name, tuple(mats))
+    [row] = [c for c in verify_X_recursion(family)
+             if c["equation"] == "zero-shift-coefficient-entrywise"]
+    assert [row] == quoted_check(row["check_id"], row["equation"], _X_rows_reference(family))
+    if not name:
+        assert (row["pass"], row["displayed_form_pass"]) == (True, printed_holds)
+
+
+# verify_K_properties checks by products; each product check must still fail
+# exactly at the degree whose matrix is wrong.
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["K_inv", "Gamma"]), st.data())
+def test_K_product_checks_fail_at_one_perturbed_entry(index, name, data):
+    """One entry of K_inv[m] perturbed fails K-inverse n=m alone; one entry of
+    Gamma_m perturbed fails K-conjugation n=m alone."""
+    seq = _rational_family(index)
+    family = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    N = seq.spec.N
+    m = data.draw(st.integers(0, seq.n_max))
+    r, c = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    mats = list(getattr(seq, name))
+    mats[m] = mats[m] + MatQ.unit(N, r, c) * data.draw(nonzero)
+    setattr(family, name, tuple(mats))  # shadows the cached tuple
+    failing = [c["check_id"] for c in verify_K_properties(family) if not c["pass"]]
+    label = "K-inverse" if name == "K_inv" else "K-conjugation"
+    assert failing == [f"{label} n={m}"]

@@ -383,6 +383,34 @@ def test_build_K_subdiagonal_entry():
     assert build_K(n, nu, build_A((-a[0],)))[1, 0] == -a[0] * (n + nu + 2)
 
 
+@st.composite
+def strictly_lower(draw):
+    """A strictly lower triangular N x N matrix, N = 1..6: the bidiagonal A
+    of a weight, or any strictly lower triangle."""
+    N = draw(st.integers(1, 6))
+    entries = st.fractions(-9, 9, max_denominator=12)
+    if draw(st.booleans()):
+        return build_A([draw(entries.filter(bool)) for _ in range(N - 1)])
+    return MatQ([[draw(entries) if c < r else 0 for c in range(N)] for r in range(N)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(strictly_lower(), st.sampled_from([1, -1]), st.integers(0, 30),
+       st.fractions(-40, 40, max_denominator=15))
+def test_integer_build_K_is_the_exponential_at_one(a, sign, n, nu):
+    """build_K sums M^k / k! on integers over one denominator; it equals the
+    nilpotent exponential of A diag(n+nu+1+j) at x = 1, at A and at -A."""
+    a = a * sign
+    shifted = a * MatQ.diag([n + nu + 1 + j for j in range(1, a.N + 1)])
+    assert build_K(n, nu, a) == exp_nilpotent(shifted)(1)
+
+
+def test_build_K_rejects_a_matrix_that_is_not_strictly_lower():
+    for a in (MatQ([[0, 1], [0, 0]]), MatQ([[1, 0], [2, 0]])):
+        with pytest.raises(ValueError):
+            build_K(0, F(1, 2), a)
+
+
 def test_build_K_is_the_exponential_at_one():
     nu, a = F(5, 2), build_A((2, 3))
     for n in (0, 3):
