@@ -302,20 +302,24 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def phi_psi(params: DHParams):
+def phi_psi(params: DHParams, seq: OPSeq):
     """The degree-2 and degree-1 matrix polynomials carrying the weight from
     level nu to nu+1, built through the nilpotent-exponential conjugations.
 
     Returns (Phi, Psi, checks): the checks confirm the defining identities
     W Phi = W^{+} and W Psi = (W^{+})' as exact identities between matrix
     polynomials, the degrees, and the conjugated closed form x(dJ+c).  Both
-    levels are written in the basis of l0 = K_0^{-1} at level nu."""
+    levels are written in the basis of l0 = K_0^{-1} at level nu, read off
+    `seq`, a family of params.spec (of any degree); a family of another
+    weight raises ValueError."""
     nn = params.N
     spec = params.spec
+    if seq.spec != spec:
+        raise ValueError("phi_psi needs a family of the constrained weight")
     a, j, i = spec.A, spec.J, MatQ.identity(nn)
     # l0 = K_0^{-1} of this weight: unipotent lower triangular, (m,n) entry
     # (nu+n+1)_{m-n} / (m-n)!; its inverse is K_0
-    l0 = build_K(0, params.nu, -a)
+    l0 = seq.K_inv[0]
     l0_inv = build_K(0, params.nu, a)
     l0_star_inv = l0_inv.transpose()
     djc = j * params.d + i * params.c

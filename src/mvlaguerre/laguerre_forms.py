@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .engine import OPSeq, check, quoted_check
-from .matrices import MatPoly, MatQ
+from .matrices import J_commutator, MatPoly, MatQ
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
 from .scalar import laguerre_numerators, pochhammer, rat_str
@@ -40,19 +40,44 @@ class ClosedFormViolation(AssertionError):
     """An entry of R failed the Laguerre proportionality the theory forces."""
 
 
+def _K_coefficients(spec: WeightSpec) -> dict:
+    """(i, j) -> prod_{k=j..i-1} a_k / (i-j)!, 1-based, i >= j: the factors
+    of the closed-form entries of K_n that do not depend on n."""
+    N = spec.N
+    return {(ii, jj): prod(spec.a[jj - 1:ii - 1], start=Fraction(1)) / factorial(ii - jj)
+            for ii in range(1, N + 1) for jj in range(1, ii + 1)}
+
+
+def _K_closed_form(spec: WeightSpec, n: int, coef: dict) -> dict:
+    """The closed-form entries coef[i, j] (n+nu+j+1)_{i-j} of K_n, 1-based,
+    i >= j, with `coef` from `_K_coefficients`, as (i, j) -> (numerator,
+    denominator).  Each rising factorial is one running integer product
+    down its column: with nu = p/q, (n+nu+j+1)_m = R_m / q^m and
+    R_{m+1} = R_m (p + q(n+j+1+m))."""
+    p, q = spec.nu.numerator, spec.nu.denominator
+    entries = {}
+    for jj in range(1, spec.N + 1):
+        rising, q_power = 1, 1
+        for ii in range(jj, spec.N + 1):  # m = ii - jj
+            c = coef[ii, jj]
+            entries[ii, jj] = (c.numerator * rising, c.denominator * q_power)
+            rising *= p + q * (n + ii + 1)
+            q_power *= q
+    return entries
+
+
 def verify_K_properties(seq: OPSeq) -> list[dict]:
     """K_n Lambda_n = Gamma_n K_n exactly, unit diagonal, the closed-form
-    entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)!, and K_n K_inv[n] = I for
-    the closed-form K_n^{-1}.  K_n is unipotent, hence invertible, so the
-    two products hold exactly when K_n Lambda_n K_n^{-1} = Gamma_n and
-    K_inv[n] is the inverse of K_n; no inverse is taken.  Lambda_n is
-    diagonal, so K_n Lambda_n scales column c (0-based) by -(n+c+1)."""
+    entries (prod a_k) (n+nu+j+1)_{i-j} / (i-j)! (`_K_closed_form`), and
+    K_n K_inv[n] = I for the closed-form K_n^{-1}.  K_n is unipotent, hence
+    invertible, so the two products hold exactly when
+    K_n Lambda_n K_n^{-1} = Gamma_n and K_inv[n] is the inverse of K_n; no
+    inverse is taken.  Lambda_n is diagonal, so K_n Lambda_n scales column
+    c (0-based) by -(n+c+1)."""
     spec = seq.spec
     checks = []
-    N, nu = spec.N, spec.nu
-    # prod_{k=j..i-1} a_k / (i-j)!, 1-based, once per family
-    coef = {(ii, jj): prod(spec.a[jj - 1:ii - 1], start=Fraction(1)) / factorial(ii - jj)
-            for ii in range(1, N + 1) for jj in range(1, ii + 1)}
+    N = spec.N
+    coef = _K_coefficients(spec)  # once per family
     for n in range(seq.n_max + 1):
         k = seq.K[n]
         k_lam = MatQ._canonical([[-(n + c + 1) * v for c, v in enumerate(row)]
@@ -61,8 +86,9 @@ def verify_K_properties(seq: OPSeq) -> list[dict]:
                             k_lam == seq.Gamma[n] * k))
         checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
                             all(k[r, r] == 1 for r in range(N))))
-        entry_ok = all(k[ii - 1, jj - 1] == c * pochhammer(nu + jj + n + 1, ii - jj)
-                       for (ii, jj), c in coef.items())
+        # num/den == k_num/k.d on integers; both denominators are positive
+        entry_ok = all(k.num[ii - 1][jj - 1] * den == num * k.d
+                       for (ii, jj), (num, den) in _K_closed_form(spec, n, coef).items())
         checks.append(check(f"K-closed-form n={n}", "triangularizer-entries", entry_ok))
         checks.append(check(f"K-inverse n={n}", "triangularizer-entries",
                             (k * seq.K_inv[n]).is_identity()))
@@ -339,12 +365,6 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     ]
 
 
-def _J_commutator(x: MatQ) -> MatQ:
-    """[J, X] for J = diag(1, ..., N): entry (r, c) is (r - c) x_rc."""
-    return MatQ._canonical([[(r - c) * v for c, v in enumerate(row)]
-                            for r, row in enumerate(x.num)], x.d)
-
-
 def _norm_terms(spec: WeightSpec, h: MatQ, h_inv: MatQ, h_prev_inv: MatQ | None) -> tuple:
     """What the norm recursion reads of one H_m, from H_m, H_m^{-1} and
     H_{m-1}^{-1} (None at m = 0, where the sequence vanishes below):
@@ -352,9 +372,9 @@ def _norm_terms(spec: WeightSpec, h: MatQ, h_inv: MatQ, h_prev_inv: MatQ | None)
     W_m = [J, H_m J H_m^{-1}] + T_m (A - 1)."""
     hjh = h * spec.J * h_inv
     if h_prev_inv is None:
-        return hjh, None, _J_commutator(hjh)
+        return hjh, None, J_commutator(hjh)
     t = h * spec.at1 * h_prev_inv
-    return hjh, t, MatQ.dot([(MatQ.identity(spec.N), _J_commutator(hjh)), (t, spec.am1)],
+    return hjh, t, MatQ.dot([(MatQ.identity(spec.N), J_commutator(hjh)), (t, spec.am1)],
                             spec.N)
 
 
@@ -366,19 +386,20 @@ def _h_step(spec: WeightSpec, lower: tuple, upper: tuple, h_up: MatQ) -> MatQ:
         H_{n+2} = (A-1)^{-2} (b_n (A-1) + (A-1) W_{n+1} + H_n J H_n^{-1}
                               - H_{n+1} J H_{n+1}^{-1} - 2) H_{n+1} (A^T-1)^{-1},
 
-    b_n and the inner sum each one fused MatQ.dot."""
+    b_n and the inner sum each one fused MatQ.dot; (A-1)^{-2} is the
+    spec's (`am1_inv_sq`)."""
     i, am1 = MatQ.identity(spec.N), spec.am1
     hjh_n, _, w_n = lower
     hjh_up, t_up, w_up = upper
     bn = MatQ.dot([(am1, t_up), (i, -w_n)], spec.N)
     inner = MatQ.dot([(bn, am1), (am1, w_up), (i, hjh_n), (i, -hjh_up), (i, i * -2)], spec.N)
-    return spec.am1_inv * spec.am1_inv * inner * h_up * spec.at1_inv
+    return spec.am1_inv_sq * inner * h_up * spec.at1_inv
 
 
 def h_recursion_next(spec: WeightSpec, H: list, H_inv: list) -> MatQ:
     """H_{n+2} from (H_{n-1},) H_n, H_{n+1}, the last two of `H`, and their
     inverses H_inv[m] = H_m^{-1}, through the delta-coefficient identities,
-    with A - 1, A^T - 1 and their inverses read off `spec`; the H_{n-1}
+    with A - 1, A^T - 1, their inverses and (A-1)^{-2} read off `spec`; the H_{n-1}
     term drops when producing H_2 because the sequence vanishes at negative
     indices.  It forms the `_norm_terms` of H_n and H_{n+1} and takes the
     one step (`_h_step`) that verify_H_recursion takes."""
@@ -436,7 +457,7 @@ def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
 
 
 def _h1_from_x1(spec: WeightSpec, h0: MatQ, x1: MatQ) -> MatQ:
-    return (x1 + _J_commutator(x1)) * h0 * spec.at1_inv
+    return (x1 + J_commutator(x1)) * h0 * spec.at1_inv
 
 
 def verify_X1_bootstrap(seq: OPSeq) -> list[dict]:

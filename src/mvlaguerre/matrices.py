@@ -8,9 +8,10 @@ arithmetic followed by a single gcd pass per result instead of one
 Fraction normalisation per entry operation.  A sum of block products goes
 through `MatQ.dot` (and a sum of matrix-polynomial products through
 `MatPoly.dot`), which accumulates the integer numerators of every term and
-makes one gcd pass per result, not one per term.  Inverses and determinants
-use fraction-free (Bareiss) elimination on the integer matrix.  Entries are
-still read and written as `fractions.Fraction`.
+makes one gcd pass per result, not one per term; an integer combination of
+matrices is `MatQ.lincomb`.  Inverses, determinants and the positive
+definiteness test use fraction-free (Bareiss) elimination on the integer
+matrix.  Entries are still read and written as `fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -134,6 +135,22 @@ class MatQ:
         for num, s in plain:
             acc = [[u + v * s for u, v in zip(ra, rb)] for ra, rb in zip(acc, num)]
         return MatQ._canonical(acc, d)
+
+    @staticmethod
+    def lincomb(terms: list, n: int) -> "MatQ":
+        """Sum of k * m over the (k, m) pairs of an integer k and an N x N
+        matrix m: the numerators are accumulated over the lcm of the
+        denominators, with one gcd pass for the whole sum.  No pairs give
+        the zero matrix."""
+        terms = [(k, m) for k, m in terms if k]
+        if not terms:
+            return MatQ.zero(n)
+        if any(m.N != n for _, m in terms):
+            raise ValueError("dimension mismatch")
+        d = lcm(*(m.d for _, m in terms))
+        scales = [k * (d // m.d) for k, m in terms]
+        return MatQ._canonical([[sum(map(mul, scales, entries)) for entries in zip(*rows)]
+                                for rows in zip(*(m.num for _, m in terms))], d)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -263,7 +280,25 @@ class MatQ:
                 for k in range(self.N)]
 
     def is_positive_definite(self) -> bool:
-        return self.is_symmetric() and all(d > 0 for d in self.leading_minors())
+        """Symmetric with every leading principal minor positive, read off
+        one fraction-free elimination without row exchanges: its k-th pivot
+        is the k-th leading minor of the numerators, which has the sign of
+        the k-th leading minor (d > 0).  Stops at the first pivot <= 0."""
+        if not self.is_symmetric():
+            return False
+        m = [list(r) for r in self.num]
+        prev = 1
+        for col in range(self.N):
+            top = m[col]
+            p = top[col]
+            if p <= 0:
+                return False
+            for r in range(col + 1, self.N):
+                row = m[r]
+                f = row[col]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(row, top)]
+            prev = p
+        return True
 
     def __repr__(self):
         return "MatQ(" + "; ".join(" ".join(str(v) for v in r) for r in self.rows) + ")"
@@ -271,6 +306,13 @@ class MatQ:
 
 def commutator(x: MatQ, y: MatQ) -> MatQ:
     return x * y - y * x
+
+
+def J_commutator(x: MatQ) -> MatQ:
+    """[J, X] for J = diag(1, ..., N), entry by entry: entry (r, c) is
+    (r - c) x_rc; [X, J] is its negative."""
+    return MatQ._canonical([[(r - c) * v for c, v in enumerate(row)]
+                            for r, row in enumerate(x.num)], x.d)
 
 
 class MatPoly:

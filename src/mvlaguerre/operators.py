@@ -13,6 +13,11 @@ Operators combine by composition and sums: conjugation by e^{xA} is
 e^{-xA} D e^{xA}, and the dagger is H M^* H^{-1}.  A difference coefficient
 at shift j with n + j < 0 multiplies a vanishing sequence value, and a
 composition leaves it an exact zero.
+
+The identity suites form each product once: the adjoint kernels grouped by
+moment offset (`adjoint_kernels`), the symmetry equations from one F_k W per
+coefficient (`symmetry_residuals`), and the J-brackets entry by entry
+(`matrices.J_commutator`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .engine import OPSeq, check
-from .matrices import MatPoly, MatQ, commutator
+from .matrices import J_commutator, MatPoly, MatQ, commutator
 from .scalar import RPoly
 from .weights import MomentTable, ScaledMat, WeightSpec
 
@@ -230,9 +235,7 @@ class SeqOp:
 
 def ladder_raising(spec: WeightSpec) -> DiffOp:
     """The first-order operator d_x x + x(A - 1)."""
-    n = spec.N
-    i = MatQ.identity(n)
-    return DiffOp([MatPoly.monomial(1, spec.A - i), MatPoly.x_identity(n)])
+    return DiffOp([MatPoly.monomial(1, spec.am1), MatPoly.x_identity(spec.N)])
 
 
 def ladder_lowering(spec: WeightSpec) -> DiffOp:
@@ -251,7 +254,7 @@ def second_order(spec: WeightSpec) -> DiffOp:
     n = spec.N
     i = MatQ.identity(n)
     f2 = MatPoly.x_identity(n)
-    f1 = MatPoly.monomial(1, spec.A - i) + MatPoly.const(i * (1 + spec.nu) + spec.J)
+    f1 = MatPoly.monomial(1, spec.am1) + MatPoly.const(i * (1 + spec.nu) + spec.J)
     f0 = MatPoly.const(spec.A * spec.nu + spec.J * spec.A - spec.J)
     return DiffOp([f0, f1, f2])
 
@@ -275,17 +278,21 @@ def second_order_diagonalized(spec: WeightSpec) -> DiffOp:
 def make_named_operators(seq: OPSeq) -> dict:
     """All named operators for one computed family: differential ones keyed
     'D', 'Ddag', 'D2', 'C', 'DQ2'; difference ones 'M', 'Mdag', 'L', 'MC'.
-    The eigenvalues of 'D2' are seq.Gamma."""
+    The eigenvalues of 'D2' are seq.Gamma.  A - 1 is the spec's, [J, X_k]
+    is formed entry by entry, and X_k A - A X_{k+1}, which enters both the
+    delta^0 and the delta^{-1} coefficient of 'MC', once per k."""
     spec = seq.spec
     n = spec.N
     i = MatQ.identity(n)
     n_max = seq.n_max
     A, J = spec.A, spec.J
     nu = spec.nu
+    neg_a = -A
+    x_shift = [MatQ.dot([(seq.X[k], A), (neg_a, seq.X[k + 1])], n) for k in range(n_max)]
 
     def m0(j, k):
         if j == 1:
-            return A - i
+            return spec.am1
         return -(i * (k + 1 + nu)) - seq.HJH[k]
 
     def mdag0(j, k):
@@ -303,14 +310,12 @@ def make_named_operators(seq: OPSeq) -> dict:
     def mc0(j, k):
         if j == 1:
             return A
-        if j == 0:
-            if k >= n_max:
-                return None
-            return seq.X[k] * A - A * seq.X[k + 1] - J
         if k >= n_max:
             return None
-        return (seq.Y[k] * A - A * seq.Y[k + 1] + commutator(J, seq.X[k])
-                + (A * seq.X[k + 1] - seq.X[k] * A) * seq.X[k])
+        if j == 0:
+            return x_shift[k] - J
+        return MatQ.dot([(seq.Y[k], A), (neg_a, seq.Y[k + 1]), (i, J_commutator(seq.X[k])),
+                         (-x_shift[k], seq.X[k])], n)
 
     return {
         "D": ladder_raising(spec),
@@ -330,33 +335,48 @@ def make_named_operators(seq: OPSeq) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def adjoint_defect(d1: DiffOp, d2: DiffOp, table: MomentTable, a: int, b: int) -> MatQ:
-    """Kernel S1(a,b) - S2(a,b): since <x^a E_uv . D1, x^b E_st> equals
-    E_uv S1 E_ts and likewise for the right side, entrywise equality of the
-    kernels covers every matrix-unit pair at degrees (a, b)."""
-    pairs = []
-    for j, fj in enumerate(d1.F):
-        fall = math.perm(a, j)
-        if fall:
-            pairs += [(fc, table[a + b - j + c] * fall) for c, fc in enumerate(fj.coeffs)]
-    for j, gj in enumerate(d2.F):
-        fall = math.perm(b, j)
-        if fall:
-            pairs += [(table[a + b - j + c] * -fall, gc.transpose())
-                      for c, gc in enumerate(gj.coeffs)]
-    return MatQ.dot(pairs, d1.N)
+def adjoint_kernels(d1: DiffOp, d2: DiffOp, table: MomentTable, deg_bound: int) -> dict:
+    """(a, b) -> S1(a,b) - S2(a,b) for 0 <= a, b <= deg_bound: since
+    <x^a E_uv . D1, x^b E_st> equals E_uv S1(a,b) E_ts and likewise for the
+    right side, entrywise equality of the kernels covers every matrix-unit
+    pair at degrees (a, b).  The kernels are grouped by moment offset,
+
+        S1(a,b) = sum_j a!/(a-j)! U_j[a+b-j],   U_j[t] = sum_c F_{j,c} m_{t+c},
+        S2(a,b) = sum_j b!/(b-j)! V_j[a+b-j],   V_j[t] = sum_c m_{t+c} G_{j,c}^T,
+
+    for D1 = sum_j d^j F_j and D2 = sum_j d^j G_j: each U_j[t] and V_j[t] is
+    one fused sum (MatQ.dot), formed once for each offset t <= 2 deg_bound - j
+    (each is read by some (a, b)), and each defect is one integer
+    combination (MatQ.lincomb).  Every moment is symmetric, so for a self
+    pair (d1 is d2) V_j[t] = U_j[t]^T."""
+    n = d1.N
+
+    def by_offset(op: DiffOp, left: bool) -> list[dict]:
+        out = []
+        for j, f in enumerate(op.F[:deg_bound + 1]):
+            coeffs = [(c, fc if left else fc.transpose())
+                      for c, fc in enumerate(f.coeffs) if not fc.is_zero()]
+            out.append({t: MatQ.dot([(fc, table[t + c]) if left else (table[t + c], fc)
+                                     for c, fc in coeffs], n)
+                        for t in range(2 * deg_bound - j + 1)})
+        return out
+
+    u = by_offset(d1, True)
+    v = ([{t: m.transpose() for t, m in col.items()} for col in u] if d2 is d1
+         else by_offset(d2, False))
+    return {(a, b): MatQ.lincomb([(math.perm(a, j), col[a + b - j])
+                                  for j, col in enumerate(u[:a + 1])]
+                                 + [(-math.perm(b, j), col[a + b - j])
+                                    for j, col in enumerate(v[:b + 1])], n)
+            for a in range(deg_bound + 1) for b in range(deg_bound + 1)}
 
 
 def verify_adjoint_pair(d1: DiffOp, d2: DiffOp, table: MomentTable,
                         deg_bound: int, label: str) -> list[dict]:
-    """<P.D1, Q> = <P, Q.D2> for all matrix monomial pairs up to deg_bound."""
-    checks = []
-    for a in range(deg_bound + 1):
-        for b in range(deg_bound + 1):
-            defect = adjoint_defect(d1, d2, table, a, b)
-            checks.append(check(f"adjoint {label} a={a},b={b}",
-                                "adjoint-pairing", defect.is_zero()))
-    return checks
+    """<P.D1, Q> = <P, Q.D2> for all matrix monomial pairs up to deg_bound,
+    one check per (a, b) on the kernels of `adjoint_kernels`."""
+    return [check(f"adjoint {label} a={a},b={b}", "adjoint-pairing", defect.is_zero())
+            for (a, b), defect in adjoint_kernels(d1, d2, table, deg_bound).items()]
 
 
 def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
@@ -368,7 +388,7 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
     forms each image once, next to the coefficient identities on X, Y, B, H
     that the matched operators force.  `ops` is make_named_operators(seq)."""
     spec = seq.spec
-    A, J = spec.A, spec.J
+    A, am1 = spec.A, spec.am1
     i = MatQ.identity(spec.N)
     one_nu = MatPoly.const(i * (1 + spec.nu))
     ml = ops["M"].compose(ops["L"])
@@ -381,7 +401,7 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
         checks.append(check(f"P.D2=Gamma.P n={n}", "second-order-eigenvalue",
                             ops["D2"].act(p) == MatPoly.const(seq.Gamma[n]) * p))
         if n >= 1:
-            lhs = seq.X[n] + commutator(J, seq.X[n])
+            lhs = seq.X[n] + J_commutator(seq.X[n])
             checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == seq.T[n]))
         if n == seq.n_max:
             break
@@ -391,7 +411,7 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
         checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order",
                             p_c == ops["MC"].act(seq.P, n)))
         checks.append(check(f"A1(n)=A-1 n={n}", "ladder-difference-form",
-                            ops["M"].coeff(1, n) == p_d.coeff(n + 1) == A - i))
+                            ops["M"].coeff(1, n) == p_d.coeff(n + 1) == am1))
         casimir = m_p + mdag_p + ops["L"].act(seq.P, n) + one_nu * p
         checks.append(check(f"Casimir identity n={n}", "casimir-difference-identity",
                             casimir == p_c))
@@ -403,8 +423,8 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
                             a0 == -(i * (n + 1 + spec.nu)) - seq.HJH[n]))
         if n >= 2:
             # the delta^{-1} coefficient of the operator matched to D vanishes
-            resid = (i * (n - 1)) * seq.X[n] + seq.Y[n] * (A - i) \
-                - (A - i) * seq.Y[n + 1] - a0 * seq.X[n]
+            resid = MatQ.dot([(i * (n - 1) - a0, seq.X[n]), (seq.Y[n], am1),
+                              (-am1, seq.Y[n + 1])], spec.N)
             checks.append(check(f"fla A-1n n={n}", "vanishing-down-shift", resid.is_zero()))
     return checks
 
@@ -468,31 +488,38 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
     Two printed forms fail under the oracle by one sign on their last term
     (the delta^{-1} equation of the M-dagger bracket and the [C_n, J]
     formula); both variants are reported, the corrected one is the check.
+    Each [B_n, J], [C_n, J] and [J, H_n J H_n^{-1}] is formed once, entry by
+    entry, and each product a corrected form shares with its printed
+    variant once; A - 1 is the spec's.
     """
     spec = seq.spec
-    A, J = spec.A, spec.J
-    i = MatQ.identity(spec.N)
+    N, am1 = spec.N, spec.am1
+    one_minus_a = -am1
+    i = MatQ.identity(N)
     checks = []
-    hjh, t, gamma = seq.HJH, seq.T, seq.Gamma
+    B, C, hjh, t, gamma = seq.B, seq.C, seq.HJH, seq.T, seq.Gamma
+    interior = range(1, seq.n_max)
     # [Gamma, C]_n = Gamma_n C_n - C_n Gamma_{n-1}, read by three identities
-    gc = [None] + [gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
-                   for n in range(1, seq.n_max + 1)]
+    gc = [None] + [gamma[n] * C[n] - C[n] * gamma[n - 1] for n in range(1, seq.n_max + 1)]
+    # [X, J] = -[J, X]
+    bj = {n: -J_commutator(B[n]) for n in interior}
+    cj = {n: -J_commutator(C[n]) for n in interior}
+    two_c = {n: C[n] * 2 for n in interior}
 
     for n in range(seq.n_max - 1):
-        lhs = seq.B[n] * (A - i) - (A - i) * seq.B[n + 1]
+        lhs = MatQ.dot([(B[n], am1), (one_minus_a, B[n + 1])], N)
         rhs = i * 2 + hjh[n + 1] - hjh[n]
         checks.append(check(f"ML.1 n={n}", "bracket-raising-shift", lhs == rhs))
-    for n in range(1, seq.n_max):
-        rhs = commutator(seq.B[n], J) + t[n] - t[n + 1]
-        checks.append(check(f"MdL0 n={n}", "bracket-B-J", seq.B[n] == rhs))
-    for n in range(1, seq.n_max):
-        corrected = commutator(seq.C[n], J) - seq.B[n] * t[n] + t[n] * seq.B[n - 1]
-        displayed = commutator(seq.C[n], J) - seq.B[n] * t[n] - t[n] * seq.B[n - 1]
-        checks.append(check(f"MdL-1 n={n}", "bracket-C-J", 2 * seq.C[n] == corrected,
-                            displayed_form_pass=bool(2 * seq.C[n] == displayed)))
-    for n in range(1, seq.n_max):
-        rhs = -commutator(J, hjh[n]) - t[n] * (A - i) + (A - i) * t[n + 1]
-        checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", seq.B[n] == rhs))
+    for n in interior:
+        rhs = bj[n] + t[n] - t[n + 1]
+        checks.append(check(f"MdL0 n={n}", "bracket-B-J", B[n] == rhs))
+    for n in interior:
+        common, last = cj[n] - B[n] * t[n], t[n] * B[n - 1]
+        checks.append(check(f"MdL-1 n={n}", "bracket-C-J", two_c[n] == common + last,
+                            displayed_form_pass=bool(two_c[n] == common - last)))
+    for n in interior:
+        rhs = MatQ.dot([(i, -J_commutator(hjh[n])), (t[n], one_minus_a), (am1, t[n + 1])], N)
+        checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", B[n] == rhs))
     for n in range(1, seq.n_max + 1):
         checks.append(check(f"GamaL-1 n={n}", "bracket-eigen-C", gc[n] == t[n]))
     for n in range(seq.n_max + 1):
@@ -503,16 +530,14 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
         lhs = gamma[n] * t[n] - t[n] * gamma[n - 1]
         checks.append(check(f"GamaMdag-1 n={n}", "bracket-eigen-downshift", lhs == -t[n]))
 
-    for n in range(1, seq.n_max):
-        rhs = seq.B[n] - gc[n] + gc[n + 1]
-        checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form",
-                            commutator(seq.B[n], J) == rhs))
-    for n in range(1, seq.n_max):
-        corrected = 2 * seq.C[n] + seq.B[n] * gc[n] - gc[n] * seq.B[n - 1]
-        displayed = 2 * seq.C[n] + seq.B[n] * gc[n] + gc[n] * seq.B[n - 1]
+    for n in interior:
+        rhs = B[n] - gc[n] + gc[n + 1]
+        checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form", bj[n] == rhs))
+    for n in interior:
+        common, last = two_c[n] + B[n] * gc[n], gc[n] * B[n - 1]
         checks.append(check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
-                            commutator(seq.C[n], J) == corrected,
-                            displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))
+                            cj[n] == common - last,
+                            displayed_form_pass=bool(cj[n] == common + last)))
 
     return checks
 
@@ -522,16 +547,29 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def symmetry_residuals(d: DiffOp, w: ScaledMat) -> tuple:
+    """The three algebraic symmetry equations of a second-order operator
+    D = sum_k d^k F_k against a weight W, as the residuals
+
+        F_2 W - W F_2^T,   2 (F_2 W)' - F_1 W - W F_1^T,
+        (F_2 W)'' - (F_1 W)' + F_0 W - W F_0^T,
+
+    each zero exactly when its equation holds.  The weight is symmetric, so
+    W F_k^T = (F_k W)^T: each F_k W is formed once and every W F_k^T is its
+    transpose.  A weight whose body differs from its transpose raises
+    ValueError."""
+    if w.body != w.body.transpose():
+        raise ValueError("the weight is not symmetric")
+    f0w, f1w, f2w = (w.lmul(d.coeff(k)) for k in range(3))
+    f2w_dx = f2w.dx()
+    return (f2w - f2w.transpose(),
+            f2w_dx.scale(2) - f1w - f1w.transpose(),
+            f2w_dx.dx() - f1w.dx() + f0w - f0w.transpose())
+
+
 def verify_symmetry_conditions(d: DiffOp, w: ScaledMat, label: str) -> list[dict]:
-    """The three algebraic symmetry equations for a second-order operator
-    against a weight, as exact identities between matrix polynomials.
-    Boundary conditions are assumptions carried by nu > 0, not checks."""
-    f0, f1, f2 = d.coeff(0), d.coeff(1), d.coeff(2)
-    c1 = w.lmul(f2) - w.rmul(f2.transpose())
-    c2 = w.lmul(f2).dx().scale(2) - w.lmul(f1) - w.rmul(f1.transpose())
-    c3 = w.lmul(f2).dx().dx() - w.lmul(f1).dx() + w.lmul(f0) - w.rmul(f0.transpose())
-    return [
-        check(f"symmetry-1 {label}", "weight-symmetry", c1.is_zero()),
-        check(f"symmetry-2 {label}", "weight-symmetry", c2.is_zero()),
-        check(f"symmetry-3 {label}", "weight-symmetry", c3.is_zero()),
-    ]
+    """The three symmetry equations (`symmetry_residuals`) as exact
+    identities between matrix polynomials.  Boundary conditions are
+    assumptions carried by nu > 0, not checks."""
+    return [check(f"symmetry-{k} {label}", "weight-symmetry", c.is_zero())
+            for k, c in enumerate(symmetry_residuals(d, w), 1)]

@@ -195,7 +195,8 @@ def suite_dualhahn(params: dh.DHParams, seq: OPSeq,
     """The dual Hahn checks of a constrained family, given its oracle family
     `seq` (of params.spec).  `closed_forms`, when given, receives the
     corrected closed form xi_dual_hahn at every (n, i, j) with n + i - j > 0
-    of the family's xi table, as the closed-form check computed it."""
+    of the family's xi table, as the closed-form check computed it.  The
+    Pearson pair reads K_0^{-1} off `seq`."""
     xi = seq.xi
     checks = [check("delta family conditions", "pearson-compatibility",
                     not dh.check_conditions(params))]
@@ -206,7 +207,7 @@ def suite_dualhahn(params: dh.DHParams, seq: OPSeq,
     checks += dh.verify_dual_hahn_closed_form(xi, params, closed_forms)
     checks += dh.verify_boundary_recursion(xi, params)
     checks += dh.verify_derivative_coupling(seq, params)
-    _, _, pchecks = dh.phi_psi(params)
+    _, _, pchecks = dh.phi_psi(params, seq)
     checks += pchecks
     return checks
 

@@ -91,6 +91,9 @@ class ScaledMat:
     def rmul(self, f: MatPoly) -> "ScaledMat":
         return ScaledMat(self.s, self.body * f)
 
+    def transpose(self) -> "ScaledMat":
+        return ScaledMat(self.s, self.body.transpose())
+
     def _aligned(self, other: "ScaledMat"):
         """Both bodies over the lower of the two powers of x."""
         gap = self.s - other.s
@@ -147,7 +150,8 @@ class WeightSpec(Frozen):
     def J(self) -> MatQ:
         return build_J(self.N)
 
-    # A - 1, A^T - 1 and their inverses, for the norm recursions
+    # A - 1, A^T - 1, their inverses and (A - 1)^{-2}, for the operators and
+    # the norm recursions
     @cached_property
     def am1(self) -> MatQ:
         return self.A - MatQ.identity(self.N)
@@ -159,6 +163,11 @@ class WeightSpec(Frozen):
     @cached_property
     def am1_inv(self) -> MatQ:
         return self.am1.inverse()
+
+    @cached_property
+    def am1_inv_sq(self) -> MatQ:
+        """(A - 1)^{-2}."""
+        return self.am1_inv * self.am1_inv
 
     @cached_property
     def at1_inv(self) -> MatQ:

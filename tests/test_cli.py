@@ -750,8 +750,9 @@ def test_build_A_runs_only_inside_the_spec(monkeypatch):
     rp.suite_laguerre(seq)
     rp.resolve_open_questions(seq)
     params = dh.build_delta_family(3, F(1, 2), 2, 1)
-    rp.suite_dualhahn(params, compute_monic_ops(params.spec, 3))
-    dh.phi_psi(params)
+    dh_seq = compute_monic_ops(params.spec, 3)
+    rp.suite_dualhahn(params, dh_seq)
+    dh.phi_psi(params, dh_seq)
     assert callers and set(callers) == {("mvlaguerre.weights", "A")}
 
 
@@ -760,20 +761,22 @@ def test_exp_nilpotent_runs_only_inside_the_spec_and_K(monkeypatch, capsys):
     WeightSpec.exp_neg_xA: Q, the diagonalization, the weight and the
     Pearson pair read the spec's.  K_n and K_n^{-1} are built only by
     build_K, which sums its exponential on integers itself and is called
-    only by the family's K and K_inv and by the Pearson pair.  Each DHParams builds its coupling
-    once, for the coupling check and the Pearson pair."""
-    callers, k_callers = set(), set()
+    only by the family's K and K_inv and by the Pearson pair, which reads
+    K_0^{-1} off the family and builds K_0: `dualhahn --N 3 --c 2 --d 1`
+    makes 7 calls, K_n^{-1} for n <= 5 and K_0.  Each DHParams builds its
+    coupling once, for the coupling check and the Pearson pair."""
+    callers, k_callers = set(), []
 
-    def recording_in(seen):
+    def recording_in(record):
         def wrapper_of(original):
             def recording(*args):
-                seen.add(_owner(sys._getframe(1)))
+                record(_owner(sys._getframe(1)))
                 return original(*args)
             return recording
         return wrapper_of
 
-    _wrap_everywhere(monkeypatch, matrices, "exp_nilpotent", recording_in(callers))
-    _wrap_everywhere(monkeypatch, matrices, "build_K", recording_in(k_callers))
+    _wrap_everywhere(monkeypatch, matrices, "exp_nilpotent", recording_in(callers.add))
+    _wrap_everywhere(monkeypatch, matrices, "build_K", recording_in(k_callers.append))
     coupling, built = dh.DHParams.coupling.func, []
 
     def counting(params):
@@ -784,13 +787,16 @@ def test_exp_nilpotent_runs_only_inside_the_spec_and_K(monkeypatch, capsys):
     counted.__set_name__(dh.DHParams, "coupling")
     monkeypatch.setattr(dh.DHParams, "coupling", counted)
     # N = 2 with unit weights is its own dual Hahn family (c = 0, d = 1)
+    k_calls = {}
     for argv in ("verify --suite all --N 2 --nmax 5",
                  "verify --suite all --N 3 --c 2 --d 1 --nmax 5",
                  "dualhahn --N 3 --c 2 --d 1"):
+        start = len(k_callers)
         assert _run(argv.split(), capsys)[0] == 0, argv
+        k_calls[argv] = k_callers[start:]
     assert callers == {"exp_xA", "exp_neg_xA"}
-    # phi_psi has no family: it writes the Pearson pair in the basis of K_0^{-1}
-    assert k_callers == {"K", "K_inv", "phi_psi"}
+    assert set(k_callers) == {"K", "K_inv", "phi_psi"}
+    assert sorted(k_calls["dualhahn --N 3 --c 2 --d 1"]) == ["K_inv"] * 6 + ["phi_psi"]
     assert len(built) == len({id(params) for params in built}) == 3
 
 
@@ -886,7 +892,9 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     Gamma_n, G(n) and I(n) once per n, all inside the family, read the
     xi table off the oracle once, and build the numerators of each Laguerre
     polynomial once.  The norm recursion pass forms its own
-    H_m J H_m^{-1} (m < n_max) and T_m (1 <= m < n_max) once per m."""
+    H_m J H_m^{-1} (m < n_max) and T_m (1 <= m < n_max) once per m.  A
+    product of a moment with an operator coefficient (a term of an adjoint
+    kernel) builds none of them."""
     F = Fraction
     spec = WeightSpec(3, F(7, 3), (F(5, 2), F(-3, 7)), (F(2, 3), F(5), F(11, 4)))
     seq = compute_monic_ops(spec, 3)
@@ -899,11 +907,16 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
     t = {seq.H[n] * at1 * seq.H[n - 1].inverse(): n for n in range(1, seq.n_max + 1)}
     k_inv = {k.inverse(): n for n, k in enumerate(
         build_K(n, spec.nu, spec.A) for n in range(seq.n_max + 1))}
+    # m_0 = H_0: a term m_s G^T of an adjoint kernel, such as m_0 (A^T - 1)
+    # from the second-order operator, can have a norm as its left operand.
+    # A moment-table operand times anything but J is such a kernel term,
+    # never the build of a family matrix (H_0 J is the build of HJH_0).
+    moments = set(seq.table.moments)
     built = []
     mul = MatQ.__mul__
 
     def counting_mul(self, other):
-        if isinstance(other, MatQ):
+        if isinstance(other, MatQ) and not (self in moments and other != spec.J):
             what = None
             if self in norm and other == spec.J:
                 what = ("HJH", norm[self])

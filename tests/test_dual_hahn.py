@@ -202,8 +202,8 @@ def test_coupling_entry_sign_fails_on_one_flipped_entry(monkeypatch):
 
 
 def test_phi_psi(family):
-    params, _, _ = family
-    phi, psi, checks = phi_psi(params)
+    params, seq, _ = family
+    phi, psi, checks = phi_psi(params, seq)
     _ok(checks)
     assert psi.degree == 1
 
@@ -212,7 +212,7 @@ def test_phi_psi_negative_control():
     good = build_delta_family(3, F(1), F(1), F(1))
     bad = DHParams(3, F(1), F(1), F(1), good.delta_nu,
                    (good.delta_nu1[0], good.delta_nu1[1], good.delta_nu1[2] * 2))
-    _, _, checks = phi_psi(bad)
+    _, _, checks = phi_psi(bad, compute_monic_ops(bad.spec, 0))
     # a wrong level nu+1 leaves Phi, Psi and D2 intact
     assert {c["check_id"] for c in checks if not c["pass"]} \
         == {"W Phi = W(nu+1)", "W Psi = d/dx W(nu+1)"}
@@ -222,7 +222,8 @@ def test_pearson_psi_identity_fails_alone(monkeypatch):
     """A wrong coupling term changes Psi but not Phi: W Phi = W(nu+1) still
     holds and W Psi = d/dx W(nu+1) fails."""
     _patch_coupling(monkeypatch, lambda c_mat, m_star: (c_mat, m_star * 2))
-    _, _, checks = phi_psi(build_delta_family(3, F(1), F(1), F(1)))
+    params = build_delta_family(3, F(1), F(1), F(1))
+    _, _, checks = phi_psi(params, compute_monic_ops(params.spec, 0))
     failed = {c["check_id"] for c in checks if not c["pass"]}
     assert "W Psi = d/dx W(nu+1)" in failed
     assert "W Phi = W(nu+1)" not in failed

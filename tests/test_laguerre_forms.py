@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.engine import OPSeq, compute_monic_ops, quoted_check
-from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
+from mvlaguerre.laguerre_forms import (ClosedFormViolation, _K_closed_form,
+                                       _K_coefficients, compute_GI,
                                        extract_xi,
                                        h_recursion_next, h1_from_h0,
                                        verify_H_recursion, verify_K_properties,
@@ -19,7 +20,11 @@ from mvlaguerre.laguerre_forms import (ClosedFormViolation, compute_GI,
                                        xi_by_recursion, XiTable)
 from mvlaguerre.matrices import MatPoly, MatQ, commutator
 from mvlaguerre.operators import second_order_diagonalized
+from mvlaguerre.scalar import pochhammer
 from mvlaguerre.weights import WeightSpec
+# imported here, not inside a @given test: importing test_engine applies its
+# own @given decorators, which hypothesis rejects as nested
+from test_engine import RATIONAL_SPECS
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 SPECS = [
@@ -481,8 +486,6 @@ def _with_H_entry_added(seq, m, i, j, value):
 
 @cache
 def _rational_family(index):
-    from test_engine import RATIONAL_SPECS
-
     return compute_monic_ops(RATIONAL_SPECS[index], 5)
 
 
@@ -640,3 +643,44 @@ def test_K_product_checks_fail_at_one_perturbed_entry(index, name, data):
     failing = [c["check_id"] for c in verify_K_properties(family) if not c["pass"]]
     label = "K-inverse" if name == "K_inv" else "K-conjugation"
     assert failing == [f"{label} n={m}"]
+
+
+# The closed-form K_n entries take their rising factorials from one running
+# product per column and degree.
+
+@st.composite
+def wide_specs(draw):
+    N = draw(st.integers(1, 6))
+    return WeightSpec(N, draw(positive), tuple(draw(nonzero) for _ in range(N - 1)),
+                      tuple(draw(positive) for _ in range(N)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_specs(), st.integers(0, 30))
+def test_K_closed_form_is_the_pochhammer_form(spec, n):
+    coef = _K_coefficients(spec)
+    entries = _K_closed_form(spec, n, coef)
+    assert list(entries) == [(i, j) for j in range(1, spec.N + 1) for i in range(j, spec.N + 1)]
+    assert all(den > 0 for _, den in entries.values())
+    assert {key: F(*v) for key, v in entries.items()} == {
+        (i, j): c * pochhammer(spec.nu + j + n + 1, i - j) for (i, j), c in coef.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_K_closed_form_fails_at_one_perturbed_entry(index, data):
+    """One entry on or below the diagonal of K_m perturbed: of the
+    closed-form checks exactly K-closed-form n=m fails, and every failing
+    check is at degree m."""
+    seq = _rational_family(index)
+    family = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    N = seq.spec.N
+    m = data.draw(st.integers(0, seq.n_max))
+    r = data.draw(st.integers(0, N - 1))
+    c = data.draw(st.integers(0, r))
+    mats = list(seq.K)
+    mats[m] = mats[m] + MatQ.unit(N, r, c) * data.draw(nonzero)
+    family.K = tuple(mats)  # shadows the cached tuple
+    failing = [x["check_id"] for x in verify_K_properties(family) if not x["pass"]]
+    assert [x for x in failing if x.startswith("K-closed-form")] == [f"K-closed-form n={m}"]
+    assert all(x.endswith(f" n={m}") for x in failing)

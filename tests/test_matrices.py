@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvlaguerre.matrices import (MatPoly, MatQ,
+from mvlaguerre.matrices import (J_commutator, MatPoly, MatQ,
                                  SingularMatrixError, build_A, build_J,
                                  build_K, commutator,
                                  exp_nilpotent)
@@ -335,6 +335,76 @@ def test_positive_definiteness_by_minors():
     assert MatQ([[2, 6], [6, 30]]).is_positive_definite()
     assert not MatQ([[1, 3], [3, 1]]).is_positive_definite()
     assert not MatQ([[1, 2], [3, 4]]).is_positive_definite()
+
+
+def _leading_minors_definition(m):
+    return m.is_symmetric() and all(d > 0 for d in m.leading_minors())
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational N x N matrices, N = 1..6: positive definite
+    (L diag L^T with unit lower L and a positive diagonal), indefinite or
+    any (random entries), or with a singular leading block (a leading k x k
+    block of rank < k inside an otherwise random matrix)."""
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(-9, 9, max_denominator=9)
+    kind = draw(st.sampled_from(["definite", "random", "singular-lead"]))
+    if kind == "definite":
+        low = MatQ([[draw(entry) if c < r else int(c == r) for c in range(n)] for r in range(n)])
+        diag = MatQ.diag([draw(st.fractions(F(1, 9), 9, max_denominator=9))
+                          for _ in range(n)])
+        return low * diag * low.transpose()
+    rows = [[F(0)] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r + 1):
+            rows[r][c] = rows[c][r] = draw(entry)
+    if kind == "singular-lead":
+        # the leading k x k block is v v^T scaled: rank one, singular for k >= 2,
+        # and zero for k = 1 when the scale is 0
+        k = draw(st.integers(1, n))
+        v = [draw(entry) for _ in range(k)]
+        scale = draw(st.sampled_from([0, 1, -1]))
+        for r in range(k):
+            for c in range(k):
+                rows[r][c] = scale * v[r] * v[c] if k >= 2 else 0
+    return MatQ(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example(MatQ([[1, 2], [2, 4]]))
+@example(MatQ([[0, 1], [1, 5]]))
+@example(MatQ([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+def test_positive_definiteness_by_one_elimination(m):
+    """The pivots of one fraction-free elimination give the same verdict as
+    the definition by leading_minors()."""
+    assert m.is_positive_definite() == _leading_minors_definition(m)
+
+
+def test_positive_definiteness_needs_symmetry():
+    m = MatQ([[2, 1], [0, 3]])  # every leading minor positive
+    assert all(d > 0 for d in m.leading_minors())
+    assert not m.is_positive_definite()
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-30, 30), rand_matrix(n)), max_size=5).map(lambda t: (n, t))))
+@settings(max_examples=60, deadline=None)
+def test_lincomb_is_the_sum_of_integer_multiples(case):
+    n, terms = case
+    total = MatQ.zero(n)
+    for k, m in terms:
+        total = total + m * k
+    assert MatQ.lincomb(terms, n) == total
+
+
+@given(st.integers(1, 6).flatmap(rand_matrix))
+@settings(max_examples=60, deadline=None)
+def test_J_commutator_is_the_commutator_with_J(x):
+    j = build_J(x.N)
+    assert J_commutator(x) == commutator(j, x)
+    assert -J_commutator(x) == commutator(x, j)
 
 
 def test_build_A_J_commutator():

@@ -1,22 +1,30 @@
+import math
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvlaguerre.engine import OPSeq, compute_monic_ops
-from mvlaguerre.matrices import MatPoly, MatQ, exp_nilpotent
-from mvlaguerre.operators import (DiffOp, SeqOp, WindowError, casimir_mult,
-                                  ladder_lowering, ladder_raising,
-                                  make_named_operators, right_mult,
-                                  second_order, second_order_diagonalized,
-                                  verify_adjoint_pair,
+from mvlaguerre.dual_hahn import build_delta_family, phi_psi
+from mvlaguerre.engine import OPSeq, check, compute_monic_ops
+from mvlaguerre.matrices import MatPoly, MatQ, commutator, exp_nilpotent
+from mvlaguerre.operators import (DiffOp, SeqOp, WindowError, adjoint_kernels,
+                                  casimir_mult, ladder_lowering,
+                                  ladder_raising, make_named_operators,
+                                  right_mult, second_order,
+                                  second_order_diagonalized,
+                                  symmetry_residuals, verify_adjoint_pair,
                                   verify_bracket_identities,
                                   verify_intertwinings, verify_L_poly,
                                   verify_star_dagger,
                                   verify_symmetry_conditions)
 from mvlaguerre.scalar import RPoly
 from mvlaguerre.weights import ScaledMat, WeightSpec
+# imported here, not inside a @given test: importing a test module applies
+# its own @given decorators, which hypothesis rejects as nested
+from test_engine import RATIONAL_SPECS
+from test_laguerre_forms import _with_H_entry_added, _with_P_entry_added
 
 SPECS = [
     WeightSpec(2, F(1), (F(1),), (F(1), F(1))),
@@ -415,3 +423,211 @@ def test_conjugation_by_exp_is_a_composition(inputs):
     left, right = exp_nilpotent(-spec.A), exp_nilpotent(spec.A)
     conjugated = right_mult(left).compose(d).compose(right_mult(right))
     assert conjugated.act(q) == d.act(q * left) * right
+
+
+# The operator checks form each product once: the adjoint kernels by moment
+# offset, the symmetry equations from one F_k W per coefficient, the
+# J-brackets entry by entry.  Each is compared exactly with the slow path it
+# replaced, kept here as the reference: the per-(a, b) kernel, the rmul form
+# of the symmetry equations and the brackets by the generic commutator.
+
+def _adjoint_defect_reference(d1, d2, table, a, b):
+    """S1(a,b) - S2(a,b), every term built for this (a, b) alone."""
+    pairs = []
+    for j, fj in enumerate(d1.F):
+        fall = math.perm(a, j)
+        if fall:
+            pairs += [(fc, table[a + b - j + c] * fall) for c, fc in enumerate(fj.coeffs)]
+    for j, gj in enumerate(d2.F):
+        fall = math.perm(b, j)
+        if fall:
+            pairs += [(table[a + b - j + c] * -fall, gc.transpose())
+                      for c, gc in enumerate(gj.coeffs)]
+    return MatQ.dot(pairs, d1.N)
+
+
+def _symmetry_reference(d, w):
+    f0, f1, f2 = d.coeff(0), d.coeff(1), d.coeff(2)
+    return (w.lmul(f2) - w.rmul(f2.transpose()),
+            w.lmul(f2).dx().scale(2) - w.lmul(f1) - w.rmul(f1.transpose()),
+            w.lmul(f2).dx().dx() - w.lmul(f1).dx() + w.lmul(f0) - w.rmul(f0.transpose()))
+
+
+def _bracket_reference(seq):
+    """verify_bracket_identities with every bracket by `commutator` and
+    every product formed where it is read."""
+    A, J = seq.spec.A, seq.spec.J
+    i = MatQ.identity(seq.spec.N)
+    hjh, t, gamma = seq.HJH, seq.T, seq.Gamma
+    gc = [None] + [gamma[n] * seq.C[n] - seq.C[n] * gamma[n - 1]
+                   for n in range(1, seq.n_max + 1)]
+    checks = []
+    for n in range(seq.n_max - 1):
+        checks.append(check(f"ML.1 n={n}", "bracket-raising-shift",
+                            seq.B[n] * (A - i) - (A - i) * seq.B[n + 1]
+                            == i * 2 + hjh[n + 1] - hjh[n]))
+    for n in range(1, seq.n_max):
+        checks.append(check(f"MdL0 n={n}", "bracket-B-J",
+                            seq.B[n] == commutator(seq.B[n], J) + t[n] - t[n + 1]))
+    for n in range(1, seq.n_max):
+        corrected = commutator(seq.C[n], J) - seq.B[n] * t[n] + t[n] * seq.B[n - 1]
+        displayed = commutator(seq.C[n], J) - seq.B[n] * t[n] - t[n] * seq.B[n - 1]
+        checks.append(check(f"MdL-1 n={n}", "bracket-C-J", 2 * seq.C[n] == corrected,
+                            displayed_form_pass=bool(2 * seq.C[n] == displayed)))
+    for n in range(1, seq.n_max):
+        rhs = -commutator(J, hjh[n]) - t[n] * (A - i) + (A - i) * t[n + 1]
+        checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", seq.B[n] == rhs))
+    for n in range(1, seq.n_max + 1):
+        checks.append(check(f"GamaL-1 n={n}", "bracket-eigen-C", gc[n] == t[n]))
+    for n in range(seq.n_max + 1):
+        checks.append(check(f"GamaM0 n={n}", "bracket-eigen-J",
+                            commutator(gamma[n], hjh[n]) == i * n + gamma[n] + hjh[n]))
+    for n in range(1, seq.n_max + 1):
+        checks.append(check(f"GamaMdag-1 n={n}", "bracket-eigen-downshift",
+                            gamma[n] * t[n] - t[n] * gamma[n - 1] == -t[n]))
+    for n in range(1, seq.n_max):
+        checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form",
+                            commutator(seq.B[n], J) == seq.B[n] - gc[n] + gc[n + 1]))
+    for n in range(1, seq.n_max):
+        corrected = 2 * seq.C[n] + seq.B[n] * gc[n] - gc[n] * seq.B[n - 1]
+        displayed = 2 * seq.C[n] + seq.B[n] * gc[n] + gc[n] * seq.B[n - 1]
+        checks.append(check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
+                            commutator(seq.C[n], J) == corrected,
+                            displayed_form_pass=bool(commutator(seq.C[n], J) == displayed)))
+    return checks
+
+
+def _mc_reference(seq, j, k):
+    """The delta^j coefficient of 'MC' at n = k, by `commutator`."""
+    A, J, X, Y = seq.spec.A, seq.spec.J, seq.X, seq.Y
+    if j == 1:
+        return A
+    if k >= seq.n_max:
+        return None
+    if j == 0:
+        return X[k] * A - A * X[k + 1] - J
+    return Y[k] * A - A * Y[k + 1] + commutator(J, X[k]) + (A * X[k + 1] - X[k] * A) * X[k]
+
+
+@cache
+def _family(index):
+    """The RATIONAL_SPECS families of tests/test_engine.py and, last, the
+    (c, d) = (2, 1) dual Hahn family, to degree 5."""
+    specs = RATIONAL_SPECS + [build_delta_family(3, F(1, 2), 2, 1).spec]
+    return compute_monic_ops(specs[index], 5)
+
+
+FAMILIES = range(5)
+FAMILY_IDS = ["N=1", "N=2", "N=3", "N=4", "dual Hahn"]
+ADJOINT_PAIRS = [("D", "Ddag"), ("Ddag", "D"), ("C", "C"), ("D2", "D2"), ("D", "D"),
+                 ("D", "D2")]
+
+
+@pytest.mark.parametrize("index", FAMILIES, ids=FAMILY_IDS)
+def test_adjoint_kernels_by_moment_offset_are_the_per_pair_kernels(index):
+    """Every kernel equals the reference, the vanishing ones of the three
+    adjoint pairs and the nonzero ones of pairs that are not adjoint; (D, D)
+    and (D2, D2) are self pairs, whose right kernels are transposes."""
+    seq = _family(index)
+    named = make_named_operators(seq)
+    nonzero = 0
+    for deg_bound in (0, 1, 4):
+        for left, right in ADJOINT_PAIRS:
+            d1, d2 = named[left], named[right]
+            kernels = adjoint_kernels(d1, d2, seq.table, deg_bound)
+            assert list(kernels) == [(a, b) for a in range(deg_bound + 1)
+                                     for b in range(deg_bound + 1)]
+            for (a, b), defect in kernels.items():
+                assert defect == _adjoint_defect_reference(d1, d2, seq.table, a, b), \
+                    (left, right, a, b)
+                nonzero += not defect.is_zero()
+    assert nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FAMILIES), st.data())
+def test_a_perturbed_Ddag_fails_the_reference_ladder_pair_ids(index, data):
+    """One coefficient of D-dagger perturbed at one entry: the ladder pair
+    fails exactly the (a, b) whose reference kernel is nonzero."""
+    seq = _family(index)
+    named = make_named_operators(seq)
+    d, ddag = named["D"], named["Ddag"]
+    N = seq.spec.N
+    j, power = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    r, c = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    value = data.draw(st.fractions(-5, 5, max_denominator=7).filter(bool))
+    bump = MatPoly.monomial(power, MatQ.unit(N, r, c) * value)
+    bad = DiffOp([g + bump if k == j else g for k, g in enumerate(ddag.F)], N)
+    failing = [x["check_id"] for x in verify_adjoint_pair(d, bad, seq.table, 4, "ladder pair")
+               if not x["pass"]]
+    expected = [f"adjoint ladder pair a={a},b={b}" for a in range(5) for b in range(5)
+                if not _adjoint_defect_reference(d, bad, seq.table, a, b).is_zero()]
+    assert failing == expected and failing
+
+
+def _perturbed_operators(d):
+    """d itself and d with E_01 (E_00 at N = 1) added to each coefficient."""
+    N = d.N
+    unit = MatPoly.const(MatQ.unit(N, 0, min(1, N - 1)))
+    coeffs = [d.coeff(k) for k in range(3)]
+    return [d] + [DiffOp([f + unit if k == m else f for k, f in enumerate(coeffs)], N)
+                  for m in range(3)]
+
+
+@pytest.mark.parametrize("index", FAMILIES, ids=FAMILY_IDS)
+def test_symmetry_residuals_are_the_rmul_form(index):
+    """The residuals from one F_k W each equal the rmul form, at both powers
+    and bodies, for D2 against W, D_Q2 against T and the Pearson operator
+    against its weight, clean and with each coefficient perturbed."""
+    seq = _family(index)
+    named = make_named_operators(seq)
+    spec = seq.spec
+    cases = [(named["D2"], spec.weight), (named["DQ2"], spec.diagonal_weight)]
+    if index == 4:
+        params = build_delta_family(3, F(1, 2), 2, 1)
+        phi, psi, _ = phi_psi(params, seq)
+        l0 = seq.K_inv[0]
+        w_nu = ScaledMat(spec.weight.s, l0 * spec.weight.body * l0.transpose())
+        cases.append((DiffOp([MatPoly.zero(3), psi.transpose(), phi.transpose()]), w_nu))
+    failed = 0
+    for d, w in cases:
+        for op in _perturbed_operators(d):
+            got, ref = symmetry_residuals(op, w), _symmetry_reference(op, w)
+            assert [(c.s, c.body) for c in got] == [(c.s, c.body) for c in ref]
+            failed += sum(not c.is_zero() for c in got)
+    assert failed
+
+
+def test_a_non_symmetric_weight_raises():
+    seq = _family(2)
+    body = seq.spec.weight.body + MatPoly.const(MatQ.unit(3, 0, 2))
+    with pytest.raises(ValueError):
+        verify_symmetry_conditions(make_named_operators(seq)["D2"],
+                                   ScaledMat(seq.spec.nu, body), "W")
+
+
+def test_phi_psi_rejects_a_family_of_another_weight():
+    params = build_delta_family(3, F(1, 2), 2, 1)
+    with pytest.raises(ValueError):
+        phi_psi(params, _family(2))
+
+
+@pytest.mark.parametrize("index", FAMILIES, ids=FAMILY_IDS)
+def test_brackets_and_MC_match_the_generic_commutator(index):
+    """The bracket checks and the 'MC' coefficients equal the commutator
+    forms, clean and with one entry of one H_m or one P_m perturbed (where
+    some verdict, printed variants included, fails)."""
+    seq = _family(index)
+    N = seq.spec.N
+    families = [seq] + [family for m in range(1, seq.n_max + 1)
+                        for family in (_with_H_entry_added(seq, m, 1, N, F(-3, 7)),
+                                       _with_P_entry_added(seq, m, N, 1, m // 2, F(-3, 7)))]
+    failed = 0
+    for family in families:
+        checks = verify_bracket_identities(family)
+        assert checks == _bracket_reference(family)
+        failed += sum(not c["pass"] for c in checks)
+        mc = make_named_operators(family)["MC"]
+        assert all(mc.coeff(j, k) == _mc_reference(family, j, k)
+                   for j in (-1, 0, 1) for k in range(family.n_max + 1))
+    assert failed
