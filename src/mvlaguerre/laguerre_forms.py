@@ -85,7 +85,7 @@ def verify_K_properties(seq: OPSeq) -> list[dict]:
         checks.append(check(f"K-conjugation n={n}", "triangularizer-conjugation",
                             k_lam == seq.Gamma[n] * k))
         checks.append(check(f"K-unipotent n={n}", "triangularizer-unipotent",
-                            all(k[r, r] == 1 for r in range(N))))
+                            all(k.num[r][r] == k.d for r in range(N))))
         # num/den == k_num/k.d on integers; both denominators are positive
         entry_ok = all(k.num[ii - 1][jj - 1] * den == num * k.d
                        for (ii, jj), (num, den) in _K_closed_form(spec, n, coef).items())
@@ -215,29 +215,53 @@ def read_xi(seq: OPSeq) -> XiTable:
     return table
 
 
+def _same_entries(x: MatQ, y: MatQ, positions) -> bool:
+    """x[r, c] == y[r, c] at every (r, c) of `positions`, compared on the
+    integer numerators by cross-multiplication (both denominators are
+    positive)."""
+    xn, xd, yn, yd = x.num, x.d, y.num, y.d
+    return all(xn[r][c] * yd == yn[r][c] * xd for r, c in positions)
+
+
 def compute_GI(seq: OPSeq) -> list[dict]:
     """Structure of the coupling matrices G(n) = K_n^{-1} T_n K_{n-1}
     (n >= 1) and I(n) = K_n^{-1} H_n J H_n^{-1} K_n of `seq`, verified
-    exactly: G diagonal; I bidiagonal upper with (I)_{ii} = i; the two
-    identities relating their nontrivial entries back to H_n itself."""
+    exactly on integer numerators: G diagonal; I bidiagonal upper with
+    (I)_{ii} = i; the two identities relating their nontrivial entries back
+    to H_n itself."""
     N = seq.spec.N
+    superdiagonal = [(r, r + 1) for r in range(N - 1)]
+    diagonal = [(r, r) for r in range(N)]
     checks = []
     for n in range(seq.n_max + 1):
-        hjh, i_n = seq.HJH[n], seq.I[n]
-        ok_struct = all(
-            i_n[r, c] == (r + 1 if r == c else 0)
-            for r in range(N) for c in range(N) if c != r + 1
-        )
+        i_n = seq.I[n]
+        ok_struct = all(v == ((r + 1) * i_n.d if r == c else 0)
+                        for r, row in enumerate(i_n.num) for c, v in enumerate(row)
+                        if c != r + 1)
         checks.append(check(f"I(n) bidiagonal n={n}", "coupling-structure", ok_struct))
-        ok_super = all(i_n[r, r + 1] == hjh[r, r + 1] for r in range(N - 1))
-        checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries", ok_super))
+        checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries",
+                            _same_entries(i_n, seq.HJH[n], superdiagonal)))
         if n >= 1:
-            hth, g_n = seq.T[n], seq.G[n]
-            ok_diag = all(g_n[r, c] == 0 for r in range(N) for c in range(N) if r != c)
+            g_n = seq.G[n]
+            ok_diag = not any(v for r, row in enumerate(g_n.num)
+                              for c, v in enumerate(row) if r != c)
             checks.append(check(f"G(n) diagonal n={n}", "coupling-structure", ok_diag))
-            ok_eq = all(g_n[r, r] == hth[r, r] for r in range(N))
-            checks.append(check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries", ok_eq))
+            checks.append(check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries",
+                                _same_entries(g_n, seq.T[n], diagonal)))
     return checks
+
+
+def _g_ratios(seq: OPSeq) -> dict:
+    """(n, i) -> G(n)_{ii} / (n+nu+i) for 1 <= n <= n_max and 1 <= i <= N,
+    the factor both xi recursions read, one Fraction each: with nu = p/q it
+    is G_num q / (G_d (q(n+i) + p))."""
+    p, q = seq.spec.nu.numerator, seq.spec.nu.denominator
+    ratios = {}
+    for n in range(1, seq.n_max + 1):
+        g = seq.G[n]
+        for i in range(1, seq.spec.N + 1):
+            ratios[n, i] = Fraction(g.num[i - 1][i - 1] * q, g.d * (q * (n + i) + p))
+    return ratios
 
 
 def xi_by_recursion(seq: OPSeq) -> XiTable:
@@ -258,11 +282,13 @@ def xi_by_recursion(seq: OPSeq) -> XiTable:
                                  - a_i I(n)_{i,i+1}) xi(n,i,j)
                                 + I(n)_{i,i+1} G(n)_{i+1,i+1}/(n+nu+i+1)
                                   xi(n-1,i+1,j).
+
+    Each G(n)_{ii}/(n+nu+i) is formed once (`_g_ratios`).
     """
     spec = seq.spec
     N, nu = spec.N, spec.nu
     a = spec.a
-    G, I = seq.G, seq.I
+    I, ratio = seq.I, _g_ratios(seq)
     table = XiTable(N, seq.n_max)
     for i in range(1, N + 1):
         for j in range(1, i + 1):
@@ -278,11 +304,11 @@ def xi_by_recursion(seq: OPSeq) -> XiTable:
             if n > seq.n_max or n < 2:
                 continue
             m, ii = n - 1, i + 1
-            lead = G[m + 1][ii - 1, ii - 1] / (m + 1 + nu + ii) + 1
+            lead = ratio[m + 1, ii] + 1
             cross = Fraction(0)
             if ii < N:
                 lead -= a[ii - 1] * I[m][ii - 1, ii]
-                cross = I[m][ii - 1, ii] * G[m][ii, ii] / (m + nu + ii + 1)
+                cross = I[m][ii - 1, ii] * ratio[m, ii + 1]
             v = lead * table.get(m, ii, j)
             if ii < N:
                 v += cross * table.get(m - 1, ii + 1, j)
@@ -293,10 +319,9 @@ def xi_by_recursion(seq: OPSeq) -> XiTable:
                 if n + i - j <= 0 or (n, i, j) in table.values:
                     continue
                 if i == 1:
-                    v = G[n][0, 0] / (n + nu + 1) * table.get(n - 1, 1, j)
+                    v = ratio[n, 1] * table.get(n - 1, 1, j)
                 else:
-                    v = -a[i - 2] * table.get(n, i - 1, j) \
-                        + G[n][i - 1, i - 1] / (n + nu + i) * table.get(n - 1, i, j)
+                    v = -a[i - 2] * table.get(n, i - 1, j) + ratio[n, i] * table.get(n - 1, i, j)
                 table.values[n, i, j] = v
     return table
 
@@ -331,14 +356,15 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     coefficients of the i=1 boundary relation.  These are reports, not gates; the package's
     own recursion (the corrected one) is gated by verify_xi_tables.  The
     interior recursion compares entries from N >= 2 and n_max >= 1, the
-    boundary seed too, and the i=1 relation from N >= 2 and n_max >= 2."""
+    boundary seed too, and the i=1 relation from N >= 2 and n_max >= 2.
+    Each G(n)_{ii}/(n+nu+i) is formed once (`_g_ratios`)."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
-    xi, G, I = seq.xi, seq.G, seq.I
+    xi, I, ratio = seq.xi, seq.I, _g_ratios(seq)
 
     def interior(n, i, j):
         prev = a[i - 2] * xi.get(n, i - 1, j)
-        tail = G[n][i - 1, i - 1] / (n + nu + i) * xi.get(n - 1, i, j)
+        tail = ratio[n, i] * xi.get(n - 1, i, j)
         return xi.get(n, i, j) == tail - prev, xi.get(n, i, j) == tail + prev
 
     def seed(i):
@@ -346,11 +372,11 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
 
     def relation(n):
         lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
-        n1 = G[n + 1][0, 0] / (n + nu + 2) + 1 - I[n][0, 1] * a[0]
-        n2 = -I[n][0, 1] * G[n][1, 1] / (n + nu + 2)
-        n1_disp = (nu + 2 * n + 3) * G[n + 1][0, 0] / (n + nu + 2) + (n + 2 + nu) \
+        n1 = ratio[n + 1, 1] + 1 - I[n][0, 1] * a[0]
+        n2 = -I[n][0, 1] * ratio[n, 2]
+        n1_disp = (nu + 2 * n + 3) * ratio[n + 1, 1] + (n + 2 + nu) \
             + I[n][0, 1] * (nu + 2 * n + 2) * a[0]
-        n2_disp = I[n][0, 1] * (nu + 2 * n + 2) * G[n][1, 1] / (n + nu + 2)
+        n2_disp = I[n][0, 1] * (nu + 2 * n + 2) * ratio[n, 2]
         return n1 * lo == n2 * hi, n1_disp * lo == n2_disp * hi
 
     return [
@@ -530,8 +556,8 @@ def verify_X_recursion(seq: OPSeq) -> list[dict]:
     checks = quoted_check("X recursion rows, derived form", "zero-shift-coefficient-entrywise",
                           [rows(n) for n in range(1, seq.n_max)])
     if seq.n_max >= 1:
-        gx_ok = all(seq.G[n][r, r] == X[n][r, r]
-                    for n in range(1, seq.n_max + 1) for r in range(N))
+        diagonal = [(r, r) for r in range(N)]
+        gx_ok = all(_same_entries(seq.G[n], X[n], diagonal) for n in range(1, seq.n_max + 1))
         checks.append(check("G(n) diagonal equals X(n) diagonal", "coupling-diagonal-claim",
                             gx_ok))
     return checks

@@ -9,9 +9,15 @@ Fraction normalisation per entry operation.  A sum of block products goes
 through `MatQ.dot` (and a sum of matrix-polynomial products through
 `MatPoly.dot`), which accumulates the integer numerators of every term and
 makes one gcd pass per result, not one per term; an integer combination of
-matrices is `MatQ.lincomb`.  Inverses, determinants and the positive
-definiteness test use fraction-free (Bareiss) elimination on the integer
-matrix.  Entries are still read and written as `fractions.Fraction`.
+matrices is `MatQ.lincomb`.  A product or a fused sum reads a factor I or
+-I off the canonical form (denominator 1, numerators those of +-I) and
+takes the other factor or its negation without multiplying.  At N = 1 a
+product, sum or fused sum is one integer expression and one gcd.
+Inverses, determinants and the positive definiteness test use
+fraction-free (Bareiss) elimination on the integer matrix.  Entries are
+still read and written as `fractions.Fraction`; a reader that only
+compares entries can compare numerators instead, since x/dx == y/dy
+exactly when x dy == y dx for positive denominators.
 """
 
 from __future__ import annotations
@@ -27,6 +33,16 @@ from .scalar import RPoly, rat
 
 class SingularMatrixError(ArithmeticError):
     pass
+
+
+def _unit_sign(num: tuple, ident: tuple) -> int:
+    """For the numerators `num` of a matrix over denominator 1: 1 if they
+    are those of I (`ident`), -1 if they are those of -I, else 0."""
+    if num == ident:
+        return 1
+    if num[0][0] == -1 and all(v == -w for r, s in zip(num, ident) for v, w in zip(r, s)):
+        return -1
+    return 0
 
 
 class MatQ:
@@ -67,13 +83,15 @@ class MatQ:
     @staticmethod
     def _canonical(num, d: int) -> "MatQ":
         """MatQ num/d from integer rows and a nonzero denominator."""
-        if d < 0:
-            num, d = [[-v for v in r] for r in num], -d
         g = gcd(d, *chain.from_iterable(num))
-        if g != 1:
-            num = [[v // g for v in r] for r in num]
-            d //= g
-        return MatQ._of(tuple(map(tuple, num)), d)
+        if d < 0:
+            g = -g
+        m = MatQ.__new__(MatQ)
+        m.num = (tuple(map(tuple, num)) if g == 1
+                 else tuple([tuple([v // g for v in r]) for r in num]))
+        m.d = d // g
+        m.N = len(num)
+        return m
 
     @property
     def rows(self) -> tuple:
@@ -108,29 +126,45 @@ class MatQ:
         """Sum of a * b over the (a, b) pairs of N x N matrices, fused: the
         integer numerators of every product are accumulated over the lcm of
         the products' denominators, with one gcd pass for the whole sum.  A
-        pair with an identity factor adds the other factor's numerators.  A
-        single pair is the product a * b; no pairs give the zero matrix."""
+        pair with a factor I or -I adds the other factor's numerators, or
+        subtracts them, without a block product; that shortcut stays
+        because the sums without it measured no faster, on small operands
+        or on deep families.  At N = 1 the sum is one integer sum of
+        products.  A single pair is the product a * b (so a * I is a); no
+        pairs give the zero matrix."""
         if len(pairs) == 1:
             a, b = pairs[0]
             return a * b
         if not pairs:
             return MatQ.zero(n)
-        d = lcm(*(a.d * b.d for a, b in pairs))
-        # the non-identity products form one block row times one block
-        # column: row i of every scaled a, then column j of every b
+        dens = [a.d * b.d for a, b in pairs]
+        d = lcm(*dens)
+        if n == 1:
+            p = 0
+            for (a, b), ab in zip(pairs, dens):
+                if a.N != 1 or b.N != 1:
+                    raise ValueError("dimension mismatch")
+                p += a.num[0][0] * b.num[0][0] * (d // ab)
+            g = gcd(p, d)
+            return MatQ._of(((p // g,),), d // g)
+        ident = MatQ.identity(n).num
+        # the other products form one block row times one block column:
+        # row i of every scaled a, then column j of every b
         rows, cols, plain = [[] for _ in range(n)], [[] for _ in range(n)], []
-        for a, b in pairs:
+        for (a, b), ab in zip(pairs, dens):
             if a.N != n or b.N != n:
                 raise ValueError("dimension mismatch")
-            s = d // (a.d * b.d)
-            one = a if b.is_identity() else b if a.is_identity() else None
-            if one is not None:
-                plain.append((one.num, s))
+            s = d // ab
+            if b.d == 1 and (sign := _unit_sign(b.num, ident)):
+                plain.append((a.num, s * sign))
+                continue
+            if a.d == 1 and (sign := _unit_sign(a.num, ident)):
+                plain.append((b.num, s * sign))
                 continue
             for r, ar in zip(rows, a.num):
-                r.extend(ar if s == 1 else [v * s for v in ar])
+                r += ar if s == 1 else [v * s for v in ar]
             for c, bc in zip(cols, zip(*b.num)):
-                c.extend(bc)
+                c += bc
         acc = [[sum(map(mul, r, c)) for c in cols] for r in rows]
         for num, s in plain:
             acc = [[u + v * s for u, v in zip(ra, rb)] for ra, rb in zip(acc, num)]
@@ -164,35 +198,54 @@ class MatQ:
     def __hash__(self):
         return hash((self.d, self.num))
 
-    def _scaled_to(self, other: "MatQ"):
-        """Numerators of self and other over their common denominator."""
-        self._check(other)
-        if self.d == other.d:
-            return self.num, other.num, self.d
-        d = lcm(self.d, other.d)
-        s, t = d // self.d, d // other.d
-        return ([[v * s for v in r] for r in self.num],
-                [[v * t for v in r] for r in other.num], d)
+    def _plus(self, other: "MatQ", t: int) -> "MatQ":
+        """self + t * other for t = 1 or -1, over the lcm of the two
+        denominators, with one gcd pass."""
+        n = self.N
+        if other.N != n:
+            raise ValueError("dimension mismatch")
+        d, e = self.d, other.d
+        if n == 1:
+            p, q = self.num[0][0] * e + t * other.num[0][0] * d, d * e
+            g = gcd(p, q)
+            return MatQ._of(((p // g,),), q // g)
+        if d == e:
+            op = add if t == 1 else sub
+            return MatQ._canonical([list(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)],
+                                   d)
+        m = lcm(d, e)
+        s, u = m // d, t * (m // e)
+        return MatQ._canonical([[v * s + w * u for v, w in zip(ra, rb)]
+                                for ra, rb in zip(self.num, other.num)], m)
 
     def __add__(self, other: "MatQ") -> "MatQ":
-        a, b, d = self._scaled_to(other)
-        return MatQ._canonical([list(map(add, ra, rb)) for ra, rb in zip(a, b)], d)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "MatQ") -> "MatQ":
-        a, b, d = self._scaled_to(other)
-        return MatQ._canonical([list(map(sub, ra, rb)) for ra, rb in zip(a, b)], d)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "MatQ":
-        return MatQ._of(tuple(tuple(-v for v in r) for r in self.num), self.d)
+        return MatQ._of(tuple([tuple([-v for v in r]) for r in self.num]), self.d)
 
     def __mul__(self, other):
         if isinstance(other, MatQ):
-            self._check(other)
-            # read off the canonical form: a product with I is the other factor
-            if other.is_identity():
+            n = self.N
+            if other.N != n:
+                raise ValueError("dimension mismatch")
+            # read off the canonical form: a product with I is the other
+            # factor, a product with -I its negation
+            right = other.d == 1 and _unit_sign(other.num, MatQ.identity(n).num)
+            if right == 1:
                 return self
-            if self.is_identity():
+            left = self.d == 1 and _unit_sign(self.num, MatQ.identity(n).num)
+            if left == 1:
                 return other
+            if right or left:
+                return -self if right else -other
+            if n == 1:
+                p, q = self.num[0][0] * other.num[0][0], self.d * other.d
+                g = gcd(p, q)
+                return MatQ._of(((p // g,),), q // g)
             cols = list(zip(*other.num))
             return MatQ._canonical(
                 [[sum(map(mul, row, col)) for col in cols] for row in self.num],
@@ -213,10 +266,6 @@ class MatQ:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def _check(self, other: "MatQ"):
-        if self.N != other.N:
-            raise ValueError("dimension mismatch")
 
     def transpose(self) -> "MatQ":
         return MatQ._of(tuple(zip(*self.num)), self.d)

@@ -64,6 +64,13 @@ class DiffOp:
         derivatives = [q]
         for _ in self.F[1:]:
             derivatives.append(derivatives[-1].derivative())
+        return self.act_on_derivatives(derivatives)
+
+    def act_on_derivatives(self, derivatives: list) -> MatPoly:
+        """act(q) from derivatives = [q, q', q'', ...], formed once by the
+        caller for every operator acting on q; it must reach d^order q."""
+        if len(derivatives) < len(self.F):
+            raise ValueError("fewer derivatives than the operator's order needs")
         return MatPoly.dot(list(zip(derivatives, self.F)), self.N)
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
@@ -386,7 +393,9 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
     (M + Mdag + L + 1 + nu).P = P.(Ax - J), and the Fourier map
     (M L).P = (P.D).x on the window interior.  One pass over the degrees
     forms each image once, next to the coefficient identities on X, Y, B, H
-    that the matched operators force.  `ops` is make_named_operators(seq)."""
+    that the matched operators force; P_n' and P_n'' are formed once per
+    degree and read by every image of P_n.  `ops` is
+    make_named_operators(seq)."""
     spec = seq.spec
     A, am1 = spec.A, spec.am1
     i = MatQ.identity(spec.N)
@@ -395,18 +404,21 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
     checks = []
     for n in range(seq.n_max + 1):
         p = seq.P[n]
+        ders = [p, p.derivative()]
+        ders.append(ders[1].derivative())
         mdag_p = ops["Mdag"].act(seq.P, n)
         checks.append(check(f"P.Ddag=Mdag.P n={n}", "ladder-intertwining",
-                            ops["Ddag"].act(p) == mdag_p))
+                            ops["Ddag"].act_on_derivatives(ders) == mdag_p))
         checks.append(check(f"P.D2=Gamma.P n={n}", "second-order-eigenvalue",
-                            ops["D2"].act(p) == MatPoly.const(seq.Gamma[n]) * p))
+                            ops["D2"].act_on_derivatives(ders)
+                            == MatPoly.const(seq.Gamma[n]) * p))
         if n >= 1:
             lhs = seq.X[n] + J_commutator(seq.X[n])
             checks.append(check(f"fla Ad-1n n={n}", "down-shift-coefficient", lhs == seq.T[n]))
         if n == seq.n_max:
             break
-        p_d, m_p = ops["D"].act(p), ops["M"].act(seq.P, n)
-        p_c = ops["C"].act(p)
+        p_d, m_p = ops["D"].act_on_derivatives(ders), ops["M"].act(seq.P, n)
+        p_c = ops["C"].act_on_derivatives(ders)
         checks.append(check(f"P.D=M.P n={n}", "ladder-intertwining", p_d == m_p))
         checks.append(check(f"P.C=MC.P n={n}", "symmetric-first-order",
                             p_c == ops["MC"].act(seq.P, n)))

@@ -427,16 +427,18 @@ def test_suite_operators_builds_named_operators_once(monkeypatch):
 
 def test_operator_suite_forms_each_image_once(monkeypatch, capsys):
     """Every P_n . E and (M . P)(n) of the operator suite is a distinct
-    (operator, n) image: the checks that read an image share it."""
+    (operator, n) image: the checks that read an image share it.  A
+    DiffOp image is formed by act_on_derivatives (act passes through it)."""
     images = {}
-    for cls, degree in ((ops.DiffOp, lambda q: q.degree), (ops.SeqOp, lambda n: n)):
-        act, calls = cls.act, images.setdefault(cls.__name__, [])
+    for cls, name, degree in ((ops.DiffOp, "act_on_derivatives", lambda ders: ders[0].degree),
+                              (ops.SeqOp, "act", lambda n: n)):
+        act, calls = getattr(cls, name), images.setdefault(cls.__name__, [])
 
         def counting(self, *args, act=act, calls=calls, degree=degree):
             calls.append((self, degree(args[-1])))  # holds self, so ids stay unique
             return act(self, *args)
 
-        monkeypatch.setattr(cls, "act", counting)
+        monkeypatch.setattr(cls, name, counting)
     code, _, _ = _run(["verify", "--suite", "operators", "--N", "3", "--nmax", "5"], capsys)
     monkeypatch.undo()
     assert code == 0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvlaguerre.engine import OPSeq, compute_monic_ops, quoted_check
+from mvlaguerre.dual_hahn import build_delta_family
+from mvlaguerre.engine import OPSeq, check, compute_monic_ops, quoted_check
 from mvlaguerre.laguerre_forms import (ClosedFormViolation, _K_closed_form,
                                        _K_coefficients, compute_GI,
                                        extract_xi,
@@ -486,7 +487,10 @@ def _with_H_entry_added(seq, m, i, j, value):
 
 @cache
 def _rational_family(index):
-    return compute_monic_ops(RATIONAL_SPECS[index], 5)
+    """The RATIONAL_SPECS families and, at index 4, the (c, d) = (2, 1)
+    dual Hahn family, to degree 5."""
+    specs = RATIONAL_SPECS + [build_delta_family(3, F(1, 2), 2, 1).spec]
+    return compute_monic_ops(specs[index], 5)
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda k: f"N={k + 1}")
@@ -684,3 +688,191 @@ def test_K_closed_form_fails_at_one_perturbed_entry(index, data):
     failing = [x["check_id"] for x in verify_K_properties(family) if not x["pass"]]
     assert [x for x in failing if x.startswith("K-closed-form")] == [f"K-closed-form n={m}"]
     assert all(x.endswith(f" n={m}") for x in failing)
+
+
+# compute_GI, the G(n) = X(n) diagonal claim and K-unipotent compare integer
+# numerators, and the xi recursions form each G(n)_ii/(n+nu+i) once.  The
+# Fraction forms they replaced are the references, read entry by entry
+# through MatQ.__getitem__.
+
+def _compute_GI_reference(seq):
+    N = seq.spec.N
+    checks = []
+    for n in range(seq.n_max + 1):
+        hjh, i_n = seq.HJH[n], seq.I[n]
+        checks.append(check(f"I(n) bidiagonal n={n}", "coupling-structure",
+                            all(i_n[r, c] == (r + 1 if r == c else 0)
+                                for r in range(N) for c in range(N) if c != r + 1)))
+        checks.append(check(f"I(n) superdiagonal n={n}", "coupling-diagonal-entries",
+                            all(i_n[r, r + 1] == hjh[r, r + 1] for r in range(N - 1))))
+        if n >= 1:
+            hth, g_n = seq.T[n], seq.G[n]
+            checks.append(check(f"G(n) diagonal n={n}", "coupling-structure",
+                                all(g_n[r, c] == 0 for r in range(N) for c in range(N) if r != c)))
+            checks.append(check(f"G(n) diagonal entries n={n}", "coupling-diagonal-entries",
+                                all(g_n[r, r] == hth[r, r] for r in range(N))))
+    return checks
+
+
+def _G_equals_X_reference(seq):
+    return all(seq.G[n][r, r] == seq.X[n][r, r]
+               for n in range(1, seq.n_max + 1) for r in range(seq.spec.N))
+
+
+def _K_unipotent_reference(seq):
+    return [all(k[r, r] == 1 for r in range(seq.spec.N)) for k in seq.K]
+
+
+def _xi_by_recursion_reference(seq):
+    spec = seq.spec
+    N, nu, a = spec.N, spec.nu, spec.a
+    G, I = seq.G, seq.I
+    table = XiTable(N, seq.n_max)
+    for i in range(1, N + 1):
+        for j in range(1, i + 1):
+            table.values[0, i, j] = (seq.K_inv[0][i - 1, j - 1] * factorial(i - j)
+                                     / pochhammer(nu + j + 1, i - j))
+    if seq.n_max >= 1:
+        for i in range(1, N):
+            table.values[1, i, i + 1] = -I[0][i - 1, i]
+    for j in range(1, N + 1):
+        for i in range(j - 1, 0, -1):
+            n = j - i
+            if n > seq.n_max or n < 2:
+                continue
+            m, ii = n - 1, i + 1
+            lead = G[m + 1][ii - 1, ii - 1] / (m + 1 + nu + ii) + 1
+            cross = F(0)
+            if ii < N:
+                lead -= a[ii - 1] * I[m][ii - 1, ii]
+                cross = I[m][ii - 1, ii] * G[m][ii, ii] / (m + nu + ii + 1)
+            v = lead * table.get(m, ii, j)
+            if ii < N:
+                v += cross * table.get(m - 1, ii + 1, j)
+            table.values[n, i, j] = v / a[i - 1]
+    for n in range(1, seq.n_max + 1):
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                if n + i - j <= 0 or (n, i, j) in table.values:
+                    continue
+                if i == 1:
+                    v = G[n][0, 0] / (n + nu + 1) * table.get(n - 1, 1, j)
+                else:
+                    v = -a[i - 2] * table.get(n, i - 1, j) \
+                        + G[n][i - 1, i - 1] / (n + nu + i) * table.get(n - 1, i, j)
+                table.values[n, i, j] = v
+    return table
+
+
+def _displayed_xi_reference(seq):
+    nu, a, N = seq.spec.nu, seq.spec.a, seq.spec.N
+    xi, G, I = seq.xi, seq.G, seq.I
+
+    def interior(n, i, j):
+        prev = a[i - 2] * xi.get(n, i - 1, j)
+        tail = G[n][i - 1, i - 1] / (n + nu + i) * xi.get(n - 1, i, j)
+        return xi.get(n, i, j) == tail - prev, xi.get(n, i, j) == tail + prev
+
+    def seed(i):
+        return xi.get(1, i, i + 1) == -I[0][i - 1, i], xi.get(1, i, i + 1) == I[0][i - 1, i]
+
+    def relation(n):
+        lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
+        n1 = G[n + 1][0, 0] / (n + nu + 2) + 1 - I[n][0, 1] * a[0]
+        n2 = -I[n][0, 1] * G[n][1, 1] / (n + nu + 2)
+        n1_disp = (nu + 2 * n + 3) * G[n + 1][0, 0] / (n + nu + 2) + (n + 2 + nu) \
+            + I[n][0, 1] * (nu + 2 * n + 2) * a[0]
+        n2_disp = I[n][0, 1] * (nu + 2 * n + 2) * G[n][1, 1] / (n + nu + 2)
+        return n1 * lo == n2 * hi, n1_disp * lo == n2_disp * hi
+
+    return [
+        *quoted_check("interior recursion, corrected sign", "multiplier-interior-recursion",
+                      [interior(n, i, j) for (n, i, j) in sorted(xi.values)
+                       if n >= 1 and i >= 2 and n + i - j > 0]),
+        *quoted_check("boundary seed xi(1,i,i+1), corrected sign", "multiplier-boundary-seed",
+                      [seed(i) for i in range(1, N if seq.n_max >= 1 else 1)]),
+        *quoted_check("i=1 boundary relation, derived coefficients",
+                      "multiplier-boundary-relation",
+                      [relation(n) for n in range(1, min(seq.n_max, N))]),
+    ]
+
+
+READER_IDS = ["N=1", "N=2", "N=3", "N=4", "dual Hahn"]
+
+
+def _shadowed(seq, name, m, r, c, value):
+    """A fresh family of seq's P and H whose `name` tuple has `value` added
+    to entry (r, c) (0-based) at degree m; every other tuple is its own."""
+    family = OPSeq(seq.spec, seq.table, seq.P, seq.H)
+    mats = list(getattr(seq, name))
+    mats[m] = mats[m] + MatQ.unit(seq.spec.N, r, c) * value
+    setattr(family, name, tuple(mats))  # shadows the cached tuple
+    return family
+
+
+def _assert_readers_match_the_references(seq):
+    assert compute_GI(seq) == _compute_GI_reference(seq)
+    assert xi_by_recursion(seq).values == _xi_by_recursion_reference(seq).values
+    gx = [c for c in verify_X_recursion(seq) if c["check_id"].startswith("G(n) diagonal")]
+    assert [c["pass"] for c in gx] == ([_G_equals_X_reference(seq)] if seq.n_max >= 1 else [])
+    unipotent = [c["pass"] for c in verify_K_properties(seq) if "unipotent" in c["check_id"]]
+    assert unipotent == _K_unipotent_reference(seq)
+    assert verify_displayed_xi_recursions(seq) == _displayed_xi_reference(seq)
+
+
+@pytest.mark.parametrize("index", range(5), ids=READER_IDS)
+def test_readers_match_their_fraction_forms(index):
+    seq = _rational_family(index)
+    _assert_readers_match_the_references(seq)
+    assert all(c["pass"] for c in compute_GI(seq))
+
+
+def _failing(checks):
+    return [c["check_id"] for c in checks if not c["pass"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_a_perturbed_I_superdiagonal_fails_exactly_its_check(index, data):
+    seq = _rational_family(index)
+    N = seq.spec.N
+    m, r = data.draw(st.integers(0, seq.n_max)), data.draw(st.integers(0, N - 2))
+    family = _shadowed(seq, "I", m, r, r + 1, data.draw(nonzero))
+    _assert_readers_match_the_references(family)
+    assert _failing(compute_GI(family)) == [f"I(n) superdiagonal n={m}"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_a_perturbed_G_entry_fails_exactly_its_checks(index, data):
+    """A diagonal entry G(m)_ii fails `G(n) diagonal entries n=m`, the
+    G = X diagonal claim and the xi recursion, whose table then differs from
+    the extracted one; an off-diagonal entry fails `G(n) diagonal n=m`
+    alone."""
+    seq = _rational_family(index)
+    N = seq.spec.N
+    m = data.draw(st.integers(1, seq.n_max))
+    r, c = data.draw(st.integers(0, N - 1)), data.draw(st.integers(0, N - 1))
+    family = _shadowed(seq, "G", m, r, c, data.draw(nonzero))
+    family.xi = seq.xi  # the oracle's table; G does not enter it
+    _assert_readers_match_the_references(family)
+    failing = _failing(compute_GI(family) + verify_X_recursion(family))
+    xi_failing = _failing(verify_xi_tables(seq.xi, xi_by_recursion(family)))
+    if r == c:
+        assert failing == [f"G(n) diagonal entries n={m}", "G(n) diagonal equals X(n) diagonal"]
+        assert xi_failing == ["xi extraction equals recursion"]
+    else:
+        assert failing == [f"G(n) diagonal n={m}"]
+        assert xi_failing == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_a_perturbed_K_diagonal_entry_fails_K_unipotent_at_its_degree(index, data):
+    seq = _rational_family(index)
+    m, r = data.draw(st.integers(0, seq.n_max)), data.draw(st.integers(0, seq.spec.N - 1))
+    family = _shadowed(seq, "K", m, r, r, data.draw(nonzero))
+    unipotent = [c for c in verify_K_properties(family) if "unipotent" in c["check_id"]]
+    assert [c["pass"] for c in unipotent] == _K_unipotent_reference(family)
+    assert _failing(unipotent) == [f"K-unipotent n={m}"]
+    assert all(x.endswith(f" n={m}") for x in _failing(verify_K_properties(family)))

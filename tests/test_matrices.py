@@ -264,6 +264,83 @@ def test_dot_rejects_a_dimension_mismatch():
         MatQ.dot([(MatQ.identity(2), MatQ.identity(2)), (MatQ.identity(3), MatQ.identity(3))], 2)
 
 
+# The whole kernel (products, sums, differences, fused sums and the
+# canonical form) against entrywise Fraction arithmetic at N = 1..6, where a
+# factor may be I, -I, zero or a scalar matrix: the cases the kernel reads
+# off the canonical form, and N = 1, where it works on single integers.
+
+KERNEL_KINDS = ("random", "random", "random", "I", "-I", "0", "scalar")
+
+
+def _scaled_identity(n, c):
+    return [[F(c) if i == j else F(0) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(entries, st.builds(F, st.integers(-30, 30), st.integers(1, 40)))
+
+    def factor():
+        kind = draw(st.sampled_from(KERNEL_KINDS))
+        if kind == "random":
+            return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        return _scaled_identity(n, {"I": 1, "-I": -1, "0": 0}.get(kind) or draw(cell.filter(bool)))
+
+    return n, [(factor(), factor()) for _ in range(draw(st.integers(0, 6)))]
+
+
+@given(kernel_cases())
+@example((1, []))
+@example((1, [([[F(3, 4)]], [[F(-2, 9)]]), ([[F(5, 6)]], [[F(1, 10)]]), ([[F(-1)]], [[F(7, 15)]])]))
+@example((1, [([[F(2, 3)]], [[F(3, 2)]]), ([[F(-1)]], [[F(1)]])]))
+@example((3, [(_scaled_identity(3, -1), [[F(1, 2), F(1, 3), F(0)], [F(-5, 7), F(1), F(2, 9)],
+                                           [F(0), F(0), F(11, 13)]]),
+              ([[F(1, 4), F(0), F(3)], [F(1, 6), F(-1, 8), F(0)], [F(2), F(5), F(1, 10)]],
+               _scaled_identity(3, F(1, 3))),
+              (_scaled_identity(3, 1), _scaled_identity(3, -1))]))
+@example((6, [(_scaled_identity(6, -1), _scaled_identity(6, F(5, 7)))]))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_entrywise_fractions_up_to_N6(case):
+    n, pairs = case
+    mats = [(MatQ(x), MatQ(y)) for x, y in pairs]
+    for (x, y), (a, b) in zip(pairs, mats):
+        assert_matches(a * b, ref_mul(x, y))
+        assert_matches(a + b, ref_add(x, y))
+        assert_matches(a - b, [[u - v for u, v in zip(r, t)] for r, t in zip(x, y)])
+    assert_matches(MatQ.dot(mats, n), ref_dot(pairs, n))
+    # a product with I is the other factor itself, a product with -I its negation
+    for a, b in mats:
+        if b == MatQ.identity(n):
+            assert a * b is a and MatQ.dot([(a, b)], n) is a
+        if b == -MatQ.identity(n):
+            assert a * b == -a and b * a == -a
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(1, 10**4), st.sampled_from([1, -1]))
+@example([[6, -4], [0, 2]], 2, -1)
+@example([[0]], 5, -1)
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_takes_any_nonzero_denominator(num, d, sign):
+    """num / d for a denominator of either sign: the positive denominator in
+    lowest terms, with the sign moved onto the numerators."""
+    d *= sign
+    assert_matches(MatQ._canonical(num, d), [[F(v, d) for v in r] for r in num])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_kernel_operation_rejects_a_dimension_mismatch(n):
+    a = MatQ.identity(n) * F(2, 3)
+    b = MatQ([[F(1, r + c + 2) for c in range(n + 1)] for r in range(n + 1)])
+    for op in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: a - b, lambda: b - a,
+               lambda: MatQ.dot([(a, a), (a, b)], n), lambda: MatQ.dot([(b, b), (a, a)], n),
+               lambda: MatQ.dot([(a, a), (b, a)], n)):
+        with pytest.raises(ValueError):
+            op()
+
+
 # MatPoly products against a test-local schoolbook product of Fraction
 # coefficient lists; leading zero coefficients are the bodies scale_x makes.
 

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction as F
-from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +22,8 @@ from mvlaguerre.scalar import RPoly
 from mvlaguerre.weights import ScaledMat, WeightSpec
 # imported here, not inside a @given test: importing a test module applies
 # its own @given decorators, which hypothesis rejects as nested
-from test_engine import RATIONAL_SPECS
-from test_laguerre_forms import _with_H_entry_added, _with_P_entry_added
+from test_laguerre_forms import (_rational_family as _family, _with_H_entry_added,
+                                 _with_P_entry_added)
 
 SPECS = [
     WeightSpec(2, F(1), (F(1),), (F(1), F(1))),
@@ -509,14 +508,6 @@ def _mc_reference(seq, j, k):
     return Y[k] * A - A * Y[k + 1] + commutator(J, X[k]) + (A * X[k + 1] - X[k] * A) * X[k]
 
 
-@cache
-def _family(index):
-    """The RATIONAL_SPECS families of tests/test_engine.py and, last, the
-    (c, d) = (2, 1) dual Hahn family, to degree 5."""
-    specs = RATIONAL_SPECS + [build_delta_family(3, F(1, 2), 2, 1).spec]
-    return compute_monic_ops(specs[index], 5)
-
-
 FAMILIES = range(5)
 FAMILY_IDS = ["N=1", "N=2", "N=3", "N=4", "dual Hahn"]
 ADJOINT_PAIRS = [("D", "Ddag"), ("Ddag", "D"), ("C", "C"), ("D2", "D2"), ("D", "D"),
@@ -631,3 +622,19 @@ def test_brackets_and_MC_match_the_generic_commutator(index):
         assert all(mc.coeff(j, k) == _mc_reference(family, j, k)
                    for j in (-1, 0, 1) for k in range(family.n_max + 1))
     assert failed
+
+
+@pytest.mark.parametrize("index", FAMILIES, ids=FAMILY_IDS)
+def test_images_from_shared_derivatives_are_the_images(index):
+    """act_on_derivatives([P, P', P'']) is act(P) for every differential
+    operator the intertwinings read, and a list that stops short of the
+    operator's order raises."""
+    seq = _family(index)
+    ops = make_named_operators(seq)
+    for p in seq.P:
+        ders = [p, p.derivative()]
+        ders.append(ders[1].derivative())
+        for name in ("D", "Ddag", "D2", "C"):
+            assert ops[name].act_on_derivatives(ders) == ops[name].act(p)
+        with pytest.raises(ValueError):
+            ops["D2"].act_on_derivatives(ders[:2])
