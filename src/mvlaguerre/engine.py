@@ -4,15 +4,11 @@ checked against: orthogonalization uses nothing but the inner product.
 The family it returns, `OPSeq`, also owns every per-degree object derived
 from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
 Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
-first use.  Every sum of block products here (the projections, the inner
-products <x^n I, P_m> over the once-transposed coefficients of P_m, each
-coefficient of the three-term recurrence, the moment rows of the
-orthogonality check) is fused into one `MatQ.dot` with a single gcd pass;
-the canonical form is unique, so regrouping a sum this way is exact.  A
-block that is exactly zero adds nothing to such a sum, so the Gram and
-C-ratio sums of the orthogonality check leave out the zero blocks of the
-moment row, which are every block below the degree when the family is
-orthogonal.
+first use.  The moment table is read only through `weights.moment_row`
+and `weights.pair_row`.  Every other sum of block products here (the
+projections, each coefficient of the three-term recurrence) is fused into
+one `MatQ.dot` with a single gcd pass; the canonical form is unique, so
+regrouping a sum this way is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from functools import cached_property, wraps
 
 from .matrices import MatPoly, MatQ, SingularMatrixError, build_K
 from .scalar import RPoly, rat
-from .weights import MomentTable, WeightSpec
+from .weights import MomentTable, WeightSpec, moment_row, pair_row
 
 
 def check(check_id: str, equation: str, ok, **extra) -> dict:
@@ -36,8 +32,7 @@ def quoted_check(check_id: str, equation: str, verdicts: list) -> list[dict]:
     holds, printed holds) pair per compared entry: `pass` is the conjunction
     of the first items and `displayed_form_pass` of the second.  No pairs
     give no check, so a variant is reported only where it compared at least
-    one entry.  A row that always makes exactly one comparison passes
-    `displayed_form_pass` to `check` instead."""
+    one entry."""
     if not verdicts:
         return []
     return [check(check_id, equation, all(c for c, _ in verdicts),
@@ -201,12 +196,13 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     """Gram-Schmidt the monomials x^n I against the moment inner product.
 
     P_n = x^n I - sum_{m<n} <x^n I, P_m> H_m^{-1} P_m, one fused sum
-    (MatQ.dot) per coefficient.  <x^n I, P_m> = sum_b m_{n+b} P_{m,b}^T is
-    one fused sum over the transposed coefficients of P_m, taken once, when
-    P_m is finished.  Since P_n is orthogonal to every lower degree,
-    H_n = <P_n, P_n> = <x^n I, P_n>, which costs one product per
-    coefficient of P_n.  Each H_m^{-1} is computed once, when degree m+1
-    first needs it, and handed to the family.  The moment table raises
+    (MatQ.dot) per coefficient.  When P_m is finished its moment row
+    <P_m, x^t I> (weights.moment_row) is formed at t = m..n_max, one fused
+    sum per entry; every moment is symmetric, so <x^n I, P_m> is the
+    transpose of entry t = n.  Since P_n is orthogonal to every lower
+    degree, H_n = <P_n, P_n> = <x^n I, P_n>, the transposed first entry of
+    P_n's own row.  Each H_m^{-1} is computed once, when degree m+1 first
+    needs it, and handed to the family.  The moment table raises
     `UnsupportedWeightError` (a ValueError) for phi other than x.
     """
     if n_max < 0:
@@ -215,22 +211,17 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     n, i = spec.N, MatQ.identity(spec.N)
     P: list[MatPoly] = []
     H: list[MatQ] = []
-    transposed: list[list] = []  # the nonzero (b, P_{m,b}^T) of each P_m
+    rows: list[list] = []  # <P_m, x^t I> for t = m..n_max
     inverses: dict = {}
-
-    def with_monomial(deg: int, m: int) -> MatQ:
-        return MatQ.dot([(table[deg + b], ct) for b, ct in transposed[m]], n)
-
     for deg in range(n_max + 1):
         terms = [[] for _ in range(deg)]
         for m in range(deg):
-            coef = with_monomial(deg, m) * _inverse_of_H(H, inverses, m)
+            coef = rows[m][deg - m].transpose() * _inverse_of_H(H, inverses, m)
             for k, c in enumerate(P[m].coeffs):
                 terms[k].append((coef, c))
         P.append(MatPoly([-MatQ.dot(t, n) for t in terms] + [i], n))
-        transposed.append([(b, c.transpose()) for b, c in enumerate(P[-1].coeffs)
-                           if not c.is_zero()])
-        H.append(with_monomial(deg, deg))
+        rows.append(moment_row(P[-1], table, range(deg, n_max + 1)))
+        H.append(rows[-1][0].transpose())
     return OPSeq(spec, table, P, H, inverses)
 
 
@@ -280,39 +271,25 @@ def verify_three_term(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def moment_row(p: MatPoly, table: MomentTable) -> list[MatQ]:
-    """L[b] = <p, x^b I> = sum_a p_a m_{a+b} for 0 <= b <= deg p, one
-    fused sum each."""
-    n = table.spec.N
-    return [MatQ.dot([(pa, table[a + b]) for a, pa in enumerate(p.coeffs)], n)
-            for b in range(len(p.coeffs))]
-
-
 def verify_orthogonality(seq: OPSeq) -> list[dict]:
     """<P_i, P_j> = delta_ij H_i exactly for every pair j < i, positive
-    definiteness of every H_i by minors, and C_i for 1 <= i <= n_max
-    against <x P_i, P_{i-1}> = C_i H_{i-1} (the three-term recurrence),
-    not against the H_i H_{i-1}^{-1} it is built from.  Both products are
-    read off the moment row L_i of one degree at a time:
-    <P_i, x^s P_j> = sum_b L_i[b+s] P_{j,b}^T, O(n^3) block products for
-    the triangle instead of O(n^4).  A block L_i[b] that is exactly zero
-    (every b < i when P_i is orthogonal to the lower degrees) adds nothing
-    and makes no term of either sum.  No row outlives its degree."""
-    n = seq.spec.N
-    transposed = [[c.transpose() for c in p.coeffs] for p in seq.P]
+    definiteness of every H_i (MatQ.is_positive_definite), and C_i for
+    1 <= i <= n_max against <x P_i, P_{i-1}> = C_i H_{i-1} (the three-term
+    recurrence), not against the H_i H_{i-1}^{-1} it is built from.  Both
+    are pair_row sums <P_i, x^s P_j> (s = 0, and s = 1 for C-ratio) on the
+    moment row <P_i, x^b I>, b <= i, of one degree at a time: O(n^3) block
+    products for the triangle instead of O(n^4).  A zero block of the row
+    (every b < i when P_i is orthogonal to the lower degrees) makes no
+    term.  No row outlives its degree."""
     checks = []
     for i, p in enumerate(seq.P):
-        row = moment_row(p, seq.table)
-        nonzero = [b for b, block in enumerate(row) if not block.is_zero()]
+        row = moment_row(p, seq.table, range(i + 1))
         for j in range(i):
-            ip = MatQ.dot([(row[b], transposed[j][b]) for b in nonzero
-                           if b < len(transposed[j])], n)
+            ip = pair_row(row, seq.P[j], 0)
             checks.append(check(f"orthogonality n={i},m={j}", "orthogonality", ip.is_zero()))
         checks.append(check(f"H-posdef n={i}", "orthogonality",
                             seq.H[i].is_positive_definite()))
         if i >= 1:
-            ip = MatQ.dot([(row[b], transposed[i - 1][b - 1]) for b in nonzero
-                           if 1 <= b <= len(transposed[i - 1])], n)
             checks.append(check(f"C-ratio n={i}", "recurrence-coefficients",
-                                seq.C[i] * seq.H[i - 1] == ip))
+                                seq.C[i] * seq.H[i - 1] == pair_row(row, seq.P[i - 1], 1)))
     return checks

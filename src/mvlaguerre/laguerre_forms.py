@@ -478,7 +478,8 @@ def x1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
 
 
 def h1_from_h0(spec: WeightSpec, h0: MatQ) -> MatQ:
-    """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}, X(1) from x1_from_h0."""
+    """H_1 = (X(1) + [J, X(1)]) H_0 (A^T - 1)^{-1}, X(1) from x1_from_h0;
+    public as the first step of demo 04 (the suite reuses its own X(1))."""
     return _h1_from_x1(spec, h0, x1_from_h0(spec, h0))
 
 

@@ -49,7 +49,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 
-from .engine import check
+from .engine import check, quoted_check
 from .matrices import MatQ
 from .scalar import DomainError, RPoly, rat
 
@@ -533,9 +533,8 @@ def extended_algebra_report(alg: LieAlg) -> dict:
                and br(hat2, hat3) == _lin((2, hat3)))
     oracle_hatted = (br(hat2, a1) == _lin((2, a1)) and br(a1, hat3) == _lin((-1, hat2))
                      and br(hat3, hat2) == _lin((2, hat3)))
-    checks.append(check("hatted-basis relations, oracle orientation",
-                        "sl2-triple", oracle_hatted,
-                        displayed_form_pass=printed))
+    checks += quoted_check("hatted-basis relations, oracle orientation", "sl2-triple",
+                           [(oracle_hatted, printed)])
 
     derived, derived_pivots = _span(br(u, v) for u in xs for v in xs)
     checks.append(check("derived algebra is span{a1,a2,a3}", "extended-structure",
@@ -551,8 +550,8 @@ def extended_algebra_report(alg: LieAlg) -> dict:
     ef = ef + ef.transpose()
     oracle_casimir = _ad_invariant(alg, hh + ef * 2, (0,) * alg.dim)
     printed_casimir = _ad_invariant(alg, hh - ef * 2, tuple(-2 * t for t in ch))
-    checks.append(check("quadratic Casimir ad-invariance", "quadratic-casimir",
-                        oracle_casimir, displayed_form_pass=printed_casimir))
+    checks += quoted_check("quadratic Casimir ad-invariance", "quadratic-casimir",
+                           [(oracle_casimir, printed_casimir)])
     checks.append(check("linear Casimirs central", "linear-casimirs", in_center))
 
     # e1 = x2, e2 = x4, e3 = x1 + x2 - x4, e4 = x5: [e1, e2] = e2, all else 0

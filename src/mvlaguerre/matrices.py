@@ -118,7 +118,8 @@ class MatQ:
 
     @staticmethod
     def unit(n: int, i: int, j: int) -> "MatQ":
-        """Matrix unit E_{ij}, 0-based indices."""
+        """Matrix unit E_{ij}, 0-based indices; public because the negative
+        controls build their perturbations (H_n + eps E_11) from it."""
         return MatQ._of(tuple(tuple(int((r, c) == (i, j)) for c in range(n)) for r in range(n)), 1)
 
     @staticmethod
@@ -302,7 +303,8 @@ class MatQ:
 
     def det(self) -> Fraction:
         """Exact determinant by fraction-free (Bareiss) elimination on the
-        integer matrix: det(num/d) = det(num) / d^N."""
+        integer matrix: det(num/d) = det(num) / d^N.  With `leading_minors`
+        it is the definition `is_positive_definite` is tested against."""
         n = self.N
         m = [list(r) for r in self.num]
         sign = 1
@@ -324,7 +326,8 @@ class MatQ:
         return Fraction(sign * m[n - 1][n - 1], self.d ** n)
 
     def leading_minors(self):
-        """Determinants of the leading principal submatrices, sizes 1..N."""
+        """Determinants of the leading principal submatrices, sizes 1..N;
+        demo 01 prints them."""
         return [MatQ._canonical([r[: k + 1] for r in self.num[: k + 1]], self.d).det()
                 for k in range(self.N)]
 

@@ -15,7 +15,8 @@ at shift j with n + j < 0 multiplies a vanishing sequence value, and a
 composition leaves it an exact zero.
 
 The identity suites form each product once: the adjoint kernels grouped by
-moment offset (`adjoint_kernels`), the symmetry equations from one F_k W per
+moment offset on the moment rows of `weights.moment_row`
+(`adjoint_kernels`), the symmetry equations from one F_k W per
 coefficient (`symmetry_residuals`), and the J-brackets entry by entry
 (`matrices.J_commutator`).
 """
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import math
 
-from .engine import OPSeq, check
+from .engine import OPSeq, check, quoted_check
 from .matrices import J_commutator, MatPoly, MatQ, commutator
 from .scalar import RPoly
-from .weights import MomentTable, ScaledMat, WeightSpec
+from .weights import MomentTable, ScaledMat, WeightSpec, moment_row
 
 
 class WindowError(IndexError):
@@ -351,26 +352,20 @@ def adjoint_kernels(d1: DiffOp, d2: DiffOp, table: MomentTable, deg_bound: int) 
         S1(a,b) = sum_j a!/(a-j)! U_j[a+b-j],   U_j[t] = sum_c F_{j,c} m_{t+c},
         S2(a,b) = sum_j b!/(b-j)! V_j[a+b-j],   V_j[t] = sum_c m_{t+c} G_{j,c}^T,
 
-    for D1 = sum_j d^j F_j and D2 = sum_j d^j G_j: each U_j[t] and V_j[t] is
-    one fused sum (MatQ.dot), formed once for each offset t <= 2 deg_bound - j
-    (each is read by some (a, b)), and each defect is one integer
-    combination (MatQ.lincomb).  Every moment is symmetric, so for a self
-    pair (d1 is d2) V_j[t] = U_j[t]^T."""
+    for D1 = sum_j d^j F_j and D2 = sum_j d^j G_j.  U_j is the moment row
+    <F_j, x^t I> (weights.moment_row) at offsets t <= 2 deg_bound - j, each
+    read by some (a, b); every moment is symmetric, so V_j[t] is the
+    transposed entry of the moment row of G_j, or of F_j for a self pair
+    (d1 is d2), which is then formed once.  Each defect is one integer
+    combination (MatQ.lincomb)."""
     n = d1.N
 
-    def by_offset(op: DiffOp, left: bool) -> list[dict]:
-        out = []
-        for j, f in enumerate(op.F[:deg_bound + 1]):
-            coeffs = [(c, fc if left else fc.transpose())
-                      for c, fc in enumerate(f.coeffs) if not fc.is_zero()]
-            out.append({t: MatQ.dot([(fc, table[t + c]) if left else (table[t + c], fc)
-                                     for c, fc in coeffs], n)
-                        for t in range(2 * deg_bound - j + 1)})
-        return out
+    def rows(op: DiffOp) -> list[list]:
+        return [moment_row(f, table, range(2 * deg_bound - j + 1))
+                for j, f in enumerate(op.F[:deg_bound + 1])]
 
-    u = by_offset(d1, True)
-    v = ([{t: m.transpose() for t, m in col.items()} for col in u] if d2 is d1
-         else by_offset(d2, False))
+    u = rows(d1)
+    v = [[m.transpose() for m in row] for row in (u if d2 is d1 else rows(d2))]
     return {(a, b): MatQ.lincomb([(math.perm(a, j), col[a + b - j])
                                   for j, col in enumerate(u[:a + 1])]
                                  + [(-math.perm(b, j), col[a + b - j])
@@ -527,8 +522,8 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
         checks.append(check(f"MdL0 n={n}", "bracket-B-J", B[n] == rhs))
     for n in interior:
         common, last = cj[n] - B[n] * t[n], t[n] * B[n - 1]
-        checks.append(check(f"MdL-1 n={n}", "bracket-C-J", two_c[n] == common + last,
-                            displayed_form_pass=bool(two_c[n] == common - last)))
+        checks += quoted_check(f"MdL-1 n={n}", "bracket-C-J",
+                               [(two_c[n] == common + last, two_c[n] == common - last)])
     for n in interior:
         rhs = MatQ.dot([(i, -J_commutator(hjh[n])), (t[n], one_minus_a), (am1, t[n + 1])], N)
         checks.append(check(f"MMd0 n={n}", "bracket-B-from-norms", B[n] == rhs))
@@ -547,9 +542,8 @@ def verify_bracket_identities(seq: OPSeq) -> list[dict]:
         checks.append(check(f"prop5.6 [B,J] n={n}", "J-bracket-closed-form", bj[n] == rhs))
     for n in interior:
         common, last = two_c[n] + B[n] * gc[n], gc[n] * B[n - 1]
-        checks.append(check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
-                            cj[n] == common - last,
-                            displayed_form_pass=bool(cj[n] == common + last)))
+        checks += quoted_check(f"prop5.6 [C,J] n={n}", "J-bracket-closed-form",
+                               [(cj[n] == common - last, cj[n] == common + last)])
 
     return checks
 

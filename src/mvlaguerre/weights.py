@@ -22,6 +22,10 @@ e = i+j-r in 1..2N-1,
     m_s[i,j] = sum_r k_{ijr} q^{2N-1-e} R_{s+e} / (W q^{s+2N-1}),
 
 one integer sum per entry and one gcd pass per matrix.
+
+The inner product <P, Q> = integral of P W Q^T / Gamma(nu+1) is summed here
+only: `moment_row` gives <p, x^t I> = sum_c p_c m_{t+c}, and `pair_row`
+pairs such a row with q; no other module sums over moment indices.
 """
 
 from __future__ import annotations
@@ -290,18 +294,35 @@ class MomentTable:
         self.moments = _moment_sums(spec, range(depth + 1))
 
     def __getitem__(self, s: int) -> MatQ:
-        if s > self.depth:
-            raise IndexError(f"moment table depth {self.depth} < {s}")
+        """m_s; an index outside 0..depth raises (a negative one would
+        otherwise read a deep moment off the end of the list)."""
+        if not 0 <= s <= self.depth:
+            raise IndexError(f"moment index {s} outside the table's 0..{self.depth}")
         return self.moments[s]
 
 
-def inner_product(p: MatPoly, q: MatPoly, table: MomentTable) -> MatQ:
-    """<P, Q> = sum_a P_a (sum_b m_{a+b} Q_b^T), exactly.  Both sums are
-    fused (MatQ.dot, one gcd pass each); regrouping them is exact."""
+def moment_row(p: MatPoly, table: MomentTable, offsets) -> list[MatQ]:
+    """<p, x^t I> = sum_c p_c m_{t+c} for each t in `offsets`, in their
+    order, one fused sum (MatQ.dot) each.  A zero coefficient of p makes no
+    term."""
     n = table.spec.N
-    qt = [(b, qb.transpose()) for b, qb in enumerate(q.coeffs) if not qb.is_zero()]
-    return MatQ.dot([(pa, MatQ.dot([(table[a + b], qb) for b, qb in qt], n))
-                     for a, pa in enumerate(p.coeffs) if not pa.is_zero()], n)
+    coeffs = [(c, pc) for c, pc in enumerate(p.coeffs) if not pc.is_zero()]
+    return [MatQ.dot([(pc, table[t + c]) for c, pc in coeffs], n) for t in offsets]
+
+
+def pair_row(row: list, q: MatPoly, shift: int) -> MatQ:
+    """<p, x^shift q> = sum_b row[b+shift] q_b^T, one fused sum, from the
+    moment row row[t] = <p, x^t I> of `moment_row` at offsets 0, 1, ...
+    A zero block of the row makes no term, and q_b is transposed only where
+    it meets a nonzero block.  The row must reach offset deg q + shift."""
+    return MatQ.dot([(row[b + shift], qb.transpose()) for b, qb in enumerate(q.coeffs)
+                     if not row[b + shift].is_zero()], q.N)
+
+
+def inner_product(p: MatPoly, q: MatPoly, table: MomentTable) -> MatQ:
+    """<P, Q> = sum_b <P, x^b I> Q_b^T, exactly: the moment row of P at
+    offsets 0..deg Q, paired with Q."""
+    return pair_row(moment_row(p, table, range(len(q.coeffs))), q, 0)
 
 
 def h0_as_displayed(spec: WeightSpec) -> MatQ:

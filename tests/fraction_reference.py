@@ -1,7 +1,7 @@
 """Fraction-by-Fraction reference versions of the scalar closed forms, of
-`read_xi` and of the moment sums: every step is one `fractions.Fraction`
-operation, the way they read before the package moved them onto integer
-numerators.  The exactness tests require the package to give the same
+`read_xi`, of the moment sums and of the moment functional (`moment_row`,
+`pair_row`): every step is one `fractions.Fraction` operation, the way they
+read before the package moved them onto integer numerators and fused sums.  The exactness tests require the package to give the same
 values, and to raise `DomainError` or `ClosedFormViolation` on the same
 inputs.  `three_term_residuals` is the three-term check as the `MatPoly`
 identity it was before it became one fused sum per coefficient."""
@@ -133,6 +133,38 @@ def moment_sums(spec, offsets) -> list:
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
         out.append(MatQ(rows))
     return out
+
+
+def moment_row(p, moments: list, offsets) -> list:
+    """<p, x^t I> for each t in `offsets`, entry by entry: entry (i, j) is
+    sum_c sum_k p_c[i,k] m_{t+c}[k,j] over every coefficient, zero or not.
+    `moments` is m_0, m_1, ... (from `moment_sums`)."""
+    n = p.N
+    out = []
+    for t in offsets:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for c, pc in enumerate(p.coeffs):
+            m = moments[t + c]
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        rows[i][j] += pc[i, k] * m[k, j]
+        out.append(MatQ(rows))
+    return out
+
+
+def pair_row(row: list, q, shift: int):
+    """sum_b row[b+shift] q_b^T, entry by entry: entry (i, j) is
+    sum_b sum_k row[b+shift][i,k] q_b[j,k]."""
+    n = q.N
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for b, qb in enumerate(q.coeffs):
+        block = row[b + shift]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    rows[i][j] += block[i, k] * qb[j, k]
+    return MatQ(rows)
 
 
 def three_term_residuals(seq) -> list[bool]:

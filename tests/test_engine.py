@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlaguerre.dual_hahn import build_delta_family
-from mvlaguerre.engine import (OPSeq, compute_monic_ops, moment_row,
-                               quoted_check, scalar_laguerre_monic,
-                               verify_orthogonality, verify_three_term)
+from mvlaguerre.engine import (OPSeq, compute_monic_ops, quoted_check,
+                               scalar_laguerre_monic, verify_orthogonality,
+                               verify_three_term)
 from mvlaguerre.matrices import MatPoly, MatQ, SingularMatrixError, exp_nilpotent
 from mvlaguerre.operators import apply_L_poly, make_named_operators, verify_L_poly
 from mvlaguerre.scalar import RPoly
-from mvlaguerre.weights import MomentTable, UnsupportedWeightError, WeightSpec, inner_product
+from mvlaguerre.weights import (MomentTable, UnsupportedWeightError, WeightSpec, inner_product,
+                               moment_row)
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 
@@ -256,7 +257,7 @@ def _assert_gram_rows_are_inner_products(seq):
     for family in (seq, _skewed(seq)):
         verdicts = {c["check_id"]: c["pass"] for c in verify_orthogonality(family)}
         for i, p in enumerate(family.P):
-            row = moment_row(p, family.table)
+            row = moment_row(p, family.table, range(i + 1))
             for j, q in enumerate(family.P[:i]):
                 ip = inner_product(p, q, family.table)
                 regrouped = MatQ.dot([(m, c.transpose()) for m, c in zip(row, q.coeffs)],
@@ -286,7 +287,7 @@ def test_moment_rows_and_the_C_ratio_side_are_inner_products(spec):
     seq = compute_monic_ops(spec, 4)
     i_n = MatQ.identity(spec.N)
     for family in (seq, _skewed(seq)):
-        assert [moment_row(p, family.table) for p in family.P] == [
+        assert [moment_row(p, family.table, range(i + 1)) for i, p in enumerate(family.P)] == [
             [inner_product(p, MatPoly.monomial(b, i_n), family.table) for b in range(i + 1)]
             for i, p in enumerate(family.P)]
     for k in range(1, seq.n_max + 1):

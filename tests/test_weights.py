@@ -12,7 +12,8 @@ from mvlaguerre.matrices import MatPoly, MatQ
 from mvlaguerre.scalar import RPoly, pochhammer
 from mvlaguerre.weights import (MomentTable, UnsupportedWeightError,
                                 WeightSpec, h0_as_displayed, inner_product,
-                                moment, moment_via_expansion)
+                                moment, moment_row, moment_via_expansion, pair_row)
+from test_engine import RATIONAL_SPECS
 
 SPEC2 = WeightSpec(2, F(1), (F(1),), (F(1), F(1)))
 SPECS = [
@@ -96,11 +97,52 @@ def test_inner_product_definite_on_random_inputs():
     assert inner_product(zero, zero, table).is_zero()
 
 
+MAX_DEG, MAX_OFFSET = 4, 5
+# the package's tables and the Fraction reference's moments, per spec
+TABLES = [MomentTable(spec, 2 * MAX_DEG + MAX_OFFSET + 1) for spec in RATIONAL_SPECS]
+REF_MOMENTS = [ref.moment_sums(spec, range(t.depth + 1)) for spec, t in zip(RATIONAL_SPECS, TABLES)]
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def mat_polys(draw, n):
+    """Matrix polynomials of degree <= MAX_DEG whose coefficients are
+    often exactly zero (a zero leading coefficient lowers the degree)."""
+    coeffs = []
+    for _ in range(draw(st.integers(0, MAX_DEG + 1))):
+        if draw(st.booleans()):
+            coeffs.append(MatQ.zero(n))
+        else:
+            coeffs.append(MatQ([[draw(small_rats) for _ in range(n)] for _ in range(n)]))
+    return MatPoly(coeffs, n)
+
+
+@given(st.data(), st.sampled_from(range(len(RATIONAL_SPECS))), st.sampled_from([0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_moment_row_and_pair_row_match_entrywise_fractions(data, index, shift):
+    """moment_row at any offsets, in any order, and pair_row at shift 0
+    and 1 give the entrywise Fraction sums, on random polynomials with
+    zero coefficients, N = 1..4; and <p, q> = <q, p>^T."""
+    spec, table, moments = RATIONAL_SPECS[index], TABLES[index], REF_MOMENTS[index]
+    p, q = data.draw(mat_polys(spec.N)), data.draw(mat_polys(spec.N))
+    offsets = data.draw(st.lists(st.integers(0, MAX_OFFSET), max_size=6))
+    assert moment_row(p, table, offsets) == ref.moment_row(p, moments, offsets)
+    full = range(len(q.coeffs) + shift)
+    row = ref.moment_row(p, moments, full)
+    assert moment_row(p, table, full) == row
+    assert pair_row(row, q, shift) == ref.pair_row(row, q, shift)
+    assert inner_product(p, q, table) == ref.pair_row(row, q, 0)
+    assert inner_product(p, q, table) == inner_product(q, p, table).transpose()
+
+
 def test_table_depth_guard():
     table = MomentTable(SPEC2, 2)
     p = MatPoly.monomial(2, MatQ.identity(2))
     with pytest.raises(IndexError):
         inner_product(p, p, table)
+    for s in (-1, 3):
+        with pytest.raises(IndexError, match="outside"):
+            table[s]
 
 
 @pytest.mark.parametrize("spec", SPECS)
