@@ -285,8 +285,7 @@ def verify_derivative_coupling(seq: OPSeq, params: DHParams) -> list[dict]:
     c_mat, m_star = params.coupling
     checks = []
     for n, r in enumerate(seq.R):
-        r0 = r(0)
-        r0p = r.derivative()(0)
+        r0, r0p = r.coeff(0), r.coeff(1)
         lhs = (r0p - r0 * a) * c_mat
         d_n = (j * params.d - i * (params.d * (nn + 1) + params.c)) * n
         checks.append(check(f"derivative coupling n={n}", "derivative-coupling-at-zero",

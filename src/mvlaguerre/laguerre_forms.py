@@ -8,10 +8,13 @@ multiple of a scalar Laguerre polynomial:
 
 This module extracts the xi table from the oracle, rebuilds it from the
 two-term recursions driven by the diagonal of G(n) and the superdiagonal of
-I(n), and checks the nonlinear recursion for the squared norms.  Where a commonly
-quoted recursion disagrees with the oracle (a handful of signs and one
-Pochhammer subscript), the corrected form is used and the quoted variant's
-status is reported alongside (engine.quoted_check).
+I(n), and checks the nonlinear recursion for the squared norms.  The
+rebuild is one pass over the keys in sorted order (`_pattern`); its
+interior step (`_interior`) and antidiagonal step (`_antidiagonal`) are
+written once, and the report on the printed variants reads the same two.
+Where a commonly quoted recursion disagrees with the oracle (a handful of
+signs and one Pochhammer subscript), the corrected form is used and the
+quoted variant's status is reported alongside (engine.quoted_check).
 
 D_Q, Lambda_n and J are diagonal, so the eigen-equation of R and the
 derivative relation of Q are checked entry by entry, coefficient by
@@ -264,120 +267,114 @@ def _g_ratios(seq: OPSeq) -> dict:
     return ratios
 
 
+def _pattern(N: int, n_max: int) -> list:
+    """The keys (n, i, j) of an xi table, n+i-j >= 0, in sorted order.
+    Every recursion step reads only keys before its own, so the table can
+    be rebuilt in this order."""
+    return [(n, i, j) for n in range(n_max + 1) for i in range(1, N + 1)
+            for j in range(1, N + 1) if n + i - j >= 0]
+
+
+def _interior(get, ratio: dict, a: tuple, n: int, i: int, j: int) -> tuple:
+    """(tail, prev) of the interior step at (n, i, j), n+i-j > 0, with
+    tail = G(n)_{ii}/(n+nu+i) xi(n-1,i,j) and prev = a_{i-1} xi(n,i-1,j)
+    (0 at i = 1), reading xi through `get`: the corrected step is
+    tail - prev, the printed one tail + prev."""
+    tail = ratio[n, i] * get(n - 1, i, j)
+    return tail, (a[i - 2] * get(n, i - 1, j) if i > 1 else 0)
+
+
+def _antidiagonal(seq: OPSeq, ratio: dict, m: int, ii: int) -> tuple:
+    """(lead, cross) of the antidiagonal relation at row ii, 1 <= ii < N,
+    and degree m >= 1:
+
+        a_{ii-1} xi(m+1,ii-1,j) = lead xi(m,ii,j) + cross xi(m-1,ii+1,j),
+        lead = G(m+1)_{ii,ii}/(m+1+nu+ii) + 1 - a_ii I(m)_{ii,ii+1},
+        cross = I(m)_{ii,ii+1} G(m)_{ii+1,ii+1}/(m+nu+ii+1)."""
+    i_m = seq.I[m][ii - 1, ii]
+    return ratio[m + 1, ii] + 1 - seq.spec.a[ii - 1] * i_m, i_m * ratio[m, ii + 1]
+
+
 def xi_by_recursion(seq: OPSeq) -> XiTable:
     """Rebuild the xi table from seeds and two-term recursions only; no
-    polynomial extraction involved.
+    polynomial extraction involved.  One pass over the keys in sorted order
+    (`_pattern`), each read off earlier keys:
 
-    Seeds: xi(0,i,j) = (K_0^{-1})_{ij} (i-j)!/(nu+j+1)_{i-j}, and the n = 1
-    boundary xi(1,i,i+1) = -I(0)_{i,i+1} (the oracle fixes the minus sign;
-    the printed form carries +).  Interior (n+i-j > 0):
-
-        xi(n,1,j) = G(n)_{11} / (n+nu+1) xi(n-1,1,j)
-        xi(n,i,j) = -a_{i-1} xi(n,i-1,j) + G(n)_{ii} / (n+nu+i) xi(n-1,i,j)
-
-    (corrected sign on the a-term).  Boundary antidiagonal j = n+i advanced
-    by the corrected relation
-
-        a_{i-1} xi(n+1,i-1,j) = (G(n+1)_{ii}/(n+1+nu+i) + 1
-                                 - a_i I(n)_{i,i+1}) xi(n,i,j)
-                                + I(n)_{i,i+1} G(n)_{i+1,i+1}/(n+nu+i+1)
-                                  xi(n-1,i+1,j).
+    - n = 0: xi(0,i,j) = (K_0^{-1})_{ij} (i-j)!/(nu+j+1)_{i-j};
+    - n = 1, j = i+1: xi(1,i,i+1) = -I(0)_{i,i+1} (the oracle fixes the
+      minus sign; the printed form carries +);
+    - n >= 2, j = n+i: the antidiagonal step (`_antidiagonal`) at row i+1,
+      xi(n,i,j) = (lead xi(n-1,i+1,j) + cross xi(n-2,i+2,j)) / a_i;
+    - otherwise (n+i-j > 0) the interior step (`_interior`) with the
+      corrected sign on the a-term,
+      xi(n,i,j) = G(n)_{ii}/(n+nu+i) xi(n-1,i,j) - a_{i-1} xi(n,i-1,j).
 
     Each G(n)_{ii}/(n+nu+i) is formed once (`_g_ratios`).
     """
     spec = seq.spec
-    N, nu = spec.N, spec.nu
-    a = spec.a
-    I, ratio = seq.I, _g_ratios(seq)
-    table = XiTable(N, seq.n_max)
-    for i in range(1, N + 1):
-        for j in range(1, i + 1):
-            v = seq.K_inv[0][i - 1, j - 1] * factorial(i - j) / pochhammer(nu + j + 1, i - j)
-            table.values[0, i, j] = v
-    if seq.n_max >= 1:
-        for i in range(1, N):
-            table.values[1, i, i + 1] = -I[0][i - 1, i]
-    # boundary antidiagonals: for column j, entries (n, i) with n = j - i
-    for j in range(1, N + 1):
-        for i in range(j - 1, 0, -1):
-            n = j - i  # producing xi(n, i, j) from (n-1, i+1) and (n-2, i+2)
-            if n > seq.n_max or n < 2:
-                continue
-            m, ii = n - 1, i + 1
-            lead = ratio[m + 1, ii] + 1
-            cross = Fraction(0)
-            if ii < N:
-                lead -= a[ii - 1] * I[m][ii - 1, ii]
-                cross = I[m][ii - 1, ii] * ratio[m, ii + 1]
-            v = lead * table.get(m, ii, j)
-            if ii < N:
-                v += cross * table.get(m - 1, ii + 1, j)
-            table.values[n, i, j] = v / a[i - 1]
-    for n in range(1, seq.n_max + 1):
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                if n + i - j <= 0 or (n, i, j) in table.values:
-                    continue
-                if i == 1:
-                    v = ratio[n, 1] * table.get(n - 1, 1, j)
-                else:
-                    v = -a[i - 2] * table.get(n, i - 1, j) + ratio[n, i] * table.get(n - 1, i, j)
-                table.values[n, i, j] = v
+    a, ratio = spec.a, _g_ratios(seq)
+    table = XiTable(spec.N, seq.n_max)
+    get = table.get
+    for n, i, j in _pattern(spec.N, seq.n_max):
+        if n == 0:
+            v = seq.K_inv[0][i - 1, j - 1] * factorial(i - j) / pochhammer(spec.nu + j + 1, i - j)
+        elif j == n + i and n == 1:
+            v = -seq.I[0][i - 1, i]
+        elif j == n + i:
+            lead, cross = _antidiagonal(seq, ratio, n - 1, i + 1)
+            v = (lead * get(n - 1, i + 1, j) + cross * get(n - 2, i + 2, j)) / a[i - 1]
+        else:
+            tail, prev = _interior(get, ratio, a, n, i, j)
+            v = tail - prev
+        table.values[n, i, j] = v
     return table
 
 
 def verify_xi_tables(extracted: XiTable, recursed: XiTable) -> list[dict]:
-    checks = []
-    keys = sorted(set(extracted.values) | set(recursed.values))
-    ok = True
-    first_bad = None
-    for k in keys:
-        a = extracted.values.get(k)
-        b = recursed.values.get(k)
-        if a != b:
-            ok = False
-            first_bad = k
-            break
-    checks.append(check("xi extraction equals recursion",
-                        "multiplier-recursions", ok,
-                        first_mismatch=str(first_bad) if first_bad else None))
-    # keys exactly where n+i-j >= 0; a value there may itself be 0
-    N = extracted.N
-    pattern = {(n, i, j) for n in range(extracted.n_max + 1)
-               for i in range(1, N + 1) for j in range(1, N + 1) if n + i - j >= 0}
-    checks.append(check("xi zero pattern", "multiplier-zero-pattern",
-                        set(extracted.values) == pattern))
-    return checks
+    """The extracted and the recursed table agree key by key (the first
+    differing key in sorted order is reported as `first_mismatch`), and the
+    extracted keys are exactly the zero pattern n+i-j >= 0 (`_pattern`); a
+    value on the pattern may itself be 0."""
+    first_bad = next((k for k in sorted(set(extracted.values) | set(recursed.values))
+                      if extracted.values.get(k) != recursed.values.get(k)), None)
+    return [
+        check("xi extraction equals recursion", "multiplier-recursions", first_bad is None,
+              first_mismatch=None if first_bad is None else str(first_bad)),
+        check("xi zero pattern", "multiplier-zero-pattern",
+              set(extracted.values) == set(_pattern(extracted.N, extracted.n_max))),
+    ]
 
 
 def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     """Status of the printed variants against the oracle table seq.xi: the
-    interior a-term sign, the n=1 boundary sign, and the printed N1/N2
-    coefficients of the i=1 boundary relation.  These are reports, not gates; the package's
-    own recursion (the corrected one) is gated by verify_xi_tables.  The
-    interior recursion compares entries from N >= 2 and n_max >= 1, the
-    boundary seed too, and the i=1 relation from N >= 2 and n_max >= 2.
-    Each G(n)_{ii}/(n+nu+i) is formed once (`_g_ratios`)."""
+    interior a-term sign (`_interior`, tail - prev against tail + prev), the
+    n=1 boundary sign, and the printed N1/N2 coefficients of the i=1
+    boundary relation.  The derived side of that relation is the
+    antidiagonal step at row 0 (`_antidiagonal` at ii = 1), where the left
+    side is zero: lead xi(n,1,n+1) + cross xi(n-1,2,n+1) = 0.  These are
+    reports, not gates; the package's own recursion (the corrected one) is
+    gated by verify_xi_tables.  The interior recursion compares entries
+    from N >= 2 and n_max >= 1, the boundary seed too, and the i=1 relation
+    from N >= 2 and n_max >= 2.  Each G(n)_{ii}/(n+nu+i) is formed once
+    (`_g_ratios`)."""
     spec = seq.spec
     nu, a, N = spec.nu, spec.a, spec.N
     xi, I, ratio = seq.xi, seq.I, _g_ratios(seq)
 
     def interior(n, i, j):
-        prev = a[i - 2] * xi.get(n, i - 1, j)
-        tail = ratio[n, i] * xi.get(n - 1, i, j)
-        return xi.get(n, i, j) == tail - prev, xi.get(n, i, j) == tail + prev
+        tail, prev = _interior(xi.get, ratio, a, n, i, j)
+        v = xi.get(n, i, j)
+        return v == tail - prev, v == tail + prev
 
     def seed(i):
         return xi.get(1, i, i + 1) == -I[0][i - 1, i], xi.get(1, i, i + 1) == I[0][i - 1, i]
 
     def relation(n):
         lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
-        n1 = ratio[n + 1, 1] + 1 - I[n][0, 1] * a[0]
-        n2 = -I[n][0, 1] * ratio[n, 2]
+        lead, cross = _antidiagonal(seq, ratio, n, 1)
         n1_disp = (nu + 2 * n + 3) * ratio[n + 1, 1] + (n + 2 + nu) \
             + I[n][0, 1] * (nu + 2 * n + 2) * a[0]
-        n2_disp = I[n][0, 1] * (nu + 2 * n + 2) * ratio[n, 2]
-        return n1 * lo == n2 * hi, n1_disp * lo == n2_disp * hi
+        return lead * lo + cross * hi == 0, n1_disp * lo == (nu + 2 * n + 2) * cross * hi
 
     return [
         *quoted_check("interior recursion, corrected sign", "multiplier-interior-recursion",

@@ -38,63 +38,54 @@ def all_pass(checks: list[dict]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _resolution(id: str, question: str, resolution: str, corrected: bool,
+                displayed: bool) -> dict:
+    """One open question, resolved: exactly one of the corrected and the
+    printed candidate matches the oracle, else AmbiguousResolutionError."""
+    if corrected == displayed:
+        raise AmbiguousResolutionError(f"{id} probe is ambiguous")
+    return {"id": id, "question": question, "resolution": resolution,
+            "displayed_form_matches": displayed, "definitive": True}
+
+
 def resolve_h0_pochhammer(seq: OPSeq) -> dict:
     """Which Pochhammer index in the zeroth-norm closed form reproduces the
     Gamma-integral (`moment_via_expansion`): the printed (nu)_{i+j-r}, or
     the raised (nu)_{i+j-r+1} of the m_0 the family was orthogonalized on."""
     oracle = moment_via_expansion(seq.spec, 0)
-    displayed = h0_as_displayed(seq.spec) == oracle
     corrected = seq.table[0] == oracle
-    if displayed == corrected:
-        raise AmbiguousResolutionError("H_0 Pochhammer probe is ambiguous")
-    return {
-        "id": "h0-pochhammer-index",
-        "question": "index of the Pochhammer factor in the H_0 closed form",
-        "resolution": "(nu)_{i+j-r+1}" if corrected else "(nu)_{i+j-r}",
-        "displayed_form_matches": displayed,
-        "definitive": True,
-    }
+    return _resolution("h0-pochhammer-index",
+                       "index of the Pochhammer factor in the H_0 closed form",
+                       "(nu)_{i+j-r+1}" if corrected else "(nu)_{i+j-r}",
+                       corrected, h0_as_displayed(seq.spec) == oracle)
 
 
 def resolve_xi_seed(seq: OPSeq) -> dict:
     """xi(0,1,1): the structural value 1 versus the printed 1/(nu+2)."""
     v = seq.xi.get(0, 1, 1)
-    is_one = v == 1
-    is_printed = v == Fraction(1) / (seq.spec.nu + 2)
-    if is_one == is_printed:
-        raise AmbiguousResolutionError("xi(0,1,1) probe is ambiguous")
-    return {
-        "id": "xi-seed-0-1-1",
-        "question": "value of xi(0,1,1)",
-        "resolution": rat_str(v),
-        "displayed_form_matches": is_printed,
-        "definitive": True,
-    }
+    return _resolution("xi-seed-0-1-1", "value of xi(0,1,1)", rat_str(v),
+                       v == 1, v == Fraction(1) / (seq.spec.nu + 2))
 
 
 def resolve_i1_boundary(seq: OPSeq, rows: list[dict] | None = None) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
-    versus the printed pair.  `rows` are the multiplier-boundary-relation
-    checks of `seq` where a suite already ran them; without them the
-    printed variants of `seq` are checked here."""
+    versus the printed pair; the resolution names the pair that matches.
+    `rows` are the multiplier-boundary-relation checks of `seq` where a
+    suite already ran them; without them the printed variants of `seq` are
+    checked here."""
     if rows is None:
         rows = [c for c in lf.verify_displayed_xi_recursions(seq)
                 if c["equation"] == "multiplier-boundary-relation"]
     if not rows:
         raise AmbiguousResolutionError("i=1 boundary relation was not exercised")
-    derived_ok = all(c["pass"] for c in rows)
-    displayed_ok = all(c["displayed_form_pass"] for c in rows)
-    if derived_ok == displayed_ok:
-        raise AmbiguousResolutionError("i=1 boundary probe is ambiguous")
-    return {
-        "id": "i1-boundary-N1N2",
-        "question": "coefficients of the i=1 boundary two-term relation",
-        "resolution": "derived: (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) xi(n,1,n+1)"
-                      " = -I(n)_12 G(n)_22/(n+nu+2) xi(n-1,2,n+1)",
-        "displayed_form_matches": displayed_ok,
-        "definitive": True,
-    }
+    derived = all(c["pass"] for c in rows)
+    resolution = ("derived: (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) xi(n,1,n+1)"
+                  " = -I(n)_12 G(n)_22/(n+nu+2) xi(n-1,2,n+1)" if derived else
+                  "printed: ((nu+2n+3) G(n+1)_11/(n+nu+2) + n+2+nu + (nu+2n+2) a_1 I(n)_12)"
+                  " xi(n,1,n+1) = (nu+2n+2) I(n)_12 G(n)_22/(n+nu+2) xi(n-1,2,n+1)")
+    return _resolution("i1-boundary-N1N2", "coefficients of the i=1 boundary two-term relation",
+                       resolution, derived, all(c["displayed_form_pass"] for c in rows))
 
 
 def resolve_open_questions(seq: OPSeq, boundary_rows: list[dict] | None = None) -> list[dict]:

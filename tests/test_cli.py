@@ -160,6 +160,19 @@ def test_i1_boundary_resolution_reads_the_equation_label(monkeypatch):
         rp.resolve_i1_boundary(seq)
 
 
+def test_i1_boundary_resolution_names_the_pair_that_matches(monkeypatch):
+    """The resolution names the derived pair where it matches, and the
+    printed pair, reported as matching, where only that one passes."""
+    seq = compute_monic_ops(WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)), 4)
+    assert rp.resolve_i1_boundary(seq)["resolution"].startswith("derived: ")
+    original = lf.verify_displayed_xi_recursions
+    monkeypatch.setattr(lf, "verify_displayed_xi_recursions", _relabelled(
+        original, "multiplier-boundary-relation", **{"pass": False, "displayed_form_pass": True}))
+    resolved = rp.resolve_i1_boundary(seq)
+    assert resolved["resolution"].startswith("printed: ")
+    assert resolved["displayed_form_matches"] is True
+
+
 def test_verify_dualhahn_requires_constrained_family():
     code = main(["verify", "--suite", "dualhahn", "--N", "2", "--nu", "1/2",
                  "--a", "2", "--delta", "1,1", "--nmax", "3"])

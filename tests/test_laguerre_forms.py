@@ -866,6 +866,32 @@ def test_a_perturbed_G_entry_fails_exactly_its_checks(index, data):
         assert xi_failing == []
 
 
+def _first_mismatch(extracted, recursed):
+    [row] = [c for c in verify_xi_tables(extracted, recursed)
+             if c["check_id"] == "xi extraction equals recursion"]
+    return row["first_mismatch"]
+
+
+@pytest.mark.parametrize("index", range(5), ids=READER_IDS)
+def test_no_first_mismatch_where_the_tables_agree(index):
+    seq = _rational_family(index)
+    assert _first_mismatch(seq.xi, xi_by_recursion(seq)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_first_mismatch_is_the_first_key_a_perturbed_G_changes(index, data):
+    """Shifting a diagonal entry G(m)_ii changes the recursed table; the
+    reported first_mismatch is the first key, in sorted order, where the
+    Fraction reference differs from the oracle's table."""
+    seq = _rational_family(index)
+    m, r = data.draw(st.integers(1, seq.n_max)), data.draw(st.integers(0, seq.spec.N - 1))
+    family = _shadowed(seq, "G", m, r, r, data.draw(nonzero))
+    reference = _xi_by_recursion_reference(family).values
+    expected = next(k for k in sorted(seq.xi.values) if reference[k] != seq.xi.values[k])
+    assert _first_mismatch(seq.xi, xi_by_recursion(family)) == str(expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 4), st.data())
 def test_a_perturbed_K_diagonal_entry_fails_K_unipotent_at_its_degree(index, data):
