@@ -182,7 +182,7 @@ def cmd_lie(args) -> int:
     else:
         phi = parse_phi(args.phi)
     alg = la.generate_algebra(phi, nu=nu)
-    structure = [[i, j, k, rat_str(v)]
+    structure = [[i, j, k, rat_str(Fraction(v, alg.den))]
                  for (i, j), vec in sorted(alg.structure.items())
                  for k, v in enumerate(vec) if v != 0]
     payload = {
@@ -199,7 +199,7 @@ def cmd_lie(args) -> int:
             if not args.extended else None,
         },
     }
-    payload["center_dimension"] = len(alg.center())
+    payload["center_dimension"] = len(alg.center)
     axioms = payload["checks"]
     ok = axioms["jacobi"] and axioms["antisymmetry"] \
         and axioms["dim_matches_formula"] is not False

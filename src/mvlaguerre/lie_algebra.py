@@ -33,13 +33,15 @@ since x phi' + x^2 phi'' has x^k coefficient k^2 phi_k and x p' has k p_k;
 one gcd pass reduces it.  In the extended case nu = Nn/Nd puts one more
 factor Nd in the denominator.  Echelon rows are reduced (pivot 1, zero at
 every other pivot), so reducing v against them is one fused integer sum
-over the lcm of their denominators.  Fractions are built only for output:
-`LieAlg.basis`, `LieAlg.structure` (ints over denominator 1),
-`LieAlg.coordinates` and `LieAlg.center`.
+over the lcm of their denominators.
 
 The closure's last pass brackets every ordered pair of the final basis; those
-brackets are the structure constants, and the Lie axioms are checked on them
-directly.
+brackets are the structure constants.  `LieAlg` keeps them as one table of
+integer numerators over one positive denominator `den`, in lowest terms as
+`MatQ` is, and checks the Lie axioms, the center and the Casimir forms on
+that table.  Its basis rows, coordinates and center are pairs.  Fractions
+are made only for output: the structure constants `cmd_lie` prints,
+`l36_alpha`, and the coefficients of `exp_series_truncated`.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import math
 from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .engine import check, quoted_check
 from .matrices import MatQ
@@ -80,12 +83,6 @@ def _canonical(num, d: int) -> tuple:
     if g != 1:
         num, d = [x // g for x in num], d // g
     return tuple(num), d
-
-
-def _values(v) -> tuple:
-    """The rationals of a pair: its ints over 1, Fractions otherwise."""
-    num, d = v
-    return num if d == 1 else tuple(Fraction(x, d) for x in num)
 
 
 def _el(bound: int, cD=0, cDd=0, cD2=0, mult=()) -> tuple:
@@ -155,14 +152,17 @@ def bracket(u, v, phi, nu=None) -> tuple:
 
 
 class LieAlg:
-    """Finite-dimensional Lie algebra realized on coordinate vectors: an
-    echelonized basis plus exact structure constants.  It is the extended
-    algebra exactly when it has a nu."""
+    """Finite-dimensional Lie algebra realized on coordinate vectors: the
+    reduced echelon basis of the closure and its structure constants, all
+    exact integers.  It is the extended algebra exactly when it has a nu."""
 
     def __init__(self, vectors, pivots, phi: RPoly, structure: dict, nu=None):
         """`vectors` are the reduced echelon rows (num, d) at `pivots`;
         `structure[(i, j)]` holds the coordinates (num, d) of the bracket of
-        basis elements i and j, for every ordered pair."""
+        basis elements i and j, for every ordered pair.  They are stored as
+        one table: `structure[(i, j)]` becomes the integer numerators over
+        `den`, the lcm of their denominators.  Each pair is in lowest terms,
+        so the table is too: gcd(den, every numerator) = 1."""
         self.vectors = list(vectors)
         self._pivots = list(pivots)
         self.labels = [_label(p) for p in self._pivots]
@@ -170,46 +170,27 @@ class LieAlg:
         self.nu = nu
         self.bound = max(1, phi.degree)
         self.dim = len(self.vectors)
-        self.structure = {ij: _values(c) for ij, c in structure.items()}
+        self.den = math.lcm(*(d for _, d in structure.values()))
+        self.structure = {ij: tuple(x * (self.den // d) for x in num)
+                          for ij, (num, d) in structure.items()}
 
     @property
     def extended(self) -> bool:
         return self.nu is not None
 
-    @property
-    def basis(self) -> list:
-        """The echelon basis as rational vectors."""
-        return [_values(v) for v in self.vectors]
-
     def coordinates(self, v) -> tuple:
-        """Coefficients of the rational vector v in the echelon basis;
-        raises if v is outside the span (non-closure)."""
-        return _values(self._coords(_vec(v)))
-
-    def _coords(self, v) -> tuple:
-        """`coordinates` of an element (num, d), as a pair."""
+        """Coefficients (num, d) of the element v = (num, d) in the echelon
+        basis; raises if v is outside the span (non-closure)."""
         coeffs = _coordinates(self.vectors, self._pivots, v)
         if coeffs is None:
             raise DomainError("vector outside the algebra span (closure failure)")
         return coeffs
 
-    def bracket_coords(self, a, b) -> tuple:
-        """Bracket of two coordinate tuples (in basis coordinates)."""
-        out = [Fraction(0)] * self.dim
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                for k, s in enumerate(self.structure[(i, j)]):
-                    out[k] += ai * bj * s
-        return tuple(out)
-
     def jacobi_holds(self) -> bool:
         """[a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on every triple of basis
         elements, contracted from the structure constants:
-        sum over the cyclic turns of sum_m s[(b,c)][m] s[(a,m)][t]."""
+        sum over the cyclic turns of sum_m s[(b,c)][m] s[(a,m)][t].  Every
+        term has denominator den^2, so the numerators decide."""
         dim = self.dim
         sparse = {ij: [(m, v) for m, v in enumerate(vec) if v != 0]
                   for ij, vec in self.structure.items()}
@@ -237,22 +218,13 @@ class LieAlg:
         return {"antisymmetry": self.antisymmetry_holds(), "jacobi": self.jacobi_holds()}
 
     @cached_property
-    def _center(self) -> list:
-        """`center` as pairs (num, d)."""
-        dim = self.dim
-        rows = [_vec([self.structure[(i, b)][t] for i in range(dim)])
-                for b in range(dim) for t in range(dim)]
-        return _null_space(rows, dim)
-
     def center(self) -> list:
-        """Basis (in algebra coordinates) of the center, by exact null
-        space of the stacked adjoint maps."""
-        return [_values(v) for v in self._center]
-
-    def ad_matrix(self, c: int):
-        """Matrix of ad(e_c) on basis coordinates."""
-        return [[self.structure[(c, a)][d] for a in range(self.dim)]
-                for d in range(self.dim)]
+        """Basis (num, d) of the center in algebra coordinates: the null
+        space of the stacked adjoint maps, whose rows are the integer
+        numerators s[(i, b)][t] over i (den is a common factor)."""
+        dim, s = self.dim, self.structure
+        return _null_space([([s[(i, b)][t] for i in range(dim)], 1)
+                            for b in range(dim) for t in range(dim)], dim)
 
 
 def _zero(v) -> bool:
@@ -511,9 +483,9 @@ def extended_algebra_report(alg: LieAlg) -> dict:
     )
     checks.append(check("bracket table of the five generators", "extended-bracket-table", table_ok))
 
-    center, center_pivots = _span(alg._center)
-    z1 = alg._coords(_lin((1, x1), (1, x2), (-1, x4)))
-    z2 = alg._coords(x5)
+    center, center_pivots = _span(alg.center)
+    z1 = alg.coordinates(_lin((1, x1), (1, x2), (-1, x4)))
+    z2 = alg.coordinates(x5)
     in_center = all(_coordinates(center, center_pivots, z) is not None for z in (z1, z2))
     checks.append(check("center = span{x1+x2-x4, x5}, dim 2",
                         "extended-structure", len(center) == 2 and in_center))
@@ -543,10 +515,10 @@ def extended_algebra_report(alg: LieAlg) -> dict:
                             for v in (a1, a2, a3))))
 
     # Casimir forms on algebra coordinates: ch o ch +- 4 ce o cf, with
-    # u o v = (u v^T + v u^T) / 2
-    ce, ch, cf = (_values(alg._coords(v)) for v in (e, h, f))
-    hh = MatQ([[s * t for t in ch] for s in ch])
-    ef = MatQ([[s * t for t in cf] for s in ce])
+    # u o v = (u v^T + v u^T) / 2, from the coordinate pairs
+    (ce, de), (ch, dh), (cf, df) = (alg.coordinates(v) for v in (e, h, f))
+    hh = MatQ._canonical([[s * t for t in ch] for s in ch], dh * dh)
+    ef = MatQ._canonical([[s * t for t in cf] for s in ce], de * df)
     ef = ef + ef.transpose()
     oracle_casimir = _ad_invariant(alg, hh + ef * 2, (0,) * alg.dim)
     printed_casimir = _ad_invariant(alg, hh - ef * 2, tuple(-2 * t for t in ch))
@@ -570,11 +542,15 @@ def extended_algebra_report(alg: LieAlg) -> dict:
 
 def _ad_invariant(alg: LieAlg, q: MatQ, ell) -> bool:
     """Casimir q + ell on basis coordinates is ad-invariant: for every basis
-    element e_c, [e_c, ell] = 0 and M q + q M^T = 0 with M = ad(e_c)."""
-    for c in range(alg.dim):
-        m = MatQ(alg.ad_matrix(c))
-        e_c = tuple(int(t == c) for t in range(alg.dim))
-        if any(alg.bracket_coords(e_c, ell)) or not (m * q + q * m.transpose()).is_zero():
+    element e_c, with M = ad(e_c), [e_c, ell] = M ell = 0 and
+    M q + q M^T = 0.  ell is a multiple of a coordinate vector: only
+    whether M ell vanishes is read, so any scale will do."""
+    dim, s = alg.dim, alg.structure
+    for c in range(dim):
+        rows = [[s[(c, a)][t] for a in range(dim)] for t in range(dim)]
+        m = MatQ._canonical(rows, alg.den)
+        if any(sum(map(mul, row, ell)) for row in rows) \
+                or not (m * q + q * m.transpose()).is_zero():
             return False
     return True
 

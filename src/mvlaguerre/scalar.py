@@ -263,7 +263,7 @@ def dual_hahn_via_recurrence(k: int, x, gamma, delta, M: int) -> Fraction:
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
-        (?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*
+        (?:(?P<coeff>\d+(?:/\d+)?)\s*(?P<star>\*)?\s*)?
         (?P<var>x(?:\^(?P<pow>\d+))?)?\s*""",
     re.VERBOSE,
 )
@@ -273,7 +273,8 @@ def parse_phi(text: str) -> RPoly:
     """Parse a sum-of-monomials expression like 'x^3 + 2x^2 - 1/2x + 3'.
 
     Grammar: optional sign, optional rational coefficient (p or p/q), optional
-    x or x^k.  Anything else is a parse error.
+    x or x^k.  Every term after the first starts with its sign, and a `*`
+    stands between a coefficient and x.  Anything else is a parse error.
     """
     s = text.strip()
     if not s:
@@ -282,7 +283,8 @@ def parse_phi(text: str) -> RPoly:
     terms = {}
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
+        if (not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None)
+                or (pos and not m.group("sign")) or (m.group("star") and not m.group("var"))):
             raise DomainError(f"cannot parse polynomial near {s[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         coeff = rat(m.group("coeff")) if m.group("coeff") else Fraction(1)

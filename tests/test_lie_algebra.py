@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -47,9 +48,20 @@ def el(bound, cD=0, cDd=0, cD2=0, mult=RPoly.zero()):
     return (cD, cDd, cD2) + tuple(mult.coeff(k) for k in range(bound + 1))
 
 
+def values(v):
+    """The rationals of a pair (num, d)."""
+    num, d = v
+    return tuple(F(x, d) for x in num)
+
+
+def basis(alg):
+    """The echelon basis as rational tuples."""
+    return [values(v) for v in alg.vectors]
+
+
 def bracket(u, v, phi, nu=None):
     """The integer bracket on rational tuples and an RPoly exponent."""
-    return la._values(la.bracket(la._vec(u), la._vec(v), la._vec(phi.coeffs), nu))
+    return values(la.bracket(la._vec(u), la._vec(v), la._vec(phi.coeffs), nu))
 
 
 def test_bracket_generator_table():
@@ -84,7 +96,7 @@ def test_central_element_for_family():
         phi = parse_phi(expr)
         alg = generate_algebra(phi)
         z = el(alg.bound, cD=1, cDd=1, mult=2 * RPoly.x() - RPoly.x() * phi.derivative())
-        assert all(not any(bracket(z, v, phi)) for v in alg.basis)
+        assert all(not any(bracket(z, v, phi)) for v in basis(alg))
 
 
 @pytest.mark.parametrize("expr", ["x^2", "x^3", "x^3+x^2", "x^4+x", "x^5+x^3+1"])
@@ -157,7 +169,7 @@ def test_casimir_ad_invariance_parts_fail_on_their_own():
     e = x4
     h = tuple(s - a + b for s, a, b in zip(x4, x1, x2))
     f = tuple(a - c - s + (1 + nu) * t for a, c, s, t in zip(x1, x3, x4, x5))
-    ce, ch, cf = (alg.coordinates(v) for v in (e, h, f))
+    ce, ch, cf = (values(alg.coordinates(la._vec(v))) for v in (e, h, f))
     dim = alg.dim
     q = MatQ([[ch[i] * ch[j] + 2 * (ce[i] * cf[j] + cf[i] * ce[j]) for j in range(dim)]
               for i in range(dim)])
@@ -231,6 +243,21 @@ def ref_bracket(e1, e2, phi, nu=None):
     return el(len(e1) - 4, *ops, mult=mult)
 
 
+def bracket_coords(alg, a, b):
+    """Bracket of two coordinate tuples (in basis coordinates), read off
+    the structure constants numerator / den."""
+    out = [F(0)] * alg.dim
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj == 0:
+                continue
+            for k, s in enumerate(alg.structure[(i, j)]):
+                out[k] += ai * bj * F(s, alg.den)
+    return tuple(out)
+
+
 def ref_jacobi(alg):
     """Jacobi through bracket_coords of unit vectors, twice per term."""
     dim = alg.dim
@@ -240,8 +267,8 @@ def ref_jacobi(alg):
             for k in range(j + 1, dim):
                 total = [F(0)] * dim
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = alg.bracket_coords(units[b], units[c])
-                    outer = alg.bracket_coords(units[a], inner)
+                    inner = bracket_coords(alg, units[b], units[c])
+                    outer = bracket_coords(alg, units[a], inner)
                     total = [x + y for x, y in zip(total, outer)]
                 if any(total):
                     return False
@@ -293,9 +320,10 @@ def test_structure_constants_are_fresh_brackets_of_the_basis(name):
     alg = CLOSURES[name]()
     pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
     assert sorted(alg.structure) == pairs
+    rows = basis(alg)
     for i, j in pairs:
-        fresh = ref_bracket(alg.basis[i], alg.basis[j], alg.phi, alg.nu)
-        assert alg.structure[(i, j)] == alg.coordinates(fresh)
+        fresh = ref_bracket(rows[i], rows[j], alg.phi, alg.nu)
+        assert values((alg.structure[(i, j)], alg.den)) == values(alg.coordinates(la._vec(fresh)))
     assert alg.jacobi_holds() and ref_jacobi(alg)
 
 
@@ -323,6 +351,31 @@ def test_jacobi_contraction_agrees_with_unit_vectors_and_can_fail(name):
                 _with_constant(alg, j, i, t, 1)
     assert alg.jacobi_holds()
     assert False in verdicts
+
+
+def test_corrected_casimir_fails_on_a_perturbed_table():
+    """Every antisymmetric change of one structure numerator of the extended
+    algebra, as in `_with_constant`: the corrected quadratic Casimir row of
+    the extended report fails for at least one change, and passes again
+    once the change is undone."""
+    alg = CLOSURES["extended"]()
+
+    def casimir_passes():
+        checks = extended_algebra_report(alg)["checks"]
+        return next(c for c in checks if "Casimir ad-invariance" in c["check_id"])["pass"]
+
+    assert casimir_passes()
+    verdicts = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for t in range(alg.dim):
+                _with_constant(alg, i, j, t, 1)
+                _with_constant(alg, j, i, t, -1)
+                verdicts.append(casimir_passes())
+                _with_constant(alg, i, j, t, -1)
+                _with_constant(alg, j, i, t, 1)
+    assert False in verdicts
+    assert casimir_passes()
 
 
 @pytest.mark.parametrize("name", ["phi=x^3+x^2", "extended"])
@@ -433,7 +486,7 @@ def test_null_space_and_span_on_random_rational_rows(system):
     columns, rows = system
     rank = _rank(rows, columns)
     vecs = [la._vec(row) for row in rows]
-    null = [la._values(vec) for vec in la._null_space(vecs, columns)]
+    null = [values(vec) for vec in la._null_space(vecs, columns)]
     assert all(sum(r * v for r, v in zip(row, vec)) == 0 for vec in null for row in rows)
     assert len(null) == columns - rank
     assert _rank(null, columns) == len(null)
@@ -558,11 +611,15 @@ def _assert_matches_fraction_closure(alg, phi, nu=None):
     basis, pivots, structure, center = fraction_closure(phi, nu)
     assert alg.dim == len(basis)
     assert alg.labels == [la._label(p) for p in pivots]
-    assert alg.basis == basis
+    assert [values(v) for v in alg.vectors] == basis
     # the integer rows are the reference rows in lowest terms
     assert alg.vectors == [la._vec(row) for row in basis]
-    assert alg.structure == structure
-    assert alg.center() == center
+    # one table of integer numerators over den, in lowest terms
+    numerators = [x for vec in alg.structure.values() for x in vec]
+    assert all(type(x) is int for x in numerators)
+    assert alg.den > 0 and math.gcd(alg.den, *numerators) == 1
+    assert {ij: values((vec, alg.den)) for ij, vec in alg.structure.items()} == structure
+    assert [values(v) for v in alg.center] == center
 
 
 nonzero_rats = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)

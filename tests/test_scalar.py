@@ -129,7 +129,8 @@ def test_parse_phi():
     assert parse_phi("1/2x^2 - 3x + 1") == RPoly((1, -3, F(1, 2)))
     assert parse_phi("2*x") == RPoly((0, 2))
     assert parse_phi("-x^4 + x") == RPoly((0, 1, 0, 0, -1))
-    for bad in ("", "x^", "y+1", "x**2", "1/0x", "1/0", "x^2+0/0x"):
+    for bad in ("", "x^", "y+1", "x**2", "1/0x", "1/0", "x^2+0/0x",
+                "2x3", "x^2 x", "2 3", "2*"):
         with pytest.raises(DomainError):
             parse_phi(bad)
 
