@@ -508,10 +508,8 @@ def build_A(a) -> MatQ:
 
 
 def _check_strictly_lower(a: MatQ):
-    for i in range(a.N):
-        for j in range(i, a.N):
-            if a[i, j] != 0:
-                raise ValueError("matrix must be strictly lower triangular")
+    if any(v for r, row in enumerate(a.num) for v in row[r:]):
+        raise ValueError("matrix must be strictly lower triangular")
 
 
 def exp_nilpotent(a: MatQ) -> MatPoly:
@@ -545,8 +543,7 @@ def build_K(n: int, nu, A: MatQ) -> MatQ:
     """
     nu = rat(nu)
     p, q, size = nu.numerator, nu.denominator, A.N
-    if any(v for r, row in enumerate(A.num) for v in row[r:]):
-        raise ValueError("matrix must be strictly lower triangular")
+    _check_strictly_lower(A)
     cols = list(zip(*([v * (q * (n + 2 + c) + p) for c, v in enumerate(row)]
                       for row in A.num)))
     md, top = A.d * q, factorial(size - 1)

@@ -7,12 +7,15 @@ polynomial Q by (Q . D) = sum_j (d^j Q) F_j; coefficients multiply on the
 right.  Composition follows the right action: Q . (D1 D2) = ((Q . D1) . D2).
 A difference operator M = sum_j A_j(n) delta^j acts on a sequence by
 (M . P)(n) = sum_j A_j(n) P(n+j), with sequences vanishing at negative
-indices.  Coefficient tables are stored pointwise over a finite window.
+indices.  A difference operator is its shifts and a coefficient function
+over the window n = 0..n_max, each coefficient formed once, where first
+read.
 
 Operators combine by composition and sums: conjugation by e^{xA} is
 e^{-xA} D e^{xA}, and the dagger is H M^* H^{-1}.  A difference coefficient
-at shift j with n + j < 0 multiplies a vanishing sequence value, and a
-composition leaves it an exact zero.
+at shift j with n + j < 0 multiplies a vanishing sequence value: it reads
+as an exact zero.  One the family cannot form (B_{n_max}, or any n outside
+the window) raises WindowError when read.
 
 The identity suites form each product once: the adjoint kernels grouped by
 moment offset on the moment rows of `weights.moment_row`
@@ -24,6 +27,7 @@ coefficient (`symmetry_residuals`), and the J-brackets entry by entry
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .engine import OPSeq, check, quoted_check
 from .matrices import J_commutator, MatPoly, MatQ, commutator
@@ -32,7 +36,8 @@ from .weights import MomentTable, ScaledMat, WeightSpec, moment_row
 
 
 class WindowError(IndexError):
-    """A difference-operator evaluation fell off the finite n-window."""
+    """A difference-operator coefficient or image the finite n-window of the
+    family cannot form."""
 
 
 class DiffOp:
@@ -117,123 +122,90 @@ def right_mult(p: MatPoly) -> DiffOp:
 
 
 class SeqOp:
-    """Difference operator over the window n = 0..n_max.
+    """Difference operator sum_j A_j(n) delta^j over the window n = 0..n_max,
+    given by its shifts and a coefficient function coef(j, n) -> MatQ.
 
-    `table` maps shift j to a list over n of MatQ coefficients (None where
-    the coefficient is undefined, e.g. it would involve H_{-1}; a zero where
-    n + j < 0 after a composition).  Acting on a sequence treats negative
-    sequence indices as zero, so an undefined coefficient is only an error
-    if its sequence argument is inside range.
+    Each coefficient is formed once, where first read (`coef` is cached),
+    and never tabulated.  One edge rule: `coeff(j, n)` is an exact zero at a
+    shift the operator lacks and where n + j < 0 (the coefficient multiplies
+    a vanishing sequence value, so `act` and `compose` skip such terms); it
+    raises WindowError for n outside the window and wherever the family
+    cannot form the coefficient (coef raises it).  `coef` itself is read
+    only inside the window at n + j >= 0, on a shift of the operator.
     """
 
-    __slots__ = ("table", "n_max", "N")
+    __slots__ = ("_shifts", "coef", "n_max", "N")
 
-    def __init__(self, table: dict, n_max: int, n_dim: int):
-        self.table = {int(j): list(col) for j, col in table.items()}
+    def __init__(self, shifts, coef, n_max: int, n_dim: int):
+        self._shifts = tuple(sorted(set(shifts)))
+        self.coef = cache(coef)
         self.n_max = n_max
         self.N = n_dim
-        for col in self.table.values():
-            if len(col) != n_max + 1:
-                raise ValueError("coefficient column length must be n_max + 1")
 
     @staticmethod
     def constant(j: int, m: MatQ, n_max: int) -> "SeqOp":
-        return SeqOp({j: [m] * (n_max + 1)}, n_max, m.N)
-
-    @staticmethod
-    def from_fn(shifts, fn, n_max: int, n_dim: int) -> "SeqOp":
-        """fn(j, n) -> MatQ or None."""
-        return SeqOp({j: [fn(j, n) for n in range(n_max + 1)] for j in shifts},
-                     n_max, n_dim)
+        return SeqOp((j,), lambda j, n: m, n_max, m.N)
 
     def shifts(self):
-        return sorted(self.table)
+        return list(self._shifts)
 
-    def coeff(self, j: int, n: int):
-        if j not in self.table or not (0 <= n <= self.n_max):
-            return None
-        return self.table[j][n]
+    def coeff(self, j: int, n: int) -> MatQ:
+        if not 0 <= n <= self.n_max:
+            raise WindowError(f"n={n} outside window 0..{self.n_max}")
+        if n + j < 0 or j not in self._shifts:
+            return MatQ.zero(self.N)
+        return self.coef(j, n)
 
     def act(self, values, n: int):
         """(M . P)(n) for a sequence given as a list of MatPoly."""
         if not (0 <= n <= self.n_max):
             raise WindowError(f"n={n} outside window 0..{self.n_max}")
         pairs = []
-        for j in self.shifts():
+        for j in self._shifts:
             k = n + j
             if k < 0:
                 continue
             if k >= len(values):
                 raise WindowError(f"shift {j} at n={n} needs sequence index {k}")
-            c = self.table[j][n]
-            if c is None:
-                raise WindowError(f"coefficient at shift {j}, n={n} is undefined")
-            pairs.append((MatPoly.const(c), values[k]))
+            pairs.append((MatPoly.const(self.coef(j, n)), values[k]))
         return MatPoly.dot(pairs, self.N)
 
     def __add__(self, other: "SeqOp") -> "SeqOp":
-        """Zero-padded, shift by shift; None on either side stays None."""
-        zero = [MatQ.zero(self.N)] * (self.n_max + 1)
-        return SeqOp({j: [None if a is None or b is None else a + b
-                          for a, b in zip(self.table.get(j, zero), other.table.get(j, zero))]
-                      for j in set(self.table) | set(other.table)}, self.n_max, self.N)
+        """Zero-padded, shift by shift."""
+        return SeqOp(self._shifts + other._shifts,
+                     lambda j, n: self.coeff(j, n) + other.coeff(j, n), self.n_max, self.N)
+
+    def scale(self, c) -> "SeqOp":
+        """Every coefficient times the scalar c."""
+        return SeqOp(self._shifts, lambda j, n: self.coef(j, n) * c, self.n_max, self.N)
 
     def star(self) -> "SeqOp":
         """(sum A_j(n) delta^j)^* = sum A_j(n-j)^T delta^{-j}."""
-        table = {}
-        for j, col in self.table.items():
-            new = []
-            for n in range(self.n_max + 1):
-                src = n - j
-                c = col[src] if 0 <= src <= self.n_max else None
-                new.append(None if c is None else c.transpose())
-            table[-j] = new
-        return SeqOp(table, self.n_max, self.N)
+        return SeqOp([-j for j in self._shifts],
+                     lambda j, n: self.coeff(-j, n + j).transpose(), self.n_max, self.N)
 
     def dagger(self, seq: OPSeq) -> "SeqOp":
-        """M^dagger = H(n) M^* H(n)^{-1}, composed over the window from the
-        squared norms of `seq`.  Entries with n + j < 0 are exact zeros: act
-        and agrees_with skip them, and star never reads them."""
-        h = SeqOp({0: seq.H[:self.n_max + 1]}, self.n_max, self.N)
-        h_inv = SeqOp({0: [seq.h_inv(n) for n in range(self.n_max + 1)]}, self.n_max, self.N)
-        return h.compose(self.star()).compose(h_inv)
+        """M^dagger = H(n) M^* H(n)^{-1}: its coefficient at shift j is
+        H_n A_{-j}(n+j)^T H_{n+j}^{-1}, from the squared norms of `seq`."""
+        def dagger_coef(j, n):
+            return seq.H[n] * self.coeff(-j, n + j).transpose() * seq.h_inv(n + j)
+
+        return SeqOp([-j for j in self._shifts], dagger_coef, self.n_max, self.N)
 
     def compose(self, other: "SeqOp") -> "SeqOp":
-        """(self other) . P = self . (other . P); sequence values at negative
-        indices vanish, so terms reaching below the window drop exactly."""
-        pairs = {i + j: [[] for _ in range(self.n_max + 1)]
-                 for i in self.table for j in other.table}
-        for n in range(self.n_max + 1):
-            for i, col_a in self.table.items():
-                mid = n + i
-                if mid < 0:
-                    continue
-                for j, col_b in other.table.items():
-                    col = pairs[i + j]
-                    if col[n] is None:
-                        continue
-                    if mid > self.n_max or col_a[n] is None or col_b[mid] is None:
-                        col[n] = None
-                        continue
-                    col[n].append((col_a[n], col_b[mid]))
-        table = {k: [None if t is None else MatQ.dot(t, self.N) for t in col]
-                 for k, col in pairs.items()}
-        return SeqOp(table, self.n_max, self.N)
+        """(self other) . P = self . (other . P): the coefficient at shift k
+        is sum_{i+j=k} A_i(n) B_j(n+i), with the terms whose n + i < 0
+        dropped exactly (they multiply vanishing sequence values)."""
+        def composed(k, n):
+            return MatQ.dot([(self.coef(i, n), other.coeff(k - i, n + i)) for i in self._shifts
+                             if n + i >= 0 and k - i in other._shifts], self.N)
+
+        return SeqOp([i + j for i in self._shifts for j in other._shifts], composed,
+                     self.n_max, self.N)
 
     def agrees_with(self, other: "SeqOp", n_range) -> bool:
-        shifts = set(self.table) | set(other.table)
-        zero = MatQ.zero(self.N)
-        for j in shifts:
-            for n in n_range:
-                if n + j < 0:
-                    continue  # would multiply a vanishing sequence value
-                a = self.table[j][n] if j in self.table else zero
-                b = other.table[j][n] if j in other.table else zero
-                if a is None and b is None:
-                    continue
-                if a is None or b is None or a != b:
-                    return False
-        return True
+        return all(self.coeff(j, n) == other.coeff(j, n)
+                   for j in set(self._shifts) | set(other._shifts) for n in n_range)
 
 
 # ---------------------------------------------------------------------------
@@ -287,39 +259,43 @@ def make_named_operators(seq: OPSeq) -> dict:
     """All named operators for one computed family: differential ones keyed
     'D', 'Ddag', 'D2', 'C', 'DQ2'; difference ones 'M', 'Mdag', 'L', 'MC'.
     The eigenvalues of 'D2' are seq.Gamma.  A - 1 is the spec's, [J, X_k]
-    is formed entry by entry, and X_k A - A X_{k+1}, which enters both the
-    delta^0 and the delta^{-1} coefficient of 'MC', once per k."""
+    is formed entry by entry, X_k A - A X_{k+1}, which enters both the
+    delta^0 and the delta^{-1} coefficient of 'MC', once per k, and
+    -(k + 1 + nu), which enters the delta^0 coefficients of 'M' and 'Mdag',
+    once per k."""
     spec = seq.spec
     n = spec.N
     i = MatQ.identity(n)
     n_max = seq.n_max
     A, J = spec.A, spec.J
-    nu = spec.nu
     neg_a = -A
     x_shift = [MatQ.dot([(seq.X[k], A), (neg_a, seq.X[k + 1])], n) for k in range(n_max)]
+    level = [-(i * (k + 1 + spec.nu)) for k in range(n_max + 1)]
 
     def m0(j, k):
         if j == 1:
             return spec.am1
-        return -(i * (k + 1 + nu)) - seq.HJH[k]
+        return level[k] - seq.HJH[k]
 
     def mdag0(j, k):
         if j == 0:
-            return -(i * (k + nu + 1)) - J
+            return level[k] - J
         return seq.T[k]
 
     def l0(j, k):
         if j == 1:
             return i
-        if j == 0:
-            return seq.B[k] if k < n_max else None
-        return seq.C[k] if k >= 1 else None
+        if j == -1:
+            return seq.C[k]
+        if k == n_max:
+            raise WindowError(f"B_{k} needs P_{k + 1}")
+        return seq.B[k]
 
     def mc0(j, k):
         if j == 1:
             return A
-        if k >= n_max:
-            return None
+        if k == n_max:
+            raise WindowError(f"the shift-{j} coefficient of MC at n={k} needs P_{k + 1}")
         if j == 0:
             return x_shift[k] - J
         return MatQ.dot([(seq.Y[k], A), (neg_a, seq.Y[k + 1]), (i, J_commutator(seq.X[k])),
@@ -331,10 +307,10 @@ def make_named_operators(seq: OPSeq) -> dict:
         "D2": second_order(spec),
         "C": casimir_mult(spec),
         "DQ2": second_order_diagonalized(spec),
-        "M": SeqOp.from_fn([0, 1], m0, n_max, n),
-        "Mdag": SeqOp.from_fn([-1, 0], mdag0, n_max, n),
-        "L": SeqOp.from_fn([-1, 0, 1], l0, n_max, n),
-        "MC": SeqOp.from_fn([-1, 0, 1], mc0, n_max, n),
+        "M": SeqOp([0, 1], m0, n_max, n),
+        "Mdag": SeqOp([-1, 0], mdag0, n_max, n),
+        "L": SeqOp([-1, 0, 1], l0, n_max, n),
+        "MC": SeqOp([-1, 0, 1], mc0, n_max, n),
     }
 
 
@@ -462,17 +438,11 @@ def apply_L_poly(v: RPoly, l: SeqOp) -> SeqOp:
     """The difference operator v(L) by repeated composition from the
     recurrence operator L; satisfies v(L) . P = P v(x) on the window
     interior."""
-    acc = SeqOp.constant(0, MatQ.identity(l.N) * v.coeff(0), l.n_max)
-    power = None
+    acc, power = SeqOp.constant(0, MatQ.identity(l.N) * v.coeff(0), l.n_max), l
     for k in range(1, v.degree + 1):
-        power = l if power is None else power.compose(l)
-        ck = v.coeff(k)
-        if ck != 0:
-            scaled = SeqOp(
-                {j: [None if c is None else c * ck for c in col]
-                 for j, col in power.table.items()},
-                l.n_max, l.N)
-            acc = acc + scaled
+        if v.coeff(k):
+            acc = acc + power.scale(v.coeff(k))
+        power = power.compose(l)
     return acc
 
 

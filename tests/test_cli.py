@@ -977,7 +977,7 @@ def test_suites_build_each_family_matrix_and_the_xi_table_once(monkeypatch):
         == degrees[:-1]
     assert sorted(n for owner, what, n in built if owner == "_norm_terms" and what == "T") \
         == degrees[1:-1]
-    allowed = {"HJH": {"_norm_terms", "x1_from_h0"}, "T": {"_norm_terms", "dagger"}}
+    allowed = {"HJH": {"_norm_terms", "x1_from_h0"}, "T": {"_norm_terms", "dagger_coef"}}
     for owner, what, _ in built:
         assert owner == what or owner in allowed.get(what, ()), (owner, what)
     assert len(reads) == 1

@@ -558,6 +558,16 @@ def test_build_K_rejects_a_matrix_that_is_not_strictly_lower():
             build_K(0, F(1, 2), a)
 
 
+@pytest.mark.parametrize("r, c", [(r, c) for r in range(3) for c in range(r, 3)])
+def test_one_strictly_lower_check_rejects_each_diagonal_and_upper_entry(r, c):
+    """exp_nilpotent and build_K reject a nonzero diagonal or upper entry
+    (here 1/3 added to a strictly lower matrix) with the same ValueError."""
+    bad = build_A((F(1, 2), -3)) + MatQ.unit(3, r, c) * F(1, 3)
+    for build in (exp_nilpotent, lambda a: build_K(2, F(1, 2), a)):
+        with pytest.raises(ValueError, match="^matrix must be strictly lower triangular$"):
+            build(bad)
+
+
 def test_build_K_is_the_exponential_at_one():
     nu, a = F(5, 2), build_A((2, 3))
     for n in (0, 3):

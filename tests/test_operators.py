@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvlaguerre import report as rp
 from mvlaguerre.dual_hahn import build_delta_family, phi_psi
 from mvlaguerre.engine import OPSeq, check, compute_monic_ops
 from mvlaguerre.matrices import MatPoly, MatQ, commutator, exp_nilpotent
@@ -192,18 +193,30 @@ def test_diffop_compose_matches_sequential_action():
 
 
 def test_dagger_is_matrix_conjugated_star(seq):
+    """At every shift j of M, L and MC, the dagger coefficient at n is
+    H_n A_{-j}(n+j)^T H_{n+j}^{-1}, with a fresh inverse, wherever n + j is
+    in the window; where the family cannot form A_{-j}(n+j), reading it
+    raises."""
     ops = make_named_operators(seq)
-    m = ops["M"]
-    dag = m.dagger(seq)
-    for n in range(1, seq.n_max):
-        lhs = dag.coeff(-1, n)
-        rhs = seq.H[n] * m.coeff(1, n - 1).transpose() * seq.H[n - 1].inverse()
-        assert lhs == rhs
+    for name in ("M", "L", "MC"):
+        op = ops[name]
+        dag = op.dagger(seq)
+        assert dag.shifts() == sorted(-j for j in op.shifts()), name
+        for j in dag.shifts():
+            for n in range(max(0, -j), min(seq.n_max, seq.n_max - j) + 1):
+                try:
+                    a = op.coeff(-j, n + j)
+                except WindowError:
+                    with pytest.raises(WindowError):
+                        dag.coeff(j, n)
+                    continue
+                rhs = seq.H[n] * a.transpose() * seq.H[n + j].inverse()
+                assert dag.coeff(j, n) == rhs, (name, j, n)
 
 
 def test_dagger_is_zero_below_the_window(seq):
     """A dagger coefficient whose target n + j is negative multiplies a
-    vanishing sequence value; the composition leaves it an exact zero."""
+    vanishing sequence value: it reads as an exact zero."""
     ops = make_named_operators(seq)
     zero = MatQ.zero(seq.spec.N)
     for name in ("M", "L", "MC"):
@@ -212,7 +225,75 @@ def test_dagger_is_zero_below_the_window(seq):
         assert below and all(dag.coeff(j, n) == zero for j, n in below), name
 
 
+def test_coefficients_below_and_outside_the_window(seq):
+    """Below the window (n + j < 0) a coefficient reads as an exact zero;
+    B_{n_max}, the shift-0 and shift-(-1) coefficients of MC at n_max and
+    any n outside 0..n_max raise WindowError when read."""
+    ops = make_named_operators(seq)
+    zero, top = MatQ.zero(seq.spec.N), seq.n_max
+    for name in ("M", "Mdag", "L", "MC"):
+        op = ops[name]
+        below = [(j, n) for j in op.shifts() for n in range(-j)]
+        assert all(op.coeff(j, n) == zero for j, n in below), name
+        for j in op.shifts():
+            for n in (-1, top + 1):
+                with pytest.raises(WindowError):
+                    op.coeff(j, n)
+    assert ops["L"].coeff(-1, 0) == zero and ops["Mdag"].coeff(-1, 0) == zero
+    for name, j in (("L", 0), ("MC", 0), ("MC", -1)):
+        with pytest.raises(WindowError):
+            ops[name].coeff(j, top)
+    assert ops["L"].coeff(-1, top) == seq.C[top] and ops["MC"].coeff(1, top) == seq.spec.A
+
+
+@pytest.mark.parametrize("outer, inner", [("M", "L"), ("L", "L"), ("M", "Mdag")])
+def test_composition_acts_as_the_sequential_action(seq, outer, inner):
+    """(X Y) . P at n is X acting on the sequence k -> (Y . P)(k), at every n
+    whose images stay in the window (n = 0 included, where the terms below
+    the window drop)."""
+    ops = make_named_operators(seq)
+    x, y = ops[outer], ops[inner]
+    images = [y.act(seq.P, k) for k in range(seq.n_max)]
+    xy = x.compose(y)
+    for n in range(seq.n_max - 1):
+        assert xy.act(seq.P, n) == x.act(images, n), n
+
+
+def test_each_coefficient_is_formed_once_per_operator(monkeypatch):
+    """Through one operator suite, no SeqOp forms a coefficient (j, n) twice:
+    every named, composed, scaled, summed, starred or daggered operator
+    reads its cached coefficients."""
+    seq = compute_monic_ops(SPECS[2], 5)
+    formed, keep = [], []
+    init = SeqOp.__init__
+
+    def counting_init(self, shifts, coef, n_max, n_dim):
+        keep.append(self)  # holds every operator, so ids stay unique
+
+        def counted(j, n):
+            out = coef(j, n)
+            formed.append((id(self), j, n))
+            return out
+
+        init(self, shifts, counted, n_max, n_dim)
+
+    monkeypatch.setattr(SeqOp, "__init__", counting_init)
+    named = []
+    make = rp.ops.make_named_operators
+    monkeypatch.setattr(rp.ops, "make_named_operators",
+                        lambda s: named.append(make(s)) or named[-1])
+    _ok(rp.suite_operators(seq))
+    monkeypatch.undo()
+    assert len(formed) == len(set(formed))
+    [ops] = named
+    assert all(any(key[0] == id(ops[name]) for key in formed)
+               for name in ("M", "Mdag", "L", "MC"))
+
+
 def test_seqop_sum_is_zero_padded_and_keeps_undefined_coefficients(seq):
+    """m + l reads m.coeff + l.coeff at every shift, M's missing shift -1
+    as zero; L's B_{n_max} stays undefined (reading it raises) and its C_0
+    is below the window (an exact zero)."""
     ops = make_named_operators(seq)
     m, l = ops["M"], ops["L"]
     total = m + l
@@ -220,11 +301,13 @@ def test_seqop_sum_is_zero_padded_and_keeps_undefined_coefficients(seq):
     assert total.shifts() == [-1, 0, 1]
     for j in total.shifts():
         for n in range(seq.n_max + 1):
-            a = m.coeff(j, n) if j in m.table else zero
-            b = l.coeff(j, n)
-            assert total.coeff(j, n) == (None if a is None or b is None else a + b)
-    # L's undefined C_0 and B_{n_max} survive; M has no shift -1
-    assert total.coeff(-1, 0) is None and total.coeff(0, seq.n_max) is None
+            if (j, n) == (0, seq.n_max):
+                continue
+            assert total.coeff(j, n) == m.coeff(j, n) + l.coeff(j, n)
+    assert all(m.coeff(-1, n) == zero for n in range(seq.n_max + 1))
+    with pytest.raises(WindowError):
+        total.coeff(0, seq.n_max)
+    assert total.coeff(-1, 0) == zero
     for n in range(1, seq.n_max):
         assert total.act(seq.P, n) == m.act(seq.P, n) + l.act(seq.P, n)
 
@@ -359,9 +442,9 @@ def test_diffop_act_matches_the_schoolbook_sum(inputs):
 # added to one coefficient at an interior n.
 
 def _bump(op: SeqOp, j: int, n: int) -> SeqOp:
-    col = list(op.table[j])
-    col[n] = col[n] + MatQ.unit(op.N, 0, 0)
-    return SeqOp({**op.table, j: col}, op.n_max, op.N)
+    unit = MatQ.unit(op.N, 0, 0)
+    return SeqOp(op.shifts(), lambda i, k: op.coef(i, k) + unit if (i, k) == (j, n)
+                 else op.coef(i, k), op.n_max, op.N)
 
 
 @pytest.mark.parametrize("name, j, failing", [
@@ -619,8 +702,14 @@ def test_brackets_and_MC_match_the_generic_commutator(index):
         assert checks == _bracket_reference(family)
         failed += sum(not c["pass"] for c in checks)
         mc = make_named_operators(family)["MC"]
-        assert all(mc.coeff(j, k) == _mc_reference(family, j, k)
-                   for j in (-1, 0, 1) for k in range(family.n_max + 1))
+        for j, k in ((j, k) for j in (-1, 0, 1) for k in range(family.n_max + 1)
+                     if k + j >= 0):
+            ref = _mc_reference(family, j, k)
+            if ref is None:
+                with pytest.raises(WindowError):
+                    mc.coeff(j, k)
+            else:
+                assert mc.coeff(j, k) == ref
     assert failed
 
 
