@@ -20,6 +20,10 @@ implicit unit seed, and evaluation at the lattice node N - i:
                 * T_{j-1}(lambda(N-i); gamma, n+i-N, N-1) * xi(n,i,1).
 
 The printed variant's status is reported next to every corrected check.
+
+Each row (n, i) of a family is formed once, by `DHParams.row`: its gauge
+sequence eps_0..eps_{n+i} and its dual Hahn values T_k, k < N, which every
+check of the row, and `xi_dual_hahn`, read.
 """
 
 from __future__ import annotations
@@ -38,13 +42,25 @@ from .weights import Frozen, ScaledMat, WeightSpec
 
 class DHParams(Frozen):
     """A constrained family: size N, exponent nu, the rationals c and d, and
-    the diagonal weights at levels nu and nu+1."""
+    the diagonal weights at levels nu and nu+1.
+
+    It also owns the rows of its xi table: `row(n, i)` is made on first
+    read and kept, and each of its two sequences is formed on first read
+    (see `DHRow`)."""
 
     _fields = ("N", "nu", "c", "d", "delta_nu", "delta_nu1")
 
     def __init__(self, N: int, nu: Fraction, c: Fraction, d: Fraction,
                  delta_nu: tuple, delta_nu1: tuple):
-        self.__dict__.update(N=N, nu=nu, c=c, d=d, delta_nu=delta_nu, delta_nu1=delta_nu1)
+        self.__dict__.update(N=N, nu=nu, c=c, d=d, delta_nu=delta_nu, delta_nu1=delta_nu1,
+                             _rows={})
+
+    def row(self, n: int, i: int) -> "DHRow":
+        """The row (n, i), made once per family, as OPSeq.h_inv keeps each
+        H_n^{-1}."""
+        if (n, i) not in self._rows:
+            self._rows[n, i] = DHRow(self, n, i)
+        return self._rows[n, i]
 
     # built once per family
     @cached_property
@@ -144,12 +160,37 @@ def epsilon_seq(n: int, i: int, params: DHParams, j_max: int) -> list:
     return eps
 
 
+def _t_arguments(params: DHParams, n: int, i: int) -> tuple:
+    """(x, gamma, delta, M) of the dual Hahn values T_k the closed form at
+    (n, i) reads: the node x = N - i, delta = n + i - N and M = N - 1."""
+    return params.N - i, params.gamma, n + i - params.N, params.N - 1
+
+
+class DHRow:
+    """The row (n, i) of a constrained family: its gauge sequence and its
+    dual Hahn values, each formed on first read."""
+
+    def __init__(self, params: DHParams, n: int, i: int):
+        self.params, self.n, self.i = params, n, i
+
+    @cached_property
+    def eps(self) -> list:
+        """eps_0..eps_{n+i}, by `epsilon_seq`."""
+        return epsilon_seq(self.n, self.i, self.params, self.n + self.i)
+
+    @cached_property
+    def t(self) -> list:
+        """T_k(lambda(N-i); gamma, n+i-N, N-1) for k < N, each a 3F2 sum."""
+        args = _t_arguments(self.params, self.n, self.i)
+        return [dual_hahn(k, *args) for k in range(self.params.N)]
+
+
 def verify_gauge_ratio(params: DHParams, n: int, i: int) -> list[dict]:
     """The sequence of the ratio eps_j/eps_{j+1} M_j = 1, that is
     eps_{j+1} = (n+i-j)(dj+c) eps_j from eps_0 = 1, against its closed form
     eps_j = (n+i)!/(n+i-j)! prod_{m<j} (dm+c) for 0 <= j <= n+i (the product
     form stays meaningful at c = 0, where eps_1 vanishes)."""
-    eps = epsilon_seq(n, i, params, n + i)
+    eps = params.row(n, i).eps
     ok = all(eps[j] == math.perm(n + i, j)
              * math.prod(params.d * m + params.c for m in range(j))
              for j in range(n + i + 1))
@@ -174,7 +215,7 @@ def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
     for n in range(xi.n_max + 1):
         for i in range(1, params.N + 1):
             top = min(params.N, n + i)
-            eps = epsilon_seq(n, i, params, top)
+            eps = params.row(n, i).eps
             # q_0 = 0 stands in for the j = 1 term, which carries F_1 = 0
             q = [Fraction(0)] + [eps[j] * xi.get(n, i, j) for j in range(1, top + 1)]
 
@@ -188,69 +229,57 @@ def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
     return checks
 
 
-def _t_arguments(params: DHParams, n: int, i: int) -> tuple:
-    """(x, gamma, delta, M) of the dual Hahn values T_k the closed form at
-    (n, i) reads: the node x = N - i, delta = n + i - N and M = N - 1."""
-    return params.N - i, params.gamma, n + i - params.N, params.N - 1
-
-
-def _closed_form(n: int, i: int, j: int, params: DHParams, t, xi_ni1) -> Fraction:
-    """The corrected closed form at (n, i, j) from T_{j-1} = t."""
-    sign = Fraction(-1) ** (j - 1)
-    return sign * (n + i) * pochhammer(-(params.N - 1), j - 1) \
-        / pochhammer(n + i - j + 1, j) * t * rat(xi_ni1)
-
-
 def xi_dual_hahn(n: int, i: int, j: int, params: DHParams, xi_ni1) -> Fraction:
-    """Corrected closed form, anchored at xi(n,i,1); exact for n+i-j > 0.
+    """Corrected closed form, anchored at xi(n,i,1); exact for n+i-j > 0
+    and 1 <= j <= N.  It reads T_{j-1} off `params.row(n, i)`, so each 3F2
+    sum is made once per family, whoever reads it first.
 
     The gamma-Pochhammer of the printed form cancels against the epsilon
     product, which is what keeps c = 0 in the domain."""
     if n + i - j <= 0:
         raise DomainError("closed form needs n+i-j > 0")
-    t = dual_hahn(j - 1, *_t_arguments(params, n, i))
-    return _closed_form(n, i, j, params, t, xi_ni1)
+    if not 1 <= j <= params.N:
+        raise DomainError(f"closed form needs 1 <= j <= N (got j={j})")
+    sign = Fraction(-1) ** (j - 1)
+    return sign * (n + i) * pochhammer(-(params.N - 1), j - 1) \
+        / pochhammer(n + i - j + 1, j) * params.row(n, i).t[j - 1] * rat(xi_ni1)
 
 
 def xi_dual_hahn_displayed(n: int, i: int, j: int, params: DHParams) -> Fraction:
     """The closed form exactly as printed: d^j (gamma+1)_{j-1} (-(N-1))_{j-1}
     / eps_j times the dual Hahn value at x^{(n,i)} = (gamma+1)(N+i-2) -
-    n(N-i).  Kept for the discrepancy report; needs c > 0."""
+    n(N-i), with eps_j read off `params.row(n, i)`.  Kept for the
+    discrepancy report; needs c > 0 and j <= n+i."""
+    if j > n + i:
+        raise DomainError("epsilon sequence defined only for j <= n+i")
     nn = params.N
     g = params.gamma
-    eps = epsilon_seq(n, i, params, j)
-    if eps[j] == 0:
+    eps_j = params.row(n, i).eps[j]
+    if eps_j == 0:
         raise DomainError("printed form divides by a vanishing epsilon")
     x_disp = (g + 1) * (nn + i - 2) - n * (nn - i)
     t = dual_hahn(j - 1, x_disp, g, n + i - nn, nn - 1)
     return params.d ** j * pochhammer(g + 1, j - 1) * pochhammer(-(nn - 1), j - 1) \
-        / eps[j] * t
+        / eps_j * t
 
 
-def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams,
-                                 values: dict | None = None) -> list[dict]:
-    """The corrected closed form against the xi table, with the printed
-    form reported, and the 3F2 sum against the recurrence at every argument
-    set (n, i, k < N).  Each T_k is summed once and read by both.  `values`,
-    when given, receives the corrected closed form at every (n, i, j) it
-    compared: each n + i - j > 0 of the table, the same as xi_dual_hahn."""
+def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
+    """The corrected closed form `xi_dual_hahn` against the xi table at
+    every (n, i, j) with n + i - j > 0, with the printed form reported, and
+    the 3F2 sum against the recurrence at every argument set (n, i, k < N).
+    Both read the T_k of `params.row(n, i)`, so each is summed once."""
     checks = []
     cross = True
     for n in range(xi.n_max + 1):
         for i in range(1, params.N + 1):
             args = _t_arguments(params, n, i)
-            t = [dual_hahn(k, *args) for k in range(params.N)]
             cross = cross and all(tk == dual_hahn_via_recurrence(k, *args)
-                                  for k, tk in enumerate(t))
-            closed = {j: _closed_form(n, i, j, params, t[j - 1], xi.get(n, i, 1))
-                      for j in range(1, min(params.N, n + i - 1) + 1)}
-            if values is not None:
-                values.update(((n, i, j), v) for j, v in closed.items())
+                                  for k, tk in enumerate(params.row(n, i).t))
             checks += quoted_check(
                 f"dual Hahn closed form n={n},i={i}", "dual-hahn-closed-form",
-                [(v == xi.get(n, i, j),
+                [(xi_dual_hahn(n, i, j, params, xi.get(n, i, 1)) == xi.get(n, i, j),
                   params.c > 0 and xi_dual_hahn_displayed(n, i, j, params) == xi.get(n, i, j))
-                 for j, v in closed.items()])
+                 for j in range(1, min(params.N, n + i - 1) + 1)])
     checks.append(check("3F2 equals recurrence at used arguments",
                         "dual-hahn-recurrence", cross))
     return checks

@@ -403,7 +403,7 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
                                 ml.act(seq.P, n) == p_d.scale_x(1)))
         a0 = i * n + seq.X[n] * A - A * seq.X[n + 1] - seq.B[n]
         checks.append(check(f"fla A0n n={n}", "zero-shift-coefficient",
-                            a0 == -(i * (n + 1 + spec.nu)) - seq.HJH[n]))
+                            a0 == ops["M"].coeff(0, n)))
         if n >= 2:
             # the delta^{-1} coefficient of the operator matched to D vanishes
             resid = MatQ.dot([(i * (n - 1) - a0, seq.X[n]), (seq.Y[n], am1),
@@ -413,24 +413,27 @@ def verify_intertwinings(seq: OPSeq, ops: dict) -> list[dict]:
 
 
 def verify_star_dagger(seq: OPSeq, ops: dict) -> list[dict]:
-    """Structure of the * and dagger involutions on the window interior,
-    plus self-adjointness of the recurrence operator L."""
+    """Structure of the * and dagger involutions, plus self-adjointness of
+    the recurrence operator L.  The dagger rows compare n = 0..n_max-1,
+    where every coefficient they read exists: a shift below zero reads as
+    an exact zero, and a dagger at n reads its source up to n + 1.  At
+    n_max = 0 they compare nothing."""
     checks = []
-    interior = range(1, seq.n_max)
+    window = range(seq.n_max)
     m = ops["M"]
     m_dag = m.dagger(seq)
     checks.append(check("dagger involution on M", "dagger-involution",
-                        m_dag.dagger(seq).agrees_with(m, interior)))
+                        m_dag.dagger(seq).agrees_with(m, window)))
     l = ops["L"]
     checks.append(check("L self-adjoint", "dagger-involution",
-                        l.dagger(seq).agrees_with(l, interior)))
+                        l.dagger(seq).agrees_with(l, window)))
     const = SeqOp.constant(0, seq.spec.A, seq.n_max)
     ok = const.star().agrees_with(
         SeqOp.constant(0, seq.spec.A.transpose(), seq.n_max), range(seq.n_max + 1))
     checks.append(check("(A delta^0)* = A^T delta^0", "star-involution", ok))
     mdag = ops["Mdag"]
     checks.append(check("Mdag = dagger(M)", "dagger-involution",
-                        m_dag.agrees_with(mdag, interior)))
+                        m_dag.agrees_with(mdag, window)))
     return checks
 
 

@@ -181,13 +181,12 @@ def suite_laguerre(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def suite_dualhahn(params: dh.DHParams, seq: OPSeq,
-                   closed_forms: dict | None = None) -> list[dict]:
+def suite_dualhahn(params: dh.DHParams, seq: OPSeq) -> list[dict]:
     """The dual Hahn checks of a constrained family, given its oracle family
-    `seq` (of params.spec).  `closed_forms`, when given, receives the
-    corrected closed form xi_dual_hahn at every (n, i, j) with n + i - j > 0
-    of the family's xi table, as the closed-form check computed it.  The
-    Pearson pair reads K_0^{-1} off `seq`."""
+    `seq` (of params.spec).  The gauge, q-relation and closed-form checks
+    read each row's eps and T_k off `params.row`, which keeps them, so a
+    later dh.xi_dual_hahn on these params sums no 3F2 again.  The Pearson
+    pair reads K_0^{-1} off `seq`."""
     xi = seq.xi
     checks = [check("delta family conditions", "pearson-compatibility",
                     not dh.check_conditions(params))]
@@ -195,7 +194,7 @@ def suite_dualhahn(params: dh.DHParams, seq: OPSeq,
         for i in range(1, params.N + 1):
             checks += dh.verify_gauge_ratio(params, n, i)
     checks += dh.verify_q_recursions(xi, params)
-    checks += dh.verify_dual_hahn_closed_form(xi, params, closed_forms)
+    checks += dh.verify_dual_hahn_closed_form(xi, params)
     checks += dh.verify_boundary_recursion(xi, params)
     checks += dh.verify_derivative_coupling(seq, params)
     _, _, pchecks = dh.phi_psi(params, seq)

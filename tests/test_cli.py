@@ -477,8 +477,8 @@ def test_dual_hahn_suite_sums_each_3F2_once(monkeypatch, capsys):
 
 
 def test_dualhahn_table_reads_the_suite_closed_forms(monkeypatch, capsys):
-    """The xi_dual_hahn column of the printed table is the suite's corrected
-    closed form, not a second 3F2 sum: dualhahn --N 3 --c 2 --d 1 (n <= 5)
+    """The xi_dual_hahn column of the printed table reads the T_k the suite
+    summed, and makes no second 3F2 sum: dualhahn --N 3 --c 2 --d 1 (n <= 5)
     sums 54 T_k for the closed form and the recurrence cross-check and 44
     for the printed variant, and nothing more."""
     calls = _count_calls(monkeypatch, dh, "dual_hahn")
@@ -488,6 +488,39 @@ def test_dualhahn_table_reads_the_suite_closed_forms(monkeypatch, capsys):
     rows = [r for r in json.loads(out)["xi"] if "xi_dual_hahn" in r]
     assert len(rows) == 44
     assert all(r["xi_dual_hahn"] == r["xi_extracted"] for r in rows)
+
+
+@pytest.mark.parametrize("N, c, eps, sums, recurrences", [
+    (3, "2", 18, 98, 54),
+    (4, "7/3", 24, 172, 96),
+])
+def test_dualhahn_forms_each_row_once(N, c, eps, sums, recurrences, monkeypatch, capsys):
+    """dualhahn (n <= 5) builds each row's eps once, for the gauge ratio,
+    the q relations and the printed variant alike; sums each T_k of a row
+    once, for the closed form and the recurrence cross-check, plus one 3F2
+    per printed variant; and its xi_dual_hahn column, formed after the
+    suite, reads the rows' T_k and sums nothing."""
+    built = _count_calls(monkeypatch, dh, "epsilon_seq")
+    summed = _count_calls(monkeypatch, dh, "dual_hahn")
+    recurred = _count_calls(monkeypatch, dh, "dual_hahn_via_recurrence")
+    closed = _count_calls(monkeypatch, dh, "xi_dual_hahn")
+    after_suite = {}
+    suite = rp.suite_dualhahn
+
+    def counted_suite(params, seq):
+        checks = suite(params, seq)
+        after_suite.update(sums=len(summed), closed=len(closed))
+        return checks
+
+    monkeypatch.setattr(rp, "suite_dualhahn", counted_suite)
+    code, out, _ = _run(["dualhahn", "--N", str(N), f"--c={c}", "--d", "1"], capsys)
+    assert code == 0
+    assert sorted({(n, i) for n, i, *_ in built}) == [(n, i) for n in range(6)
+                                                     for i in range(1, N + 1)]
+    assert (len(built), len(summed), len(recurred)) == (eps, sums, recurrences)
+    rows = [r for r in json.loads(out)["xi"] if "xi_dual_hahn" in r]
+    assert len(closed) - after_suite["closed"] == len(rows) > 0
+    assert after_suite["sums"] == sums
 
 
 def test_dualhahn_computes_one_family_and_one_xi_table(monkeypatch, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlaguerre import dual_hahn as dh
 from mvlaguerre.dual_hahn import (DHParams, build_delta_family,
@@ -14,7 +16,7 @@ from mvlaguerre.dual_hahn import (DHParams, build_delta_family,
 from mvlaguerre.engine import compute_monic_ops
 from mvlaguerre.laguerre_forms import extract_xi
 from mvlaguerre.matrices import MatQ
-from mvlaguerre.scalar import DomainError
+from mvlaguerre.scalar import DomainError, dual_hahn
 
 GRID = [
     (2, F(1, 2), F(0), F(1)),
@@ -67,9 +69,39 @@ def test_epsilon_sequence(family):
         epsilon_seq(1, 1, params, 5)
 
 
+_RATIONALS = st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9)
+
+
+@st.composite
+def _families(draw):
+    """A constrained family of size 1..5 with d > 0 and c >= 0 or
+    -d < c < 0, and the rows (n, i), n <= n_max, in a drawn order."""
+    n_dim, nu, d = draw(st.integers(1, 5)), draw(_RATIONALS), draw(_RATIONALS)
+    c = draw(st.one_of(st.just(F(0)), _RATIONALS, _RATIONALS.map(lambda v: -d * v / (v + 1))))
+    rows = [(n, i) for n in range(draw(st.integers(0, 5)) + 1) for i in range(1, n_dim + 1)]
+    return build_delta_family(n_dim, nu, c, d), draw(st.permutations(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_families())
+def test_row_holds_the_gauge_sequence_and_the_dual_Hahn_values(family):
+    """params.row(n, i) is the row's eps_0..eps_{n+i} and its T_k, k < N,
+    at the closed form's arguments, whichever rows were read before, and
+    the family keeps it."""
+    params, rows = family
+    for n, i in rows:
+        row = params.row(n, i)
+        assert row.eps == epsilon_seq(n, i, params, n + i)
+        assert row.t == [dual_hahn(k, *dh._t_arguments(params, n, i))
+                         for k in range(params.N)]
+    assert all(params.row(n, i) is params.row(n, i) for n, i in rows)
+
+
 def test_gauge_ratio_fails_off_the_closed_form(monkeypatch):
     """A sequence started at eps_0 = 2 still satisfies every ratio
-    eps_{j+1} = (n+i-j)(dj+c) eps_j, but not the closed form."""
+    eps_{j+1} = (n+i-j)(dj+c) eps_j, but not the closed form.  The family
+    keeps each row it formed, so the doubled sequence is read by a fresh
+    one."""
     params = build_delta_family(3, F(1), F(1, 2), F(3))
     n, i = 2, 1
     doubled = [2 * e for e in epsilon_seq(n, i, params, n + i)]
@@ -77,7 +109,7 @@ def test_gauge_ratio_fails_off_the_closed_form(monkeypatch):
                for j in range(n + i))
     _ok(verify_gauge_ratio(params, n, i))
     monkeypatch.setattr(dh, "epsilon_seq", lambda *args: doubled)
-    [verdict] = verify_gauge_ratio(params, n, i)
+    [verdict] = verify_gauge_ratio(build_delta_family(3, F(1), F(1, 2), F(3)), n, i)
     assert verdict["check_id"] == f"gauge ratio n={n},i={i}"
     assert verdict["pass"] is False
 
@@ -155,6 +187,18 @@ def test_displayed_closed_form_has_a_witness():
     assert xi.get(1, 2, 1) == -2
     assert xi_dual_hahn(1, 2, 1, params, xi.get(1, 2, 1)) == -2
     assert xi_dual_hahn_displayed(1, 2, 1, params) == F(1, 3)  # != oracle
+
+
+def test_closed_forms_reject_a_column_off_the_row():
+    """The row holds T_k for k < N and eps_j for j <= n+i: a column j
+    outside 1..N, or past n+i in the printed form, raises, and no index
+    wraps round the row."""
+    params = build_delta_family(3, F(1), F(1), F(1))
+    for j in (0, -1, params.N + 1):
+        with pytest.raises(DomainError):
+            xi_dual_hahn(4, 2, j, params, 1)
+    with pytest.raises(DomainError):
+        xi_dual_hahn_displayed(0, 1, 2, params)
 
 
 def test_boundary_recursion(family):

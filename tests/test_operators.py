@@ -459,6 +459,22 @@ def test_each_dagger_check_can_fail(name, j, failing):
     assert [c["check_id"] for c in checks if not c["pass"]] == failing
 
 
+@pytest.mark.parametrize("name, failing", [
+    ("L", ["L self-adjoint"]),
+    ("Mdag", ["Mdag = dagger(M)"]),
+])
+def test_dagger_checks_compare_n_zero(name, failing):
+    """At n_max = 1 the dagger rows compare n = 0, where a shift below zero
+    reads as an exact zero: E_11 added to the delta^0 coefficient there
+    fails the row that reads it."""
+    seq = compute_monic_ops(SPECS[2], 1)
+    ops = make_named_operators(seq)
+    _ok(verify_star_dagger(seq, ops))
+    ops[name] = _bump(ops[name], 0, 0)
+    checks = verify_star_dagger(seq, ops)
+    assert [c["check_id"] for c in checks if not c["pass"]] == failing
+
+
 def test_checks_reading_L_fail_on_a_perturbed_coefficient():
     """L's shift-0 coefficient enters (M L)(n) at n and n - 1, (L . P)(n) in
     the Casimir identity at n, and L^2(n) at n - 1, n and n + 1."""
