@@ -7,9 +7,9 @@ compatibility conditions by construction.  Along each row pair (n, i) the
 multipliers obey an exact three-term recursion in the column index whose
 normalized solution is a terminating 3F2 evaluated at the lattice node
 N - i.  The closed form used here carries three corrections over the
-commonly quoted one (alternating sign, anchor at xi(n,i,1), lattice node);
-the quoted variant is evaluated too, and its mismatch is part of the
-report.
+commonly quoted one (alternating sign, a closed anchor for xi(n,i,1),
+lattice node) and reads no value of the oracle; the quoted variant is
+evaluated too, and its mismatch is part of the report.
 """
 
 from fractions import Fraction as F
@@ -32,13 +32,15 @@ print(f"\nmultipliers along (n,i) = ({n},{i}):",
 print("dual Hahn values at the lattice node x = N-i = 0:",
       [str(dual_hahn(k, 0, params.gamma, n + i - 3, 2)) for k in range(3)])
 
-print("\nclosed form reproduces every interior multiplier exactly:")
+print("\nthe anchor xi(n,i,1) = (-1)^n (i)_n (gamma+1)_n / (N+gamma+1-i)_n:",
+      params.row(n, i).anchor, "=", xi.get(n, i, 1))
+
+print("\nclosed form, from (c, d) alone, reproduces every interior multiplier exactly:")
 ok = True
 for nn in range(5):
     for ii in range(1, 4):
         for jj in range(1, min(3, nn + ii - 1) + 1):
-            v = xi_dual_hahn(nn, ii, jj, params, xi.get(nn, ii, 1))
-            ok &= v == xi.get(nn, ii, jj)
+            ok &= xi_dual_hahn(nn, ii, jj, params) == xi.get(nn, ii, jj)
 print("  all equal:", ok)
 
 print("\nthe commonly quoted variant misses; one witness:")

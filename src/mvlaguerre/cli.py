@@ -123,10 +123,11 @@ def cmd_verify(args) -> int:
                     "dual Hahn suite needs --c/--d or a delta family with a = -1")
             notes.append("dualhahn suite skipped: weight is not a constrained family")
     # the weight is orthogonalized once, at the highest degree a reader needs:
-    # the suites n_max, the resolutions >= 2 (the i = 1 boundary relation)
-    # and the dual Hahn suite of this weight min(n_max, 4) + 1; a proper
-    # prefix arises only beside a reader of the whole family's xi table, so
-    # the closed forms and xi the prefix slices off the whole are read anyway
+    # the suites n_max, the resolutions >= 2 (the i = 1 boundary relation,
+    # which they form themselves) and the dual Hahn suite of this weight
+    # min(n_max, 4) + 1; a proper prefix arises only beside a reader of the
+    # whole family's xi table, so the closed forms and xi the prefix slices
+    # off the whole are read anyway
     suites = args.suite in ("operators", "laguerre", "all")
     resolve = spec.N >= 2 and args.suite in ("laguerre", "all")
     shared_dh = params is not None and params.spec == spec
@@ -143,10 +144,7 @@ def cmd_verify(args) -> int:
         if args.suite in ("laguerre", "all"):
             checks += rp.suite_laguerre(seq)
     if resolve:
-        # at r == n_max the laguerre suite read the boundary relation on this family
-        rows = ([c for c in checks if c["equation"] == "multiplier-boundary-relation"]
-                if r == n_max else None)
-        resolutions = rp.resolve_open_questions(family[r], rows)
+        resolutions = rp.resolve_open_questions(family[r])
     if params is not None:
         dh_seq = family[k] if shared_dh else compute_monic_ops(params.spec, k)
         checks += rp.suite_dualhahn(params, dh_seq)
@@ -234,7 +232,7 @@ def cmd_dualhahn(args) -> int:
         n, i, j = row["n"], row["i"], row["j"]
         entry = {"n": n, "i": i, "j": j, "xi_extracted": row["xi"]}
         if n + i - j > 0:
-            entry["xi_dual_hahn"] = rat_str(dh.xi_dual_hahn(n, i, j, params, xi.get(n, i, 1)))
+            entry["xi_dual_hahn"] = rat_str(dh.xi_dual_hahn(n, i, j, params))
         xi_records.append(entry)
     all_equal = all(
         r.get("xi_dual_hahn", r["xi_extracted"]) == r["xi_extracted"]

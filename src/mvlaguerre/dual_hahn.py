@@ -13,17 +13,21 @@ keeps every quantity rational.
 With gamma = c/d, the interior multipliers along a fixed row pair (n, i)
 satisfy an exact three-term recursion whose normalized solution is a dual
 Hahn evaluation.  The oracle fixes three corrections to the printed closed
-form: an alternating sign (-1)^{j-1}, anchoring to xi(n,i,1) instead of an
-implicit unit seed, and evaluation at the lattice node N - i:
+form: an alternating sign (-1)^{j-1}, a closed anchor xi(n,i,1) in place of
+an implicit unit seed, and evaluation at the lattice node N - i:
 
     xi(n,i,j) = (-1)^{j-1} (n+i) (-(N-1))_{j-1} / (n+i-j+1)_j
-                * T_{j-1}(lambda(N-i); gamma, n+i-N, N-1) * xi(n,i,1).
+                * T_{j-1}(lambda(N-i); gamma, n+i-N, N-1) * xi(n,i,1),
+    xi(n,i,1) = (-1)^n (i)_n (gamma+1)_n / (N+gamma+1-i)_n.
 
-The printed variant's status is reported next to every corrected check.
+Neither reads nu, and neither reads the oracle: the closed form is formed
+from the parameters alone, so every term it is checked on, j = 1 too,
+compares two computations.  The printed variant's status is reported next
+to every corrected check.
 
 Each row (n, i) of a family is formed once, by `DHParams.row`: its gauge
-sequence eps_0..eps_{n+i} and its dual Hahn values T_k, k < N, which every
-check of the row, and `xi_dual_hahn`, read.
+sequence eps_0..eps_{n+i}, its dual Hahn values T_k, k < N, and its anchor,
+which every check of the row, and `xi_dual_hahn`, read.
 """
 
 from __future__ import annotations
@@ -167,8 +171,8 @@ def _t_arguments(params: DHParams, n: int, i: int) -> tuple:
 
 
 class DHRow:
-    """The row (n, i) of a constrained family: its gauge sequence and its
-    dual Hahn values, each formed on first read."""
+    """The row (n, i) of a constrained family: its gauge sequence, its dual
+    Hahn values and its anchor xi(n,i,1), each formed on first read."""
 
     def __init__(self, params: DHParams, n: int, i: int):
         self.params, self.n, self.i = params, n, i
@@ -183,6 +187,14 @@ class DHRow:
         """T_k(lambda(N-i); gamma, n+i-N, N-1) for k < N, each a 3F2 sum."""
         args = _t_arguments(self.params, self.n, self.i)
         return [dual_hahn(k, *args) for k in range(self.params.N)]
+
+    @cached_property
+    def anchor(self) -> Fraction:
+        """xi(n,i,1) = (-1)^n (i)_n (gamma+1)_n / (N+gamma+1-i)_n.  The
+        denominator never vanishes: d + c > 0 makes gamma > -1, so every
+        factor is at least N+gamma+1-i >= gamma+1 > 0."""
+        n, i, g, nn = self.n, self.i, self.params.gamma, self.params.N
+        return (-1) ** n * pochhammer(i, n) * pochhammer(g + 1, n) / pochhammer(nn + g + 1 - i, n)
 
 
 def verify_gauge_ratio(params: DHParams, n: int, i: int) -> list[dict]:
@@ -229,10 +241,11 @@ def verify_q_recursions(xi: XiTable, params: DHParams) -> list[dict]:
     return checks
 
 
-def xi_dual_hahn(n: int, i: int, j: int, params: DHParams, xi_ni1) -> Fraction:
-    """Corrected closed form, anchored at xi(n,i,1); exact for n+i-j > 0
-    and 1 <= j <= N.  It reads T_{j-1} off `params.row(n, i)`, so each 3F2
-    sum is made once per family, whoever reads it first.
+def xi_dual_hahn(n: int, i: int, j: int, params: DHParams) -> Fraction:
+    """Corrected closed form; exact for n+i-j > 0 and 1 <= j <= N.  It reads
+    T_{j-1} and the anchor xi(n,i,1) off `params.row(n, i)`, so each 3F2
+    sum is made once per family, whoever reads it first, and no value of
+    the oracle enters.
 
     The gamma-Pochhammer of the printed form cancels against the epsilon
     product, which is what keeps c = 0 in the domain."""
@@ -240,9 +253,10 @@ def xi_dual_hahn(n: int, i: int, j: int, params: DHParams, xi_ni1) -> Fraction:
         raise DomainError("closed form needs n+i-j > 0")
     if not 1 <= j <= params.N:
         raise DomainError(f"closed form needs 1 <= j <= N (got j={j})")
+    row = params.row(n, i)
     sign = Fraction(-1) ** (j - 1)
     return sign * (n + i) * pochhammer(-(params.N - 1), j - 1) \
-        / pochhammer(n + i - j + 1, j) * params.row(n, i).t[j - 1] * rat(xi_ni1)
+        / pochhammer(n + i - j + 1, j) * row.t[j - 1] * row.anchor
 
 
 def xi_dual_hahn_displayed(n: int, i: int, j: int, params: DHParams) -> Fraction:
@@ -267,7 +281,9 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
     """The corrected closed form `xi_dual_hahn` against the xi table at
     every (n, i, j) with n + i - j > 0, with the printed form reported, and
     the 3F2 sum against the recurrence at every argument set (n, i, k < N).
-    Both read the T_k of `params.row(n, i)`, so each is summed once."""
+    Both read the T_k of `params.row(n, i)`, so each is summed once.  The
+    closed form reads its anchor off the row too, so the j = 1 term tests
+    the anchor against the table."""
     checks = []
     cross = True
     for n in range(xi.n_max + 1):
@@ -277,7 +293,7 @@ def verify_dual_hahn_closed_form(xi: XiTable, params: DHParams) -> list[dict]:
                                   for k, tk in enumerate(params.row(n, i).t))
             checks += quoted_check(
                 f"dual Hahn closed form n={n},i={i}", "dual-hahn-closed-form",
-                [(xi_dual_hahn(n, i, j, params, xi.get(n, i, 1)) == xi.get(n, i, j),
+                [(xi_dual_hahn(n, i, j, params) == xi.get(n, i, j),
                   params.c > 0 and xi_dual_hahn_displayed(n, i, j, params) == xi.get(n, i, j))
                  for j in range(1, min(params.N, n + i - 1) + 1)])
     checks.append(check("3F2 equals recurrence at used arguments",

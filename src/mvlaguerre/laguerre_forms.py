@@ -345,21 +345,38 @@ def verify_xi_tables(extracted: XiTable, recursed: XiTable) -> list[dict]:
     ]
 
 
+def i1_boundary_relation(seq: OPSeq) -> list:
+    """(derived holds, printed holds) of the i = 1 boundary relation on the
+    oracle table seq.xi, one pair per degree 1 <= n < min(n_max, N).  The
+    derived side is the antidiagonal step at row 0 (`_antidiagonal` at
+    ii = 1), where the left side is zero:
+    lead xi(n,1,n+1) + cross xi(n-1,2,n+1) = 0.  The printed side is
+    ((nu+2n+3) G(n+1)_11/(n+nu+2) + n+2+nu + (nu+2n+2) a_1 I(n)_12)
+    xi(n,1,n+1) = (nu+2n+2) cross xi(n-1,2,n+1).  The printed-variant
+    report and the i = 1 resolution both read it."""
+    nu, a, xi, ratio = seq.spec.nu, seq.spec.a, seq.xi, _g_ratios(seq)
+
+    def relation(n):
+        lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
+        lead, cross = _antidiagonal(seq, ratio, n, 1)
+        n1_disp = (nu + 2 * n + 3) * ratio[n + 1, 1] + (n + 2 + nu) \
+            + seq.I[n][0, 1] * (nu + 2 * n + 2) * a[0]
+        return lead * lo + cross * hi == 0, n1_disp * lo == (nu + 2 * n + 2) * cross * hi
+
+    return [relation(n) for n in range(1, min(seq.n_max, seq.spec.N))]
+
+
 def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     """Status of the printed variants against the oracle table seq.xi: the
     interior a-term sign (`_interior`, tail - prev against tail + prev), the
     n=1 boundary sign, and the printed N1/N2 coefficients of the i=1
-    boundary relation.  The derived side of that relation is the
-    antidiagonal step at row 0 (`_antidiagonal` at ii = 1), where the left
-    side is zero: lead xi(n,1,n+1) + cross xi(n-1,2,n+1) = 0.  These are
-    reports, not gates; the package's own recursion (the corrected one) is
-    gated by verify_xi_tables.  The interior recursion compares entries
-    from N >= 2 and n_max >= 1, the boundary seed too, and the i=1 relation
-    from N >= 2 and n_max >= 2.  Each G(n)_{ii}/(n+nu+i) is formed once
-    (`_g_ratios`)."""
-    spec = seq.spec
-    nu, a, N = spec.nu, spec.a, spec.N
-    xi, I, ratio = seq.xi, seq.I, _g_ratios(seq)
+    boundary relation (`i1_boundary_relation`, which the i = 1 resolution
+    reads too).  These are reports, not gates; the package's own recursion
+    (the corrected one) is gated by verify_xi_tables.  The interior
+    recursion compares entries from N >= 2 and n_max >= 1, the boundary
+    seed too, and the i=1 relation from N >= 2 and n_max >= 2.  Each
+    G(n)_{ii}/(n+nu+i) is formed once per reader (`_g_ratios`)."""
+    a, N, xi, I, ratio = seq.spec.a, seq.spec.N, seq.xi, seq.I, _g_ratios(seq)
 
     def interior(n, i, j):
         tail, prev = _interior(xi.get, ratio, a, n, i, j)
@@ -369,13 +386,6 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     def seed(i):
         return xi.get(1, i, i + 1) == -I[0][i - 1, i], xi.get(1, i, i + 1) == I[0][i - 1, i]
 
-    def relation(n):
-        lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
-        lead, cross = _antidiagonal(seq, ratio, n, 1)
-        n1_disp = (nu + 2 * n + 3) * ratio[n + 1, 1] + (n + 2 + nu) \
-            + I[n][0, 1] * (nu + 2 * n + 2) * a[0]
-        return lead * lo + cross * hi == 0, n1_disp * lo == (nu + 2 * n + 2) * cross * hi
-
     return [
         *quoted_check("interior recursion, corrected sign", "multiplier-interior-recursion",
                       [interior(n, i, j) for (n, i, j) in sorted(xi.values)
@@ -383,8 +393,7 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
         *quoted_check("boundary seed xi(1,i,i+1), corrected sign", "multiplier-boundary-seed",
                       [seed(i) for i in range(1, N if seq.n_max >= 1 else 1)]),
         *quoted_check("i=1 boundary relation, derived coefficients",
-                      "multiplier-boundary-relation",
-                      [relation(n) for n in range(1, min(seq.n_max, N))]),
+                      "multiplier-boundary-relation", i1_boundary_relation(seq)),
     ]
 
 

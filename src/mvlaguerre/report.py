@@ -67,37 +67,31 @@ def resolve_xi_seed(seq: OPSeq) -> dict:
                        v == 1, v == Fraction(1) / (seq.spec.nu + 2))
 
 
-def resolve_i1_boundary(seq: OPSeq, rows: list[dict] | None = None) -> dict:
+def resolve_i1_boundary(seq: OPSeq) -> dict:
     """The i = 1 antidiagonal relation: derived coefficients
     (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) and -I(n)_12 G(n)_22/(n+nu+2)
-    versus the printed pair; the resolution names the pair that matches.
-    `rows` are the multiplier-boundary-relation checks of `seq` where a
-    suite already ran them; without them the printed variants of `seq` are
-    checked here."""
-    if rows is None:
-        rows = [c for c in lf.verify_displayed_xi_recursions(seq)
-                if c["equation"] == "multiplier-boundary-relation"]
-    if not rows:
+    versus the printed pair, each compared on `seq` at every degree
+    1 <= n < min(n_max, N) by `lf.i1_boundary_relation`, the relation the
+    printed-variant report reads; the resolution names the pair that
+    matches."""
+    pairs = lf.i1_boundary_relation(seq)
+    if not pairs:
         raise AmbiguousResolutionError("i=1 boundary relation was not exercised")
-    derived = all(c["pass"] for c in rows)
+    derived = all(c for c, _ in pairs)
     resolution = ("derived: (G(n+1)_11/(n+nu+2) + 1 - a_1 I(n)_12) xi(n,1,n+1)"
                   " = -I(n)_12 G(n)_22/(n+nu+2) xi(n-1,2,n+1)" if derived else
                   "printed: ((nu+2n+3) G(n+1)_11/(n+nu+2) + n+2+nu + (nu+2n+2) a_1 I(n)_12)"
                   " xi(n,1,n+1) = (nu+2n+2) I(n)_12 G(n)_22/(n+nu+2) xi(n-1,2,n+1)")
     return _resolution("i1-boundary-N1N2", "coefficients of the i=1 boundary two-term relation",
-                       resolution, derived, all(c["displayed_form_pass"] for c in rows))
+                       resolution, derived, all(p for _, p in pairs))
 
 
-def resolve_open_questions(seq: OPSeq, boundary_rows: list[dict] | None = None) -> list[dict]:
+def resolve_open_questions(seq: OPSeq) -> list[dict]:
     """The three resolutions for the weight of `seq`, read off its moment
-    table, xi table and G, I.  The i = 1 boundary relation first appears at
-    degree 2, so `seq` must reach n_max >= 2.  `boundary_rows` hands over
-    the multiplier-boundary-relation checks a suite already ran on `seq`."""
-    return [
-        resolve_h0_pochhammer(seq),
-        resolve_xi_seed(seq),
-        resolve_i1_boundary(seq, boundary_rows),
-    ]
+    table, xi table and G, I; each forms what it compares from `seq`
+    alone.  The i = 1 boundary relation first appears at degree 2, so
+    `seq` must reach n_max >= 2."""
+    return [resolve_h0_pochhammer(seq), resolve_xi_seed(seq), resolve_i1_boundary(seq)]
 
 
 def display_corrections(checks: list[dict]) -> list[dict]:

@@ -143,34 +143,58 @@ def test_dualhahn_derivative_coupling_reads_the_equation_label(monkeypatch, caps
     assert json.loads(out)["derivative_coupling"] is False
 
 
+def _patched_relation(monkeypatch, change):
+    """lf.i1_boundary_relation replaced by change(derived, printed) of each
+    of its true pairs."""
+    original = lf.i1_boundary_relation
+    monkeypatch.setattr(lf, "i1_boundary_relation",
+                        lambda seq: [change(*pair) for pair in original(seq)])
+
+
 def test_i1_boundary_resolution_reads_the_equation_label(monkeypatch):
-    """resolve_i1_boundary reads the multiplier-boundary-relation checks by
-    their equation label: with every id renamed it resolves as before, and
-    with the quoted variant of that relation alone passing it is
-    ambiguous."""
+    """resolve_i1_boundary reads the i = 1 boundary relation itself, not the
+    checks a suite labelled with it: with every check id renamed and the
+    multiplier-boundary-relation rows marked as matching the printed pair,
+    it resolves as before; with the shared relation's printed pair holding
+    as well, it is ambiguous."""
     seq = compute_monic_ops(WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)), 4)
     expected = rp.resolve_i1_boundary(seq)
-    original = lf.verify_displayed_xi_recursions
-    monkeypatch.setattr(lf, "verify_displayed_xi_recursions",
-                        _relabelled(original, "multiplier-boundary-relation"))
-    assert rp.resolve_i1_boundary(seq) == expected
     monkeypatch.setattr(lf, "verify_displayed_xi_recursions", _relabelled(
-        original, "multiplier-boundary-relation", displayed_form_pass=True))
+        lf.verify_displayed_xi_recursions, "multiplier-boundary-relation",
+        displayed_form_pass=True))
+    assert rp.resolve_i1_boundary(seq) == expected
+    _patched_relation(monkeypatch, lambda derived, printed: (derived, True))
     with pytest.raises(rp.AmbiguousResolutionError):
         rp.resolve_i1_boundary(seq)
 
 
 def test_i1_boundary_resolution_names_the_pair_that_matches(monkeypatch):
     """The resolution names the derived pair where it matches, and the
-    printed pair, reported as matching, where only that one passes."""
+    printed pair, reported as matching, where only that one holds."""
     seq = compute_monic_ops(WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)), 4)
     assert rp.resolve_i1_boundary(seq)["resolution"].startswith("derived: ")
-    original = lf.verify_displayed_xi_recursions
-    monkeypatch.setattr(lf, "verify_displayed_xi_recursions", _relabelled(
-        original, "multiplier-boundary-relation", **{"pass": False, "displayed_form_pass": True}))
+    _patched_relation(monkeypatch, lambda derived, printed: (False, True))
     resolved = rp.resolve_i1_boundary(seq)
     assert resolved["resolution"].startswith("printed: ")
     assert resolved["displayed_form_matches"] is True
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec(2, Fraction(1, 2), (-1,), (1, 1)),
+    WeightSpec(3, Fraction(7, 3), (Fraction(5, 2), Fraction(-3, 7)),
+               (Fraction(2, 3), 5, Fraction(11, 4))),
+])
+@pytest.mark.parametrize("n_max", [2, 4])
+def test_i1_boundary_resolution_agrees_with_the_suite_row(spec, n_max):
+    """The resolution and the suite's multiplier-boundary-relation row read
+    one relation: where the row exists (n_max >= 2), the derived pair is
+    the row's verdict and displayed_form_matches its printed verdict."""
+    seq = compute_monic_ops(spec, n_max)
+    [row] = [c for c in rp.suite_laguerre(seq)
+             if c["equation"] == "multiplier-boundary-relation"]
+    resolved = rp.resolve_i1_boundary(seq)
+    assert row["pass"] is True and resolved["resolution"].startswith("derived: ")
+    assert resolved["displayed_form_matches"] == row["displayed_form_pass"]
 
 
 def test_verify_dualhahn_requires_constrained_family():
@@ -546,16 +570,20 @@ def test_verify_laguerre_builds_xi_and_GI_once(monkeypatch, capsys):
 @pytest.mark.parametrize("nmax,calls", [(5, 1), (1, 2)])
 def test_verify_laguerre_reads_the_boundary_relation_once_per_family(
         nmax, calls, monkeypatch, capsys):
-    """At n_max >= 2 the i = 1 boundary resolution reads the suite's own
-    multiplier-boundary-relation rows; at n_max = 1 it reads a family of
-    degree 3, which the suite did not check, and runs the printed variants
-    there."""
+    """The suite and the i = 1 resolution each form the boundary relation
+    once, on the family they read: at n_max >= 2 both read the family of
+    degree n_max; at n_max = 1 the resolution reads a family of degree 3,
+    which the suite did not check.  The resolution runs no printed-variant
+    report of its own."""
     displayed = _count_calls(monkeypatch, lf, "verify_displayed_xi_recursions")
+    relation = _count_calls(monkeypatch, lf, "i1_boundary_relation")
     code, out, _ = _run(["verify", "--suite", "laguerre", "--N", "3", "--nmax", str(nmax)],
                         capsys)
     assert code == 0
     assert len(json.loads(out)["open_question_resolutions"]) == 3
-    assert [seq.n_max for seq, in displayed] == [nmax, 3][:calls]
+    assert sorted(seq.n_max for seq, in relation) == sorted([nmax, nmax if nmax >= 2 else 3])
+    assert len({seq.n_max for seq, in relation}) == calls
+    assert [seq.n_max for seq, in displayed] == [nmax]
 
 
 @pytest.mark.parametrize("nmax,degrees,xi_degrees",

@@ -97,6 +97,34 @@ def test_row_holds_the_gauge_sequence_and_the_dual_Hahn_values(family):
     assert all(params.row(n, i) is params.row(n, i) for n, i in rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_families())
+def test_row_anchor_and_closed_form_equal_the_oracle(family):
+    """Each row's anchor is the oracle's xi(n,i,1), and the closed form,
+    which reads no oracle value, is the oracle's xi(n,i,j) at every column
+    it covers, j <= min(N, n+i-1), on families with c = 0, c > 0 and
+    -d < c < 0."""
+    params, rows = family
+    xi = compute_monic_ops(params.spec, max(n for n, _ in rows)).xi
+    for n, i in rows:
+        assert params.row(n, i).anchor == xi.get(n, i, 1)
+        for j in range(1, min(params.N, n + i - 1) + 1):
+            assert xi_dual_hahn(n, i, j, params) == xi.get(n, i, j)
+
+
+def test_closed_form_fails_on_a_perturbed_anchor_entry():
+    """xi(1,1,1) raised by 1 in a copy of the table fails the closed-form
+    row n=1,i=1, whose one column is j = 1: the closed form forms its own
+    anchor, so that row no longer compares xi(1,1,1) with itself."""
+    params = build_delta_family(3, F(1, 2), F(2), F(1))
+    xi = extract_xi(compute_monic_ops(params.spec, 4))
+    bad = xi.prefix(xi.n_max)
+    bad.values[1, 1, 1] += 1
+    _ok(verify_dual_hahn_closed_form(xi, params))
+    checks = verify_dual_hahn_closed_form(bad, params)
+    assert [c["check_id"] for c in checks if not c["pass"]] == ["dual Hahn closed form n=1,i=1"]
+
+
 def test_gauge_ratio_fails_off_the_closed_form(monkeypatch):
     """A sequence started at eps_0 = 2 still satisfies every ratio
     eps_{j+1} = (n+i-j)(dj+c) eps_j, but not the closed form.  The family
@@ -181,11 +209,13 @@ def test_displayed_closed_form_is_not_read_below_c_zero():
 
 
 def test_displayed_closed_form_has_a_witness():
+    """At (1,2,1) the closed form, which forms its own anchor, is the
+    oracle's value and the printed form is not."""
     params = build_delta_family(2, F(1), F(1), F(1))
     seq = compute_monic_ops(params.spec, 3)
     xi = extract_xi(seq)
     assert xi.get(1, 2, 1) == -2
-    assert xi_dual_hahn(1, 2, 1, params, xi.get(1, 2, 1)) == -2
+    assert xi_dual_hahn(1, 2, 1, params) == -2
     assert xi_dual_hahn_displayed(1, 2, 1, params) == F(1, 3)  # != oracle
 
 
@@ -196,7 +226,7 @@ def test_closed_forms_reject_a_column_off_the_row():
     params = build_delta_family(3, F(1), F(1), F(1))
     for j in (0, -1, params.N + 1):
         with pytest.raises(DomainError):
-            xi_dual_hahn(4, 2, j, params, 1)
+            xi_dual_hahn(4, 2, j, params)
     with pytest.raises(DomainError):
         xi_dual_hahn_displayed(0, 1, 2, params)
 
