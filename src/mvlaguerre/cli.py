@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         _attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except (DomainError, ValueError, OSError) as exc:
+    except (DomainError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,8 +60,7 @@ class DHParams(Frozen):
                              _rows={})
 
     def row(self, n: int, i: int) -> "DHRow":
-        """The row (n, i), made once per family, as OPSeq.h_inv keeps each
-        H_n^{-1}."""
+        """The row (n, i), made once per family and kept, on first use."""
         if (n, i) not in self._rows:
             self._rows[n, i] = DHRow(self, n, i)
         return self._rows[n, i]

@@ -2,13 +2,13 @@
 moment table.  This is the oracle every closed form in the package is
 checked against: orthogonalization uses nothing but the inner product.
 The family it returns, `OPSeq`, also owns every per-degree object derived
-from it (H_n^{-1}, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n, K_n^{-1},
-Q(x,n), R(x,n), G(n), I(n) and the xi table), each built at most once, on
-first use.  The moment table is read only through `weights.moment_row`
-and `weights.pair_row`.  Every other sum of block products here (the
-projections, each coefficient of the three-term recurrence) is fused into
-one `MatQ.dot` with a single gcd pass; the canonical form is unique, so
-regrouping a sum this way is exact.
+from it (H_n^{-1}, C_n, H_n J H_n^{-1}, the coupling T_n, Gamma_n, K_n,
+K_n^{-1}, Q(x,n), R(x,n), G(n), I(n), the xi step ratios and the xi table),
+each built at most once, on first use.  The moment table is read only
+through `weights.moment_row` and `weights.pair_row`.  Every other sum of
+block products here (the projections, each coefficient of the three-term
+recurrence) is fused into one `MatQ.dot` with a single gcd pass; the
+canonical form is unique, so regrouping a sum this way is exact.
 """
 
 from __future__ import annotations
@@ -39,17 +39,14 @@ def quoted_check(check_id: str, equation: str, verdicts: list) -> list[dict]:
                   displayed_form_pass=all(p for _, p in verdicts))]
 
 
-def _inverse_of_H(H, inverses: dict, m: int) -> MatQ:
-    """H_m^{-1}, memoized in `inverses`; a singular H_m raises when its
-    inverse is first needed."""
-    if m not in inverses:
-        try:
-            inverses[m] = H[m].inverse()
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"singular H_{m}; parameters violate the weight invariants"
-            ) from exc
-    return inverses[m]
+def _inverse(h: MatQ, m: int) -> MatQ:
+    """H_m^{-1}; a singular H_m raises, naming its degree."""
+    try:
+        return h.inverse()
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(
+            f"singular H_{m}; parameters violate the weight invariants"
+        ) from exc
 
 
 def _per_degree(build):
@@ -69,15 +66,17 @@ class OPSeq:
     From Gram-Schmidt, stored as tuples so nothing derived can go stale:
     P[n] the monic polynomials and H[n] their Gamma-normalized squared
     norms.  Read off them at construction: X[n] the one-but-leading
-    coefficient (X[0] = 0), Y[n] the second-but-leading (Y[0] = Y[1] = 0),
-    B[n] = X[n] - X[n+1] for n <= n_max-1 and C[n] = H[n] H[n-1]^{-1} for
-    1 <= n <= n_max (C[0] is None).  `table` is the moment table the family
-    was orthogonalized on; inner products of its polynomials are
+    coefficient (X[0] = 0), Y[n] the second-but-leading (Y[0] = Y[1] = 0)
+    and B[n] = X[n] - X[n+1] for n <= n_max-1.  `table` is the moment table
+    the family was orthogonalized on; inner products of its polynomials are
     `weights.inner_product(p, q, seq.table)`.
 
     Computed on first use and kept, at most once per family, as tuples over
     n = 0..n_max:
-    h_inv(n) = H_n^{-1} (the oracle hands over those it used);
+    H_inv[n] = H_n^{-1} (the oracle hands over the H_m^{-1}, m < n_max, it
+    used, and the first read adds H_{n_max}^{-1}; a singular H_m raises
+    then);
+    C[n] = H[n] H_inv[n-1] for 1 <= n <= n_max (C[0] is None);
     HJH[n] = H_n J H_n^{-1};
     T[n] = H_n (A^T - 1) H_{n-1}^{-1}, the down-shift coupling (T[0] is None);
     Gamma[n] = A(n+nu+1+J) - n - J, the second-order eigenvalue, entry by
@@ -86,6 +85,8 @@ class OPSeq:
     and its inverse, each summed on integers (matrices.build_K);
     Q[n] = P_n e^{xA} and R[n] = K_n^{-1} Q[n];
     G[n] = K_n^{-1} T[n] K_{n-1} (G[0] is None) and I[n] = K_n^{-1} HJH[n] K_n;
+    G_ratio[n][i-1] = G(n)_{ii}/(n+nu+i), 1 <= i <= N, the coefficient of the
+    two-term xi recursions (G_ratio[0] is None);
     xi, the XiTable read off R (laguerre_forms.extract_xi returns it).
     Everything from Gamma on is a closed form and never enters Gram-Schmidt.
     `prefix(m)` is the family of degrees 0..m, read off this one: a reader
@@ -96,50 +97,53 @@ class OPSeq:
     family is safe to share.
     """
 
-    def __init__(self, spec: WeightSpec, table: MomentTable, P, H,
-                 h_inv: dict | None = None):
+    def __init__(self, spec: WeightSpec, table: MomentTable, P, H, H_inv=()):
         self.spec = spec
         self.table = table
         self.P = tuple(P)
         self.H = tuple(H)
         self.n_max = n_max = len(self.P) - 1
-        self._h_inv = dict(h_inv or {})
+        self._oracle_inverses = tuple(H_inv)  # H_m^{-1} for m < len(H_inv)
         self._whole = None  # the family this one is a proper prefix of
         zero = MatQ.zero(spec.N)
         self.X = tuple(p.coeff(deg - 1) if deg >= 1 else zero for deg, p in enumerate(self.P))
         self.Y = tuple(p.coeff(deg - 2) if deg >= 2 else zero for deg, p in enumerate(self.P))
         self.B = tuple(self.X[k] - self.X[k + 1] for k in range(n_max))
-        self.C = (None,) + tuple(self.H[k] * self.h_inv(k - 1) for k in range(1, n_max + 1))
-
-    def h_inv(self, n: int) -> MatQ:
-        return _inverse_of_H(self.H, self._h_inv, n)
 
     def prefix(self, m: int) -> "OPSeq":
         """The family of degrees 0..m: `self` at m == n_max, else one sharing
-        P[:m+1], H[:m+1], the moment table and the memoized H_n^{-1}, n <= m,
-        whose HJH, T, Gamma, K, K_inv, Q, R, G and I are the [:m+1] slices of
-        this family's and whose xi is this family's table at n <= m (so
-        reading any of them builds it here, over every degree).  Monic
-        orthogonal polynomials do not depend on how far the family goes, so
-        this equals compute_monic_ops(spec, m) but for table depth."""
+        P[:m+1], H[:m+1] and the moment table, whose H_inv, C, HJH, T, Gamma,
+        K, K_inv, Q, R, G, I and G_ratio are the [:m+1] slices of this
+        family's and whose xi is this family's table at n <= m (so reading
+        any of them builds it here, over every degree).  Monic orthogonal
+        polynomials do not depend on how far the family goes, so this equals
+        compute_monic_ops(spec, m) but for table depth."""
         if not 0 <= m <= self.n_max:
             raise ValueError(f"prefix degree {m} outside 0..{self.n_max}")
         if m == self.n_max:
             return self
-        seq = OPSeq(self.spec, self.table, self.P[:m + 1], self.H[:m + 1],
-                    {n: v for n, v in self._h_inv.items() if n <= m})
+        seq = OPSeq(self.spec, self.table, self.P[:m + 1], self.H[:m + 1])
         seq._whole = self
         return seq
 
     @_per_degree
+    def H_inv(self) -> tuple:
+        made = self._oracle_inverses
+        return made + tuple(_inverse(h, m) for m, h in enumerate(self.H[len(made):], len(made)))
+
+    @_per_degree
+    def C(self) -> tuple:
+        return (None,) + tuple(h * inv for h, inv in zip(self.H[1:], self.H_inv))
+
+    @_per_degree
     def HJH(self) -> tuple:
         J = self.spec.J
-        return tuple(h * J * self.h_inv(n) for n, h in enumerate(self.H))
+        return tuple(h * J * inv for h, inv in zip(self.H, self.H_inv))
 
     @_per_degree
     def T(self) -> tuple:
         at1 = self.spec.at1
-        return (None,) + tuple(h * at1 * self.h_inv(n) for n, h in enumerate(self.H[1:]))
+        return (None,) + tuple(h * at1 * inv for h, inv in zip(self.H[1:], self.H_inv))
 
     @_per_degree
     def Gamma(self) -> tuple:
@@ -183,6 +187,14 @@ class OPSeq:
     def I(self) -> tuple:
         return tuple(kinv * hjh * k for kinv, hjh, k in zip(self.K_inv, self.HJH, self.K))
 
+    @_per_degree
+    def G_ratio(self) -> tuple:
+        # with nu = p/q, G(n)_ii / (n+nu+i) = G_num q / (G_d (q(n+i) + p))
+        p, q = self.spec.nu.numerator, self.spec.nu.denominator
+        return (None,) + tuple(tuple(Fraction(g.num[r][r] * q, g.d * (q * (n + r + 1) + p))
+                                     for r in range(self.spec.N))
+                               for n, g in enumerate(self.G[1:], 1))
+
     @cached_property
     def xi(self):
         if self._whole is not None:
@@ -201,8 +213,9 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     sum per entry; every moment is symmetric, so <x^n I, P_m> is the
     transpose of entry t = n.  Since P_n is orthogonal to every lower
     degree, H_n = <P_n, P_n> = <x^n I, P_n>, the transposed first entry of
-    P_n's own row.  Each H_m^{-1} is computed once, when degree m+1 first
-    needs it, and handed to the family.  The moment table raises
+    P_n's own row.  Each H_m^{-1}, m < n_max, is computed once, when
+    degree m+1 first needs it, and handed to the family as the head of its
+    H_inv tuple.  The moment table raises
     `UnsupportedWeightError` (a ValueError) for phi other than x.
     """
     if n_max < 0:
@@ -212,11 +225,13 @@ def compute_monic_ops(spec: WeightSpec, n_max: int) -> OPSeq:
     P: list[MatPoly] = []
     H: list[MatQ] = []
     rows: list[list] = []  # <P_m, x^t I> for t = m..n_max
-    inverses: dict = {}
+    inverses: list[MatQ] = []  # H_m^{-1}, m < deg
     for deg in range(n_max + 1):
         terms = [[] for _ in range(deg)]
+        if deg:
+            inverses.append(_inverse(H[-1], deg - 1))
         for m in range(deg):
-            coef = rows[m][deg - m].transpose() * _inverse_of_H(H, inverses, m)
+            coef = rows[m][deg - m].transpose() * inverses[m]
             for k, c in enumerate(P[m].coeffs):
                 terms[k].append((coef, c))
         P.append(MatPoly([-MatQ.dot(t, n) for t in terms] + [i], n))

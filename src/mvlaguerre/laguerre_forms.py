@@ -9,9 +9,11 @@ multiple of a scalar Laguerre polynomial:
 This module extracts the xi table from the oracle, rebuilds it from the
 two-term recursions driven by the diagonal of G(n) and the superdiagonal of
 I(n), and checks the nonlinear recursion for the squared norms.  The
-rebuild is one pass over the keys in sorted order (`_pattern`); its
-interior step (`_interior`) and antidiagonal step (`_antidiagonal`) are
-written once, and the report on the printed variants reads the same two.
+rebuild is one pass over the keys in sorted order (`_pattern`), seeded at
+n = 0 by prod (-a_k); its interior step (`_interior`) and antidiagonal step
+(`_antidiagonal`) are written once, and the report on the printed variants
+and the i = 1 resolution read the same two.  Both steps read the ratios
+G(n)_{ii}/(n+nu+i) off the family (`OPSeq.G_ratio`), formed once per family.
 Where a commonly quoted recursion disagrees with the oracle (a handful of
 signs and one Pochhammer subscript), the corrected form is used and the
 quoted variant's status is reported alongside (engine.quoted_check).
@@ -35,7 +37,7 @@ from .engine import OPSeq, check, quoted_check
 from .matrices import J_commutator, MatPoly, MatQ
 from .operators import (DiffOp, casimir_mult, ladder_raising, right_mult,
                         second_order, second_order_diagonalized)
-from .scalar import laguerre_numerators, pochhammer, rat_str
+from .scalar import laguerre_numerators, rat_str
 from .weights import WeightSpec
 
 
@@ -254,19 +256,6 @@ def compute_GI(seq: OPSeq) -> list[dict]:
     return checks
 
 
-def _g_ratios(seq: OPSeq) -> dict:
-    """(n, i) -> G(n)_{ii} / (n+nu+i) for 1 <= n <= n_max and 1 <= i <= N,
-    the factor both xi recursions read, one Fraction each: with nu = p/q it
-    is G_num q / (G_d (q(n+i) + p))."""
-    p, q = seq.spec.nu.numerator, seq.spec.nu.denominator
-    ratios = {}
-    for n in range(1, seq.n_max + 1):
-        g = seq.G[n]
-        for i in range(1, seq.spec.N + 1):
-            ratios[n, i] = Fraction(g.num[i - 1][i - 1] * q, g.d * (q * (n + i) + p))
-    return ratios
-
-
 def _pattern(N: int, n_max: int) -> list:
     """The keys (n, i, j) of an xi table, n+i-j >= 0, in sorted order.
     Every recursion step reads only keys before its own, so the table can
@@ -275,24 +264,24 @@ def _pattern(N: int, n_max: int) -> list:
             for j in range(1, N + 1) if n + i - j >= 0]
 
 
-def _interior(get, ratio: dict, a: tuple, n: int, i: int, j: int) -> tuple:
+def _interior(seq: OPSeq, get, n: int, i: int, j: int) -> tuple:
     """(tail, prev) of the interior step at (n, i, j), n+i-j > 0, with
-    tail = G(n)_{ii}/(n+nu+i) xi(n-1,i,j) and prev = a_{i-1} xi(n,i-1,j)
-    (0 at i = 1), reading xi through `get`: the corrected step is
-    tail - prev, the printed one tail + prev."""
-    tail = ratio[n, i] * get(n - 1, i, j)
-    return tail, (a[i - 2] * get(n, i - 1, j) if i > 1 else 0)
+    tail = G(n)_{ii}/(n+nu+i) xi(n-1,i,j) (seq.G_ratio) and
+    prev = a_{i-1} xi(n,i-1,j) (0 at i = 1), reading xi through `get`: the
+    corrected step is tail - prev, the printed one tail + prev."""
+    tail = seq.G_ratio[n][i - 1] * get(n - 1, i, j)
+    return tail, (seq.spec.a[i - 2] * get(n, i - 1, j) if i > 1 else 0)
 
 
-def _antidiagonal(seq: OPSeq, ratio: dict, m: int, ii: int) -> tuple:
+def _antidiagonal(seq: OPSeq, m: int, ii: int) -> tuple:
     """(lead, cross) of the antidiagonal relation at row ii, 1 <= ii < N,
-    and degree m >= 1:
+    and degree m >= 1, with the G ratios read off seq.G_ratio:
 
         a_{ii-1} xi(m+1,ii-1,j) = lead xi(m,ii,j) + cross xi(m-1,ii+1,j),
         lead = G(m+1)_{ii,ii}/(m+1+nu+ii) + 1 - a_ii I(m)_{ii,ii+1},
         cross = I(m)_{ii,ii+1} G(m)_{ii+1,ii+1}/(m+nu+ii+1)."""
-    i_m = seq.I[m][ii - 1, ii]
-    return ratio[m + 1, ii] + 1 - seq.spec.a[ii - 1] * i_m, i_m * ratio[m, ii + 1]
+    i_m, ratio = seq.I[m][ii - 1, ii], seq.G_ratio
+    return ratio[m + 1][ii - 1] + 1 - seq.spec.a[ii - 1] * i_m, i_m * ratio[m][ii]
 
 
 def xi_by_recursion(seq: OPSeq) -> XiTable:
@@ -300,7 +289,9 @@ def xi_by_recursion(seq: OPSeq) -> XiTable:
     polynomial extraction involved.  One pass over the keys in sorted order
     (`_pattern`), each read off earlier keys:
 
-    - n = 0: xi(0,i,j) = (K_0^{-1})_{ij} (i-j)!/(nu+j+1)_{i-j};
+    - n = 0: xi(0,i,j) = prod_{k=j..i-1} (-a_k), which is
+      (K_0^{-1})_{ij} (i-j)!/(nu+j+1)_{i-j} by the closed form of K_0^{-1}
+      (the table is nu-free at n = 0);
     - n = 1, j = i+1: xi(1,i,i+1) = -I(0)_{i,i+1} (the oracle fixes the
       minus sign; the printed form carries +);
     - n >= 2, j = n+i: the antidiagonal step (`_antidiagonal`) at row i+1,
@@ -309,22 +300,22 @@ def xi_by_recursion(seq: OPSeq) -> XiTable:
       corrected sign on the a-term,
       xi(n,i,j) = G(n)_{ii}/(n+nu+i) xi(n-1,i,j) - a_{i-1} xi(n,i-1,j).
 
-    Each G(n)_{ii}/(n+nu+i) is formed once (`_g_ratios`).
+    So the rebuild reads only a, G (through the family's G_ratio, formed
+    once per family) and I.
     """
-    spec = seq.spec
-    a, ratio = spec.a, _g_ratios(seq)
+    spec, a = seq.spec, seq.spec.a
     table = XiTable(spec.N, seq.n_max)
     get = table.get
     for n, i, j in _pattern(spec.N, seq.n_max):
         if n == 0:
-            v = seq.K_inv[0][i - 1, j - 1] * factorial(i - j) / pochhammer(spec.nu + j + 1, i - j)
+            v = prod((-a_k for a_k in a[j - 1:i - 1]), start=Fraction(1))
         elif j == n + i and n == 1:
             v = -seq.I[0][i - 1, i]
         elif j == n + i:
-            lead, cross = _antidiagonal(seq, ratio, n - 1, i + 1)
+            lead, cross = _antidiagonal(seq, n - 1, i + 1)
             v = (lead * get(n - 1, i + 1, j) + cross * get(n - 2, i + 2, j)) / a[i - 1]
         else:
-            tail, prev = _interior(get, ratio, a, n, i, j)
+            tail, prev = _interior(seq, get, n, i, j)
             v = tail - prev
         table.values[n, i, j] = v
     return table
@@ -353,13 +344,14 @@ def i1_boundary_relation(seq: OPSeq) -> list:
     lead xi(n,1,n+1) + cross xi(n-1,2,n+1) = 0.  The printed side is
     ((nu+2n+3) G(n+1)_11/(n+nu+2) + n+2+nu + (nu+2n+2) a_1 I(n)_12)
     xi(n,1,n+1) = (nu+2n+2) cross xi(n-1,2,n+1).  The printed-variant
-    report and the i = 1 resolution both read it."""
-    nu, a, xi, ratio = seq.spec.nu, seq.spec.a, seq.xi, _g_ratios(seq)
+    report and the i = 1 resolution both read it, and both read the
+    family's G_ratio."""
+    nu, a, xi = seq.spec.nu, seq.spec.a, seq.xi
 
     def relation(n):
         lo, hi = xi.get(n, 1, n + 1), xi.get(n - 1, 2, n + 1)
-        lead, cross = _antidiagonal(seq, ratio, n, 1)
-        n1_disp = (nu + 2 * n + 3) * ratio[n + 1, 1] + (n + 2 + nu) \
+        lead, cross = _antidiagonal(seq, n, 1)
+        n1_disp = (nu + 2 * n + 3) * seq.G_ratio[n + 1][0] + (n + 2 + nu) \
             + seq.I[n][0, 1] * (nu + 2 * n + 2) * a[0]
         return lead * lo + cross * hi == 0, n1_disp * lo == (nu + 2 * n + 2) * cross * hi
 
@@ -374,12 +366,13 @@ def verify_displayed_xi_recursions(seq: OPSeq) -> list[dict]:
     reads too).  These are reports, not gates; the package's own recursion
     (the corrected one) is gated by verify_xi_tables.  The interior
     recursion compares entries from N >= 2 and n_max >= 1, the boundary
-    seed too, and the i=1 relation from N >= 2 and n_max >= 2.  Each
-    G(n)_{ii}/(n+nu+i) is formed once per reader (`_g_ratios`)."""
-    a, N, xi, I, ratio = seq.spec.a, seq.spec.N, seq.xi, seq.I, _g_ratios(seq)
+    seed too, and the i=1 relation from N >= 2 and n_max >= 2.  The
+    G(n)_{ii}/(n+nu+i) are the family's (seq.G_ratio), which the rebuild
+    (xi_by_recursion) reads too."""
+    N, xi, I = seq.spec.N, seq.xi, seq.I
 
     def interior(n, i, j):
-        tail, prev = _interior(xi.get, ratio, a, n, i, j)
+        tail, prev = _interior(seq, xi.get, n, i, j)
         v = xi.get(n, i, j)
         return v == tail - prev, v == tail + prev
 
@@ -447,7 +440,7 @@ def verify_H_recursion(seq: OPSeq) -> list[dict]:
     H_m, m < n_max, is inverted once, afresh, and its `_norm_terms`
     (H_m J H_m^{-1}, T_m, W_m) are formed once and read by both steps that
     need them.  The inverses are part of the check, so they are taken of
-    the H under check and not read from the family's memo (seq.h_inv)."""
+    the H under check and not read off the family's seq.H_inv."""
     checks = []
     if seq.n_max < 2:
         return checks

@@ -188,7 +188,7 @@ class SeqOp:
         """M^dagger = H(n) M^* H(n)^{-1}: its coefficient at shift j is
         H_n A_{-j}(n+j)^T H_{n+j}^{-1}, from the squared norms of `seq`."""
         def dagger_coef(j, n):
-            return seq.H[n] * self.coeff(-j, n + j).transpose() * seq.h_inv(n + j)
+            return seq.H[n] * self.coeff(-j, n + j).transpose() * seq.H_inv[n + j]
 
         return SeqOp([-j for j in self._shifts], dagger_coef, self.n_max, self.N)
 

@@ -6,7 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 
 import pytest
@@ -349,6 +349,21 @@ def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    "verify --nmax 99999999999999999999",
+    "compute-polys --nmax 9223372036854775808",
+    "xi --N 99999999999999999999",
+    "dualhahn --nmax 9223372036854775808",
+])
+def test_index_sized_overflow_exits_2(command, capsys):
+    """A degree or dimension past the index range (>= 2^63) overflows when
+    it first sizes a table: exit 2 with one line on stderr, not a
+    traceback."""
+    code, out, err = _run(command.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_csv_path_in_a_missing_directory_exits_2(tmp_path, capsys):
     """--csv inside a directory that does not exist cannot be written: exit
     2 with one line on stderr, not a traceback."""
@@ -586,6 +601,44 @@ def test_verify_laguerre_reads_the_boundary_relation_once_per_family(
     assert [seq.n_max for seq, in displayed] == [nmax]
 
 
+def _count_builds(monkeypatch, name):
+    """Replace OPSeq.name, a per-degree tuple, by one whose build is
+    counted; returns the degree of each family it is built on."""
+    build = engine.OPSeq.__dict__[name].func.__wrapped__
+    degrees = []
+
+    @wraps(build)
+    def counting(seq):
+        degrees.append(seq.n_max)
+        return build(seq)
+
+    tuple_of_family = engine._per_degree(counting)
+    tuple_of_family.__set_name__(engine.OPSeq, name)
+    monkeypatch.setattr(engine.OPSeq, name, tuple_of_family)
+    return degrees
+
+
+MESSY_N3 = ["--N", "3", "--nu=7/3", "--a=5/2,-3/7", "--delta=2/3,5,11/4"]
+
+
+@pytest.mark.parametrize("spec,nmax,degrees", [(MESSY_N3, 7, [7]), (["--N", "3"], 1, [3])],
+                         ids=["messy-7", "unit-1"])
+def test_verify_laguerre_forms_the_G_ratios_once_per_family(
+        spec, nmax, degrees, monkeypatch, capsys):
+    """G(n)_ii/(n+nu+i) is built once per family, and the rebuild, the
+    printed-variant report and the i = 1 boundary relation (twice: once for
+    the suite, once for the resolution) all read that one table.  At
+    n_max = 1 the suites read a prefix of the degree-3 family the
+    resolution needs, and the table is built on that family alone."""
+    built = _count_builds(monkeypatch, "G_ratio")
+    readers = [_count_calls(monkeypatch, lf, name) for name in
+               ("xi_by_recursion", "verify_displayed_xi_recursions", "i1_boundary_relation")]
+    code, out, _ = _run(["verify", "--suite", "laguerre", *spec, "--nmax", str(nmax)], capsys)
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert [len(calls) for calls in readers] == [1, 1, 2]
+    assert built == degrees
+
+
 @pytest.mark.parametrize("nmax,degrees,xi_degrees",
                          [(4, [5], [5]), (5, [5], [5]), (7, [7], [7])])
 def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
@@ -612,7 +665,7 @@ def test_verify_all_reuses_the_family_for_the_same_dual_hahn_spec(
     (seq,), (dh_seq,) = verified, dual_hahn
     assert (dh_seq is seq) == (nmax == 5)
     shared = range(min(seq.n_max, dh_seq.n_max) + 1)
-    assert all(dh_seq.P[n] is seq.P[n] and dh_seq.h_inv(n) is seq.h_inv(n) for n in shared)
+    assert all(dh_seq.P[n] is seq.P[n] and dh_seq.H_inv[n] is seq.H_inv[n] for n in shared)
     assert all(dh_seq.K[n] is seq.K[n] and dh_seq.R[n] is seq.R[n] and dh_seq.I[n] is seq.I[n]
                for n in shared)
     assert all(dh_seq.xi.values[key] is v for key, v in seq.xi.values.items()
@@ -790,14 +843,14 @@ def test_suites_build_each_K_K_inv_and_R_once(monkeypatch):
     for name in ("K", "K_inv", "Gamma", "R"):
         assert sorted(n for _, what, n in built if what == name) == list(degrees), name
     assert all(owner == what for owner, what, _ in built), built
-    for owner in ("_inverse_of_H", "verify_H_recursion"):
+    for owner in ("_inverse", "verify_H_recursion"):
         once = [n for caller, n in inverted if caller == owner]
         assert len(once) == len(set(once)), owner
     assert [n for caller, n in inverted if caller == "verify_H_recursion"] \
         == list(range(seq.n_max))
     assert [n for caller, n in inverted if caller == "x1_from_h0"] == [0]
     assert {caller for caller, _ in inverted} <= {
-        "_inverse_of_H", "verify_H_recursion", "x1_from_h0"}
+        "_inverse", "verify_H_recursion", "x1_from_h0"}
     assert "K" not in {n for _, n in inverted}
 
 

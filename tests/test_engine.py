@@ -135,7 +135,7 @@ def test_prefix_is_the_family_of_fewer_degrees(spec):
         assert (short.K, short.R, short.G, short.I) == (ref.K, ref.R, ref.G, ref.I)
         assert short.xi.values == ref.xi.values
         assert short.table is whole.table
-        assert all(short.P[n] is whole.P[n] and short.h_inv(n) is whole.h_inv(n)
+        assert all(short.P[n] is whole.P[n] and short.H_inv[n] is whole.H_inv[n]
                    for n in range(m + 1))
     for m in (-1, 5):
         with pytest.raises(ValueError):
@@ -168,6 +168,61 @@ def test_prefix_slices_the_closed_forms_of_its_family(monkeypatch):
     assert reads == [4]
 
 
+def _recording_inverses(monkeypatch):
+    """MatQ.inverse, recording each matrix it inverts; returns the list."""
+    inverted, inverse = [], MatQ.inverse
+    monkeypatch.setattr(MatQ, "inverse", lambda self: inverted.append(self) or inverse(self))
+    return inverted
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 4])
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_oracle_inverts_each_norm_once(spec, n_max, monkeypatch):
+    """Gram-Schmidt inverts H_0..H_{n_max-1}, once each and in order, and
+    hands them to the family: the first read of H_inv adds exactly
+    H_{n_max}^{-1}, and C, HJH, T and every prefix's H_inv read that tuple
+    without inverting anything."""
+    inverted = _recording_inverses(monkeypatch)
+    seq = compute_monic_ops(spec, n_max)
+    assert [id(h) for h in inverted] == [id(h) for h in seq.H[:n_max]]
+    assert len(seq.H_inv) == n_max + 1
+    assert [id(h) for h in inverted] == [id(h) for h in seq.H]
+    assert seq.C[0] is None and len(seq.C) == len(seq.HJH) == len(seq.T) == n_max + 1
+    assert all(len(seq.prefix(m).H_inv) == m + 1 for m in range(n_max + 1))
+    assert len(inverted) == n_max + 1
+    assert all((inv * h).is_identity() for inv, h in zip(seq.H_inv, seq.H))
+
+
+@pytest.mark.parametrize("first", ["whole", "prefix"])
+def test_prefix_shares_the_inverses_C_and_G_ratios(first):
+    """A prefix's H_inv, C and G_ratio entries are its family's objects,
+    whichever of the two reads them first, and so are a prefix of a
+    prefix's."""
+    whole = compute_monic_ops(RATIONAL_SPECS[2], 4)
+    if first == "whole":
+        whole.H_inv, whole.C, whole.G_ratio
+    for m in range(4):
+        short, inner = whole.prefix(m), whole.prefix(3).prefix(m)
+        for name in ("H_inv", "C", "G_ratio"):
+            for seq in (short, inner):
+                entries, full = getattr(seq, name), getattr(whole, name)
+                assert len(entries) == m + 1, name
+                assert all(a is b for a, b in zip(entries, full)), name
+
+
+@pytest.mark.parametrize("spec", RATIONAL_SPECS, ids=lambda s: f"N={s.N}")
+def test_G_ratio_is_the_xi_step_coefficient(spec):
+    """G_ratio[n][i-1] = G(n)_ii/(n+nu+i), 1 <= n <= n_max, 1 <= i <= N,
+    against the entries of G(n), on the family and on a prefix."""
+    seq = compute_monic_ops(spec, 4)
+    for family in (seq, seq.prefix(2)):
+        ratios = family.G_ratio
+        assert ratios[0] is None and len(ratios) == family.n_max + 1
+        assert all(ratios[n] == tuple(family.G[n][i - 1, i - 1] / (n + spec.nu + i)
+                                      for i in range(1, spec.N + 1))
+                   for n in range(1, family.n_max + 1))
+
+
 def test_singular_norm_raises_when_first_needed():
     # delta_1 = 0 slips past the constructor's checks here; the first row of
     # every moment, and so of H_0, is then zero
@@ -192,7 +247,7 @@ def test_shared_matrices_match_the_slow_paths(spec):
     seq = compute_monic_ops(spec, 4)
     i = MatQ.identity(spec.N)
     for n in range(5):
-        assert seq.h_inv(n) == seq.H[n].inverse()
+        assert seq.H_inv[n] == seq.H[n].inverse()
         assert seq.K_inv[n] == seq.K[n].inverse()
         q = seq.P[n] * exp_nilpotent(spec.A)
         assert seq.Q[n] == q
@@ -215,7 +270,7 @@ def test_threads_racing_on_first_use_see_the_serial_values():
     spec = RATIONAL_SPECS[2]
 
     def derived(seq):
-        return seq.R, seq.K, seq.K_inv, tuple(seq.h_inv(n) for n in range(5))
+        return seq.R, seq.K, seq.K_inv, tuple(seq.H_inv[n] for n in range(5))
 
     serial = derived(compute_monic_ops(spec, 4))
     interval = sys.getswitchinterval()
